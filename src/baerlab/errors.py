@@ -14,6 +14,8 @@ DEFAULT_CLASS_ORBIT_CAP = 1_000_000
 
 # Orders up to this bound get an integer Cayley table for fast id-level
 # subgroup arithmetic; direct products past it are handled componentwise.
+# The table is built from generator maps in |G| * |gens| compositions, so the
+# gate bounds memory (|G|**2 list cells, about 46 MB at the bound), not time.
 CAYLEY_TABLE_MAX_ORDER = 2400
 
 

@@ -22,6 +22,7 @@ from .errors import (
     CAYLEY_TABLE_MAX_ORDER,
     DEFAULT_CLASS_ORBIT_CAP,
     CapExceeded,
+    InternalInvariantViolation,
     enumeration_cap,
 )
 from .perm import Permutation, identity
@@ -143,8 +144,6 @@ class Group:
             )
         els = closure(self.generators, cap, degree=self.degree)
         if known is not None and len(els) != known:
-            from .errors import InternalInvariantViolation
-
             raise InternalInvariantViolation(
                 f"closure size {len(els)} contradicts declared order {known}"
             )
@@ -226,16 +225,44 @@ class Group:
     # -- id-level machinery (small materialised groups) -------------------
 
     def cayley(self) -> list:
-        """Integer multiplication table; only for orders <= the Cayley gate."""
+        """Integer multiplication table ``mul[a][b] == id(a * b)``.
+
+        Built from one left-multiplication map per generator, ``x -> g * x``
+        on ids, so only ``|G| * |gens|`` permutation products are composed.
+        Every other row comes from its parent along a breadth-first spanning
+        tree from the identity: ``row[g * a] = [lmap_g[v] for v in row[a]]``,
+        since ``(g * a) * b == g * (a * b)``.  The gate bounds the ``|G|**2``
+        cells the table holds.
+        """
         if self._cayley is None:
             els = self.materialize()
-            if len(els) > CAYLEY_TABLE_MAX_ORDER:
+            n = len(els)
+            if n > CAYLEY_TABLE_MAX_ORDER:
                 raise CapExceeded(
-                    f"order {len(els)} beyond Cayley-table gate {CAYLEY_TABLE_MAX_ORDER}"
+                    f"order {n} beyond Cayley-table gate {CAYLEY_TABLE_MAX_ORDER}"
                 )
             idx = self._index
-            self._cayley = [[idx[a * b] for b in els] for a in els]
-            self._inverse_ids = [idx[a.inverse()] for a in els]
+            lmaps = [[idx[g * x] for x in els] for g in self.generators]
+            id0 = idx[self.identity()]
+            rows = [None] * n
+            rows[id0] = list(range(n))
+            frontier = [id0]
+            while frontier:
+                new = []
+                for a in frontier:
+                    row = rows[a]
+                    for lmap in lmaps:
+                        c = lmap[a]
+                        if rows[c] is None:
+                            rows[c] = list(map(lmap.__getitem__, row))
+                            new.append(c)
+                frontier = new
+            if None in rows:
+                raise InternalInvariantViolation(
+                    f"Cayley build reached {n - rows.count(None)} of {n} elements"
+                )
+            self._cayley = rows
+            self._inverse_ids = [row.index(id0) for row in rows]
         return self._cayley
 
     def inverse_ids(self) -> list:
@@ -718,9 +745,13 @@ class Subgroup:
     # -- group view ------------------------------------------------------------
 
     def as_group(self) -> Group:
-        """View this subgroup as a Group in its own right (same degree)."""
+        """View this subgroup as a Group in its own right (same degree).
+
+        A subgroup of full order is the parent itself, so it shares the
+        parent's store, table and caches.
+        """
         if "group" not in self._cache:
-            if self._whole:
+            if self._whole or self.order == self.parent.order:
                 view = self.parent
             elif self._factors is not None:
                 view = Group(

@@ -227,13 +227,15 @@ def o_pi(G: Group, pi) -> Subgroup:
                 continue
             nc = _normal_closure_ids(G, [rep])
             if is_pi_number(len(nc), pi):
-                gens.append(rep)
+                gens.extend(cls)
         if not gens:
             return Subgroup.trivial(G)
-        ids = G.closure_ids([], gens)
-        if not is_pi_number(len(ids), pi):
+        core = Subgroup.from_ids(G, G.closure_ids([], gens))
+        if not is_pi_number(core.order, pi):
             raise InternalInvariantViolation("pi-core is not a pi-group")
-        return Subgroup.from_ids(G, ids)
+        if not is_normal(G, core):
+            raise InternalInvariantViolation("pi-core is not normal")
+        return core
 
     return _cached(G, ("o_pi", pi), build)
 
@@ -295,6 +297,11 @@ class Quotient:
     ``preimage`` pulls quotient subgroups back; ``lift_p_element`` lifts a
     p-element of the quotient to a p-element of ``G`` (the p-part of any
     coset representative).
+
+    The quotient by the trivial subgroup is the identity quotient: its
+    ``group`` is ``source`` itself, with no coset action built, so
+    ``project``, ``preimage`` and ``lift_p_element`` are identities and
+    work on ``G`` reuses ``G``'s own caches.
     """
 
     def __init__(self, source: Group, kernel: Subgroup, group: Group, parts=None,
@@ -323,7 +330,12 @@ class Quotient:
             off += d
         return parts
 
+    def is_identity(self) -> bool:
+        return self.group is self.source
+
     def project(self, g: Permutation) -> Permutation:
+        if self.is_identity():
+            return g
         if self._parts is not None:
             return self._assemble(
                 [q.project(part) for q, part in zip(self._parts, self.source.split(g))]
@@ -334,6 +346,8 @@ class Quotient:
         return Permutation._make(tuple(coset_of[mul[r][gid]] for r in self._reps))
 
     def preimage(self, S: Subgroup) -> Subgroup:
+        if self.is_identity():
+            return S
         if self._parts is not None:
             if S._factors is None:
                 raise CapExceeded("preimage in an unenumerated product needs a product-form subgroup")
@@ -351,6 +365,8 @@ class Quotient:
         o = qp.order()
         if not _is_p_power(o, p):
             raise ValueError("quotient element is not a p-element")
+        if self.is_identity():
+            return qp
         if self._parts is not None:
             lifted = [q.lift_p_element(part, p)
                       for q, part in zip(self._parts, self._split_quotient(qp))]
@@ -365,9 +381,14 @@ class Quotient:
 
 
 def quotient_group(G: Group, N: Subgroup) -> Quotient:
-    """Quotient of ``G`` by a normal subgroup, as a permutation action on cosets."""
+    """Quotient of ``G`` by a normal subgroup, as a permutation action on cosets.
+
+    The trivial subgroup gives the identity quotient, whose group is ``G``.
+    """
     if N.parent is not G:
         raise ValueError("subgroup does not belong to this group")
+    if N.is_trivial():
+        return Quotient(G, N, G)
     if not is_normal(G, N):
         raise ValueError("quotient by a non-normal subgroup")
 

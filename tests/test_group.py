@@ -205,6 +205,61 @@ def test_closure_is_a_group(data):
             assert a * b in seen
 
 
+def assert_table_matches_products(G):
+    """Oracle: every table cell and inverse id against direct composition."""
+    els = G.elements
+    idx = {p: i for i, p in enumerate(els)}
+    mul = G.cayley()
+    assert len(mul) == len(els)
+    for i, a in enumerate(els):
+        assert len(mul[i]) == len(els)
+        for j, b in enumerate(els):
+            assert mul[i][j] == idx[a * b]
+    inv = G.inverse_ids()
+    assert [els[k] for k in inv] == [a.inverse() for a in els]
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets())
+def test_cayley_table_matches_products(data):
+    degree, gens = data
+    assert_table_matches_products(Group(degree, gens))
+
+
+def test_cayley_table_trivial_group():
+    G = Group(3, [])
+    assert G.cayley() == [[0]]
+    assert G.inverse_ids() == [0]
+
+
+def test_cayley_table_redundant_generators():
+    gens = [parse_cycles(c, 4) for c in ("(0 1)", "(0 1 2 3)", "(1 2)", "(0 3 2 1)", "(0 1)(2 3)")]
+    G = Group(4, gens)
+    assert G.order == 24
+    assert_table_matches_products(G)
+
+
+def test_cayley_table_of_quotient_group():
+    from baerlab.constructions import semilinear
+    from baerlab.structure import o_p, quotient_group
+
+    G = semilinear(2, 3)
+    Q = quotient_group(G, o_p(G, 2))
+    assert Q.group.order == 21
+    assert_table_matches_products(Q.group)
+
+
+def test_full_order_views_are_the_parent():
+    G = sym3()
+    G.materialize()
+    assert Subgroup.full(G).as_group() is G
+    assert Subgroup.from_ids(G, range(6)).as_group() is G
+    assert Subgroup.from_generators(G, [parse_cycles("(0 1 2)")]).as_group() is not G
+    H = Group(3, [parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)")], order_hint=6)
+    assert Subgroup.full(H).as_group() is H
+    assert not H.is_materialized
+
+
 @settings(max_examples=25, deadline=None)
 @given(generator_sets())
 def test_class_index_paths_agree_random(data):

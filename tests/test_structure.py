@@ -135,7 +135,7 @@ def test_o_pi_examples():
 
 def test_o_pi_is_largest_normal_pi_subgroup():
     # Oracle: scan the whole subgroup lattice.
-    for G in [symmetric(3), dihedral(10), symmetric(4), frobenius(7, 2)]:
+    for G in [symmetric(3), dihedral(10), symmetric(4), frobenius(7, 2), semilinear(2, 3)]:
         for pi in [{2}, {3}, {2, 3}, {5}, {7}, {2, 7}]:
             ours = o_pi(G, pi)
             best = max(
@@ -148,6 +148,15 @@ def test_o_pi_is_largest_normal_pi_subgroup():
             )
             assert ours.order == best.order
             assert members_set(ours) == members_set(best)
+
+
+def test_o_p_prime_semilinear_2_4():
+    # Closing over one representative per class gives a non-normal subgroup
+    # of order 12 here.
+    G = semilinear(2, 4)
+    core = o_p_prime(G, 5)
+    assert core.order == 48
+    assert is_normal(G, core)
 
 
 def test_cores_componentwise_match_plain():
@@ -233,6 +242,22 @@ def test_quotient_lift_p_element():
                 from baerlab.perm import is_p_element
 
                 assert is_p_element(lifted, p)
+
+
+def test_quotient_by_trivial_subgroup_is_identity():
+    product = sym3_x_d10()
+    for G in [symmetric(4), semilinear(2, 3), product]:
+        Q = quotient_group(G, Subgroup.trivial(G))
+        assert Q.group is G
+        for g in G.generators:
+            assert Q.project(g) is g
+        P = sylow(G, 2)
+        assert Q.preimage(P) is P
+        x = P.generating_set()[0]
+        assert Q.lift_p_element(x, 2) is x
+        with pytest.raises(ValueError):
+            Q.lift_p_element(x, 3)
+    assert not product.is_materialized
 
 
 def test_quotient_componentwise_product_form():
