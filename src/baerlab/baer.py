@@ -16,6 +16,8 @@ so reports are byte-reproducible.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -27,12 +29,10 @@ from .numth import (
     is_p_number,
     prime_divisors,
 )
-from .perm import Permutation, format_cycles, is_p_element
+from .perm import Permutation, format_cycles
 from .reporting import FAIL, NOT_APPLICABLE, PASS, SKIPPED, TheoremReport
 from .structure import (
     Factorisation,
-    center,
-    exponent,
     find_prefactorised_sylow,
     fitting,
     fitting2,
@@ -230,9 +230,40 @@ def unique_primes(F: Factorisation, p: int) -> UniquePrimes:
     return UniquePrimes(p, out["A"], out["B"])
 
 
+# -- caps in reports ------------------------------------------------------------------
+
+
+def _skipped_on_cap(theorem: str):
+    """Report a check whose cap or budget ran out as one ``skipped`` clause.
+
+    The witness carries the message, the cap and the partial count of the
+    :class:`CapExceeded` raised.  Any other exception, in particular
+    :class:`InternalInvariantViolation`, still propagates.
+    """
+
+    def decorate(check):
+        signature = inspect.signature(check)
+
+        @functools.wraps(check)
+        def run(*args, **kwargs):
+            try:
+                return check(*args, **kwargs)
+            except CapExceeded as exc:
+                prime = signature.bind(*args, **kwargs).arguments.get("p")
+                report = TheoremReport(theorem, prime)
+                report.add("cap", SKIPPED,
+                           {"message": str(exc), "cap": exc.cap, "partial": exc.partial})
+                return report
+
+        return run
+
+    return decorate
+
+
 # -- equivalence with the Sylow-centraliser predicate ----------------------------------
 
 
+@_skipped_on_cap("F")
 def check_theorem_f_equivalence(F: Factorisation) -> TheoremReport:
     """Cross-check two independent routes to the Baer property.
 
@@ -281,6 +312,7 @@ def check_theorem_f_equivalence(F: Factorisation) -> TheoremReport:
 # -- structural consequences of a p-Baer factorisation -----------------------------------
 
 
+@_skipped_on_cap("A")
 def report_theorem_a(F: Factorisation, p: int) -> TheoremReport:
     """Structure forced by a p-Baer factorisation.
 
@@ -385,15 +417,28 @@ def report_theorem_a(F: Factorisation, p: int) -> TheoremReport:
 
 
 def _product_with_normal(G: Group, S: Subgroup, N: Subgroup) -> Subgroup:
-    """The subgroup ``S N`` for normal N (a subgroup because N is normal)."""
-    K = Subgroup.from_generators(
-        G, list(S.generating_set()) + list(N.generating_set())
-    )
+    """The subgroup ``S N`` for normal N (a subgroup because N is normal).
+
+    When S and N are product-form over the blocks of the direct product G,
+    ``S N`` is the product of the blockwise ``S_i N_i`` (each ``N_i`` is
+    normal in its block), so only the small blocks are closed and the result
+    stays product-form.  Otherwise S N is the closure of both generating sets.
+    """
+    blocks = G.direct_factors
+    if blocks is not None and S.factor_parents() == blocks == N.factor_parents():
+        K = Subgroup.from_factors(
+            G, [_product_with_normal(f, s, n) for f, s, n in zip(blocks, S._factors, N._factors)]
+        )
+    else:
+        K = Subgroup.from_generators(
+            G, list(S.generating_set()) + list(N.generating_set())
+        )
     if K.order != S.product_order(N):
         raise InternalInvariantViolation("product with a normal subgroup is not its closure")
     return K
 
 
+@_skipped_on_cap("B")
 def report_theorem_b(F: Factorisation, p: int) -> TheoremReport:
     """Index-prime structure of a p-Baer factorisation.
 
@@ -450,6 +495,7 @@ def report_theorem_b(F: Factorisation, p: int) -> TheoremReport:
 # -- consequences of a full Baer factorisation ---------------------------------------------
 
 
+@_skipped_on_cap("C")
 def report_corollary_c(F: Factorisation) -> TheoremReport:
     """Global structure of a Baer factorisation: abelian Fitting quotient,
     the A-group criterion, and the sigma-decomposition along the primes whose
@@ -487,6 +533,7 @@ def report_corollary_c(F: Factorisation) -> TheoremReport:
     return report
 
 
+@_skipped_on_cap("D")
 def check_factor_inheritance(F: Factorisation) -> TheoremReport:
     """Baer factorisations push index primes down into the factors: a
     prime-power-order element whose G-index is a q-number also has q-number
@@ -520,6 +567,7 @@ def check_factor_inheritance(F: Factorisation) -> TheoremReport:
     return report
 
 
+@_skipped_on_cap("E")
 def report_theorem_e(F: Factorisation, p: int) -> TheoremReport:
     """Centraliser index of a Sylow subgroup in a Baer factorisation: at most
     two primes divide ``|G : C_G(P)|`` (avoiding p when P is abelian), and the
@@ -621,24 +669,10 @@ def baer_decomposition(G: Group):
     return result
 
 
-def check_no_coprime_splitting(G: Group) -> bool:
-    """True iff no proper bipartition of the primes splits G as ``O_s x O_s'``."""
-    primes = list(pi_of(G))
-    if len(primes) <= 1:
-        return True
-    rest = primes[1:]
-    for mask in range(1, 1 << len(rest)):
-        sigma = {primes[0]} | {rest[i] for i in range(len(rest)) if mask & (1 << i)}
-        if sigma == set(primes):
-            continue
-        if _partition_is_coprime_split(G, [list(sigma), [q for q in primes if q not in sigma]]):
-            return False
-    return True
-
-
 # -- unconditional index facts (regression oracles) ----------------------------------------
 
 
+@_skipped_on_cap("wielandt")
 def check_wielandt(G: Group) -> TheoremReport:
     """A p-element whose index is a p-number lies in ``O_p(G)``; checked for
     every prime and every element."""
@@ -663,6 +697,7 @@ def check_wielandt(G: Group) -> TheoremReport:
     return report
 
 
+@_skipped_on_cap("camina-camina")
 def check_camina_camina(G: Group) -> TheoremReport:
     """Every element of prime-power index lies in the second Fitting term."""
     report = TheoremReport("camina-camina")
@@ -683,6 +718,7 @@ def check_camina_camina(G: Group) -> TheoremReport:
     return report
 
 
+@_skipped_on_cap("berkovich-kazarin")
 def check_lemma_bk(G: Group) -> TheoremReport:
     """For noncentral p-elements x, y with prime-power indices of distinct
     primes and ``i(xy)`` a prime power: their normal closure lies in
@@ -734,6 +770,7 @@ def check_lemma_bk(G: Group) -> TheoremReport:
 # -- mixed-prime interplay ---------------------------------------------------------------
 
 
+@_skipped_on_cap("pq-baer")
 def check_pq_baer(F: Factorisation, p: int, q: int) -> TheoremReport:
     """When a factorisation is both p-Baer and q-Baer, with noncentral
     p-elements indexed by q on the A side and by r on the B side, the index
@@ -779,6 +816,7 @@ def check_pq_baer(F: Factorisation, p: int, q: int) -> TheoremReport:
     return report
 
 
+@_skipped_on_cap("p-index-decomposition")
 def check_p_index_decomposition(F: Factorisation, p: int, scope: str = "p-elements") -> TheoremReport:
     """Biconditionals tying index conditions on the factors to decomposability.
 

@@ -239,7 +239,8 @@ class Group:
             n = len(els)
             if n > CAYLEY_TABLE_MAX_ORDER:
                 raise CapExceeded(
-                    f"order {n} beyond Cayley-table gate {CAYLEY_TABLE_MAX_ORDER}"
+                    f"order {n} beyond Cayley-table gate {CAYLEY_TABLE_MAX_ORDER}",
+                    cap=CAYLEY_TABLE_MAX_ORDER,
                 )
             idx = self._index
             lmaps = [[idx[g * x] for x in els] for g in self.generators]
@@ -433,6 +434,11 @@ def centraliser(G: Group, S) -> "Subgroup":
 
     On annotated direct products this is computed blockwise, which is exact
     for arbitrary ``S`` because commutation in a product is componentwise.
+    Otherwise, when ``G`` is within the Cayley-table gate and every element
+    of ``S`` lies in ``G``, the table decides commutation: one pass per
+    element ``s`` keeps the ids ``g`` with ``mul[g][s] == mul[s][g]``.  Past
+    the gate, or for elements outside ``G``, every element of ``G`` is
+    composed with every element of ``S``.
     """
     if isinstance(S, Subgroup):
         gens = list(S.generating_set())
@@ -453,6 +459,15 @@ def centraliser(G: Group, S) -> "Subgroup":
             factor_subs.append(centraliser(f, parts))
         return Subgroup.from_factors(G, factor_subs)
     els = G.materialize()
+    idx = G._index
+    if G.use_id_arithmetic() and all(s in idx for s in gens):
+        mul = G.cayley()
+        ids = range(len(els))
+        for s in gens:
+            sid = idx[s]
+            row = mul[sid]
+            ids = [g for g in ids if mul[g][sid] == row[g]]
+        return Subgroup.from_ids(G, ids)
     ids = frozenset(i for i, g in enumerate(els) if _commutes_with_all(g, gens))
     return Subgroup.from_ids(G, ids)
 
@@ -626,6 +641,16 @@ class Subgroup:
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.name!r})"
 
+    def factor_parents(self):
+        """The block groups of a product-form subgroup, or None.
+
+        Two product-form subgroups are aligned, and can be combined block by
+        block, when these tuples are equal (groups compare by identity).
+        """
+        if self._factors is None:
+            return None
+        return tuple(s.parent for s in self._factors)
+
     def _factor_offsets(self) -> list:
         offs = [0]
         for s in self._factors:
@@ -714,14 +739,10 @@ class Subgroup:
             raise ValueError("subgroups of different parents")
         if self._ids is not None and other._ids is not None:
             return Subgroup.from_ids(self.parent, self._ids & other._ids)
-        if self._factors is not None and other._factors is not None:
-            mine, theirs = self._factors, other._factors
-            if len(mine) == len(theirs) and all(
-                a.parent is b.parent for a, b in zip(mine, theirs)
-            ):
-                return Subgroup.from_factors(
-                    self.parent, [a.intersection(b) for a, b in zip(mine, theirs)]
-                )
+        if self._factors is not None and self.factor_parents() == other.factor_parents():
+            return Subgroup.from_factors(
+                self.parent, [a.intersection(b) for a, b in zip(self._factors, other._factors)]
+            )
         small, big = (self, other) if self.order <= other.order else (other, self)
         members = [p for p in small.members() if p in big]
         return Subgroup.from_members(self.parent, members)

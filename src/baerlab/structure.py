@@ -79,11 +79,7 @@ def center(G: Group) -> Subgroup:
     def build():
         if _use_components(G):
             return _componentwise(G, center)
-        gens = G.generators
-        ids = frozenset(
-            i for i, g in enumerate(G.elements) if all(g * s == s * g for s in gens)
-        )
-        return Subgroup.from_ids(G, ids)
+        return centraliser(G, G.generators)
 
     return _cached(G, "center", build)
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,7 @@ from baerlab.group import (
     closure,
     conjugacy_class,
 )
-from baerlab.perm import identity, parse_cycles
+from baerlab.perm import Permutation, identity, parse_cycles
 
 
 def sym3():
@@ -187,8 +189,6 @@ def generator_sets(draw):
     degree = draw(st.integers(min_value=2, max_value=5))
     k = draw(st.integers(min_value=1, max_value=2))
     gens = [draw(st.permutations(range(degree))) for _ in range(k)]
-    from baerlab.perm import Permutation
-
     return degree, [Permutation(g) for g in gens]
 
 
@@ -269,3 +269,20 @@ def test_class_index_paths_agree_random(data):
         return
     for x in G.elements:
         assert class_index(G, x) == class_index_via_centraliser(G, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets(), st.data())
+def test_centraliser_matches_permutation_scan(data, draw):
+    degree, gens = data
+    G = Group(degree, gens)
+    els = G.elements
+    picks = draw.draw(st.lists(st.sampled_from(els), min_size=1, max_size=3))
+    outside = [p for p in map(Permutation, itertools.permutations(range(degree))) if p not in G]
+    cases = [[identity(degree)], list(G.generators), picks]
+    if outside:  # an element not in G takes the permutation scan
+        cases.append(picks + [draw.draw(st.sampled_from(outside))])
+    for S in cases:
+        cent = centraliser(G, S)
+        assert set(cent.members()) == set(brute_centraliser(G, S))
+        assert cent.order == centraliser_order(G, S)

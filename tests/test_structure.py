@@ -64,6 +64,27 @@ def test_center_componentwise_matches_plain():
     assert members_set(center(GA)) == members_set(center(GB))
 
 
+@pytest.mark.parametrize(
+    "G", [symmetric(4), dihedral(10), frobenius(7, 3), semilinear(2, 3)], ids=repr
+)
+def test_centraliser_orders_match_sympy(G):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+
+    def sympy_group(gens):
+        return combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g.images)) for g in gens]
+        )
+
+    SG = sympy_group(G.generators)
+    for cls in G.conjugacy_partition():
+        x = G.elements[cls[0]]
+        assert centraliser(G, [x]).order == SG.centralizer(sympy_group([x])).order()
+    for p in pi_of(G):
+        P = sylow(G, p)
+        assert centraliser(G, P).order == SG.centralizer(sympy_group(P.generating_set())).order()
+    assert center(G).order == SG.center().order()
+
+
 def test_derived_subgroup_sym3():
     G = symmetric(3)
     D = derived_subgroup(G)
@@ -371,6 +392,23 @@ def test_p_sylow_times_odd_core_not_normal_in_sym3_x_d10():
         )
         assert K.order == 4 * q
         assert not is_normal(G, K)
+
+
+def test_product_with_normal_by_blocks_matches_closure():
+    from baerlab.baer import _product_with_normal
+
+    G = sym3_x_d10()
+    for p in pi_of(G):
+        P = sylow(G, p)
+        for N in (fitting(G), o_p_prime(G, p)):
+            K = _product_with_normal(G, P, N)
+            assert K.factor_parents() == G.direct_factors
+            closed = Subgroup.from_generators(
+                G, list(P.generating_set()) + list(N.generating_set())
+            )
+            assert members_set(K) == members_set(closed)
+            assert is_normal(G, K) == is_normal(G, closed)
+    assert not G.is_materialized
 
 
 # -- factorisations ------------------------------------------------------------------
