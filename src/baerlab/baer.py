@@ -118,21 +118,48 @@ class BaerDecomposition:
 # -- element-index profiles --------------------------------------------------------
 
 
+def _index_rows(G: Group, locus: str, sub: Subgroup, keep) -> list:
+    """``(locus, x, order, index)`` for the members x of ``sub`` whose order
+    passes ``keep``, in the order of ``sub.members()``.
+
+    On a materialised G the members are read as sorted store ids, which is
+    the same order; orders come from ``G.element_orders()`` and indices are
+    class sizes from ``G.conjugacy_partition()``.  On a lazy G each member's
+    order and class size is computed from its permutation.
+    """
+    if G.is_materialized:
+        els = G.elements
+        orders = G.element_orders()
+        classes = G.conjugacy_partition()
+        return [
+            (locus, els[i], orders[i], len(classes[G.class_of_id(i)]))
+            for i in sorted(sub.ids_in_store())
+            if keep(orders[i])
+        ]
+    rows = []
+    for x in sub.members():
+        o = x.order()
+        if keep(o):
+            rows.append((locus, x, o, class_index(G, x)))
+    return rows
+
+
+def _is_nontrivial_prime_power(o: int) -> bool:
+    return o > 1 and classify_prime_power(o).is_prime_power
+
+
 def _pp_profile(F: Factorisation) -> list:
     """Every nontrivial prime-power-order element of A u B with its index in G.
 
     Entries are ``(locus, element, order, index)`` sorted by (locus, element),
-    computed once per factorisation.
+    computed once per factorisation.  On a materialised G the rows are read
+    from store ids, element orders and the conjugacy partition
+    (:func:`_index_rows`); on a lazy G from the member permutations.
     """
     if "pp_profile" not in F._cache:
-        G = F.group
         rows = []
         for locus, sub in F.factors():
-            for x in sub.members():
-                o = x.order()
-                if o == 1 or not classify_prime_power(o).is_prime_power:
-                    continue
-                rows.append((locus, x, o, class_index(G, x)))
+            rows.extend(_index_rows(F.group, locus, sub, _is_nontrivial_prime_power))
         F._cache["pp_profile"] = rows
     return F._cache["pp_profile"]
 
@@ -178,11 +205,7 @@ def is_p_baer(F: Factorisation, p: int, via: str = "union") -> BaerStatus:
             P = find_prefactorised_sylow(F, p)
             rows = []
             for locus, sub in F.factors():
-                inter = P.intersection(sub)
-                for x in inter.members():
-                    o = x.order()
-                    if o > 1:
-                        rows.append((locus, x, o, class_index(F.group, x)))
+                rows.extend(_index_rows(F.group, locus, P.intersection(sub), lambda o: o > 1))
         else:
             raise ValueError(f"unknown route {via!r}")
         F._cache[key] = _status_from_rows(F, p, rows)
@@ -422,12 +445,20 @@ def _product_with_normal(G: Group, S: Subgroup, N: Subgroup) -> Subgroup:
     When S and N are product-form over the blocks of the direct product G,
     ``S N`` is the product of the blockwise ``S_i N_i`` (each ``N_i`` is
     normal in its block), so only the small blocks are closed and the result
-    stays product-form.  Otherwise S N is the closure of both generating sets.
+    stays product-form.  Otherwise, when G is within the Cayley-table gate,
+    S N is the closure of both generating sets on the table
+    (``G.closure_from_gen_ids``); past the gate the generating permutations
+    are closed.  In every case the result's order is checked against
+    ``|S| |N| / |S n N|``, the size of the set S N.
     """
     blocks = G.direct_factors
     if blocks is not None and S.factor_parents() == blocks == N.factor_parents():
         K = Subgroup.from_factors(
             G, [_product_with_normal(f, s, n) for f, s, n in zip(blocks, S._factors, N._factors)]
+        )
+    elif G.use_id_arithmetic() and S.parent is G and N.parent is G:
+        K = Subgroup.from_ids(
+            G, G.closure_from_gen_ids(S.generating_ids() + N.generating_ids())
         )
     else:
         K = Subgroup.from_generators(

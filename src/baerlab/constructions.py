@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import re
 
-from .errors import CapExceeded
 from .group import Group, Subgroup
 from .numth import is_prime
 from .perm import Permutation, identity

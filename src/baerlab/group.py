@@ -726,11 +726,21 @@ class Subgroup:
                     off += d
             elif self._ids is not None and self.parent.use_id_arithmetic():
                 els = self.parent.elements
-                gens = [els[i] for i in _small_generating_ids(self.parent, self._ids)]
+                gens = [els[i] for i in self.generating_ids()]
             else:
                 gens = _small_generating_perms(self.members())
             self._cache["gens"] = tuple(gens)
         return self._cache["gens"]
+
+    def generating_ids(self) -> list:
+        """A small, deterministic generating set as parent store ids.
+
+        Needs a parent within the Cayley-table gate; for an id-backed
+        subgroup these are the ids of :meth:`generating_set`.
+        """
+        if "gen_ids" not in self._cache:
+            self._cache["gen_ids"] = _small_generating_ids(self.parent, self.ids_in_store())
+        return self._cache["gen_ids"]
 
     # -- set algebra ---------------------------------------------------------
 

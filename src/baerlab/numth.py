@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 # Factor orders here are always products of small primes; trial division up to
@@ -107,8 +108,13 @@ def is_pi_number(n: int, pi) -> bool:
     return pi_part(n, pi) == n
 
 
+@functools.lru_cache(maxsize=None)
 def classify_prime_power(n: int) -> PrimePower:
-    """Classify ``n >= 1``; 1 is a power of every prime by convention."""
+    """Classify ``n >= 1``; 1 is a power of every prime by convention.
+
+    Memoised: the arguments are group orders, element orders and indices,
+    a small set, and the frozen result is safe to share.
+    """
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
     if n == 1:

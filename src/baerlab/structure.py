@@ -14,14 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import CapExceeded, InternalInvariantViolation
-from .group import (
-    Group,
-    Subgroup,
-    _small_generating_ids,
-    centraliser,
-    class_index,
-    closure,
-)
+from .group import Group, Subgroup, _small_generating_ids, centraliser
 from .numth import (
     classify_prime_power,
     is_pi_number,
@@ -56,8 +49,17 @@ def _use_components(G: Group) -> bool:
 
 
 def is_abelian(obj) -> bool:
-    """Works on groups and subgroups; generator pairs decide it."""
+    """Works on groups and subgroups; generator pairs decide it.
+
+    For a subgroup whose parent is within the Cayley-table gate the pairs are
+    compared on the table (``mul[a][b] == mul[b][a]`` over the subgroup's
+    generating ids); otherwise generator permutations are composed.
+    """
     if isinstance(obj, Subgroup):
+        if obj.parent.use_id_arithmetic():
+            mul = obj.parent.cayley()
+            gens = obj.generating_ids()
+            return all(mul[a][b] == mul[b][a] for a in gens for b in gens)
         gens = obj.generating_set()
         return all(a * b == b * a for a in gens for b in gens)
 
@@ -676,8 +678,21 @@ def normal_closure(G: Group, S, cap: int | None = None) -> Subgroup:
 
 
 def is_normal(G: Group, S: Subgroup) -> bool:
+    """Whether ``S`` is normal in ``G``: generators conjugate generators into S.
+
+    When ``S`` is a subgroup of ``G`` itself and ``G`` is within the
+    Cayley-table gate, the conjugates are table lookups tested against S's
+    store ids.  Otherwise, for instance for a subgroup of another group on
+    the same points, the permutations are conjugated and tested for
+    membership.
+    """
     if S._whole or S.order == G.order:
         return True
+    if S.parent is G and G.use_id_arithmetic():
+        ids = S.ids_in_store()
+        return all(
+            G.conjugate_id(s, g) in ids for g in G.generator_ids() for s in S.generating_ids()
+        )
     return all(
         s.conjugate(g) in S for g in G.generators for s in S.generating_set()
     )

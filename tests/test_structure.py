@@ -411,6 +411,92 @@ def test_product_with_normal_by_blocks_matches_closure():
     assert not G.is_materialized
 
 
+# -- table routes against brute-force definitions ---------------------------------------
+
+
+def table_groups():
+    G = sym3_x_d10()
+    G.materialize()
+    return [symmetric(4), frobenius(7, 3), semilinear(2, 3), G]
+
+
+def brute_is_normal(G, S):
+    members = members_set(S)
+    return all(x.conjugate(g) in members for x in members for g in G.elements)
+
+
+def brute_class_size(G, x):
+    return len({x.conjugate(g) for g in G.elements})
+
+
+@pytest.mark.parametrize("G", table_groups(), ids=repr)
+def test_is_normal_and_is_abelian_on_the_table_match_brute_force(G):
+    subs = enumerate_subgroups(G)
+    assert G.use_id_arithmetic()
+    for S in subs:
+        assert is_normal(G, S) == brute_is_normal(G, S)
+        members = S.members()
+        assert is_abelian(S) == all(a * b == b * a for a in members for b in members)
+
+
+def test_is_normal_on_a_subgroup_of_another_group_takes_permutation_route():
+    G = symmetric(4)
+    G.materialize()
+    D8 = sylow(G, 2).as_group()
+    assert D8 is not G and D8.degree == G.degree
+    verdicts = []
+    for S in enumerate_subgroups(D8):
+        verdicts.append(is_normal(G, S))
+        assert verdicts[-1] == brute_is_normal(G, S)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("G", table_groups(), ids=repr)
+def test_product_with_normal_on_the_table_matches_set_product(G):
+    from baerlab.baer import _product_with_normal
+
+    for N in normal_subgroups(G):
+        for S in enumerate_subgroups(G)[::7]:
+            K = _product_with_normal(G, S, N)
+            assert members_set(K) == {s * n for s in S.members() for n in N.members()}
+
+
+def some_factorisations(G):
+    """The trivial factorisation and the first of each shape (|A|, |B|)."""
+    out = {(G.order, G.order): Factorisation.trivial(G)}
+    for A, B in itertools.combinations(enumerate_subgroups(G)[1:-1], 2):
+        shape = (A.order, B.order)
+        if shape not in out and A.order * B.order == G.order * A.intersection(B).order:
+            out[shape] = Factorisation(G, A, B)
+    return list(out.values())
+
+
+@pytest.mark.parametrize("G", table_groups(), ids=repr)
+def test_index_profiles_from_store_ids_match_brute_force(G):
+    from baerlab.baer import _pp_profile, _status_from_rows, is_p_baer
+    from baerlab.numth import classify_prime_power
+
+    for F in some_factorisations(G):
+        rows = [
+            (locus, x, x.order(), brute_class_size(G, x))
+            for locus, sub in F.factors()
+            for x in sub.members()
+            if x.order() > 1 and classify_prime_power(x.order()).is_prime_power
+        ]
+        assert _pp_profile(F) == rows
+        for p in pi_of(G):
+            P = find_prefactorised_sylow(F, p)
+            sylow_rows = [
+                (locus, x, x.order(), brute_class_size(G, x))
+                for locus, sub in F.factors()
+                for x in P.intersection(sub).members()
+                if x.order() > 1
+            ]
+            expected = _status_from_rows(F, p, sylow_rows)
+            got = is_p_baer(F, p, via="sylow")
+            assert (got.is_p_baer, got.witnesses) == (expected.is_p_baer, expected.witnesses)
+
+
 # -- factorisations ------------------------------------------------------------------
 
 
