@@ -33,6 +33,7 @@ from .perm import Permutation, format_cycles
 from .reporting import FAIL, NOT_APPLICABLE, PASS, SKIPPED, TheoremReport
 from .structure import (
     Factorisation,
+    _blockwise,
     find_prefactorised_sylow,
     fitting,
     fitting2,
@@ -164,14 +165,8 @@ def _pp_profile(F: Factorisation) -> list:
     return F._cache["pp_profile"]
 
 
-def _is_ppow(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def _profile_for_prime(F: Factorisation, p: int) -> list:
-    return [row for row in _pp_profile(F) if _is_ppow(row[2], p)]
+    return [row for row in _pp_profile(F) if is_p_number(row[2], p)]
 
 
 def _status_from_rows(F, p, rows) -> BaerStatus:
@@ -442,20 +437,17 @@ def report_theorem_a(F: Factorisation, p: int) -> TheoremReport:
 def _product_with_normal(G: Group, S: Subgroup, N: Subgroup) -> Subgroup:
     """The subgroup ``S N`` for normal N (a subgroup because N is normal).
 
-    When S and N are product-form over the blocks of the direct product G,
-    ``S N`` is the product of the blockwise ``S_i N_i`` (each ``N_i`` is
-    normal in its block), so only the small blocks are closed and the result
-    stays product-form.  Otherwise, when G is within the Cayley-table gate,
-    S N is the closure of both generating sets on the table
-    (``G.closure_from_gen_ids``); past the gate the generating permutations
-    are closed.  In every case the result's order is checked against
-    ``|S| |N| / |S n N|``, the size of the set S N.
+    When G is an unmaterialised direct product and S and N are product-form
+    over its blocks, ``S N`` is the product of the blockwise ``S_i N_i``
+    (each ``N_i`` is normal in its block), so only the small blocks are
+    closed and the result stays product-form.  Otherwise, when G is within
+    the Cayley-table gate, S N is the closure of both generating sets on the
+    table (``G.closure_from_gen_ids``); past the gate the generating
+    permutations are closed.  In every case the result's order is checked
+    against ``|S| |N| / |S n N|``, the size of the set S N.
     """
-    blocks = G.direct_factors
-    if blocks is not None and S.factor_parents() == blocks == N.factor_parents():
-        K = Subgroup.from_factors(
-            G, [_product_with_normal(f, s, n) for f, s, n in zip(blocks, S._factors, N._factors)]
-        )
+    if (parts := _blockwise(G, _product_with_normal, S, N)) is not None:
+        K = Subgroup.from_factors(G, parts)
     elif G.use_id_arithmetic() and S.parent is G and N.parent is G:
         K = Subgroup.from_ids(
             G, G.closure_from_gen_ids(S.generating_ids() + N.generating_ids())
@@ -715,10 +707,10 @@ def check_wielandt(G: Group) -> TheoremReport:
         bad = None
         checked = 0
         for i, x in enumerate(G.elements):
-            if not _is_ppow(orders[i], p):
+            if not is_p_number(orders[i], p):
                 continue
             idx = class_index(G, x)
-            if not _is_ppow(idx, p):
+            if not is_p_number(idx, p):
                 continue
             checked += 1
             if x not in core:
@@ -761,7 +753,7 @@ def check_lemma_bk(G: Group) -> TheoremReport:
     for p in sorted(pi_of(G)):
         rows = []
         for i, x in enumerate(G.elements):
-            if orders[i] == 1 or not _is_ppow(orders[i], p):
+            if orders[i] == 1 or not is_p_number(orders[i], p):
                 continue
             idx = class_index(G, x)
             if idx == 1:
@@ -786,7 +778,7 @@ def check_lemma_bk(G: Group) -> TheoremReport:
                 conclusion = (
                     nc.subset_of(core)
                     and ixy == max(ix, iy)
-                    and _is_ppow(ixy, p)
+                    and is_p_number(ixy, p)
                     and not is_abelian(sylow(G, p))
                 )
                 if not conclusion and bad is None:

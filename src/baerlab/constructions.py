@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import re
 
-from .group import Group, Subgroup
+from .group import Group, Subgroup, embed_block
 from .numth import is_prime
 from .perm import Permutation, identity
 
@@ -237,14 +237,8 @@ def direct_product(factors) -> Group:
     if len(factors) == 1:
         return factors[0]
     degree = sum(f.degree for f in factors)
-    gens = []
-    off = 0
-    for f in factors:
-        for g in f.generators:
-            pre = tuple(range(off))
-            post = tuple(range(off + f.degree, degree))
-            gens.append(Permutation._make(pre + tuple(v + off for v in g.images) + post))
-        off += f.degree
+    degrees = [f.degree for f in factors]
+    gens = [embed_block(degrees, i, g) for i, f in enumerate(factors) for g in f.generators]
     order = math.prod(f.order for f in factors)
     name = "product(" + ", ".join(f.name for f in factors) + ")"
     return Group(degree, gens, order_hint=order, direct_factors=factors, name=name)
@@ -298,13 +292,7 @@ def _wreath_parts(base: Group, top: Group, action: str, want_parts: bool = False
                 images[j * d + i] = tj * d + i
         return Permutation._make(tuple(images))
 
-    gens = []
-    for j in range(n):
-        for g in base.generators:
-            images = list(range(degree))
-            for i in range(d):
-                images[j * d + i] = j * d + g.images[i]
-            gens.append(Permutation._make(tuple(images)))
+    gens = [embed_block([d] * n, j, g) for j in range(n) for g in base.generators]
     top_gens = [embed_top(t) for t in top.generators]
     gens.extend(top_gens)
     order = base.order**n * top.order

@@ -12,8 +12,9 @@ DEFAULT_ENUMERATION_CAP = 5_000_000
 # Default bound on a single conjugacy-orbit walk.
 DEFAULT_CLASS_ORBIT_CAP = 1_000_000
 
-# Orders up to this bound get an integer Cayley table for fast id-level
-# subgroup arithmetic; direct products past it are handled componentwise.
+# Materialised groups up to this order get an integer Cayley table for fast
+# id-level subgroup arithmetic.  Unmaterialised direct products are handled
+# block by block at any order and build no table of their own.
 # The table is built from generator maps in |G| * |gens| compositions, so the
 # gate bounds memory (|G|**2 list cells, about 46 MB at the bound), not time.
 CAYLEY_TABLE_MAX_ORDER = 2400

@@ -2,9 +2,14 @@
 
 A :class:`Group` is a set of generators plus a lazily materialised,
 cap-guarded element store.  Groups built as direct products carry a
-``direct_factors`` annotation; structural operations consult it to compute
-componentwise instead of enumerating the product, which keeps very large
-direct products (orders in the millions and beyond) desk-computable.
+``direct_factors`` annotation.  One rule decides how a product is handled:
+it is handled block by block exactly while it carries ``direct_factors`` and
+its store is not built, which :attr:`Group.blocks` reports; every other
+group, a materialised product included, takes the whole-group route.  The
+blockwise route keeps very large direct products (orders in the millions
+and beyond) desk-computable.  :func:`split_blocks` and :func:`join_blocks`
+are the one codec between a product's permutations and its block
+permutations.
 
 Determinism rules used throughout the package:
 
@@ -80,6 +85,42 @@ def closure(generators, cap: int | None = None, *, degree: int | None = None) ->
     return out
 
 
+# -- the block codec of direct products -----------------------------------------
+
+
+def split_blocks(p: Permutation, degrees):
+    """Restrictions of ``p`` to consecutive blocks of the given degrees.
+
+    None when ``p`` maps a point out of its block, so it lies in no product
+    of groups acting on those blocks.
+    """
+    parts = []
+    lo = 0
+    for d in degrees:
+        hi = lo + d
+        imgs = p.images[lo:hi]
+        if min(imgs) < lo or max(imgs) >= hi:
+            return None
+        parts.append(Permutation._make(tuple([v - lo for v in imgs])))
+        lo = hi
+    return parts
+
+
+def join_blocks(parts) -> Permutation:
+    """Inverse of :func:`split_blocks`: ``parts[i]`` acts on block ``i``."""
+    images = []
+    for part in parts:
+        off = len(images)
+        images.extend([v + off for v in part.images] if off else part.images)
+    return Permutation._make(tuple(images))
+
+
+def embed_block(degrees, i: int, p: Permutation) -> Permutation:
+    """``p`` acting on block ``i`` of the given block degrees, fixing the others."""
+    lo = sum(degrees[:i])
+    return join_blocks([identity(lo), p, identity(sum(degrees) - lo - p.degree)])
+
+
 class Group:
     """A finite permutation group on ``{0..degree-1}``.
 
@@ -109,10 +150,10 @@ class Group:
 
     @property
     def order(self) -> int:
+        if self.blocks is not None:
+            return math.prod(f.order for f in self.blocks)
         if self._elements is not None:
             return len(self._elements)
-        if self.direct_factors is not None:
-            return math.prod(f.order for f in self.direct_factors)
         if self.order_hint is not None:
             return self.order_hint
         return len(self.materialize())
@@ -120,6 +161,16 @@ class Group:
     @property
     def is_materialized(self) -> bool:
         return self._elements is not None
+
+    @property
+    def blocks(self):
+        """The direct factors while the store is unbuilt, otherwise None.
+
+        The one place that decides the blockwise route: a direct product is
+        computed block by block until it is materialised, and from then on
+        like any other group, from its store.
+        """
+        return self.direct_factors if self._elements is None else None
 
     def identity(self) -> Permutation:
         return identity(self.degree)
@@ -136,8 +187,6 @@ class Group:
         if cap is None:
             cap = enumeration_cap()
         known = self.order_hint
-        if known is None and self.direct_factors is not None:
-            known = math.prod(f.order for f in self.direct_factors)
         if known is not None and known > cap:
             raise CapExceeded(
                 f"group of order {known} exceeds enumeration cap {cap}", cap=cap
@@ -176,51 +225,34 @@ class Group:
     def __contains__(self, p) -> bool:
         if not isinstance(p, Permutation) or p.degree != self.degree:
             return False
-        if self._elements is not None:
-            return p in self._index
-        if self.direct_factors is not None:
+        if self.blocks is not None:
             parts = self.split(p)
-            if parts is None:
-                return False
-            return all(part in f for part, f in zip(parts, self.direct_factors))
+            return parts is not None and all(q in f for q, f in zip(parts, self.blocks))
         self.materialize()
         return p in self._index
 
     def __iter__(self):
         return iter(self.materialize())
 
-    # -- direct-product block plumbing ------------------------------------
-
-    def factor_offsets(self) -> list:
-        offs = [0]
-        for f in self.direct_factors:
-            offs.append(offs[-1] + f.degree)
-        return offs
+    # -- direct-product blocks ----------------------------------------------
 
     def split(self, p: Permutation):
-        """Blockwise restrictions of ``p``, or None if it mixes blocks."""
-        offs = self.factor_offsets()
-        parts = []
-        for lo, hi in zip(offs, offs[1:]):
-            imgs = p.images[lo:hi]
-            if any(not lo <= v < hi for v in imgs):
-                return None
-            parts.append(Permutation._make(tuple(v - lo for v in imgs)))
-        return parts
+        """Restrictions of ``p`` to the direct factors, or None if it mixes blocks."""
+        return split_blocks(p, [f.degree for f in self.direct_factors])
 
-    def combine(self, parts) -> Permutation:
-        """Inverse of :meth:`split`: assemble blockwise permutations."""
-        images = []
-        off = 0
-        for f, part in zip(self.direct_factors, parts):
-            images.extend(v + off for v in part.images)
-            off += f.degree
-        return Permutation._make(tuple(images))
+    def split_all(self, elements) -> list:
+        """Per direct factor, the restrictions of ``elements`` to its block.
+
+        Raises ValueError for an element that mixes blocks, which is no
+        element of the product.
+        """
+        rows = [self.split(x) for x in elements]
+        if None in rows:
+            raise ValueError("element does not respect the direct-product blocks")
+        return list(zip(*rows))
 
     def embed_factor_element(self, i: int, p: Permutation) -> Permutation:
-        parts = [identity(f.degree) for f in self.direct_factors]
-        parts[i] = p
-        return self.combine(parts)
+        return embed_block([f.degree for f in self.direct_factors], i, p)
 
     # -- id-level machinery (small materialised groups) -------------------
 
@@ -235,13 +267,13 @@ class Group:
         cells the table holds.
         """
         if self._cayley is None:
-            els = self.materialize()
-            n = len(els)
+            n = self.order  # checked before any store is built
             if n > CAYLEY_TABLE_MAX_ORDER:
                 raise CapExceeded(
                     f"order {n} beyond Cayley-table gate {CAYLEY_TABLE_MAX_ORDER}",
                     cap=CAYLEY_TABLE_MAX_ORDER,
                 )
+            els = self.materialize()
             idx = self._index
             lmaps = [[idx[g * x] for x in els] for g in self.generators]
             id0 = idx[self.identity()]
@@ -282,9 +314,9 @@ class Group:
 
     def closure_from_gen_ids(self, gen_ids) -> frozenset:
         mul = self.cayley()
-        id0 = self._index[self.identity()]
-        seen = {id0}
-        frontier = [id0]
+        # The identity has the least image tuple, so it is store id 0.
+        seen = {0}
+        frontier = [0]
         while frontier:
             new = []
             for a in frontier:
@@ -382,15 +414,13 @@ def conjugacy_class(G: Group, x: Permutation, cap: int | None = None) -> list:
 def class_index(G: Group, x: Permutation, cap: int | None = None) -> int:
     """``|G : C_G(x)|``, the conjugacy class size of ``x`` in ``G``.
 
-    Direct products are handled componentwise; otherwise the orbit walk is
-    used, falling back to the centraliser path on materialised groups.
+    Unmaterialised direct products are handled componentwise; a materialised
+    group reads the class from its conjugacy partition; otherwise the orbit
+    walk is used, falling back to the centraliser path.
     """
-    if G.direct_factors is not None:
-        parts = G.split(x)
-        if parts is None:
-            raise ValueError("element does not respect the direct-product blocks")
+    if G.blocks is not None:
         return math.prod(
-            class_index(f, part, cap) for f, part in zip(G.direct_factors, parts)
+            class_index(f, col[0], cap) for f, col in zip(G.blocks, G.split_all([x]))
         )
     if G.is_materialized:
         return len(G.conjugacy_partition()[G.class_of_id(G.element_id(x))])
@@ -415,29 +445,22 @@ def centraliser_order(G: Group, gens) -> int:
     gens = [s for s in gens if not s.is_identity()]
     if not gens:
         return G.order
-    if G.direct_factors is not None and not G.is_materialized:
-        total = 1
-        for i, f in enumerate(G.direct_factors):
-            offs = G.factor_offsets()
-            lo = offs[i]
-            parts = []
-            for s in gens:
-                imgs = s.images[lo : lo + f.degree]
-                parts.append(Permutation._make(tuple(v - lo for v in imgs)))
-            total *= centraliser_order(f, parts)
-        return total
+    if G.blocks is not None:
+        return math.prod(centraliser_order(f, col) for f, col in zip(G.blocks, G.split_all(gens)))
     return sum(1 for g in G.materialize() if _commutes_with_all(g, gens))
 
 
 def centraliser(G: Group, S) -> "Subgroup":
     """``C_G(S)`` for a set (or Subgroup) ``S`` of elements of ``G``.
 
-    On annotated direct products this is computed blockwise, which is exact
-    for arbitrary ``S`` because commutation in a product is componentwise.
-    Otherwise, when ``G`` is within the Cayley-table gate and every element
-    of ``S`` lies in ``G``, the table decides commutation: one pass per
-    element ``s`` keeps the ids ``g`` with ``mul[g][s] == mul[s][g]``.  Past
-    the gate, or for elements outside ``G``, every element of ``G`` is
+    On an unmaterialised direct product this is computed blockwise, which is
+    exact because commutation in a product is componentwise; an element of
+    ``S`` that mixes blocks is no element of the product and raises
+    ValueError, as in :func:`class_index`.  Otherwise, when ``G`` is within
+    the Cayley-table gate and every element of ``S`` lies in ``G``, the
+    table decides commutation: one pass per element ``s`` keeps the ids
+    ``g`` with ``mul[g][s] == mul[s][g]``.  Past the gate, or for elements
+    outside ``G``, every element of ``G`` is
     composed with every element of ``S``.
     """
     if isinstance(S, Subgroup):
@@ -447,17 +470,10 @@ def centraliser(G: Group, S) -> "Subgroup":
     gens = [s for s in gens if not s.is_identity()]
     if not gens:
         return Subgroup.full(G)
-    if G.direct_factors is not None and not G.is_materialized:
-        offs = G.factor_offsets()
-        factor_subs = []
-        for i, f in enumerate(G.direct_factors):
-            lo = offs[i]
-            parts = [
-                Permutation._make(tuple(v - lo for v in s.images[lo : lo + f.degree]))
-                for s in gens
-            ]
-            factor_subs.append(centraliser(f, parts))
-        return Subgroup.from_factors(G, factor_subs)
+    if G.blocks is not None:
+        return Subgroup.from_factors(
+            G, [centraliser(f, col) for f, col in zip(G.blocks, G.split_all(gens))]
+        )
     els = G.materialize()
     idx = G._index
     if G.use_id_arithmetic() and all(s in idx for s in gens):
@@ -476,26 +492,13 @@ def _small_generating_ids(G: Group, ids: frozenset) -> list:
     """Greedy small generating set for an id-backed subgroup, deterministic."""
     if len(ids) == 1:
         return []
-    mul = G.cayley()
-    id0 = G._index[G.identity()]
     gens: list[int] = []
-    have = {id0}
+    have = G.closure_from_gen_ids(gens)
     for x in sorted(ids):
         if x in have:
             continue
         gens.append(x)
-        frontier = [id0]
-        have = {id0}
-        while frontier:
-            new = []
-            for a in frontier:
-                row = mul[a]
-                for g in gens:
-                    c = row[g]
-                    if c not in have:
-                        have.add(c)
-                        new.append(c)
-            frontier = new
+        have = G.closure_from_gen_ids(gens)
         if len(have) == len(ids):
             break
     return gens
@@ -575,18 +578,18 @@ class Subgroup:
 
     @classmethod
     def trivial(cls, parent: Group) -> "Subgroup":
+        if parent.blocks is not None:
+            return cls.from_factors(parent, [cls.trivial(f) for f in parent.blocks])
         if parent.is_materialized:
             return cls.from_ids(parent, {parent.element_id(parent.identity())})
-        if parent.direct_factors is not None:
-            return cls.from_factors(parent, [cls.trivial(f) for f in parent.direct_factors])
         return cls(parent, members=(parent.identity(),))
 
     @classmethod
     def full(cls, parent: Group) -> "Subgroup":
+        if parent.blocks is not None:
+            return cls.from_factors(parent, [cls.full(f) for f in parent.blocks])
         if parent.is_materialized:
             return cls.from_ids(parent, range(len(parent.elements)))
-        if parent.direct_factors is not None:
-            return cls.from_factors(parent, [cls.full(f) for f in parent.direct_factors])
         return cls(parent, whole=True)
 
     # -- basic facts ---------------------------------------------------------
@@ -641,6 +644,11 @@ class Subgroup:
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of {self.parent.name!r})"
 
+    @property
+    def factors(self):
+        """The per-block subgroups of a product-form subgroup, or None."""
+        return self._factors
+
     def factor_parents(self):
         """The block groups of a product-form subgroup, or None.
 
@@ -651,11 +659,10 @@ class Subgroup:
             return None
         return tuple(s.parent for s in self._factors)
 
-    def _factor_offsets(self) -> list:
-        offs = [0]
-        for s in self._factors:
-            offs.append(offs[-1] + s.parent.degree)
-        return offs
+    def _block_degrees(self) -> list:
+        # From the factors, not the parent: the parent of a product-form
+        # subgroup need not be a direct product (the base of a wreath product).
+        return [s.parent.degree for s in self._factors]
 
     # -- membership and elements ----------------------------------------------
 
@@ -668,14 +675,8 @@ class Subgroup:
         if self._members is not None:
             return p in self.member_set()
         if self._factors is not None:
-            offs = self._factor_offsets()
-            for s, lo, hi in zip(self._factors, offs, offs[1:]):
-                imgs = p.images[lo:hi]
-                if any(not lo <= v < hi for v in imgs):
-                    return False
-                if Permutation._make(tuple(v - lo for v in imgs)) not in s:
-                    return False
-            return True
+            parts = split_blocks(p, self._block_degrees())
+            return parts is not None and all(q in s for q, s in zip(parts, self._factors))
         return p in self.parent
 
     def members(self, cap: int | None = None) -> tuple:
@@ -693,14 +694,7 @@ class Subgroup:
             )
         if self._factors is not None:
             blocks = [s.members(cap) for s in self._factors]
-            out = []
-            for combo in itertools.product(*blocks):
-                images = []
-                for part in combo:
-                    off = len(images)
-                    images.extend(v + off for v in part.images)
-                out.append(Permutation._make(tuple(images)))
-            return tuple(sorted(out))
+            return tuple(sorted(map(join_blocks, itertools.product(*blocks))))
         return self.parent.materialize(cap)
 
     def member_set(self) -> frozenset:
@@ -714,16 +708,12 @@ class Subgroup:
             if self._whole:
                 gens = list(self.parent.generators)
             elif self._factors is not None:
-                gens = []
-                off = 0
-                for s in self._factors:
-                    d = s.parent.degree
-                    for g in s.generating_set():
-                        pre = tuple(range(off))
-                        post = tuple(range(off + d, self.parent.degree))
-                        images = pre + tuple(v + off for v in g.images) + post
-                        gens.append(Permutation._make(images))
-                    off += d
+                degrees = self._block_degrees()
+                gens = [
+                    embed_block(degrees, i, g)
+                    for i, s in enumerate(self._factors)
+                    for g in s.generating_set()
+                ]
             elif self._ids is not None and self.parent.use_id_arithmetic():
                 els = self.parent.elements
                 gens = [els[i] for i in self.generating_ids()]

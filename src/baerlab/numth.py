@@ -101,7 +101,10 @@ def pi_part(n: int, pi) -> int:
 
 
 def is_p_number(n: int, p: int) -> bool:
-    return p_part(n, p) == n
+    """True iff ``n >= 1`` is a power of ``p`` (1 included)."""
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 def is_pi_number(n: int, pi) -> bool:

@@ -2,10 +2,16 @@
 
 Every operation here is a pure function of immutable groups.  Results are
 memoised on the group object (write-once), keyed by operation name and
-arguments, so sweeps never recompute per-group structure.  On annotated
-direct products the operations that distribute over products (centre,
-derived subgroup, Sylow, cores, Fitting terms, quotients by product-form
-normal subgroups) recurse into the factors instead of materialising.
+arguments, so sweeps never recompute per-group structure.
+
+Direct products follow one rule, decided by :attr:`Group.blocks`: a group is
+handled blockwise exactly when it carries ``direct_factors`` and its store is
+not built.  The operations that distribute over products (centre, derived
+subgroup, Sylow and Hall subgroups, cores, Fitting terms, exponent,
+quotients and preimages, prefactorised Sylow subgroups) then recurse into
+the factors through :func:`_blockwise`, provided every subgroup argument is
+product-form over the same blocks.  Every other call, a materialised product
+included, takes the whole-group route.
 """
 
 from __future__ import annotations
@@ -14,9 +20,11 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import CapExceeded, InternalInvariantViolation
-from .group import Group, Subgroup, _small_generating_ids, centraliser
+from .constructions import direct_product
+from .group import Group, Subgroup, _small_generating_ids, centraliser, join_blocks, split_blocks
 from .numth import (
     classify_prime_power,
+    is_p_number,
     is_pi_number,
     p_part,
     pi_part,
@@ -37,12 +45,17 @@ def _cached(G: Group, key, build):
     return cache[key]
 
 
-def _componentwise(G: Group, op) -> Subgroup:
-    return Subgroup.from_factors(G, [op(f) for f in G.direct_factors])
+def _blockwise(G: Group, op, *subs):
+    """Per-block results ``[op(G_i, S_i, ...)]``, or None for the whole-group route.
 
-
-def _use_components(G: Group) -> bool:
-    return G.direct_factors is not None
+    The one dispatch for direct products: the blocks are used when G is an
+    unmaterialised product (``G.blocks``) and every subgroup in ``subs`` is
+    product-form over those same blocks.
+    """
+    blocks = G.blocks
+    if blocks is None or any(S.factor_parents() != blocks for S in subs):
+        return None
+    return [op(*args) for args in zip(blocks, *(S.factors for S in subs))]
 
 
 # -- commutativity and elementary structure -----------------------------------
@@ -64,23 +77,23 @@ def is_abelian(obj) -> bool:
         return all(a * b == b * a for a in gens for b in gens)
 
     def build():
-        if _use_components(obj):
-            return all(is_abelian(f) for f in obj.direct_factors)
+        if (parts := _blockwise(obj, is_abelian)) is not None:
+            return all(parts)
         return all(a * b == b * a for a in obj.generators for b in obj.generators)
 
     return _cached(obj, "abelian", build)
 
 
 def exponent(G: Group) -> int:
-    if _use_components(G) and not G.is_materialized:
-        return math.lcm(*(exponent(f) for f in G.direct_factors))
+    if (parts := _blockwise(G, exponent)) is not None:
+        return math.lcm(*parts)
     return _cached(G, "exponent", lambda: math.lcm(*(o for o in G.element_orders())))
 
 
 def center(G: Group) -> Subgroup:
     def build():
-        if _use_components(G):
-            return _componentwise(G, center)
+        if (parts := _blockwise(G, center)) is not None:
+            return Subgroup.from_factors(G, parts)
         return centraliser(G, G.generators)
 
     return _cached(G, "center", build)
@@ -88,8 +101,8 @@ def center(G: Group) -> Subgroup:
 
 def derived_subgroup(G: Group) -> Subgroup:
     def build():
-        if _use_components(G):
-            return _componentwise(G, derived_subgroup)
+        if (parts := _blockwise(G, derived_subgroup)) is not None:
+            return Subgroup.from_factors(G, parts)
         gens = G.generators
         comms = [
             a.inverse() * b.inverse() * a * b for a in gens for b in gens if a != b
@@ -106,12 +119,6 @@ def is_nilpotent(G: Group) -> bool:
 # -- Sylow subgroups ------------------------------------------------------------
 
 
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def sylow(G: Group, p: int) -> Subgroup:
     """A deterministic Sylow p-subgroup (full p-part order).
 
@@ -124,20 +131,20 @@ def sylow(G: Group, p: int) -> Subgroup:
         pk = p_part(G.order, p)
         if pk == 1:
             return Subgroup.trivial(G)
-        if _use_components(G):
-            return _componentwise(G, lambda f: sylow(f, p))
+        if (parts := _blockwise(G, lambda f: sylow(f, p))) is not None:
+            return Subgroup.from_factors(G, parts)
         G.materialize()
         orders = G.element_orders()
         seed, best = None, 0
         for i, o in enumerate(orders):
-            if o > best and _is_p_power(o, p) and o > 1:
+            if o > best and is_p_number(o, p) and o > 1:
                 seed, best = i, o
         H = G.closure_ids([], [seed])
         while len(H) < pk:
             norm = _normaliser_ids(G, H)
             grow = None
             for y in sorted(norm):
-                if y not in H and orders[y] > 1 and _is_p_power(orders[y], p):
+                if y not in H and orders[y] > 1 and is_p_number(orders[y], p):
                     grow = y
                     break
             if grow is None:
@@ -164,17 +171,7 @@ def sylow_conjugates(G: Group, p: int) -> list:
 
     def build():
         P = sylow(G, p)
-        if P.is_trivial():
-            return [P]
-        seen = set()
-        out = []
-        for g in G.elements:
-            Q = P.conjugate(g)
-            k = Q.key()
-            if k not in seen:
-                seen.add(k)
-                out.append(Q)
-        return out
+        return [P] if P.is_trivial() else hall_conjugates(G, P)
 
     return _cached(G, ("sylow_conjugates", p), build)
 
@@ -186,8 +183,8 @@ def o_p(G: Group, p: int) -> Subgroup:
     """Largest normal p-subgroup, as the intersection of all Sylow p-conjugates."""
 
     def build():
-        if _use_components(G):
-            return _componentwise(G, lambda f: o_p(f, p))
+        if (parts := _blockwise(G, lambda f: o_p(f, p))) is not None:
+            return Subgroup.from_factors(G, parts)
         if p_part(G.order, p) == 1:
             return Subgroup.trivial(G)
         conjs = sylow_conjugates(G, p)
@@ -214,8 +211,8 @@ def o_pi(G: Group, pi) -> Subgroup:
             return Subgroup.full(G)
         if len(pi) == 1:
             return o_p(G, next(iter(pi)))
-        if _use_components(G):
-            return _componentwise(G, lambda f: o_pi(f, pi))
+        if (parts := _blockwise(G, lambda f: o_pi(f, pi))) is not None:
+            return Subgroup.from_factors(G, parts)
         G.materialize()
         orders = G.element_orders()
         gens = []
@@ -250,8 +247,8 @@ def fitting(G: Group) -> Subgroup:
     """F(G), the product of the p-cores over all primes dividing the order."""
 
     def build():
-        if _use_components(G):
-            return _componentwise(G, fitting)
+        if (parts := _blockwise(G, fitting)) is not None:
+            return Subgroup.from_factors(G, parts)
         parts = [o_p(G, p) for p in pi_of(G)]
         parts = [S for S in parts if not S.is_trivial()]
         if not parts:
@@ -273,8 +270,8 @@ def fitting2(G: Group) -> Subgroup:
     """Second Fitting term: preimage of F(G / F(G))."""
 
     def build():
-        if _use_components(G):
-            return _componentwise(G, fitting2)
+        if (parts := _blockwise(G, fitting2)) is not None:
+            return Subgroup.from_factors(G, parts)
         F = fitting(G)
         if F.order == G.order:
             return Subgroup.full(G)
@@ -311,23 +308,6 @@ class Quotient:
         self._coset_of = coset_of
         self._reps = reps
 
-    def _assemble(self, part_perms) -> Permutation:
-        images = []
-        off = 0
-        for perm in part_perms:
-            images.extend(v + off for v in perm.images)
-            off += perm.degree
-        return Permutation._make(tuple(images))
-
-    def _split_quotient(self, qp: Permutation) -> list:
-        parts = []
-        off = 0
-        for q in self._parts:
-            d = q.group.degree
-            parts.append(Permutation._make(tuple(v - off for v in qp.images[off : off + d])))
-            off += d
-        return parts
-
     def is_identity(self) -> bool:
         return self.group is self.source
 
@@ -335,9 +315,7 @@ class Quotient:
         if self.is_identity():
             return g
         if self._parts is not None:
-            return self._assemble(
-                [q.project(part) for q, part in zip(self._parts, self.source.split(g))]
-            )
+            return join_blocks(q.project(part) for q, part in zip(self._parts, self.source.split(g)))
         mul = self.source.cayley()
         gid = self.source.element_id(g)
         coset_of = self._coset_of
@@ -347,11 +325,11 @@ class Quotient:
         if self.is_identity():
             return S
         if self._parts is not None:
-            if S._factors is None:
+            block_quotient = {q.group: q for q in self._parts}
+            parts = _blockwise(self.group, lambda f, s: block_quotient[f].preimage(s), S)
+            if parts is None:
                 raise CapExceeded("preimage in an unenumerated product needs a product-form subgroup")
-            return Subgroup.from_factors(
-                self.source, [q.preimage(s) for q, s in zip(self._parts, S._factors)]
-            )
+            return Subgroup.from_factors(self.source, parts)
         quotient_members = S.member_set()
         keep = [c for c in range(len(self._reps))
                 if self.project(self.source.elements[self._reps[c]]) in quotient_members]
@@ -361,14 +339,13 @@ class Quotient:
 
     def lift_p_element(self, qp: Permutation, p: int) -> Permutation:
         o = qp.order()
-        if not _is_p_power(o, p):
+        if not is_p_number(o, p):
             raise ValueError("quotient element is not a p-element")
         if self.is_identity():
             return qp
         if self._parts is not None:
-            lifted = [q.lift_p_element(part, p)
-                      for q, part in zip(self._parts, self._split_quotient(qp))]
-            return self._assemble(lifted)
+            qparts = split_blocks(qp, [q.group.degree for q in self._parts])
+            return join_blocks(q.lift_p_element(part, p) for q, part in zip(self._parts, qparts))
         rep = self.source.elements[self._reps[qp(0)]]
         ro = rep.order()
         m = ro // p_part(ro, p)
@@ -391,16 +368,10 @@ def quotient_group(G: Group, N: Subgroup) -> Quotient:
         raise ValueError("quotient by a non-normal subgroup")
 
     def build():
-        if _use_components(G) and not G.is_materialized:
-            if N._factors is None:
-                raise CapExceeded("quotient of an unenumerated product needs a product-form kernel")
-            from .constructions import direct_product
-
-            parts = [quotient_group(f, s) for f, s in zip(G.direct_factors, N._factors)]
-            qgroup = direct_product([q.group for q in parts]) if len(parts) > 1 else parts[0].group
-            return Quotient(G, N, qgroup, parts=parts)
-        els = G.materialize()
+        if (parts := _blockwise(G, quotient_group, N)) is not None:
+            return Quotient(G, N, direct_product([q.group for q in parts]), parts=parts)
         mul = G.cayley()
+        els = G.elements
         nids = sorted(N.ids_in_store())
         coset_of = [-1] * len(els)
         reps = []
@@ -483,13 +454,11 @@ def find_prefactorised_sylow(F: Factorisation, p: int) -> Subgroup:
         G = F.group
         pa = p_part(F.a.order, p)
         pb = p_part(F.b.order, p)
-        if _use_components(G) and not G.is_materialized:
-            if F.a._factors is not None and F.b._factors is not None:
-                parts = []
-                for f, sa, sb in zip(G.direct_factors, F.a._factors, F.b._factors):
-                    parts.append(find_prefactorised_sylow(Factorisation(f, sa, sb), p))
-                return Subgroup.from_factors(G, parts)
-            raise CapExceeded("prefactorised Sylow search needs product-form factors here")
+        parts = _blockwise(
+            G, lambda f, a, b: find_prefactorised_sylow(Factorisation(f, a, b), p), F.a, F.b
+        )
+        if parts is not None:
+            return Subgroup.from_factors(G, parts)
         for P in sylow_conjugates(G, p):
             ia = P.intersection(F.a)
             if ia.order != pa:
@@ -531,14 +500,8 @@ def hall(G: Group, pi, budget: int = 50_000):
             return Subgroup.full(G)
         if len(pi) == 1:
             return sylow(G, next(iter(pi)))
-        if _use_components(G) and not G.is_materialized:
-            parts = []
-            for f in G.direct_factors:
-                h = hall(f, pi, budget)
-                if h is None:
-                    return None
-                parts.append(h)
-            return Subgroup.from_factors(G, parts)
+        if (parts := _blockwise(G, lambda f: hall(f, pi, budget))) is not None:
+            return None if None in parts else Subgroup.from_factors(G, parts)
         G.materialize()
         orders = G.element_orders()
         candidates = [
@@ -686,7 +649,7 @@ def is_normal(G: Group, S: Subgroup) -> bool:
     the same points, the permutations are conjugated and tested for
     membership.
     """
-    if S._whole or S.order == G.order:
+    if S.order == G.order:
         return True
     if S.parent is G and G.use_id_arithmetic():
         ids = S.ids_in_store()

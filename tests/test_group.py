@@ -101,6 +101,20 @@ def test_centraliser_examples():
     assert set(cent.members()) == set(brute_centraliser(G, [c3]))
 
 
+def test_blockwise_routes_reject_elements_mixing_product_blocks():
+    # (2 3) swaps a point of the symmetric(3) block with one of the cyclic(2)
+    # block, so it is no element of the product.
+    from baerlab.constructions import cyclic, direct_product, symmetric
+
+    G = direct_product([symmetric(3), cyclic(2)])
+    x = parse_cycles("(2 3)", 5)
+    queries = (class_index, lambda G, x: centraliser(G, [x]), lambda G, x: centraliser_order(G, [x]))
+    for query in queries:
+        with pytest.raises(ValueError, match="direct-product blocks"):
+            query(G, x)
+    assert not G.is_materialized
+
+
 def test_class_index_times_centraliser_is_order():
     G = sym3()
     for x in G.elements:

@@ -1,7 +1,10 @@
-"""Import hygiene of the package source, checked with the standard ``ast``.
+"""Hygiene of the package source, checked with the standard ``ast``.
 
 A module may import a name only if it reads it or re-exports it through
 ``__all__``.  ``from __future__`` imports are compiler directives and exempt.
+
+Only ``group.py`` touches the backing attributes of ``Subgroup``; every other
+module goes through its public methods, so a backing can change in one place.
 """
 
 import ast
@@ -76,3 +79,32 @@ def test_unused_import_detector():
         "    return math.prod(x)\n"
     )
     assert unused_imports(source) == [(2, "os"), (3, "Group")]
+
+
+SUBGROUP_BACKINGS = frozenset({"_ids", "_members", "_factors", "_whole"})
+
+
+def backing_reads(source: str) -> list:
+    """(line, attribute) for every access to a ``Subgroup`` backing attribute."""
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in SUBGROUP_BACKINGS
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SOURCE.glob("*.py")) if p.name != "group.py"], ids=lambda p: p.name
+)
+def test_subgroup_backings_stay_in_group_module(path):
+    assert backing_reads(path.read_text()) == []
+
+
+def test_backing_read_detector():
+    source = (
+        "def f(S, G):\n"
+        "    if S._whole or S.factors:\n"
+        "        return G._cache, getattr(S, 'ids')\n"
+        "    return [s for s in S._factors]\n"
+    )
+    assert backing_reads(source) == [(2, "_whole"), (4, "_factors")]

@@ -289,6 +289,10 @@ def test_quotient_componentwise_product_form():
     assert is_abelian(Q.group)
     for g in G.generators:
         assert Q.project(g) in Q.group
+    for qp in Q.group.generators:  # lifted block by block
+        lifted = Q.lift_p_element(qp, 2)
+        assert lifted in G and lifted.order() == 2 and Q.project(lifted) == qp
+    assert not G.is_materialized
 
 
 # -- Hall subgroups -------------------------------------------------------------------
@@ -409,6 +413,43 @@ def test_product_with_normal_by_blocks_matches_closure():
             assert members_set(K) == members_set(closed)
             assert is_normal(G, K) == is_normal(G, closed)
     assert not G.is_materialized
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [(symmetric, 3, dihedral, 10), (symmetric, 4, cyclic, 3)],
+    ids=["sym3_x_d10", "sym4_x_c3"],
+)
+def test_lazy_product_blocks_match_materialised_product(factors):
+    # The same product twice: the lazy copy takes every blockwise route, the
+    # materialised copy the whole-group routes.  Unique subgroups must agree
+    # as sets, Sylow and Hall subgroups (chosen per route) in order.
+    f1, n1, f2, n2 = factors
+    lazy = direct_product([f1(n1), f2(n2)])
+    whole = direct_product([f1(n1), f2(n2)])
+    whole.materialize()
+    assert lazy.blocks is not None and whole.blocks is None
+
+    def profile(G):
+        primes = pi_of(G)
+        pis = [set(c) for k in range(1, len(primes) + 1) for c in itertools.combinations(primes, k)]
+        halls = [hall(G, pi) for pi in pis]
+        return {
+            "unique": [
+                members_set(S)
+                for S in [center(G), derived_subgroup(G), fitting(G), fitting2(G)]
+                + [o_p(G, p) for p in primes]
+                + [o_pi(G, pi) for pi in pis]
+                + [centraliser(G, [g]) for g in G.generators]
+            ],
+            "sylow": [sylow(G, p).order for p in primes],
+            "hall": [None if H is None else H.order for H in halls],
+            "exponent": exponent(G),
+            "fitting_quotient": quotient_group(G, fitting(G)).group.order,
+        }
+
+    assert profile(lazy) == profile(whole)
+    assert not lazy.is_materialized
 
 
 # -- table routes against brute-force definitions ---------------------------------------
