@@ -314,7 +314,9 @@ def check_theorem_f_equivalence(F: Factorisation) -> TheoremReport:
             "centraliser_indices": details,
         },
     )
-    if G.order <= 500 and G.materializable():
+    # An unmaterialised product answers blockwise; building its store here
+    # would take it off the blockwise route for every later check.
+    if G.order <= 500 and (G.blocks is not None or G.materializable()):
         stable = True
         for p in sorted(pi_of(G)):
             for locus, sub in F.factors():

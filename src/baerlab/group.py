@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 
 from .errors import (
     CAYLEY_TABLE_MAX_ORDER,
@@ -145,6 +146,10 @@ class Group:
         self._cayley: list | None = None
         self._inverse_ids: list | None = None
         self._cache: dict = {}
+        # The canonical id-backed subgroups (Subgroup.from_ids), held weakly
+        # so that a group and its subgroups are freed by reference counting;
+        # built on first use, since most groups never get one.
+        self._subgroups: weakref.WeakValueDictionary | None = None
 
     # -- basic facts ----------------------------------------------------
 
@@ -306,10 +311,10 @@ class Group:
         return self.is_materialized and len(self._elements) <= CAYLEY_TABLE_MAX_ORDER
 
     def closure_ids(self, seed_ids, extra_gens_ids=()) -> frozenset:
-        """Closure of ``seed_ids`` plus extra generators, as element ids."""
+        """Closure of the subgroup ``seed_ids`` plus extra generators, as element ids."""
         seed_ids = frozenset(seed_ids)
-        gens = _small_generating_ids(self, seed_ids) if seed_ids else []
-        gens = list(gens) + [g for g in extra_gens_ids if g not in seed_ids]
+        gens = Subgroup.from_ids(self, seed_ids).generating_ids() if seed_ids else []
+        gens = gens + [g for g in extra_gens_ids if g not in seed_ids]
         return self.closure_from_gen_ids(gens)
 
     def closure_from_gen_ids(self, gen_ids) -> frozenset:
@@ -462,11 +467,28 @@ def centraliser(G: Group, S) -> "Subgroup":
     ``g`` with ``mul[g][s] == mul[s][g]``.  Past the gate, or for elements
     outside ``G``, every element of ``G`` is
     composed with every element of ``S``.
+
+    For a :class:`Subgroup` the answer is memoised on ``S``, keyed by ``G``,
+    since ``S`` may belong to another group on the same points, such as a
+    view of a subgroup of ``G``.  Such an ``S`` is also answered through the
+    canonical subgroup of ``G`` with the same elements, so the views that
+    share a subgroup share its centraliser.
     """
     if isinstance(S, Subgroup):
-        gens = list(S.generating_set())
-    else:
-        gens = list(S)
+        return S.cached(("centraliser", G), lambda: _subgroup_centraliser(G, S))
+    return _centraliser(G, S)
+
+
+def _subgroup_centraliser(G: Group, S: "Subgroup") -> "Subgroup":
+    if S.parent is not G and G.use_id_arithmetic():
+        ids = [G._index.get(x) for x in S.members()]
+        if None not in ids:
+            T = Subgroup.from_ids(G, ids)
+            return T.cached(("centraliser", G), lambda: _centraliser(G, S.generating_set()))
+    return _centraliser(G, S.generating_set())
+
+
+def _centraliser(G: Group, gens) -> "Subgroup":
     gens = [s for s in gens if not s.is_identity()]
     if not gens:
         return Subgroup.full(G)
@@ -536,9 +558,16 @@ class Subgroup:
       product-form subgroups of huge products (order known as the product of
       factor orders, membership tested blockwise);
     * ``whole`` -- the parent itself.
+
+    Id-backed subgroups are canonical per parent: :meth:`from_ids`, through
+    which every id-backed construction goes, returns the one object for
+    ``(parent, frozenset(ids))`` while it is alive, so facts memoised on it
+    (:meth:`cached`) are computed once per group, whatever route reached the
+    subgroup.  The parent holds its pool of canonical subgroups weakly, so
+    the pool keeps neither them nor, through them, the parent alive.
     """
 
-    __slots__ = ("parent", "_ids", "_members", "_factors", "_whole", "_cache")
+    __slots__ = ("parent", "_ids", "_members", "_factors", "_whole", "_cache", "__weakref__")
 
     def __init__(self, parent, *, ids=None, members=None, factors=None, whole=False):
         backings = sum(x is not None for x in (ids, members, factors)) + bool(whole)
@@ -555,7 +584,15 @@ class Subgroup:
 
     @classmethod
     def from_ids(cls, parent: Group, ids) -> "Subgroup":
-        return cls(parent, ids=frozenset(ids))
+        """The canonical subgroup of ``parent`` with these member ids."""
+        ids = frozenset(ids)
+        pool = parent._subgroups
+        if pool is None:
+            pool = parent._subgroups = weakref.WeakValueDictionary()
+        S = pool.get(ids)
+        if S is None:
+            S = pool[ids] = cls(parent, ids=ids)
+        return S
 
     @classmethod
     def from_members(cls, parent: Group, members) -> "Subgroup":
@@ -613,16 +650,20 @@ class Subgroup:
             raise ValueError("subgroup is not backed by parent element ids")
         return self._ids
 
+    def cached(self, key, build):
+        """``build()``, computed once per subgroup and key (write-once memo)."""
+        cache = self._cache
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
+
     def ids_in_store(self) -> frozenset:
         """Member ids in the parent store, materialising the parent if needed."""
         if self._ids is not None:
             return self._ids
-        if "store_ids" not in self._cache:
-            self.parent.materialize()
-            self._cache["store_ids"] = frozenset(
-                self.parent.element_id(p) for p in self.members()
-            )
-        return self._cache["store_ids"]
+        return self.cached(
+            "store_ids", lambda: frozenset(map(self.parent.element_id, self.members()))
+        )
 
     def key(self):
         """Canonical hashable identity for dedup and cache keys.
@@ -698,9 +739,7 @@ class Subgroup:
         return self.parent.materialize(cap)
 
     def member_set(self) -> frozenset:
-        if "member_set" not in self._cache:
-            self._cache["member_set"] = frozenset(self.members())
-        return self._cache["member_set"]
+        return self.cached("member_set", lambda: frozenset(self.members()))
 
     def generating_set(self) -> tuple:
         """A small, deterministic generating set."""
@@ -726,11 +765,13 @@ class Subgroup:
         """A small, deterministic generating set as parent store ids.
 
         Needs a parent within the Cayley-table gate; for an id-backed
-        subgroup these are the ids of :meth:`generating_set`.
+        subgroup these are the ids of :meth:`generating_set`.  Callers must
+        not mutate the list: it is the memo shared by every user of this
+        canonical subgroup.
         """
-        if "gen_ids" not in self._cache:
-            self._cache["gen_ids"] = _small_generating_ids(self.parent, self.ids_in_store())
-        return self._cache["gen_ids"]
+        return self.cached(
+            "gen_ids", lambda: _small_generating_ids(self.parent, self.ids_in_store())
+        )
 
     # -- set algebra ---------------------------------------------------------
 

@@ -78,8 +78,13 @@ def prime_factorization(n: int) -> dict:
     return dict(sorted(out.items()))
 
 
+@functools.lru_cache(maxsize=None)
 def prime_divisors(n: int) -> tuple:
-    """The set of prime divisors of n, ascending."""
+    """The set of prime divisors of n, ascending.
+
+    Memoised like :func:`classify_prime_power`: the arguments are group and
+    subgroup orders, a small set, and the tuple result is immutable.
+    """
     return tuple(prime_factorization(n))
 
 

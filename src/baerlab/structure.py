@@ -2,7 +2,11 @@
 
 Every operation here is a pure function of immutable groups.  Results are
 memoised on the group object (write-once), keyed by operation name and
-arguments, so sweeps never recompute per-group structure.
+arguments, so sweeps never recompute per-group structure.  Facts about one
+subgroup (its generating ids, whether it is normal, its centraliser) are
+memoised on the subgroup through :meth:`Subgroup.cached`; since id-backed
+subgroups are canonical per group, every factorisation of a group that
+reaches the same subgroup shares them.
 
 Direct products follow one rule, decided by :attr:`Group.blocks`: a group is
 handled blockwise exactly when it carries ``direct_factors`` and its store is
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceeded, InternalInvariantViolation
 from .constructions import direct_product
-from .group import Group, Subgroup, _small_generating_ids, centraliser, join_blocks, split_blocks
+from .group import Group, Subgroup, centraliser, join_blocks, split_blocks
 from .numth import (
     classify_prime_power,
     is_p_number,
@@ -158,7 +162,7 @@ def sylow(G: Group, p: int) -> Subgroup:
 
 
 def _normaliser_ids(G: Group, H: frozenset) -> list:
-    hgens = _small_generating_ids(G, H)
+    hgens = Subgroup.from_ids(G, H).generating_ids()
     out = []
     for g in range(len(G.elements)):
         if all(G.conjugate_id(h, g) in H for h in hgens):
@@ -255,9 +259,7 @@ def fitting(G: Group) -> Subgroup:
             return Subgroup.trivial(G)
         if len(parts) == 1:
             return parts[0]
-        ids = G.closure_ids(
-            [], [i for S in parts for i in _small_generating_ids(G, S.ids_in_store())]
-        )
+        ids = G.closure_ids([], [i for S in parts for i in S.generating_ids()])
         expected = math.prod(S.order for S in parts)
         if len(ids) != expected:
             raise InternalInvariantViolation("p-cores did not multiply to a direct product")
@@ -515,7 +517,7 @@ def hall(G: Group, pi, budget: int = 50_000):
             nonlocal spent
             if len(H) == target:
                 return H
-            hgens = _small_generating_ids(G, H)
+            hgens = Subgroup.from_ids(G, H).generating_ids()
             for x in candidates:
                 if x in H:
                     continue
@@ -619,7 +621,7 @@ def _normal_closure_ids(G: Group, seed_ids) -> frozenset:
     changed = True
     while changed:
         changed = False
-        for s in _small_generating_ids(G, K):
+        for s in Subgroup.from_ids(G, K).generating_ids():
             for g in group_gens:
                 c = G.conjugate_id(s, g)
                 if c not in K:
@@ -653,9 +655,9 @@ def is_normal(G: Group, S: Subgroup) -> bool:
         return True
     if S.parent is G and G.use_id_arithmetic():
         ids = S.ids_in_store()
-        return all(
+        return S.cached("normal", lambda: all(
             G.conjugate_id(s, g) in ids for g in G.generator_ids() for s in S.generating_ids()
-        )
+        ))
     return all(
         s.conjugate(g) in S for g in G.generators for s in S.generating_set()
     )
@@ -682,16 +684,16 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
             for i, o in enumerate(orders)
             if o > 1 and classify_prime_power(o).is_prime_power
         ]
-        trivial = frozenset({G.element_id(G.identity())})
-        found = {trivial}
+        trivial = Subgroup.trivial(G)
+        found = {trivial.ids: trivial}
         frontier = [trivial]
         spent = 0
         while frontier:
             new = []
             for H in frontier:
-                hgens = _small_generating_ids(G, H)
+                hids, hgens = H.ids, H.generating_ids()
                 for x in pp_ids:
-                    if x in H:
+                    if x in hids:
                         continue
                     spent += 1
                     if spent > budget:
@@ -700,12 +702,10 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
                         )
                     K = G.closure_from_gen_ids(hgens + [x])
                     if K not in found:
-                        found.add(K)
-                        new.append(K)
+                        found[K] = S = Subgroup.from_ids(G, K)
+                        new.append(S)
             frontier = new
-        subs = [Subgroup.from_ids(G, ids) for ids in found]
-        subs.sort(key=lambda S: (S.order, tuple(sorted(S.ids))))
-        return subs
+        return sorted(found.values(), key=lambda S: (S.order, tuple(sorted(S.ids))))
 
     return _cached(G, ("subgroups", budget, max_order), build)
 

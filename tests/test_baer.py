@@ -2,11 +2,18 @@ import pytest
 
 from baerlab import baer
 from baerlab.baer import check_theorem_f_equivalence, report_theorem_a
-from baerlab.constructions import dihedral, direct_product, frobenius, semilinear, symmetric
+from baerlab.constructions import (
+    dihedral,
+    direct_product,
+    frobenius,
+    parse_group_spec,
+    semilinear,
+    symmetric,
+)
 from baerlab.errors import CAYLEY_TABLE_MAX_ORDER, CapExceeded, InternalInvariantViolation
 from baerlab.group import Subgroup
-from baerlab.reporting import FAIL, SKIPPED
-from baerlab.structure import Factorisation, pi_of
+from baerlab.reporting import FAIL, SKIPPED, TheoremReport
+from baerlab.structure import Factorisation, enumerate_subgroups, pi_of
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -72,3 +79,113 @@ def test_cap_witness_and_invariant_violations(monkeypatch):
     monkeypatch.setattr(baer, "is_p_baer", broken)
     with pytest.raises(InternalInvariantViolation):
         report_theorem_a(F, 3)
+
+
+def test_theorem_f_keeps_a_small_product_lazy():
+    # Order 60 is under Theorem F's bound for the choice-independence
+    # clause; the blockwise centraliser decides it without building G's store.
+    G = direct_product([symmetric(3), dihedral(10)])
+    left, right = G.direct_factors
+    A = Subgroup.from_factors(G, [Subgroup.full(left), Subgroup.trivial(right)])
+    B = Subgroup.from_factors(G, [Subgroup.trivial(left), Subgroup.full(right)])
+    report = check_theorem_f_equivalence(Factorisation(G, A, B))
+    assert [(c.clause, c.verdict) for c in report.clauses] == [
+        ("equivalence", "pass"), ("choice-independence", "pass")
+    ]
+    assert not G.is_materialized
+
+
+def test_theorem_f_fails_when_centralisers_are_wrong(monkeypatch):
+    # Negative control: a centraliser that always answers G makes every
+    # Sylow centraliser index 1, while symmetric(4) is no Baer group (a
+    # transposition has index 6), so the equivalence must fail.
+    monkeypatch.setattr(baer, "centraliser", lambda G, S: Subgroup.full(G))
+    report = check_theorem_f_equivalence(Factorisation.trivial(symmetric(4)))
+    assert report.clauses[0].clause == "equivalence"
+    assert report.clauses[0].verdict == FAIL
+
+
+# -- the whole paper layer on every factorisation of small groups ---------------------
+
+PAPER_LAYER_SPECS = (
+    "symmetric(3)", "dihedral(8)", "frobenius(5,4)", "product(symmetric(3),cyclic(2))"
+)
+
+
+def factorisation_pairs(G) -> list:
+    """Index pairs ``i <= j`` into ``enumerate_subgroups(G)`` with ``G = S_i S_j``."""
+    subs = enumerate_subgroups(G)
+    return [
+        (i, j)
+        for i, A in enumerate(subs)
+        for j, B in enumerate(subs[i:], i)
+        if A.order * B.order == G.order * A.intersection(B).order
+    ]
+
+
+def report_rows(report) -> list:
+    """The clauses of a report as rows, after asserting none failed or was skipped."""
+    rows = [(report.theorem, report.prime, c.clause, c.verdict, repr(c.witness))
+            for c in report.clauses]
+    assert not [row for row in rows if row[3] in (FAIL, SKIPPED)]
+    return rows
+
+
+def factorisation_rows(F) -> list:
+    """Every factorisation check of ``baer`` on F, as comparable verdict rows."""
+    rows = []
+
+    def record(name, result):
+        if isinstance(result, TheoremReport):
+            rows.extend(report_rows(result))
+        else:
+            rows.append((name, repr(result)))
+
+    primes = sorted(pi_of(F.group))
+    for p in primes:
+        union = baer.is_p_baer(F, p, "union")
+        via_sylow = baer.is_p_baer(F, p, "sylow")
+        assert union.is_p_baer == via_sylow.is_p_baer
+        record(f"p-baer[{p}]", (union.is_p_baer, union.witnesses))
+        if union.is_p_baer:
+            record(f"unique-primes[{p}]", baer.unique_primes(F, p))
+        record("A", baer.report_theorem_a(F, p))
+        record("B", baer.report_theorem_b(F, p))
+        record("E", baer.report_theorem_e(F, p))
+        for scope in ("p-elements", "all prime power"):
+            record(scope, baer.check_p_index_decomposition(F, p, scope))
+        for q in primes:
+            record(f"pq[{q}]", baer.check_pq_baer(F, p, q))
+    status = baer.is_baer(F)
+    record("baer", (status.is_baer, status.per_prime, status.witnesses))
+    record("F", baer.check_theorem_f_equivalence(F))
+    record("C", baer.report_corollary_c(F))
+    record("D", baer.check_factor_inheritance(F))
+    return rows
+
+
+def group_rows(G) -> list:
+    """Every group check of ``baer`` on G, as comparable verdict rows."""
+    decomposition = baer.baer_decomposition(G)
+    rows = [("decomposition", None if decomposition is None else decomposition.prime_partition)]
+    for check in (baer.check_wielandt, baer.check_camina_camina, baer.check_lemma_bk):
+        rows.extend(report_rows(check(G)))
+    return rows
+
+
+@pytest.mark.parametrize("spec", PAPER_LAYER_SPECS)
+def test_every_check_on_every_factorisation(spec):
+    # Shared: every factorisation of one G, so memos on G and on its
+    # canonical subgroups carry over from one factorisation to the next.
+    G = parse_group_spec(spec)
+    subs = enumerate_subgroups(G)
+    pairs = factorisation_pairs(G)
+    shared = [factorisation_rows(Factorisation(G, subs[i], subs[j])) for i, j in pairs]
+    shared_group = group_rows(G)
+
+    # Fresh: each factorisation on its own copy of G, so nothing is reused.
+    for (i, j), rows in zip(pairs, shared):
+        H = parse_group_spec(spec)
+        fresh = enumerate_subgroups(H)
+        assert factorisation_rows(Factorisation(H, fresh[i], fresh[j])) == rows
+    assert group_rows(parse_group_spec(spec)) == shared_group

@@ -300,3 +300,26 @@ def test_centraliser_matches_permutation_scan(data, draw):
         cent = centraliser(G, S)
         assert set(cent.members()) == set(brute_centraliser(G, S))
         assert cent.order == centraliser_order(G, S)
+
+
+# -- canonical id-backed subgroups ------------------------------------------------
+
+
+def test_from_ids_returns_the_canonical_subgroup():
+    G = sym3()
+    G.materialize()
+    A = Subgroup.from_generators(G, [parse_cycles("(0 1 2)")])
+    ids = sorted(A.ids)
+    assert Subgroup.from_ids(G, ids) is Subgroup.from_ids(G, frozenset(ids)) is A
+    assert A.intersection(Subgroup.full(G)) is A
+    assert centraliser(G, [parse_cycles("(0 1 2)")]) is A
+    B = Subgroup.from_generators(G, [parse_cycles("(0 1)", 3)])
+    g = parse_cycles("(0 1 2)")
+    conj_ids = {G.element_id(x.conjugate(g)) for x in B.members()}
+    assert B.conjugate(g) is Subgroup.from_ids(G, conj_ids)
+    assert B.conjugate(G.identity()) is B
+    # The pool is per parent: the same ids in another group are another subgroup.
+    H = sym3()
+    H.materialize()
+    assert Subgroup.from_ids(H, ids) is not A
+    assert Subgroup.from_ids(H, ids).parent is H

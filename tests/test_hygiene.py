@@ -5,6 +5,9 @@ A module may import a name only if it reads it or re-exports it through
 
 Only ``group.py`` touches the backing attributes of ``Subgroup``; every other
 module goes through its public methods, so a backing can change in one place.
+Likewise only ``group.py`` calls the ``Subgroup`` constructor or reads a
+group's pool of canonical subgroups, so no id-backed subgroup bypasses
+``Subgroup.from_ids``.
 """
 
 import ast
@@ -108,3 +111,37 @@ def test_backing_read_detector():
         "    return [s for s in S._factors]\n"
     )
     assert backing_reads(source) == [(2, "_whole"), (4, "_factors")]
+
+
+def pool_bypasses(source: str) -> list:
+    """(line, what) for every direct ``Subgroup(...)`` call and read of the pool."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "Subgroup":
+                out.append((node.lineno, "Subgroup(...)"))
+        elif isinstance(node, ast.Attribute) and node.attr == "_subgroups":
+            out.append((node.lineno, "_subgroups"))
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SOURCE.glob("*.py")) if p.name != "group.py"], ids=lambda p: p.name
+)
+def test_subgroup_pool_stays_in_group_module(path):
+    assert pool_bypasses(path.read_text()) == []
+
+
+def test_pool_bypass_detector():
+    source = (
+        "def f(G, ids):\n"
+        "    S = Subgroup.from_ids(G, ids)\n"
+        "    T = Subgroup(G, ids=frozenset(ids))\n"
+        "    U = group.Subgroup(G, whole=True)\n"
+        "    return G._subgroups.get(ids), isinstance(S, Subgroup)\n"
+    )
+    assert pool_bypasses(source) == [
+        (3, "Subgroup(...)"), (4, "Subgroup(...)"), (5, "_subgroups")
+    ]

@@ -654,3 +654,56 @@ def test_lattice_invariants():
         assert is_nilpotent(fitting(G).as_group())
         for p in pi_of(G):
             assert prime_divisors(o_p(G, p).order) in ((), (p,))
+
+
+# -- canonical subgroups and their memos ---------------------------------------------
+
+
+def test_group_with_a_trivial_factorisation_is_freed_by_reference_counting():
+    # The pool of canonical subgroups is weak, so a group and the subgroups
+    # it hands out form no reference cycle and go as soon as the last
+    # reference does, without the cyclic collector.
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        G = symmetric(4)
+        G.materialize()
+        F = Factorisation.trivial(G)
+        assert F.a is F.b is Subgroup.full(G)
+        ref = weakref.ref(G)
+        del G, F
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def brute_centraliser_ids(G, S):
+    from baerlab.group import _commutes_with_all
+
+    members = S.members()
+    return {i for i, g in enumerate(G.elements) if _commutes_with_all(g, members)}
+
+
+@pytest.mark.parametrize("G, p", [(symmetric(4), 2), (frobenius(7, 3), 3)], ids=repr)
+def test_memoised_centraliser_and_normality_match_brute_force(G, p):
+    subs = enumerate_subgroups(G)
+    # Subgroups of a view are centralised in G as well as in the view, so
+    # the centraliser memo must be keyed by the centralising group.
+    view = sylow(G, p).as_group()
+    view_subs = enumerate_subgroups(view)
+    assert len(view_subs) > 1
+    first = {}
+    for _ in range(2):  # the second round reads the memos of the first
+        for S in subs:
+            C = centraliser(G, S)
+            assert C.ids == brute_centraliser_ids(G, S)
+            assert first.setdefault(S, C) is C
+            assert is_normal(G, S) == brute_is_normal(G, S)
+        for T in view_subs:
+            assert centraliser(G, T).ids == brute_centraliser_ids(G, T)
+            CV = centraliser(view, T)
+            assert CV.parent is view
+            assert CV.ids == brute_centraliser_ids(view, T)
+            assert is_normal(view, T) == brute_is_normal(view, T)
