@@ -166,7 +166,11 @@ def _pp_profile(F: Factorisation) -> list:
 
 
 def _profile_for_prime(F: Factorisation, p: int) -> list:
-    return [row for row in _pp_profile(F) if is_p_number(row[2], p)]
+    """The rows of :func:`_pp_profile` for p-elements, computed once per (F, p)."""
+    key = ("pp_profile", p)
+    if key not in F._cache:
+        F._cache[key] = [row for row in _pp_profile(F) if is_p_number(row[2], p)]
+    return F._cache[key]
 
 
 def _status_from_rows(F, p, rows) -> BaerStatus:
@@ -234,12 +238,14 @@ def unique_primes(F: Factorisation, p: int) -> UniquePrimes:
     st = is_p_baer(F, p)
     if not st.is_p_baer:
         raise ValueError("unique index primes are only defined for p-Baer factorisations")
+    rows = _profile_for_prime(F, p)
     out = {}
     for locus, _sub in F.factors():
-        primes = set()
-        for row_locus, _x, _o, idx in _profile_for_prime(F, p):
-            if row_locus == locus and idx > 1:
-                primes.add(classify_prime_power(idx).prime)
+        primes = {
+            classify_prime_power(idx).prime
+            for row_locus, _x, _o, idx in rows
+            if row_locus == locus and idx > 1
+        }
         if len(primes) > 1:
             raise InternalInvariantViolation(
                 f"two distinct index primes {sorted(primes)} on side {locus}"

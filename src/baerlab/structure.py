@@ -667,9 +667,27 @@ def is_normal(G: Group, S: Subgroup) -> bool:
 
 
 def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -> list:
-    """All subgroups, by layered closure of ``<H, x>`` over prime-power-order
-    elements ``x``; every group is generated by such elements, so the layering
-    is complete.  Results are sorted by (order, member ids) and cached."""
+    """All subgroups, sorted by (order, member ids) and cached.
+
+    A layered closure: every explored subgroup ``H`` yields ``<H, x>`` for
+    each prime-power-order element ``x`` outside it.  Every group is
+    generated by such elements, so each subgroup tops a chain
+    ``1 < <x1> < <x1, x2> < ...`` whose steps the layering follows.  Two
+    exact reductions keep the closures few:
+
+    * ``<H, x> == <H, x^k>`` whenever ``gcd(k, |x|) == 1``, so only one
+      generator of each cyclic subgroup of prime-power order is tried;
+    * ``<H^g, x> == <H, x^(g^-1)>^g``, so the children of a conjugate are the
+      conjugates of the children.  Each new subgroup enters the result with
+      its whole conjugacy class, walked by table lookups under the
+      generators of ``G``, but only the subgroup itself is explored.
+
+    The found set is then closed under conjugation and holds every child of
+    every member, so every chain still climbs inside it and the layering
+    stays complete.  ``budget`` bounds the closures attempted; a spent
+    budget reports the subgroups found so far as ``partial``.  Every result
+    carries its memoised :meth:`Subgroup.generating_ids`.
+    """
 
     def build():
         if G.order > max_order:
@@ -678,11 +696,21 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
                 cap=max_order,
             )
         G.materialize()
-        orders = G.element_orders()
-        pp_ids = [
-            i
-            for i, o in enumerate(orders)
-            if o > 1 and classify_prime_power(o).is_prime_power
+        mul = G.cayley()
+        inv = G.inverse_ids()
+        pp_ids = []
+        covered = set()
+        for x, o in enumerate(G.element_orders()):
+            if x in covered or o == 1 or not classify_prime_power(o).is_prime_power:
+                continue
+            pp_ids.append(x)
+            y = x
+            for k in range(1, o):
+                if math.gcd(k, o) == 1:
+                    covered.add(y)
+                y = mul[y][x]
+        conj_maps = [
+            [mul[mul[inv[g]][x]][g] for x in range(len(mul))] for g in G.generator_ids()
         ]
         trivial = Subgroup.trivial(G)
         found = {trivial.ids: trivial}
@@ -698,13 +726,25 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
                     spent += 1
                     if spent > budget:
                         raise CapExceeded(
-                            f"subgroup enumeration exceeded budget {budget}", cap=budget
+                            f"subgroup enumeration exceeded budget {budget}",
+                            cap=budget,
+                            partial=len(found),
                         )
                     K = G.closure_from_gen_ids(hgens + [x])
-                    if K not in found:
-                        found[K] = S = Subgroup.from_ids(G, K)
-                        new.append(S)
+                    if K in found:
+                        continue
+                    found[K] = S = Subgroup.from_ids(G, K)
+                    new.append(S)
+                    orbit = [K]
+                    for L in orbit:
+                        for cmap in conj_maps:
+                            M = frozenset(map(cmap.__getitem__, L))
+                            if M not in found:
+                                found[M] = Subgroup.from_ids(G, M)
+                                orbit.append(M)
             frontier = new
+        for S in found.values():
+            S.generating_ids()
         return sorted(found.values(), key=lambda S: (S.order, tuple(sorted(S.ids))))
 
     return _cached(G, ("subgroups", budget, max_order), build)

@@ -8,12 +8,13 @@ from baerlab.constructions import (
     direct_product,
     elem_abelian,
     frobenius,
+    parse_group_spec,
     semilinear,
     subgroup_from_words,
     symmetric,
 )
 from baerlab.errors import CapExceeded
-from baerlab.group import Group, Subgroup, centraliser, class_index
+from baerlab.group import Group, Subgroup, _small_generating_ids, centraliser, class_index
 from baerlab.numth import is_pi_number, p_part, prime_divisors
 from baerlab.structure import (
     Factorisation,
@@ -600,6 +601,93 @@ def test_enumerate_subgroups_counts():
     assert len(enumerate_subgroups(cyclic(1))) == 1
     assert len(enumerate_subgroups(symmetric(3))) == 6
     assert len(enumerate_subgroups(dihedral(10))) == 8
+    assert len(enumerate_subgroups(symmetric(4))) == 30
+    assert len(enumerate_subgroups(symmetric(5))) == 156
+
+
+def layered_closure_ids(G):
+    """Reference enumeration: close ``<H, x>`` for every found H and every
+    prime-power-order element x, with no reduction; sorted like the engine."""
+    pp_ids = [
+        i for i, o in enumerate(G.element_orders())
+        if o > 1 and len(prime_divisors(o)) == 1
+    ]
+    trivial = G.closure_from_gen_ids([])
+    found = {trivial}
+    frontier = [trivial]
+    while frontier:
+        new = []
+        for H in frontier:
+            hgens = _small_generating_ids(G, H)
+            for x in pp_ids:
+                if x not in H:
+                    K = G.closure_from_gen_ids(hgens + [x])
+                    if K not in found:
+                        found.add(K)
+                        new.append(K)
+        frontier = new
+    return sorted(found, key=lambda K: (len(K), tuple(sorted(K))))
+
+
+# The groups of the benchmark's subgroup sweep, plus symmetric(5).
+SWEEP_SPECS = (
+    "cyclic(6)", "cyclic(12)",
+    "dihedral(8)", "dihedral(10)", "dihedral(12)", "dihedral(18)",
+    "symmetric(3)", "symmetric(4)",
+    "frobenius(5,4)", "frobenius(7,3)", "frobenius(13,3)", "frobenius(11,10)",
+    "elemabelian(2,3)",
+    "product(symmetric(3),cyclic(2))", "product(symmetric(4),cyclic(3))",
+    "semilinear(2,3)", "symmetric(5)",
+)
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS)
+def test_enumerate_subgroups_matches_layered_closure(spec):
+    G = parse_group_spec(spec)
+    subs = enumerate_subgroups(G)
+    assert [S.ids for S in subs] == layered_closure_ids(G)
+    found = {S.ids for S in subs}
+    for S in subs:
+        assert Subgroup.from_ids(G, S.ids) is S
+        assert S.generating_ids() == _small_generating_ids(G, S.ids)
+        for g in G.generators:
+            conj = frozenset(G.element_id(G.elements[i].conjugate(g)) for i in S.ids)
+            assert conj in found
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS)
+def test_enumerate_subgroups_explores_one_subgroup_per_class(spec):
+    # Exploring H costs one closure per cyclic subgroup of prime-power order
+    # outside H.  With one explored subgroup per conjugacy class that sums
+    # to the budget below; exploring a second member of some class exceeds it.
+    G = parse_group_spec(spec)
+    ids = layered_closure_ids(G)
+    orders = G.element_orders()
+    cyclic_pp = [
+        K for K in ids
+        if len(prime_divisors(len(K))) == 1 and any(orders[i] == len(K) for i in K)
+    ]
+    budget = 0
+    seen = set()
+    for K in ids:
+        if K in seen:
+            continue
+        budget += sum(not C <= K for C in cyclic_pp)
+        orbit = [K]
+        for L in orbit:
+            for g in G.generators:
+                M = frozenset(G.element_id(G.elements[i].conjugate(g)) for i in L)
+                if M not in orbit:
+                    orbit.append(M)
+        seen.update(orbit)
+    assert [S.ids for S in enumerate_subgroups(G, budget=budget)] == ids
+
+
+def test_enumerate_subgroups_reports_partial_count_on_budget():
+    with pytest.raises(CapExceeded) as info:
+        enumerate_subgroups(symmetric(4), budget=3)
+    assert info.value.cap == 3
+    assert info.value.partial >= 1
 
 
 def test_enumerate_subgroups_against_powerset_filter():
