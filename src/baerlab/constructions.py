@@ -268,8 +268,6 @@ def _wreath_parts(base: Group, top: Group, action: str, want_parts: bool = False
 
         def block_action(t):
             return t.images
-
-        top_elements = None
     else:
         els = top.materialize()
         n = len(els)
@@ -277,8 +275,6 @@ def _wreath_parts(base: Group, top: Group, action: str, want_parts: bool = False
 
         def block_action(t):
             return tuple(index[els[j] * t] for j in range(n))
-
-        top_elements = els
 
     d = base.degree
     degree = n * d
@@ -301,9 +297,7 @@ def _wreath_parts(base: Group, top: Group, action: str, want_parts: bool = False
     if not want_parts:
         return (W,)
     base_sub = Subgroup.from_factors(W, [Subgroup.full(base)] * n)
-    if top_elements is None:
-        top_elements = top.materialize()
-    top_sub = Subgroup.from_members(W, [embed_top(t) for t in top_elements])
+    top_sub = Subgroup.from_generators(W, top_gens)
     return W, base_sub, top_sub
 
 
@@ -334,10 +328,9 @@ def evaluate_word(G: Group, word: str) -> Permutation:
     return out
 
 
-def subgroup_from_words(G: Group, words, cap: int | None = None) -> Subgroup:
+def subgroup_from_words(G: Group, words) -> Subgroup:
     """Closure of the evaluated generator words inside ``G``."""
-    gens = [evaluate_word(G, w) for w in words]
-    return Subgroup.from_generators(G, gens, cap)
+    return Subgroup.from_generators(G, [evaluate_word(G, w) for w in words])
 
 
 # -- the GroupSpec text grammar ------------------------------------------------
@@ -450,9 +443,11 @@ class _SpecParser:
                 while self.peek()[1] == ",":
                     self.next()
                     words.append(self.parse_word())
-            sub = subgroup_from_words(parent, words)
-            g = sub.as_group()
-            g.name = f"subgroup({parent.name}; {', '.join(words)})"
+            g = Group(
+                parent.degree,
+                [evaluate_word(parent, w) for w in words],
+                name=f"subgroup({parent.name}; {', '.join(words)})",
+            )
         else:
             raise SpecError(f"unknown constructor {name!r}", pos)
         self.expect("punct", ")")

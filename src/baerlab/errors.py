@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import os
-
-# Default bound on element-store materialisation.  Deliberately conservative:
-# groups past this size must be handled through orbit methods or
-# direct-factor shortcuts, never by enumeration.
-DEFAULT_ENUMERATION_CAP = 5_000_000
+# Bound on every element store and closure.  A subgroup of a group that is not
+# an unmaterialised direct product is ids into the group's store, so building
+# one past this bound raises CapExceeded, which a report gives as ``skipped``.
+# Direct products past it are handled block by block, never by enumeration.
+ENUMERATION_CAP = 5_000_000
 
 # Default bound on a single conjugacy-orbit walk.
 DEFAULT_CLASS_ORBIT_CAP = 1_000_000
@@ -18,17 +17,6 @@ DEFAULT_CLASS_ORBIT_CAP = 1_000_000
 # The table is built from generator maps in |G| * |gens| compositions, so the
 # gate bounds memory (|G|**2 list cells, about 46 MB at the bound), not time.
 CAYLEY_TABLE_MAX_ORDER = 2400
-
-
-def enumeration_cap() -> int:
-    """Default element-store cap; the BAERLAB_CAP env var overrides it."""
-    raw = os.environ.get("BAERLAB_CAP")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"BAERLAB_CAP must be an integer, got {raw!r}") from None
-    return DEFAULT_ENUMERATION_CAP
 
 
 class CapExceeded(RuntimeError):

@@ -11,6 +11,9 @@ and beyond) desk-computable.  :func:`split_blocks` and :func:`join_blocks`
 are the one codec between a product's permutations and its block
 permutations.
 
+A :class:`Subgroup` follows the same rule: it is ids into its parent's
+materialised store, or per-block factors of an unmaterialised product.
+
 Determinism rules used throughout the package:
 
 * element stores are sorted lexicographically on image tuples;
@@ -27,9 +30,9 @@ import weakref
 from .errors import (
     CAYLEY_TABLE_MAX_ORDER,
     DEFAULT_CLASS_ORBIT_CAP,
+    ENUMERATION_CAP,
     CapExceeded,
     InternalInvariantViolation,
-    enumeration_cap,
 )
 from .perm import Permutation, identity
 
@@ -49,7 +52,7 @@ def _dedup_generators(generators, degree=None):
     return tuple(gens), degree
 
 
-def closure(generators, cap: int | None = None, *, degree: int | None = None) -> list:
+def closure(generators, cap: int = ENUMERATION_CAP, *, degree: int | None = None) -> list:
     """Breadth-first closure of ``generators`` under composition.
 
     Insertion order is deterministic given the generator order; the identity
@@ -59,8 +62,6 @@ def closure(generators, cap: int | None = None, *, degree: int | None = None) ->
     gens, degree = _dedup_generators(generators, degree)
     if degree is None:
         raise ValueError("cannot infer degree from an empty generator set")
-    if cap is None:
-        cap = enumeration_cap()
     if cap <= 0:
         raise ValueError("cap must be positive")
     e = identity(degree)
@@ -185,18 +186,17 @@ class Group:
 
     # -- element store ---------------------------------------------------
 
-    def materialize(self, cap: int | None = None) -> tuple:
+    def materialize(self) -> tuple:
         """Build (or return) the element store, sorted lexicographically."""
         if self._elements is not None:
             return self._elements
-        if cap is None:
-            cap = enumeration_cap()
         known = self.order_hint
-        if known is not None and known > cap:
+        if known is not None and known > ENUMERATION_CAP:
             raise CapExceeded(
-                f"group of order {known} exceeds enumeration cap {cap}", cap=cap
+                f"group of order {known} exceeds enumeration cap {ENUMERATION_CAP}",
+                cap=ENUMERATION_CAP,
             )
-        els = closure(self.generators, cap, degree=self.degree)
+        els = closure(self.generators, degree=self.degree)
         if known is not None and len(els) != known:
             raise InternalInvariantViolation(
                 f"closure size {len(els)} contradicts declared order {known}"
@@ -205,13 +205,9 @@ class Group:
         self._index = {p: i for i, p in enumerate(self._elements)}
         return self._elements
 
-    def materializable(self, cap: int | None = None) -> bool:
-        if self._elements is not None:
-            return True
-        if cap is None:
-            cap = enumeration_cap()
+    def materializable(self) -> bool:
         try:
-            self.materialize(cap)
+            self.materialize()
             return True
         except CapExceeded:
             return False
@@ -385,15 +381,13 @@ class Group:
         return self._cache["class_of"][eid]
 
 
-def conjugacy_class(G: Group, x: Permutation, cap: int | None = None) -> list:
+def conjugacy_class(G: Group, x: Permutation, cap: int = DEFAULT_CLASS_ORBIT_CAP) -> list:
     """Orbit of ``x`` under conjugation by the generators of ``G``.
 
     Runs without materialising ``G``, so it succeeds whenever the class itself
     is small even if the group is astronomically large.  Exceeding ``cap``
     raises :class:`CapExceeded` carrying the partial count.
     """
-    if cap is None:
-        cap = DEFAULT_CLASS_ORBIT_CAP
     seen = {x}
     out = [x]
     frontier = [x]
@@ -416,7 +410,7 @@ def conjugacy_class(G: Group, x: Permutation, cap: int | None = None) -> list:
     return out
 
 
-def class_index(G: Group, x: Permutation, cap: int | None = None) -> int:
+def class_index(G: Group, x: Permutation) -> int:
     """``|G : C_G(x)|``, the conjugacy class size of ``x`` in ``G``.
 
     Unmaterialised direct products are handled componentwise; a materialised
@@ -425,12 +419,12 @@ def class_index(G: Group, x: Permutation, cap: int | None = None) -> int:
     """
     if G.blocks is not None:
         return math.prod(
-            class_index(f, col[0], cap) for f, col in zip(G.blocks, G.split_all([x]))
+            class_index(f, col[0]) for f, col in zip(G.blocks, G.split_all([x]))
         )
     if G.is_materialized:
         return len(G.conjugacy_partition()[G.class_of_id(G.element_id(x))])
     try:
-        return len(conjugacy_class(G, x, cap))
+        return len(conjugacy_class(G, x))
     except CapExceeded:
         if G.materializable():
             return G.order // centraliser_order(G, [x])
@@ -550,14 +544,17 @@ class Subgroup:
 
     Backings, exactly one of which is set:
 
-    * ``ids`` -- member ids into a materialised parent store (the common case;
-      frozensets give O(1) membership and canonical dedup keys);
-    * ``members`` -- an explicit sorted element tuple, for small subgroups of
-      parents too large to materialise;
-    * ``factors`` -- one subgroup per block of a direct-product action, for
-      product-form subgroups of huge products (order known as the product of
-      factor orders, membership tested blockwise);
-    * ``whole`` -- the parent itself.
+    * ``ids`` -- member ids into the parent's materialised element store
+      (frozensets give O(1) membership and canonical dedup keys);
+    * ``factors`` -- one subgroup per block of a block action, for the
+      product-form subgroups of a direct product whose store is not built
+      (order known as the product of factor orders, membership tested
+      blockwise), and for the base of a wreath product.
+
+    So a subgroup is ids of a materialised parent, or blocks of an
+    unmaterialised product: building a subgroup of any other group
+    materialises the parent's cap-guarded store, never its Cayley table, and
+    an element outside the parent raises ValueError.
 
     Id-backed subgroups are canonical per parent: :meth:`from_ids`, through
     which every id-backed construction goes, returns the one object for
@@ -567,17 +564,14 @@ class Subgroup:
     the pool keeps neither them nor, through them, the parent alive.
     """
 
-    __slots__ = ("parent", "_ids", "_members", "_factors", "_whole", "_cache", "__weakref__")
+    __slots__ = ("parent", "_ids", "_factors", "_cache", "__weakref__")
 
-    def __init__(self, parent, *, ids=None, members=None, factors=None, whole=False):
-        backings = sum(x is not None for x in (ids, members, factors)) + bool(whole)
-        if backings != 1:
+    def __init__(self, parent, *, ids=None, factors=None):
+        if (ids is None) == (factors is None):
             raise ValueError("exactly one subgroup backing must be supplied")
         self.parent = parent
         self._ids = ids
-        self._members = members
         self._factors = factors
-        self._whole = whole
         self._cache = {}
 
     # -- constructors ------------------------------------------------------
@@ -596,10 +590,21 @@ class Subgroup:
 
     @classmethod
     def from_members(cls, parent: Group, members) -> "Subgroup":
-        members = tuple(sorted(set(members)))
-        if parent.is_materialized:
-            return cls.from_ids(parent, (parent.element_id(p) for p in members))
-        return cls(parent, members=members)
+        """The subgroup of ``parent`` whose elements are ``members``.
+
+        On an unmaterialised direct product, members whose block projections
+        have orders multiplying to their count are the product of those
+        projections and give a factor-backed subgroup.  Otherwise the members
+        become ids, materialising the parent.
+        """
+        members = set(members)
+        if parent.blocks is not None:
+            factors = [
+                cls.from_members(f, col) for f, col in zip(parent.blocks, parent.split_all(members))
+            ]
+            if math.prod(s.order for s in factors) == len(members):
+                return cls.from_factors(parent, factors)
+        return cls.from_ids(parent, map(parent.element_id, members))
 
     @classmethod
     def from_factors(cls, parent: Group, factor_subs) -> "Subgroup":
@@ -609,25 +614,18 @@ class Subgroup:
         return cls(parent, factors=factor_subs)
 
     @classmethod
-    def from_generators(cls, parent: Group, gens, cap: int | None = None) -> "Subgroup":
-        members = closure(list(gens), cap, degree=parent.degree)
-        return cls.from_members(parent, members)
+    def from_generators(cls, parent: Group, gens) -> "Subgroup":
+        return cls.from_members(parent, closure(list(gens), degree=parent.degree))
 
     @classmethod
     def trivial(cls, parent: Group) -> "Subgroup":
-        if parent.blocks is not None:
-            return cls.from_factors(parent, [cls.trivial(f) for f in parent.blocks])
-        if parent.is_materialized:
-            return cls.from_ids(parent, {parent.element_id(parent.identity())})
-        return cls(parent, members=(parent.identity(),))
+        return cls.from_members(parent, [parent.identity()])
 
     @classmethod
     def full(cls, parent: Group) -> "Subgroup":
         if parent.blocks is not None:
             return cls.from_factors(parent, [cls.full(f) for f in parent.blocks])
-        if parent.is_materialized:
-            return cls.from_ids(parent, range(len(parent.elements)))
-        return cls(parent, whole=True)
+        return cls.from_ids(parent, range(len(parent.elements)))
 
     # -- basic facts ---------------------------------------------------------
 
@@ -635,11 +633,7 @@ class Subgroup:
     def order(self) -> int:
         if self._ids is not None:
             return len(self._ids)
-        if self._members is not None:
-            return len(self._members)
-        if self._factors is not None:
-            return math.prod(s.order for s in self._factors)
-        return self.parent.order
+        return math.prod(s.order for s in self._factors)
 
     def __len__(self) -> int:
         return self.order
@@ -673,11 +667,7 @@ class Subgroup:
         """
         if self.parent.is_materialized:
             return ("ids", self.ids_in_store())
-        if self._members is not None:
-            return ("members", self._members)
-        if self._factors is not None:
-            return ("factors", tuple(s.key() for s in self._factors))
-        return ("whole",)
+        return ("factors", tuple(s.key() for s in self._factors))
 
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -713,30 +703,21 @@ class Subgroup:
                 return self.parent.element_id(p) in self._ids
             except ValueError:
                 return False
-        if self._members is not None:
-            return p in self.member_set()
-        if self._factors is not None:
-            parts = split_blocks(p, self._block_degrees())
-            return parts is not None and all(q in s for q, s in zip(parts, self._factors))
-        return p in self.parent
+        parts = split_blocks(p, self._block_degrees())
+        return parts is not None and all(q in s for q, s in zip(parts, self._factors))
 
-    def members(self, cap: int | None = None) -> tuple:
+    def members(self) -> tuple:
         """All elements, sorted lexicographically."""
         if self._ids is not None:
             els = self.parent.elements
             return tuple(els[i] for i in sorted(self._ids))
-        if self._members is not None:
-            return self._members
-        if cap is None:
-            cap = enumeration_cap()
-        if self.order > cap:
+        if self.order > ENUMERATION_CAP:
             raise CapExceeded(
-                f"subgroup of order {self.order} exceeds enumeration cap {cap}", cap=cap
+                f"subgroup of order {self.order} exceeds enumeration cap {ENUMERATION_CAP}",
+                cap=ENUMERATION_CAP,
             )
-        if self._factors is not None:
-            blocks = [s.members(cap) for s in self._factors]
-            return tuple(sorted(map(join_blocks, itertools.product(*blocks))))
-        return self.parent.materialize(cap)
+        blocks = [s.members() for s in self._factors]
+        return tuple(sorted(map(join_blocks, itertools.product(*blocks))))
 
     def member_set(self) -> frozenset:
         return self.cached("member_set", lambda: frozenset(self.members()))
@@ -744,16 +725,14 @@ class Subgroup:
     def generating_set(self) -> tuple:
         """A small, deterministic generating set."""
         if "gens" not in self._cache:
-            if self._whole:
-                gens = list(self.parent.generators)
-            elif self._factors is not None:
+            if self._factors is not None:
                 degrees = self._block_degrees()
                 gens = [
                     embed_block(degrees, i, g)
                     for i, s in enumerate(self._factors)
                     for g in s.generating_set()
                 ]
-            elif self._ids is not None and self.parent.use_id_arithmetic():
+            elif self.parent.use_id_arithmetic():
                 els = self.parent.elements
                 gens = [els[i] for i in self.generating_ids()]
             else:
@@ -813,24 +792,18 @@ class Subgroup:
         parent's store, table and caches.
         """
         if "group" not in self._cache:
-            if self._whole or self.order == self.parent.order:
+            factors = self._factors
+            if self.order == self.parent.order:
                 view = self.parent
-            elif self._factors is not None:
-                view = Group(
-                    self.parent.degree,
-                    self.generating_set(),
-                    order_hint=self.order,
-                    direct_factors=[s.as_group() for s in self._factors],
-                    name=f"subgroup({self.order}) of {self.parent.name}",
-                )
             else:
                 view = Group(
                     self.parent.degree,
                     self.generating_set(),
                     order_hint=self.order,
+                    direct_factors=None if factors is None else [s.as_group() for s in factors],
                     name=f"subgroup({self.order}) of {self.parent.name}",
                 )
-                if self.order <= 4096:
+                if factors is None:
                     view._elements = self.members()
                     view._index = {p: i for i, p in enumerate(view._elements)}
             self._cache["group"] = view

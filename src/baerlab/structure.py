@@ -483,16 +483,19 @@ def find_prefactorised_sylow(F: Factorisation, p: int) -> Subgroup:
 # -- Hall subgroups -----------------------------------------------------------------
 
 
-def hall(G: Group, pi, budget: int = 50_000):
+# Closures one Hall search may attempt before it gives up.
+HALL_BUDGET = 50_000
+
+
+def hall(G: Group, pi):
     """Best-effort Hall pi-subgroup search; ``None`` means "not found within
     budget", which is distinct from a nonexistence proof.
 
     Strategy: seed with the conjugates of a Sylow subgroup for the heaviest
     prime in pi and greedily adjoin pi-elements whose closure stays a
-    pi-group, backtracking on dead ends, bounded by ``budget`` closures.
+    pi-group, backtracking on dead ends, bounded by ``HALL_BUDGET`` closures.
     """
     pi = frozenset(p for p in pi if G.order % p == 0)
-    key = ("hall", pi, budget)
 
     def build():
         target = pi_part(G.order, pi)
@@ -502,7 +505,7 @@ def hall(G: Group, pi, budget: int = 50_000):
             return Subgroup.full(G)
         if len(pi) == 1:
             return sylow(G, next(iter(pi)))
-        if (parts := _blockwise(G, lambda f: hall(f, pi, budget))) is not None:
+        if (parts := _blockwise(G, lambda f: hall(f, pi))) is not None:
             return None if None in parts else Subgroup.from_factors(G, parts)
         G.materialize()
         orders = G.element_orders()
@@ -521,7 +524,7 @@ def hall(G: Group, pi, budget: int = 50_000):
             for x in candidates:
                 if x in H:
                     continue
-                if spent >= budget:
+                if spent >= HALL_BUDGET:
                     return None
                 spent += 1
                 K = G.closure_from_gen_ids(hgens + [x])
@@ -542,11 +545,11 @@ def hall(G: Group, pi, budget: int = 50_000):
             r = extend(P.ids)
             if r is not None:
                 return Subgroup.from_ids(G, r)
-            if spent >= budget:
+            if spent >= HALL_BUDGET:
                 break
         return None
 
-    return _cached(G, key, build)
+    return _cached(G, ("hall", pi), build)
 
 
 def hall_conjugates(G: Group, H: Subgroup) -> list:
@@ -631,13 +634,12 @@ def _normal_closure_ids(G: Group, seed_ids) -> frozenset:
     return K
 
 
-def normal_closure(G: Group, S, cap: int | None = None) -> Subgroup:
+def normal_closure(G: Group, S) -> Subgroup:
     """Smallest normal subgroup of ``G`` containing ``S`` (iterable or Subgroup)."""
     gens = list(S.generating_set()) if isinstance(S, Subgroup) else list(S)
     gens = [g for g in gens if not g.is_identity()]
     if not gens:
         return Subgroup.trivial(G)
-    G.materialize(cap)
     ids = _normal_closure_ids(G, [G.element_id(g) for g in gens])
     return Subgroup.from_ids(G, ids)
 

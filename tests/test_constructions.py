@@ -199,6 +199,13 @@ def test_parse_group_spec_roundtrips():
         assert parse_group_spec(text).order == order, text
 
 
+def test_parse_subgroup_spec_is_generated_by_its_words():
+    G = parse_group_spec("subgroup(semilinear(2,4); g0, g1, g2^2)")
+    S = semilinear(2, 4)
+    assert G.generators == tuple(evaluate_word(S, w) for w in ("g0", "g1", "g2^2"))
+    assert G.order == 480
+
+
 def test_parse_group_spec_errors():
     for bad in [
         "cyclic(7",

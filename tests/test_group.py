@@ -271,7 +271,7 @@ def test_full_order_views_are_the_parent():
     assert Subgroup.from_generators(G, [parse_cycles("(0 1 2)")]).as_group() is not G
     H = Group(3, [parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)")], order_hint=6)
     assert Subgroup.full(H).as_group() is H
-    assert not H.is_materialized
+    assert Subgroup.full(H) is Subgroup.from_ids(H, range(6))
 
 
 @settings(max_examples=25, deadline=None)
@@ -323,3 +323,52 @@ def test_from_ids_returns_the_canonical_subgroup():
     H.materialize()
     assert Subgroup.from_ids(H, ids) is not A
     assert Subgroup.from_ids(H, ids).parent is H
+
+
+# -- the two backings: ids of a materialised parent, blocks of a lazy product -------
+
+
+def lazy_sym3_squared():
+    from baerlab.constructions import direct_product, symmetric
+
+    return direct_product([symmetric(3), symmetric(3)])
+
+
+def test_block_form_members_of_a_lazy_product_are_factor_backed():
+    G = lazy_sym3_squared()
+    gens = [G.embed_factor_element(0, parse_cycles("(0 1 2)")),
+            G.embed_factor_element(1, parse_cycles("(0 1)", 3))]
+    members = closure(gens, degree=6)
+    for S in (Subgroup.from_members(G, members), Subgroup.from_generators(G, gens)):
+        assert [s.order for s in S.factors] == [3, 2]
+        assert S.order == 6
+        assert S.member_set() == set(members)
+    assert Subgroup.trivial(G).factors is not None
+    assert not G.is_materialized
+
+
+def test_diagonal_of_a_lazy_product_is_id_backed():
+    G = lazy_sym3_squared()
+    diagonal = [Permutation(g.images + tuple(v + 3 for v in g.images))
+                for g in closure([parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)")])]
+    D = Subgroup.from_members(G, diagonal)
+    assert D.factors is None
+    assert D.order == 6
+    assert D is Subgroup.from_ids(G, D.ids)
+    assert D.member_set() == set(diagonal)
+
+
+def test_trivial_and_full_of_a_lazy_group_are_canonical_id_subgroups():
+    H = Group(3, [parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)")], order_hint=6)
+    assert Subgroup.trivial(H) is Subgroup.from_ids(H, [H.element_id(identity(3))])
+    assert Subgroup.full(H) is Subgroup.from_ids(H, range(6))
+
+
+def test_members_outside_the_parent_are_rejected():
+    C3 = Group(3, [parse_cycles("(0 1 2)")])
+    with pytest.raises(ValueError, match="not an element"):
+        Subgroup.from_generators(C3, [parse_cycles("(0 1)", 3)])
+    # (2 3) swaps a point of each block, so it mixes the blocks of the product.
+    G = lazy_sym3_squared()
+    with pytest.raises(ValueError, match="direct-product blocks"):
+        Subgroup.from_generators(G, [parse_cycles("(2 3)", 6)])

@@ -8,6 +8,9 @@ module goes through its public methods, so a backing can change in one place.
 Likewise only ``group.py`` calls the ``Subgroup`` constructor or reads a
 group's pool of canonical subgroups, so no id-backed subgroup bypasses
 ``Subgroup.from_ids``.
+
+No module reads the process environment, so no setting can change the
+engine's behaviour outside its arguments and constants.
 """
 
 import ast
@@ -84,7 +87,7 @@ def test_unused_import_detector():
     assert unused_imports(source) == [(2, "os"), (3, "Group")]
 
 
-SUBGROUP_BACKINGS = frozenset({"_ids", "_members", "_factors", "_whole"})
+SUBGROUP_BACKINGS = frozenset({"_ids", "_factors"})
 
 
 def backing_reads(source: str) -> list:
@@ -106,11 +109,11 @@ def test_subgroup_backings_stay_in_group_module(path):
 def test_backing_read_detector():
     source = (
         "def f(S, G):\n"
-        "    if S._whole or S.factors:\n"
+        "    if S._ids or S.factors:\n"
         "        return G._cache, getattr(S, 'ids')\n"
         "    return [s for s in S._factors]\n"
     )
-    assert backing_reads(source) == [(2, "_whole"), (4, "_factors")]
+    assert backing_reads(source) == [(2, "_ids"), (4, "_factors")]
 
 
 def pool_bypasses(source: str) -> list:
@@ -145,3 +148,42 @@ def test_pool_bypass_detector():
     assert pool_bypasses(source) == [
         (3, "Subgroup(...)"), (4, "Subgroup(...)"), (5, "_subgroups")
     ]
+
+
+ENVIRONMENT_READERS = frozenset({"environ", "getenv"})
+
+
+def environment_reads(source: str) -> list:
+    """(line, name) for every read of the process environment through ``os``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ENVIRONMENT_READERS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ):
+            out.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            out.extend(
+                (node.lineno, f"os.{a.name}") for a in node.names if a.name in ENVIRONMENT_READERS
+            )
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_no_environment_knobs(path):
+    """Engine behaviour is fixed by its arguments and constants, never by the
+    environment, so a run is reproducible from its inputs alone."""
+    assert environment_reads(path.read_text()) == []
+
+
+def test_environment_read_detector():
+    source = (
+        "import os\n"
+        "from os import getenv as ge, path\n"
+        "CAP = int(os.environ.get('CAP', 5))\n"
+        "def f(environ):\n"
+        "    return os.getenv('X'), environ, os.path.join('a')\n"
+    )
+    assert environment_reads(source) == [(2, "os.getenv"), (3, "os.environ"), (5, "os.getenv")]
