@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded, InternalInvariantViolation
-from .group import Group, Subgroup, centraliser, class_index
+from .errors import CapExceeded, InternalInvariantViolation, check_enumerable
+from .group import Group, Subgroup, centraliser, class_index, join_blocks
 from .numth import (
     PrimePower,
     classify_prime_power,
@@ -125,8 +126,16 @@ def _index_rows(G: Group, locus: str, sub: Subgroup, keep) -> list:
 
     On a materialised G the members are read as sorted store ids, which is
     the same order; orders come from ``G.element_orders()`` and indices are
-    class sizes from ``G.conjugacy_partition()``.  On a lazy G each member's
-    order and class size is computed from its permutation.
+    class sizes from ``G.conjugacy_partition()``.  On an unmaterialised
+    product with ``sub`` product-form over its blocks (:func:`_blockwise`),
+    each block gives the rows of all of its members, and a member of ``sub``
+    is one row per block: its order is the lcm of the block orders, its
+    index the product of the block indices (class sizes multiply in a
+    direct product), and its permutation is joined only when ``keep``
+    passes.  Block members are sorted, so the product of the block rows is
+    in ``sub.members()`` order.  Otherwise, for instance for the base of a
+    wreath product, each member's order and class size is computed from its
+    permutation.
     """
     if G.is_materialized:
         els = G.elements
@@ -137,6 +146,16 @@ def _index_rows(G: Group, locus: str, sub: Subgroup, keep) -> list:
             for i in sorted(sub.ids_in_store())
             if keep(orders[i])
         ]
+    parts = _blockwise(G, lambda f, s: _index_rows(f, locus, s, lambda o: True), sub)
+    if parts is not None:
+        check_enumerable("subgroup", sub.order)
+        rows = []
+        for row in itertools.product(*parts):
+            o = math.lcm(*(r[2] for r in row))
+            if keep(o):
+                x = join_blocks(r[1] for r in row)
+                rows.append((locus, x, o, math.prod(r[3] for r in row)))
+        return rows
     rows = []
     for x in sub.members():
         o = x.order()
@@ -153,9 +172,10 @@ def _pp_profile(F: Factorisation) -> list:
     """Every nontrivial prime-power-order element of A u B with its index in G.
 
     Entries are ``(locus, element, order, index)`` sorted by (locus, element),
-    computed once per factorisation.  On a materialised G the rows are read
-    from store ids, element orders and the conjugacy partition
-    (:func:`_index_rows`); on a lazy G from the member permutations.
+    computed once per factorisation by :func:`_index_rows`: on a materialised
+    G from store ids, element orders and the conjugacy partition; on an
+    unmaterialised product, when A and B are product-form over its blocks,
+    from the rows of the blocks; otherwise from the member permutations.
     """
     if "pp_profile" not in F._cache:
         rows = []
@@ -322,7 +342,7 @@ def check_theorem_f_equivalence(F: Factorisation) -> TheoremReport:
     )
     # An unmaterialised product answers blockwise; building its store here
     # would take it off the blockwise route for every later check.
-    if G.order <= 500 and (G.blocks is not None or G.materializable()):
+    if G.order <= 500:
         stable = True
         for p in sorted(pi_of(G)):
             for locus, sub in F.factors():

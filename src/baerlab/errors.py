@@ -39,3 +39,13 @@ class InternalInvariantViolation(RuntimeError):
     guarantee breaks.  Never swallowed: it means the engine has a bug, not
     that the input is unusual.
     """
+
+
+def check_enumerable(what: str, order: int) -> None:
+    """Raise :class:`CapExceeded` if listing ``order`` elements one by one
+    would pass ``ENUMERATION_CAP``."""
+    if order > ENUMERATION_CAP:
+        raise CapExceeded(
+            f"{what} of order {order} exceeds enumeration cap {ENUMERATION_CAP}",
+            cap=ENUMERATION_CAP,
+        )

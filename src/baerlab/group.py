@@ -33,6 +33,7 @@ from .errors import (
     ENUMERATION_CAP,
     CapExceeded,
     InternalInvariantViolation,
+    check_enumerable,
 )
 from .perm import Permutation, identity
 
@@ -191,11 +192,8 @@ class Group:
         if self._elements is not None:
             return self._elements
         known = self.order_hint
-        if known is not None and known > ENUMERATION_CAP:
-            raise CapExceeded(
-                f"group of order {known} exceeds enumeration cap {ENUMERATION_CAP}",
-                cap=ENUMERATION_CAP,
-            )
+        if known is not None:
+            check_enumerable("group", known)
         els = closure(self.generators, degree=self.degree)
         if known is not None and len(els) != known:
             raise InternalInvariantViolation(
@@ -711,11 +709,7 @@ class Subgroup:
         if self._ids is not None:
             els = self.parent.elements
             return tuple(els[i] for i in sorted(self._ids))
-        if self.order > ENUMERATION_CAP:
-            raise CapExceeded(
-                f"subgroup of order {self.order} exceeds enumeration cap {ENUMERATION_CAP}",
-                cap=ENUMERATION_CAP,
-            )
+        check_enumerable("subgroup", self.order)
         blocks = [s.members() for s in self._factors]
         return tuple(sorted(map(join_blocks, itertools.product(*blocks))))
 

@@ -11,15 +11,17 @@ reaches the same subgroup shares them.
 Direct products follow one rule, decided by :attr:`Group.blocks`: a group is
 handled blockwise exactly when it carries ``direct_factors`` and its store is
 not built.  The operations that distribute over products (centre, derived
-subgroup, Sylow and Hall subgroups, cores, Fitting terms, exponent,
-quotients and preimages, prefactorised Sylow subgroups) then recurse into
-the factors through :func:`_blockwise`, provided every subgroup argument is
-product-form over the same blocks.  Every other call, a materialised product
-included, takes the whole-group route.
+subgroup, Sylow and Hall subgroups, Sylow conjugates, cores, Fitting terms,
+exponent, normality, quotients and preimages, prefactorised Sylow
+subgroups) then recurse into the factors through :func:`_blockwise`,
+provided every subgroup argument is product-form over the same blocks; so
+does the p-power index profile of ``baer``.  Every other call, a
+materialised product included, takes the whole-group route.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -171,11 +173,22 @@ def _normaliser_ids(G: Group, H: frozenset) -> list:
 
 
 def sylow_conjugates(G: Group, p: int) -> list:
-    """All distinct conjugates of sylow(G, p), in first-appearance store order."""
+    """All distinct conjugates of sylow(G, p).
+
+    On a materialised group they come in first-appearance store order.  On
+    an unmaterialised product every Sylow p-subgroup is the product of Sylow
+    p-subgroups of the blocks, so the list is the product of the blocks'
+    lists, in ``itertools.product`` order, not store order; the first entry
+    is still sylow(G, p).
+    """
 
     def build():
         P = sylow(G, p)
-        return [P] if P.is_trivial() else hall_conjugates(G, P)
+        if P.is_trivial():
+            return [P]
+        if (parts := _blockwise(G, lambda f: sylow_conjugates(f, p))) is not None:
+            return [Subgroup.from_factors(G, c) for c in itertools.product(*parts)]
+        return hall_conjugates(G, P)
 
     return _cached(G, ("sylow_conjugates", p), build)
 
@@ -647,14 +660,18 @@ def normal_closure(G: Group, S) -> Subgroup:
 def is_normal(G: Group, S: Subgroup) -> bool:
     """Whether ``S`` is normal in ``G``: generators conjugate generators into S.
 
-    When ``S`` is a subgroup of ``G`` itself and ``G`` is within the
-    Cayley-table gate, the conjugates are table lookups tested against S's
-    store ids.  Otherwise, for instance for a subgroup of another group on
-    the same points, the permutations are conjugated and tested for
-    membership.
+    On an unmaterialised product with ``S`` product-form over its blocks the
+    answer is blockwise, which is exact: ``S_1 x ... x S_r`` is normal in
+    ``G_1 x ... x G_r`` iff every ``S_i`` is normal in ``G_i``.  When ``S``
+    is a subgroup of ``G`` itself and ``G`` is within the Cayley-table gate,
+    the conjugates are table lookups tested against S's store ids.  In any
+    other case, for instance for a subgroup of another group on the same
+    points, the permutations are conjugated and tested for membership.
     """
     if S.order == G.order:
         return True
+    if (parts := _blockwise(G, is_normal, S)) is not None:
+        return all(parts)
     if S.parent is G and G.use_id_arithmetic():
         ids = S.ids_in_store()
         return S.cached("normal", lambda: all(

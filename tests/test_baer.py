@@ -12,8 +12,17 @@ from baerlab.constructions import (
 )
 from baerlab.errors import CAYLEY_TABLE_MAX_ORDER, CapExceeded, InternalInvariantViolation
 from baerlab.group import Subgroup
+from baerlab.perm import Permutation
 from baerlab.reporting import FAIL, SKIPPED, TheoremReport
-from baerlab.structure import Factorisation, enumerate_subgroups, pi_of
+from baerlab.structure import (
+    Factorisation,
+    enumerate_subgroups,
+    is_normal,
+    o_p,
+    pi_of,
+    sylow,
+    sylow_conjugates,
+)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -24,10 +33,9 @@ def test_theorem_a_on_semilinear_2_4_trivial_factorisation(p):
     assert all(c.verdict != FAIL for c in report.clauses)
 
 
-def test_theorem_a_on_unmaterialised_product_factorisation():
-    # G = A x B of order 30,240: the products P F(G) and P O_p'(G) of
-    # clause 2 must be built block by block, never by closing G-sized sets.
-    left, right = [symmetric(4), dihedral(10)], [frobenius(7, 3), symmetric(3)]
+def block_halves_factorisation(left, right) -> Factorisation:
+    """``G = A x B`` on the unmaterialised product of ``left + right``, with A
+    the product of the ``left`` blocks and B of the ``right`` ones."""
     G = direct_product(left + right)
     blocks = G.direct_factors
     k = len(left)
@@ -35,7 +43,14 @@ def test_theorem_a_on_unmaterialised_product_factorisation():
                               + [Subgroup.trivial(f) for f in blocks[k:]])
     B = Subgroup.from_factors(G, [Subgroup.trivial(f) for f in blocks[:k]]
                               + [Subgroup.full(f) for f in blocks[k:]])
-    F = Factorisation(G, A, B)
+    return Factorisation(G, A, B)
+
+
+def test_theorem_a_on_unmaterialised_product_factorisation():
+    # G = A x B of order 30,240: the products P F(G) and P O_p'(G) of
+    # clause 2 must be built block by block, never by closing G-sized sets.
+    F = block_halves_factorisation([symmetric(4), dihedral(10)], [frobenius(7, 3), symmetric(3)])
+    G = F.group
     assert G.order == 30_240
     for p in sorted(pi_of(G)):
         report = report_theorem_a(F, p)
@@ -84,14 +99,58 @@ def test_cap_witness_and_invariant_violations(monkeypatch):
 def test_theorem_f_keeps_a_small_product_lazy():
     # Order 60 is under Theorem F's bound for the choice-independence
     # clause; the blockwise centraliser decides it without building G's store.
-    G = direct_product([symmetric(3), dihedral(10)])
-    left, right = G.direct_factors
-    A = Subgroup.from_factors(G, [Subgroup.full(left), Subgroup.trivial(right)])
-    B = Subgroup.from_factors(G, [Subgroup.trivial(left), Subgroup.full(right)])
-    report = check_theorem_f_equivalence(Factorisation(G, A, B))
+    F = block_halves_factorisation([symmetric(3)], [dihedral(10)])
+    report = check_theorem_f_equivalence(F)
     assert [(c.clause, c.verdict) for c in report.clauses] == [
         ("equivalence", "pass"), ("choice-independence", "pass")
     ]
+    assert not F.group.is_materialized
+
+
+def test_every_check_keeps_a_small_trivial_product_lazy():
+    # On the trivial factorisation G = G G, Theorem F's choice-independence
+    # clause walks the Sylow conjugates of G itself; they come block by
+    # block, so no check builds G's store, and they are the conjugates a
+    # materialised copy finds.
+    G = direct_product([symmetric(3), dihedral(10)])
+    factorisation_rows(Factorisation.trivial(G))
+    assert not G.is_materialized
+    whole = direct_product([symmetric(3), dihedral(10)])
+    whole.materialize()
+    for p in pi_of(G):
+        lazy_sets = {frozenset(Q.members()) for Q in sylow_conjugates(G, p)}
+        assert lazy_sets == {frozenset(Q.members()) for Q in sylow_conjugates(whole, p)}
+    assert not G.is_materialized
+
+
+def test_lazy_product_profiles_and_normality_order_and_conjugate_only_block_permutations(
+    monkeypatch,
+):
+    # Work-count guard: on G = A x B, element orders, class sizes and
+    # normality come from the blocks, so no permutation of G's own degree is
+    # ever ordered or conjugated.
+    F = block_halves_factorisation([symmetric(4), dihedral(10)], [frobenius(7, 3), symmetric(3)])
+    G = F.group
+    calls = {"order": 0, "conjugate": 0}
+
+    def counted(name):
+        method = getattr(Permutation, name)
+
+        def run(self, *args):
+            if self.degree == G.degree:
+                calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(Permutation, name, run)
+
+    counted("order")
+    counted("conjugate")
+    for p in sorted(pi_of(G)):
+        for via in ("union", "sylow"):
+            baer.is_p_baer(F, p, via)
+        for S in (F.a, F.b, sylow(G, p), o_p(G, p)):
+            is_normal(G, S)
+    assert calls == {"order": 0, "conjugate": 0}
     assert not G.is_materialized
 
 

@@ -453,6 +453,65 @@ def test_lazy_product_blocks_match_materialised_product(factors):
     assert not lazy.is_materialized
 
 
+@pytest.mark.parametrize(
+    "factors",
+    [(symmetric, 3, dihedral, 10), (symmetric, 4, cyclic, 3)],
+    ids=["sym3_x_d10", "sym4_x_c3"],
+)
+def test_lazy_product_profiles_normality_and_sylow_conjugates_match_materialised_product(
+    factors,
+):
+    # The lazy copy reads index profiles, normality and Sylow conjugates from
+    # its blocks; the materialised copy reads them from its own store and
+    # table.  Blockwise the conjugates come in product order, so they are
+    # compared as sets.
+    from baerlab.baer import _pp_profile
+
+    f1, n1, f2, n2 = factors
+    lazy = direct_product([f1(n1), f2(n2)])
+    whole = direct_product([f1(n1), f2(n2)])
+    whole.materialize()
+
+    def block_factorisation(G):
+        left, right = G.direct_factors
+        A = Subgroup.from_factors(G, [Subgroup.full(left), Subgroup.trivial(right)])
+        B = Subgroup.from_factors(G, [Subgroup.trivial(left), Subgroup.full(right)])
+        return Factorisation(G, A, B)
+
+    assert _pp_profile(block_factorisation(lazy)) == _pp_profile(block_factorisation(whole))
+
+    def normality(G):
+        left, right = (enumerate_subgroups(f) for f in G.direct_factors)
+        return [is_normal(G, Subgroup.from_factors(G, [S1, S2])) for S1 in left for S2 in right]
+
+    verdicts = normality(lazy)
+    assert verdicts == normality(whole)
+    assert True in verdicts and False in verdicts
+
+    for p in pi_of(lazy):
+        conjugates = sylow_conjugates(lazy, p)
+        assert members_set(conjugates[0]) == members_set(sylow(lazy, p))
+        lazy_sets = [frozenset(Q.members()) for Q in conjugates]
+        whole_sets = [frozenset(Q.members()) for Q in sylow_conjugates(whole, p)]
+        assert len(set(lazy_sets)) == len(lazy_sets) == len(whole_sets)
+        assert set(lazy_sets) == set(whole_sets)
+    assert not lazy.is_materialized
+
+
+def test_index_profile_of_a_lazy_product_past_the_enumeration_cap_raises():
+    # Three blocks of order 200 multiply to 8,000,000 members, past the cap:
+    # the blockwise profile refuses to list them, as members() does.
+    from baerlab.baer import _pp_profile
+    from baerlab.errors import ENUMERATION_CAP
+
+    G = direct_product([cyclic(200) for _ in range(3)])
+    assert G.order > ENUMERATION_CAP
+    with pytest.raises(CapExceeded) as caught:
+        _pp_profile(Factorisation.trivial(G))
+    assert caught.value.cap == ENUMERATION_CAP
+    assert not G.is_materialized
+
+
 # -- table routes against brute-force definitions ---------------------------------------
 
 
