@@ -147,6 +147,7 @@ class Group:
         self._index: dict | None = None
         self._cayley: list | None = None
         self._inverse_ids: list | None = None
+        self._conj_maps: list | None = None
         self._cache: dict = {}
         # The canonical id-backed subgroups (Subgroup.from_ids), held weakly
         # so that a group and its subgroups are freed by reference counting;
@@ -332,9 +333,24 @@ class Group:
         self.materialize()
         return [self._index[g] for g in self.generators]
 
-    def conjugate_id(self, x: int, g: int) -> int:
-        mul = self.cayley()
-        return mul[mul[self.inverse_ids()[g]][x]][g]
+    def conjugation_maps(self) -> list:
+        """Per generator ``g``, the id map ``cmap[x] == id(g**-1 * x * g)``.
+
+        Built once per group: within the Cayley-table gate each map is read
+        from the table, ``mul[g**-1][mul[x][g]]``; past it, every stored
+        element is conjugated and looked up in the store.  The maps come in
+        generator order.
+        """
+        if self._conj_maps is None:
+            els = self.materialize()
+            if len(els) <= CAYLEY_TABLE_MAX_ORDER:
+                mul, inv = self.cayley(), self.inverse_ids()
+                maps = [[mul[inv[g]][row[g]] for row in mul] for g in self.generator_ids()]
+            else:
+                idx = self._index
+                maps = [[idx[x.conjugate(g)] for x in els] for g in self.generators]
+            self._conj_maps = maps
+        return self._conj_maps
 
     # -- element facts, cached --------------------------------------------
 
@@ -344,32 +360,29 @@ class Group:
         return self._cache["orders"]
 
     def conjugacy_partition(self) -> list:
-        """All conjugacy classes as sorted id tuples, by ascending least member."""
+        """All conjugacy classes as sorted id tuples, by ascending least member.
+
+        Each class is the orbit of its least id under the
+        :meth:`conjugation_maps`, so no permutation is conjugated once the
+        maps exist.
+        """
         if "classes" not in self._cache:
-            els = self.materialize()
-            idx = self._index
-            gens = self.generators
-            assigned = [-1] * len(els)
+            maps = self.conjugation_maps()
+            assigned = [-1] * len(self.materialize())
             classes = []
-            for start in range(len(els)):
+            for start in range(len(assigned)):
                 if assigned[start] >= 0:
                     continue
-                cls_ids = {start}
-                frontier = [els[start]]
-                while frontier:
-                    new = []
-                    for x in frontier:
-                        for g in gens:
-                            y = x.conjugate(g)
-                            j = idx[y]
-                            if j not in cls_ids:
-                                cls_ids.add(j)
-                                new.append(y)
-                    frontier = new
                 cid = len(classes)
-                for j in cls_ids:
-                    assigned[j] = cid
-                classes.append(tuple(sorted(cls_ids)))
+                assigned[start] = cid
+                cls = [start]
+                for x in cls:
+                    for cmap in maps:
+                        y = cmap[x]
+                        if assigned[y] < 0:
+                            assigned[y] = cid
+                            cls.append(y)
+                classes.append(tuple(sorted(cls)))
             self._cache["classes"] = classes
             self._cache["class_of"] = assigned
         return self._cache["classes"]
@@ -770,11 +783,6 @@ class Subgroup:
         return all(g in other for g in self.generating_set())
 
     def conjugate(self, g: Permutation) -> "Subgroup":
-        if self._ids is not None and self.parent.use_id_arithmetic():
-            gid = self.parent.element_id(g)
-            return Subgroup.from_ids(
-                self.parent, (self.parent.conjugate_id(x, gid) for x in self._ids)
-            )
         return Subgroup.from_members(self.parent, (x.conjugate(g) for x in self.members()))
 
     # -- group view ------------------------------------------------------------

@@ -11,7 +11,7 @@ reaches the same subgroup shares them.
 Direct products follow one rule, decided by :attr:`Group.blocks`: a group is
 handled blockwise exactly when it carries ``direct_factors`` and its store is
 not built.  The operations that distribute over products (centre, derived
-subgroup, Sylow and Hall subgroups, Sylow conjugates, cores, Fitting terms,
+subgroup, Sylow and Hall subgroups and their conjugates, cores, Fitting terms,
 exponent, normality, quotients and preimages, prefactorised Sylow
 subgroups) then recurse into the factors through :func:`_blockwise`,
 provided every subgroup argument is product-form over the same blocks; so
@@ -163,34 +163,57 @@ def sylow(G: Group, p: int) -> Subgroup:
     return _cached(G, ("sylow", p), build)
 
 
+def _conjugation_orbit(G: Group, ids) -> tuple:
+    """``(orbit, label)``: the conjugates of the id set ``ids``, and per element g
+    the index in ``orbit`` of ``ids^g``.
+
+    ``orbit`` starts at ``ids`` and grows by images under
+    :meth:`Group.conjugation_maps`, so it costs ``|G : N_G(H)|`` set images.
+    The labels follow a walk of the Cayley table from the identity, by
+    ``label[g s] = act[label[g]][s]`` for a generator ``s``, since
+    ``H^(g s) = (H^g)^s``.
+    """
+    maps = G.conjugation_maps()
+    orbit = [frozenset(ids)]
+    where = {orbit[0]: 0}
+    act = []
+    for L in orbit:
+        row = []
+        for cmap in maps:
+            M = frozenset(map(cmap.__getitem__, L))
+            if M not in where:
+                where[M] = len(orbit)
+                orbit.append(M)
+            row.append(where[M])
+        act.append(row)
+    mul = G.cayley()
+    gens = G.generator_ids()
+    label = [-1] * len(mul)
+    label[0] = 0
+    reached = [0]
+    for g in reached:
+        row, here = mul[g], act[label[g]]
+        for j, s in enumerate(gens):
+            c = row[s]
+            if label[c] < 0:
+                label[c] = here[j]
+                reached.append(c)
+    return orbit, label
+
+
 def _normaliser_ids(G: Group, H: frozenset) -> list:
-    hgens = Subgroup.from_ids(G, H).generating_ids()
-    out = []
-    for g in range(len(G.elements)):
-        if all(G.conjugate_id(h, g) in H for h in hgens):
-            out.append(g)
-    return out
+    """``N_G(H)`` as ascending store ids: the elements whose conjugation label is 0."""
+    _, label = _conjugation_orbit(G, H)
+    return [g for g, i in enumerate(label) if i == 0]
 
 
 def sylow_conjugates(G: Group, p: int) -> list:
-    """All distinct conjugates of sylow(G, p).
+    """All distinct conjugates of sylow(G, p): ``hall_conjugates(G, sylow(G, p))``.
 
-    On a materialised group they come in first-appearance store order.  On
-    an unmaterialised product every Sylow p-subgroup is the product of Sylow
-    p-subgroups of the blocks, so the list is the product of the blocks'
-    lists, in ``itertools.product`` order, not store order; the first entry
-    is still sylow(G, p).
+    Memoised per group and prime; the route and the order are those of
+    :func:`hall_conjugates`, so the first entry is sylow(G, p).
     """
-
-    def build():
-        P = sylow(G, p)
-        if P.is_trivial():
-            return [P]
-        if (parts := _blockwise(G, lambda f: sylow_conjugates(f, p))) is not None:
-            return [Subgroup.from_factors(G, c) for c in itertools.product(*parts)]
-        return hall_conjugates(G, P)
-
-    return _cached(G, ("sylow_conjugates", p), build)
+    return _cached(G, ("sylow_conjugates", p), lambda: hall_conjugates(G, sylow(G, p)))
 
 
 # -- cores: O_p, O_pi ------------------------------------------------------------
@@ -566,16 +589,31 @@ def hall(G: Group, pi):
 
 
 def hall_conjugates(G: Group, H: Subgroup) -> list:
-    """Distinct conjugates of ``H`` in first-appearance store order."""
-    seen = set()
-    out = []
-    for g in G.elements:
+    """Distinct conjugates of a subgroup ``H`` of ``G``, ``H`` itself first.
+
+    On an unmaterialised product with ``H`` product-form over its blocks,
+    every conjugate is the product of block conjugates, so the list is the
+    product of the blocks' lists, in ``itertools.product`` order.  Within
+    the Cayley-table gate the conjugates are the points of
+    :func:`_conjugation_orbit`; past it, ``H`` is conjugated by every
+    element.  Both give first-appearance store order: ``H^g`` for ``g`` in
+    store order, each conjugate where it first appears.
+    """
+    if H.parent is not G:
+        raise ValueError("subgroup does not belong to this group")
+    if (parts := _blockwise(G, hall_conjugates, H)) is not None:
+        return [Subgroup.from_factors(G, c) for c in itertools.product(*parts)]
+    if H.is_trivial():
+        return [H]
+    els = G.materialize()
+    if G.use_id_arithmetic():
+        orbit, label = _conjugation_orbit(G, H.ids_in_store())
+        return [Subgroup.from_ids(G, orbit[i]) for i in dict.fromkeys(label)]
+    out = {}
+    for g in els:
         Q = H.conjugate(g)
-        k = Q.key()
-        if k not in seen:
-            seen.add(k)
-            out.append(Q)
-    return out
+        out.setdefault(Q.key(), Q)
+    return list(out.values())
 
 
 # -- decomposability and the upper p-series -------------------------------------------
@@ -633,13 +671,13 @@ def upper_p_series(G: Group, p: int) -> UpperPSeries:
 def _normal_closure_ids(G: Group, seed_ids) -> frozenset:
     gen_ids = list(seed_ids)
     K = G.closure_from_gen_ids(gen_ids)
-    group_gens = G.generator_ids()
+    maps = G.conjugation_maps()
     changed = True
     while changed:
         changed = False
         for s in Subgroup.from_ids(G, K).generating_ids():
-            for g in group_gens:
-                c = G.conjugate_id(s, g)
+            for cmap in maps:
+                c = cmap[s]
                 if c not in K:
                     gen_ids.append(c)
                     K = G.closure_from_gen_ids(gen_ids)
@@ -664,9 +702,10 @@ def is_normal(G: Group, S: Subgroup) -> bool:
     answer is blockwise, which is exact: ``S_1 x ... x S_r`` is normal in
     ``G_1 x ... x G_r`` iff every ``S_i`` is normal in ``G_i``.  When ``S``
     is a subgroup of ``G`` itself and ``G`` is within the Cayley-table gate,
-    the conjugates are table lookups tested against S's store ids.  In any
-    other case, for instance for a subgroup of another group on the same
-    points, the permutations are conjugated and tested for membership.
+    the conjugates are read from :meth:`Group.conjugation_maps` and tested
+    against S's store ids.  In any other case, for instance for a subgroup
+    of another group on the same points, the permutations are conjugated
+    and tested for membership.
     """
     if S.order == G.order:
         return True
@@ -675,7 +714,7 @@ def is_normal(G: Group, S: Subgroup) -> bool:
     if S.parent is G and G.use_id_arithmetic():
         ids = S.ids_in_store()
         return S.cached("normal", lambda: all(
-            G.conjugate_id(s, g) in ids for g in G.generator_ids() for s in S.generating_ids()
+            cmap[s] in ids for cmap in G.conjugation_maps() for s in S.generating_ids()
         ))
     return all(
         s.conjugate(g) in S for g in G.generators for s in S.generating_set()
@@ -698,8 +737,8 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
       generator of each cyclic subgroup of prime-power order is tried;
     * ``<H^g, x> == <H, x^(g^-1)>^g``, so the children of a conjugate are the
       conjugates of the children.  Each new subgroup enters the result with
-      its whole conjugacy class, walked by table lookups under the
-      generators of ``G``, but only the subgroup itself is explored.
+      its whole conjugacy class, walked under
+      :meth:`Group.conjugation_maps`, but only the subgroup itself is explored.
 
     The found set is then closed under conjugation and holds every child of
     every member, so every chain still climbs inside it and the layering
@@ -716,7 +755,6 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
             )
         G.materialize()
         mul = G.cayley()
-        inv = G.inverse_ids()
         pp_ids = []
         covered = set()
         for x, o in enumerate(G.element_orders()):
@@ -728,9 +766,6 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
                 if math.gcd(k, o) == 1:
                     covered.add(y)
                 y = mul[y][x]
-        conj_maps = [
-            [mul[mul[inv[g]][x]][g] for x in range(len(mul))] for g in G.generator_ids()
-        ]
         trivial = Subgroup.trivial(G)
         found = {trivial.ids: trivial}
         frontier = [trivial]
@@ -756,7 +791,7 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
                     new.append(S)
                     orbit = [K]
                     for L in orbit:
-                        for cmap in conj_maps:
+                        for cmap in G.conjugation_maps():
                             M = frozenset(map(cmap.__getitem__, L))
                             if M not in found:
                                 found[M] = Subgroup.from_ids(G, M)

@@ -3,6 +3,7 @@ import pytest
 from baerlab import baer
 from baerlab.baer import check_theorem_f_equivalence, report_theorem_a
 from baerlab.constructions import (
+    cyclic,
     dihedral,
     direct_product,
     frobenius,
@@ -13,10 +14,12 @@ from baerlab.constructions import (
 from baerlab.errors import CAYLEY_TABLE_MAX_ORDER, CapExceeded, InternalInvariantViolation
 from baerlab.group import Subgroup
 from baerlab.perm import Permutation
-from baerlab.reporting import FAIL, SKIPPED, TheoremReport
+from baerlab.reporting import FAIL, PASS, SKIPPED, TheoremReport
 from baerlab.structure import (
     Factorisation,
     enumerate_subgroups,
+    hall,
+    hall_conjugates,
     is_normal,
     o_p,
     pi_of,
@@ -120,6 +123,22 @@ def test_every_check_keeps_a_small_trivial_product_lazy():
     for p in pi_of(G):
         lazy_sets = {frozenset(Q.members()) for Q in sylow_conjugates(G, p)}
         assert lazy_sets == {frozenset(Q.members()) for Q in sylow_conjugates(whole, p)}
+    assert not G.is_materialized
+
+
+def test_theorem_a_hall_clause_keeps_a_lazy_product_lazy():
+    # Clause 5 applies at p = 2 and walks the conjugates of a Hall
+    # 2'-subgroup; they come block by block, so G's store is never built,
+    # and they are the conjugates a materialised copy finds.
+    F = block_halves_factorisation([dihedral(8)], [cyclic(3)])
+    G = F.group
+    report = report_theorem_a(F, 2)
+    assert ("5:sylow-part-centralises-hall", PASS) in [(c.clause, c.verdict) for c in report.clauses]
+    assert not G.is_materialized
+    whole = direct_product([dihedral(8), cyclic(3)])
+    whole.materialize()
+    lazy_sets = {frozenset(Q.members()) for Q in hall_conjugates(G, hall(G, {3}))}
+    assert lazy_sets == {frozenset(Q.members()) for Q in hall_conjugates(whole, hall(whole, {3}))}
     assert not G.is_materialized
 
 

@@ -9,6 +9,11 @@ Likewise only ``group.py`` calls the ``Subgroup`` constructor or reads a
 group's pool of canonical subgroups, so no id-backed subgroup bypasses
 ``Subgroup.from_ids``.
 
+Only ``group.py`` reads a group's id tables (its Cayley table, inverse ids
+and conjugation maps); every other module asks for them through the
+``Group`` methods that build them, so how a table is built or held can
+change in one place.
+
 No module reads the process environment, so no setting can change the
 engine's behaviour outside its arguments and constants.
 """
@@ -148,6 +153,35 @@ def test_pool_bypass_detector():
     assert pool_bypasses(source) == [
         (3, "Subgroup(...)"), (4, "Subgroup(...)"), (5, "_subgroups")
     ]
+
+
+GROUP_TABLES = frozenset({"_cayley", "_inverse_ids", "_conj_maps"})
+
+
+def table_reads(source: str) -> list:
+    """(line, attribute) for every access to a group's private id tables."""
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in GROUP_TABLES
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SOURCE.glob("*.py")) if p.name != "group.py"], ids=lambda p: p.name
+)
+def test_group_tables_stay_in_group_module(path):
+    assert table_reads(path.read_text()) == []
+
+
+def test_table_read_detector():
+    source = (
+        "def f(G, x, g):\n"
+        "    mul = G.cayley() if G._cayley is None else G.cayley()\n"
+        "    maps = G.conjugation_maps()\n"
+        "    return mul[x][g], G._conj_maps[0][x], getattr(G, '_inverse_ids')\n"
+    )
+    assert table_reads(source) == [(2, "_cayley"), (4, "_conj_maps")]
 
 
 ENVIRONMENT_READERS = frozenset({"environ", "getenv"})

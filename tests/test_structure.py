@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -16,6 +17,7 @@ from baerlab.constructions import (
 from baerlab.errors import CapExceeded
 from baerlab.group import Group, Subgroup, _small_generating_ids, centraliser, class_index
 from baerlab.numth import is_pi_number, p_part, prime_divisors
+from baerlab.perm import Permutation
 from baerlab.structure import (
     Factorisation,
     center,
@@ -26,6 +28,7 @@ from baerlab.structure import (
     fitting,
     fitting2,
     hall,
+    hall_conjugates,
     is_abelian,
     is_normal,
     is_p_decomposable,
@@ -596,6 +599,141 @@ def test_index_profiles_from_store_ids_match_brute_force(G):
             expected = _status_from_rows(F, p, sylow_rows)
             got = is_p_baer(F, p, via="sylow")
             assert (got.is_p_baer, got.witnesses) == (expected.is_p_baer, expected.witnesses)
+
+
+# -- conjugation orbits against the all-elements loop -----------------------------------
+
+
+def order_480():
+    return parse_group_spec("subgroup(semilinear(2,4); g0, g1, g2^2)")
+
+
+def orbit_groups():
+    return [symmetric(4), symmetric(5), semilinear(2, 3), frobenius(11, 10), order_480()]
+
+
+def brute_conjugates(G, H):
+    """``H^g`` for every g in store order, each conjugate where it first appears."""
+    seen, out = set(), []
+    for g in G.elements:
+        Q = frozenset(x.conjugate(g) for x in H.members())
+        if Q not in seen:
+            seen.add(Q)
+            out.append(Q)
+    return out
+
+
+def brute_normaliser_ids(G, H):
+    members = members_set(H)
+    return [i for i, g in enumerate(G.elements) if {x.conjugate(g) for x in members} == members]
+
+
+def orbit_cases(G):
+    """Every Sylow subgroup, a non-Sylow Hall subgroup where one is found, a
+    normal subgroup and the trivial subgroup of G."""
+    cases = [sylow(G, p) for p in pi_of(G)]
+    for pi in itertools.combinations(pi_of(G), 2):
+        H = hall(G, pi)
+        if H is not None and H.order < G.order:
+            cases.append(H)
+            break
+    return cases + [derived_subgroup(G), Subgroup.trivial(G)]
+
+
+@pytest.mark.parametrize("G", orbit_groups(), ids=repr)
+def test_conjugates_and_normalisers_match_the_all_elements_loop(G):
+    from baerlab.structure import _normaliser_ids
+
+    for p in pi_of(G):
+        expected = brute_conjugates(G, sylow(G, p))
+        assert [frozenset(Q.members()) for Q in sylow_conjugates(G, p)] == expected
+    for H in orbit_cases(G):
+        assert [frozenset(Q.members()) for Q in hall_conjugates(G, H)] == brute_conjugates(G, H)
+        assert _normaliser_ids(G, H.ids) == brute_normaliser_ids(G, H)
+    N = derived_subgroup(G)
+    assert 1 < N.order < G.order and len(hall_conjugates(G, N)) == 1
+
+
+@pytest.mark.parametrize("G, count", [(symmetric(5), 5), (frobenius(11, 10), 11)], ids=repr)
+def test_orbit_cases_include_a_non_sylow_hall_subgroup(G, count):
+    [H] = [H for H in orbit_cases(G) if len(prime_divisors(H.order)) > 1 and not is_normal(G, H)]
+    assert len(brute_conjugates(G, H)) == count
+
+
+def test_hall_conjugates_rejects_a_subgroup_of_another_group():
+    G = symmetric(4)
+    with pytest.raises(ValueError):
+        hall_conjugates(G, sylow(symmetric(4), 2))
+
+
+def brute_partition(G):
+    """The classes ``{x^g : g in G}`` as sorted id tuples, by least member."""
+    idx = {x: i for i, x in enumerate(G.elements)}
+    classes, done = [], set()
+    for i, x in enumerate(G.elements):
+        if i not in done:
+            classes.append(tuple(sorted({idx[x.conjugate(g)] for g in G.elements})))
+            done.update(classes[-1])
+    return classes
+
+
+@pytest.mark.parametrize("G", table_groups() + [dihedral(10), order_480()], ids=repr)
+def test_conjugacy_partition_matches_brute_force_classes(G):
+    classes = G.conjugacy_partition()
+    assert classes == brute_partition(G)
+    for cid, cls in enumerate(classes):
+        assert all(G.class_of_id(x) == cid for x in cls)
+
+
+def test_conjugacy_partition_past_the_table_gate_has_cycle_type_sizes():
+    from baerlab.errors import CAYLEY_TABLE_MAX_ORDER
+
+    G = symmetric(7)
+    assert G.order > CAYLEY_TABLE_MAX_ORDER
+    classes = G.conjugacy_partition()
+    assert len(classes) == 15  # the partitions of 7
+
+    def cycle_type(x):
+        return tuple(sorted(len(c) for c in x.cycles(include_fixed=True)))
+
+    def class_size(shape):
+        counts = {k: shape.count(k) for k in set(shape)}
+        return math.factorial(7) // math.prod(k**m * math.factorial(m) for k, m in counts.items())
+
+    shapes = set()
+    for cls in classes:
+        [shape] = {cycle_type(G.elements[x]) for x in cls}
+        assert len(cls) == class_size(shape)
+        shapes.add(shape)
+    assert len(shapes) == 15
+
+
+def test_conjugates_and_classes_on_the_table_conjugate_no_permutation(monkeypatch):
+    # Work-count guard: once the table is built, Sylow and Hall conjugates
+    # are orbit points under the conjugation maps and classes are orbits of
+    # ids, so neither a subgroup nor a permutation is ever conjugated.
+    G = order_480()
+    G.cayley()
+    calls = {"Subgroup": 0, "Permutation": 0}
+
+    def counted(cls):
+        method = cls.conjugate
+
+        def run(self, *args):
+            calls[cls.__name__] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(cls, "conjugate", run)
+
+    counted(Subgroup)
+    counted(Permutation)
+    G.conjugacy_partition()
+    for p in pi_of(G):
+        assert sylow_conjugates(G, p)[0] is sylow(G, p)
+    H = hall(G, {3, 5})
+    assert H is not None and H.order == 15
+    assert len(hall_conjugates(G, H)) > 1
+    assert calls == {"Subgroup": 0, "Permutation": 0}
 
 
 # -- factorisations ------------------------------------------------------------------
