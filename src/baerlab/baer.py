@@ -12,6 +12,9 @@ Every check distinguishes ``fail`` (hypotheses met, conclusion false, which
 means an engine bug since the conclusions are established facts) from
 ``not-applicable`` (hypotheses unmet).  Witness lists are canonically sorted
 so reports are byte-reproducible.
+
+Facts read from one factor are memoised on that subgroup, which every
+factorisation with the same side shares; a factorisation only combines them.
 """
 
 from __future__ import annotations
@@ -120,9 +123,9 @@ class BaerDecomposition:
 # -- element-index profiles --------------------------------------------------------
 
 
-def _index_rows(G: Group, locus: str, sub: Subgroup, keep) -> list:
-    """``(locus, x, order, index)`` for the members x of ``sub`` whose order
-    passes ``keep``, in the order of ``sub.members()``.
+def _index_rows(G: Group, sub: Subgroup, keep) -> list:
+    """``(x, order, index)`` for the members x of ``sub`` whose order passes
+    ``keep``, in the order of ``sub.members()``.
 
     On a materialised G the members are read as sorted store ids, which is
     the same order; orders come from ``G.element_orders()`` and indices are
@@ -135,32 +138,32 @@ def _index_rows(G: Group, locus: str, sub: Subgroup, keep) -> list:
     passes.  Block members are sorted, so the product of the block rows is
     in ``sub.members()`` order.  Otherwise, for instance for the base of a
     wreath product, each member's order and class size is computed from its
-    permutation.
+    permutation.  :func:`_pp_rows` memoises it per subgroup.
     """
     if G.is_materialized:
         els = G.elements
         orders = G.element_orders()
         classes = G.conjugacy_partition()
         return [
-            (locus, els[i], orders[i], len(classes[G.class_of_id(i)]))
+            (els[i], orders[i], len(classes[G.class_of_id(i)]))
             for i in sorted(sub.ids_in_store())
             if keep(orders[i])
         ]
-    parts = _blockwise(G, lambda f, s: _index_rows(f, locus, s, lambda o: True), sub)
+    parts = _blockwise(G, lambda f, s: _index_rows(f, s, lambda o: True), sub)
     if parts is not None:
         check_enumerable("subgroup", sub.order)
         rows = []
         for row in itertools.product(*parts):
-            o = math.lcm(*(r[2] for r in row))
+            o = math.lcm(*(r[1] for r in row))
             if keep(o):
-                x = join_blocks(r[1] for r in row)
-                rows.append((locus, x, o, math.prod(r[3] for r in row)))
+                x = join_blocks(r[0] for r in row)
+                rows.append((x, o, math.prod(r[2] for r in row)))
         return rows
     rows = []
     for x in sub.members():
         o = x.order()
         if keep(o):
-            rows.append((locus, x, o, class_index(G, x)))
+            rows.append((x, o, class_index(G, x)))
     return rows
 
 
@@ -168,43 +171,39 @@ def _is_nontrivial_prime_power(o: int) -> bool:
     return o > 1 and classify_prime_power(o).is_prime_power
 
 
-def _pp_profile(F: Factorisation) -> list:
-    """Every nontrivial prime-power-order element of A u B with its index in G.
-
-    Entries are ``(locus, element, order, index)`` sorted by (locus, element),
-    computed once per factorisation by :func:`_index_rows`: on a materialised
-    G from store ids, element orders and the conjugacy partition; on an
-    unmaterialised product, when A and B are product-form over its blocks,
-    from the rows of the blocks; otherwise from the member permutations.
-    """
-    if "pp_profile" not in F._cache:
-        rows = []
-        for locus, sub in F.factors():
-            rows.extend(_index_rows(F.group, locus, sub, _is_nontrivial_prime_power))
-        F._cache["pp_profile"] = rows
-    return F._cache["pp_profile"]
+def _pp_rows(S: Subgroup) -> list:
+    """The :func:`_index_rows` of the nontrivial prime-power-order members of
+    S, with their index in ``S.parent``; memoised on S."""
+    return S.cached("pp_rows", lambda: _index_rows(S.parent, S, _is_nontrivial_prime_power))
 
 
-def _profile_for_prime(F: Factorisation, p: int) -> list:
-    """The rows of :func:`_pp_profile` for p-elements, computed once per (F, p)."""
-    key = ("pp_profile", p)
-    if key not in F._cache:
-        F._cache[key] = [row for row in _pp_profile(F) if is_p_number(row[2], p)]
-    return F._cache[key]
+def _side_profile(S: Subgroup, p: int | None = None) -> dict:
+    """``{index in S.parent: first member with that index}`` over the p-elements
+    of S in member order (every prime-power-order member for ``p=None``);
+    memoised on S per prime."""
+
+    def build():
+        profile = {}
+        for x, o, idx in _pp_rows(S):
+            if p is None or is_p_number(o, p):
+                profile.setdefault(idx, x)
+        return profile
+
+    return S.cached(("index_profile", p), build)
 
 
-def _status_from_rows(F, p, rows) -> BaerStatus:
-    seen_profiles = {}
-    for locus, x, _o, idx in rows:
-        c = classify_prime_power(idx)
-        if not c.is_prime_power:
-            return BaerStatus(
-                F, p, False, None, witnesses=[IndexWitness(x, locus, idx, c)]
-            )
-        key = (locus, idx)
-        if key not in seen_profiles:
-            seen_profiles[key] = IndexWitness(x, locus, idx, c)
-    witnesses = [seen_profiles[k] for k in sorted(seen_profiles)]
+def _status(F: Factorisation, p, subs) -> BaerStatus:
+    """Combine the side profiles of the ``(locus, S)`` pairs ``subs``: the first
+    index that is no prime power, in A's profile order and then B's, is the
+    first failing member; else one witness per (locus, index), sorted."""
+    witnesses = []
+    for locus, S in subs:
+        for idx, x in _side_profile(S, p).items():
+            c = classify_prime_power(idx)
+            if not c.is_prime_power:
+                return BaerStatus(F, p, False, None, witnesses=[IndexWitness(x, locus, idx, c)])
+            witnesses.append(IndexWitness(x, locus, idx, c))
+    witnesses.sort(key=lambda w: (w.locus, w.index))
     return BaerStatus(F, p, True, None, witnesses=witnesses)
 
 
@@ -214,20 +213,20 @@ def is_p_baer(F: Factorisation, p: int, via: str = "union") -> BaerStatus:
     ``via="union"`` scans every p-element of A u B; ``via="sylow"`` scans only
     the two Sylow intersections of a prefactorised Sylow p-subgroup, which is
     an equivalent test because Sylow subgroups are conjugate.  The two routes
-    must agree; the sweep asserts that.
+    must agree; the sweep asserts that.  Both combine the :func:`_side_profile`
+    of each side, A and B or their Sylow intersections (p-groups, whose
+    nontrivial members are all p-elements); the status is memoised on F.
     """
     key = ("p_baer", p, via)
     if key not in F._cache:
         if via == "union":
-            rows = _profile_for_prime(F, p)
+            subs = F.factors()
         elif via == "sylow":
             P = find_prefactorised_sylow(F, p)
-            rows = []
-            for locus, sub in F.factors():
-                rows.extend(_index_rows(F.group, locus, P.intersection(sub), lambda o: o > 1))
+            subs = [(locus, P.intersection(sub)) for locus, sub in F.factors()]
         else:
             raise ValueError(f"unknown route {via!r}")
-        F._cache[key] = _status_from_rows(F, p, rows)
+        F._cache[key] = _status(F, p, subs)
     return F._cache[key]
 
 
@@ -244,7 +243,7 @@ def is_baer(F: Factorisation) -> BaerStatus:
                 ok = False
                 witnesses.extend(st.witnesses)
         if ok:
-            witnesses = _status_from_rows(F, None, _pp_profile(F)).witnesses
+            witnesses = _status(F, None, F.factors()).witnesses
         F._cache["baer"] = BaerStatus(F, None, None, ok, witnesses=witnesses, per_prime=per_prime)
     return F._cache["baer"]
 
@@ -258,14 +257,9 @@ def unique_primes(F: Factorisation, p: int) -> UniquePrimes:
     st = is_p_baer(F, p)
     if not st.is_p_baer:
         raise ValueError("unique index primes are only defined for p-Baer factorisations")
-    rows = _profile_for_prime(F, p)
     out = {}
-    for locus, _sub in F.factors():
-        primes = {
-            classify_prime_power(idx).prime
-            for row_locus, _x, _o, idx in rows
-            if row_locus == locus and idx > 1
-        }
+    for locus, sub in F.factors():
+        primes = {classify_prime_power(idx).prime for idx in _side_profile(sub, p) if idx > 1}
         if len(primes) > 1:
             raise InternalInvariantViolation(
                 f"two distinct index primes {sorted(primes)} on side {locus}"
@@ -307,6 +301,32 @@ def _skipped_on_cap(theorem: str):
 # -- equivalence with the Sylow-centraliser predicate ----------------------------------
 
 
+def _side_centraliser_indices(S: Subgroup) -> list:
+    """``(p, |G : C_G(S_p)|, prime power?)`` for each prime p of ``G = S.parent``
+    ascending, with ``S_p = sylow(S, p)``; memoised on S."""
+
+    def build():
+        G, view = S.parent, S.as_group()
+        indices = [(p, G.order // centraliser(G, sylow(view, p)).order) for p in sorted(pi_of(G))]
+        return [(p, idx, classify_prime_power(idx).is_prime_power) for p, idx in indices]
+
+    return S.cached("centraliser_indices", build)
+
+
+def _side_choice_independent(S: Subgroup) -> bool:
+    """Whether each Sylow subgroup of S has its prime's centraliser index; memoised on S."""
+
+    def build():
+        G, view = S.parent, S.as_group()
+        return all(
+            G.order // centraliser(G, Q).order == idx
+            for p, idx, _ok in _side_centraliser_indices(S)
+            for Q in sylow_conjugates(view, p)
+        )
+
+    return S.cached("choice_independent", build)
+
+
 @_skipped_on_cap("F")
 def check_theorem_f_equivalence(F: Factorisation) -> TheoremReport:
     """Cross-check two independent routes to the Baer property.
@@ -316,21 +336,18 @@ def check_theorem_f_equivalence(F: Factorisation) -> TheoremReport:
     prime powers for Sylow subgroups A_p of A and B_p of B, for every prime.
     The two routes are equivalent; the report asserts their agreement and,
     on small groups, that the centraliser indices do not depend on the
-    Sylow choice.
+    Sylow choice.  The indices and the choice check are memoised per side.
     """
     G = F.group
     report = TheoremReport("F")
     pred1 = is_baer(F).is_baer
-    pred2 = True
-    details = []
-    for p in sorted(pi_of(G)):
-        for locus, sub in F.factors():
-            Sp = sylow(sub.as_group(), p)
-            idx = G.order // centraliser(G, Sp).order
-            ok = classify_prime_power(idx).is_prime_power
-            details.append({"prime": p, "locus": locus, "index": idx, "prime_power": ok})
-            if not ok:
-                pred2 = False
+    loci, indices = zip(*((locus, _side_centraliser_indices(sub)) for locus, sub in F.factors()))
+    details = [
+        {"prime": p, "locus": locus, "index": idx, "prime_power": ok}
+        for rows in zip(*indices)
+        for locus, (p, idx, ok) in zip(loci, rows)
+    ]
+    pred2 = all(d["prime_power"] for d in details)
     report.add(
         "equivalence",
         PASS if pred1 == pred2 else FAIL,
@@ -343,14 +360,7 @@ def check_theorem_f_equivalence(F: Factorisation) -> TheoremReport:
     # An unmaterialised product answers blockwise; building its store here
     # would take it off the blockwise route for every later check.
     if G.order <= 500:
-        stable = True
-        for p in sorted(pi_of(G)):
-            for locus, sub in F.factors():
-                view = sub.as_group()
-                base = G.order // centraliser(G, sylow(view, p)).order
-                for Q in sylow_conjugates(view, p):
-                    if G.order // centraliser(G, Q).order != base:
-                        stable = False
+        stable = all(_side_choice_independent(sub) for _locus, sub in F.factors())
         report.add("choice-independence", PASS if stable else FAIL, None)
     return report
 
@@ -463,7 +473,7 @@ def report_theorem_a(F: Factorisation, p: int) -> TheoremReport:
 
 
 def _product_with_normal(G: Group, S: Subgroup, N: Subgroup) -> Subgroup:
-    """The subgroup ``S N`` for normal N (a subgroup because N is normal).
+    """``S N`` for normal N, a subgroup; memoised on S, keyed by G and ``N.key()``.
 
     When G is an unmaterialised direct product and S and N are product-form
     over its blocks, ``S N`` is the product of the blockwise ``S_i N_i``
@@ -474,19 +484,19 @@ def _product_with_normal(G: Group, S: Subgroup, N: Subgroup) -> Subgroup:
     permutations are closed.  In every case the result's order is checked
     against ``|S| |N| / |S n N|``, the size of the set S N.
     """
-    if (parts := _blockwise(G, _product_with_normal, S, N)) is not None:
-        K = Subgroup.from_factors(G, parts)
-    elif G.use_id_arithmetic() and S.parent is G and N.parent is G:
-        K = Subgroup.from_ids(
-            G, G.closure_from_gen_ids(S.generating_ids() + N.generating_ids())
-        )
-    else:
-        K = Subgroup.from_generators(
-            G, list(S.generating_set()) + list(N.generating_set())
-        )
-    if K.order != S.product_order(N):
-        raise InternalInvariantViolation("product with a normal subgroup is not its closure")
-    return K
+
+    def build():
+        if (parts := _blockwise(G, _product_with_normal, S, N)) is not None:
+            K = Subgroup.from_factors(G, parts)
+        elif G.use_id_arithmetic() and S.parent is G and N.parent is G:
+            K = Subgroup.from_ids(G, G.closure_from_gen_ids(S.generating_ids() + N.generating_ids()))
+        else:
+            K = Subgroup.from_generators(G, list(S.generating_set()) + list(N.generating_set()))
+        if K.order != S.product_order(N):
+            raise InternalInvariantViolation("product with a normal subgroup is not its closure")
+        return K
+
+    return S.cached(("product_with_normal", G, N.key()), build)
 
 
 @_skipped_on_cap("B")
@@ -512,11 +522,10 @@ def report_theorem_b(F: Factorisation, p: int) -> TheoremReport:
     P = find_prefactorised_sylow(F, p)
     Fit = fitting(G)
     complement = o_pi(Fit.as_group(), set(prime_divisors(Fit.order)) - {q_eff, r_eff})
-    pgens = P.generating_set()
-    cgens = complement.generating_set()
+    CP = centraliser(G, P)
     report.add(
         "centralises-fitting-complement",
-        PASS if all(a * b == b * a for a in pgens for b in cgens) else FAIL,
+        PASS if all(b in CP for b in complement.generating_set()) else FAIL,
         {"complement_order": complement.order},
     )
 
@@ -584,36 +593,40 @@ def report_corollary_c(F: Factorisation) -> TheoremReport:
     return report
 
 
-@_skipped_on_cap("D")
-def check_factor_inheritance(F: Factorisation) -> TheoremReport:
-    """Baer factorisations push index primes down into the factors: a
-    prime-power-order element whose G-index is a q-number also has q-number
-    index inside its own factor, and both factors are Baer groups."""
-    if not is_baer(F).is_baer:
-        return TheoremReport.not_applicable("D", None, "not a Baer factorisation")
-    report = TheoremReport("D")
-    checked = 0
-    bad = None
-    for locus, sub in F.factors():
-        view = sub.as_group()
-        for row_locus, x, _o, idx in _pp_profile(F):
-            if row_locus != locus:
-                continue
+def _side_inheritance(S: Subgroup) -> tuple:
+    """Theorem D on one factor S, memoised on S: ``(members checked, the first
+    whose index in S does not inherit the prime of its index in S.parent,
+    S is a Baer group)``."""
+
+    def build():
+        view, bad = S.as_group(), None
+        for x, _o, idx in _pp_rows(S):
             inner = class_index(view, x)
-            checked += 1
             if idx == 1:
                 ok = inner == 1
             else:
                 ok = classify_prime_power(inner).compatible_with(classify_prime_power(idx).prime)
             if not ok and bad is None:
-                bad = {"locus": locus, "element": format_cycles(x),
-                       "outer_index": idx, "inner_index": inner}
-    report.add("1:index-prime-inherited", FAIL if bad else PASS,
-               bad or {"elements_checked": checked})
+                bad = {"element": format_cycles(x), "outer_index": idx, "inner_index": inner}
+        return len(_pp_rows(S)), bad, is_baer(Factorisation.trivial(view)).is_baer
 
-    factors_baer = all(
-        is_baer(Factorisation.trivial(sub.as_group())).is_baer for _locus, sub in F.factors()
-    )
+    return S.cached("inheritance", build)
+
+
+@_skipped_on_cap("D")
+def check_factor_inheritance(F: Factorisation) -> TheoremReport:
+    """Baer factorisations push index primes down into the factors: a
+    prime-power-order element whose G-index is a q-number also has q-number
+    index inside its own factor, and both factors are Baer groups.  Each
+    factor's part is memoised on it (:func:`_side_inheritance`)."""
+    if not is_baer(F).is_baer:
+        return TheoremReport.not_applicable("D", None, "not a Baer factorisation")
+    report = TheoremReport("D")
+    sides = [(locus, _side_inheritance(sub)) for locus, sub in F.factors()]
+    bad = next(({"locus": locus, **side[1]} for locus, side in sides if side[1]), None)
+    report.add("1:index-prime-inherited", FAIL if bad else PASS,
+               bad or {"elements_checked": sum(side[0] for _locus, side in sides)})
+    factors_baer = all(side[2] for _locus, side in sides)
     report.add("2:factors-are-baer-groups", PASS if factors_baer else FAIL, None)
     return report
 
@@ -880,12 +893,12 @@ def check_p_index_decomposition(F: Factorisation, p: int, scope: str = "p-elemen
     G = F.group
     report = TheoremReport("p-index-decomposition", p)
     if scope == "p-elements":
-        lhs = all(is_p_number(idx, p) for _l, _x, _o, idx in _profile_for_prime(F, p))
+        lhs = all(is_p_number(idx, p) for _l, sub in F.factors() for idx in _side_profile(sub, p))
         rhs = is_p_decomposable(G, p)
         report.add("biconditional-p-elements", PASS if lhs == rhs else FAIL,
                    {"all_indices_p_numbers": lhs, "p_decomposable": rhs})
     elif scope == "all prime power":
-        lhs = all(is_p_number(idx, p) for _l, _x, _o, idx in _pp_profile(F))
+        lhs = all(is_p_number(idx, p) for _l, sub in F.factors() for idx in _side_profile(sub))
         rhs = is_p_decomposable(G, p) and is_abelian(o_p_prime(G, p))
         report.add("biconditional-prime-power", PASS if lhs == rhs else FAIL,
                    {"all_indices_p_numbers": lhs, "decomposed_with_abelian_complement": rhs})

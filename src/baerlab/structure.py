@@ -3,10 +3,11 @@
 Every operation here is a pure function of immutable groups.  Results are
 memoised on the group object (write-once), keyed by operation name and
 arguments, so sweeps never recompute per-group structure.  Facts about one
-subgroup (its generating ids, whether it is normal, its centraliser) are
-memoised on the subgroup through :meth:`Subgroup.cached`; since id-backed
-subgroups are canonical per group, every factorisation of a group that
-reaches the same subgroup shares them.
+subgroup (its generating ids and centraliser, whether it is normal or
+abelian, and the index profiles, centraliser indices and products with
+normal subgroups of ``baer``) are memoised on the subgroup through
+:meth:`Subgroup.cached`; since id-backed subgroups are canonical per group,
+every factorisation of a group that reaches the same subgroup shares them.
 
 Direct products follow one rule, decided by :attr:`Group.blocks`: a group is
 handled blockwise exactly when it carries ``direct_factors`` and its store is
@@ -72,21 +73,25 @@ def is_abelian(obj) -> bool:
 
     For a subgroup whose parent is within the Cayley-table gate the pairs are
     compared on the table (``mul[a][b] == mul[b][a]`` over the subgroup's
-    generating ids); otherwise generator permutations are composed.
+    generating ids); otherwise generator permutations are composed.  The
+    answer is memoised on the group or subgroup.
     """
-    if isinstance(obj, Subgroup):
-        if obj.parent.use_id_arithmetic():
-            mul = obj.parent.cayley()
-            gens = obj.generating_ids()
-            return all(mul[a][b] == mul[b][a] for a in gens for b in gens)
-        gens = obj.generating_set()
-        return all(a * b == b * a for a in gens for b in gens)
 
     def build():
-        if (parts := _blockwise(obj, is_abelian)) is not None:
+        if isinstance(obj, Subgroup):
+            if obj.parent.use_id_arithmetic():
+                mul = obj.parent.cayley()
+                gens = obj.generating_ids()
+                return all(mul[a][b] == mul[b][a] for a in gens for b in gens)
+            gens = obj.generating_set()
+        elif (parts := _blockwise(obj, is_abelian)) is not None:
             return all(parts)
-        return all(a * b == b * a for a in obj.generators for b in obj.generators)
+        else:
+            gens = obj.generators
+        return all(a * b == b * a for a in gens for b in gens)
 
+    if isinstance(obj, Subgroup):
+        return obj.cached("abelian", build)
     return _cached(obj, "abelian", build)
 
 
@@ -620,8 +625,10 @@ def hall_conjugates(G: Group, H: Subgroup) -> list:
 
 
 def is_p_decomposable(G: Group, p: int) -> bool:
-    """Whether ``G = O_p(G) x O_{p'}(G)``."""
-    return o_p(G, p).order * o_p_prime(G, p).order == G.order
+    """Whether ``G = O_p(G) x O_{p'}(G)``; memoised on G."""
+    return _cached(
+        G, ("p_decomposable", p), lambda: o_p(G, p).order * o_p_prime(G, p).order == G.order
+    )
 
 
 @dataclass

@@ -12,7 +12,7 @@ from baerlab.constructions import (
     symmetric,
 )
 from baerlab.errors import CAYLEY_TABLE_MAX_ORDER, CapExceeded, InternalInvariantViolation
-from baerlab.group import Subgroup
+from baerlab.group import Group, Subgroup
 from baerlab.perm import Permutation
 from baerlab.reporting import FAIL, PASS, SKIPPED, TheoremReport
 from baerlab.structure import (
@@ -267,3 +267,59 @@ def test_every_check_on_every_factorisation(spec):
         fresh = enumerate_subgroups(H)
         assert factorisation_rows(Factorisation(H, fresh[i], fresh[j])) == rows
     assert group_rows(parse_group_spec(spec)) == shared_group
+
+
+def test_theorem_a_clause_6_floor_on_every_factorisation_of_d8_x_f21():
+    # Clause 6 needs non-abelian Sylow subgroups in both factors, which few
+    # small factorisations have; over the 677 factorisations of this group
+    # it is decided 17 times, and never fails.
+    G = parse_group_spec("product(dihedral(8),frobenius(7,3))")
+    subs = enumerate_subgroups(G)
+    pairs = factorisation_pairs(G)
+    assert len(pairs) == 677
+    decided = 0
+    for i, j in pairs:
+        F = Factorisation(G, subs[i], subs[j])
+        for p in sorted(pi_of(G)):
+            for row in report_rows(report_theorem_a(F, p)):
+                decided += row[2].startswith("6:") and row[3] == PASS
+    assert decided >= 17
+
+
+def test_side_facts_are_built_once_per_subgroup(monkeypatch):
+    # Work-count guard: every check on every factorisation of dihedral(12)
+    # builds the index rows of each subgroup it profiles once, and closes
+    # each product S N once, however many factorisations share S and N.
+    G = dihedral(12)
+    subs = enumerate_subgroups(G)
+    profiled, products, closures = [], [], []
+    index_rows, product_with_normal = baer._index_rows, baer._product_with_normal
+    closure = Group.closure_from_gen_ids
+
+    def rows(H, sub, keep):
+        profiled.append((H, sub))
+        return index_rows(H, sub, keep)
+
+    def product(H, S, N):
+        products.append((H, S, N.key()))
+        closures.append(0)
+        try:
+            return product_with_normal(H, S, N)
+        finally:
+            products[-1] += (closures.pop(),)
+
+    def close(self, gen_ids):
+        if closures:
+            closures[-1] += 1
+        return closure(self, gen_ids)
+
+    monkeypatch.setattr(baer, "_index_rows", rows)
+    monkeypatch.setattr(baer, "_product_with_normal", product)
+    monkeypatch.setattr(Group, "closure_from_gen_ids", close)
+    pairs = factorisation_pairs(G)
+    for i, j in pairs:
+        factorisation_rows(Factorisation(G, subs[i], subs[j]))
+    group_rows(G)
+    assert len(profiled) == len(set(profiled)) < 2 * len(pairs)
+    distinct = {call[:3] for call in products}
+    assert sum(call[3] for call in products) == len(distinct) < len(products)

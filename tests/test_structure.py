@@ -16,7 +16,7 @@ from baerlab.constructions import (
 )
 from baerlab.errors import CapExceeded
 from baerlab.group import Group, Subgroup, _small_generating_ids, centraliser, class_index
-from baerlab.numth import is_pi_number, p_part, prime_divisors
+from baerlab.numth import classify_prime_power, is_p_number, is_pi_number, p_part, prime_divisors
 from baerlab.perm import Permutation
 from baerlab.structure import (
     Factorisation,
@@ -468,7 +468,7 @@ def test_lazy_product_profiles_normality_and_sylow_conjugates_match_materialised
     # its blocks; the materialised copy reads them from its own store and
     # table.  Blockwise the conjugates come in product order, so they are
     # compared as sets.
-    from baerlab.baer import _pp_profile
+    from baerlab.baer import _pp_rows, _side_profile
 
     f1, n1, f2, n2 = factors
     lazy = direct_product([f1(n1), f2(n2)])
@@ -481,7 +481,14 @@ def test_lazy_product_profiles_normality_and_sylow_conjugates_match_materialised
         B = Subgroup.from_factors(G, [Subgroup.trivial(left), Subgroup.full(right)])
         return Factorisation(G, A, B)
 
-    assert _pp_profile(block_factorisation(lazy)) == _pp_profile(block_factorisation(whole))
+    def side_profiles(G):
+        F = block_factorisation(G)
+        return [
+            (locus, _pp_rows(sub), [list(_side_profile(sub, p).items()) for p in [None, *pi_of(G)]])
+            for locus, sub in F.factors()
+        ]
+
+    assert side_profiles(lazy) == side_profiles(whole)
 
     def normality(G):
         left, right = (enumerate_subgroups(f) for f in G.direct_factors)
@@ -504,13 +511,13 @@ def test_lazy_product_profiles_normality_and_sylow_conjugates_match_materialised
 def test_index_profile_of_a_lazy_product_past_the_enumeration_cap_raises():
     # Three blocks of order 200 multiply to 8,000,000 members, past the cap:
     # the blockwise profile refuses to list them, as members() does.
-    from baerlab.baer import _pp_profile
+    from baerlab.baer import is_p_baer
     from baerlab.errors import ENUMERATION_CAP
 
     G = direct_product([cyclic(200) for _ in range(3)])
     assert G.order > ENUMERATION_CAP
     with pytest.raises(CapExceeded) as caught:
-        _pp_profile(Factorisation.trivial(G))
+        is_p_baer(Factorisation.trivial(G), 2)
     assert caught.value.cap == ENUMERATION_CAP
     assert not G.is_materialized
 
@@ -575,30 +582,72 @@ def some_factorisations(G):
     return list(out.values())
 
 
+def brute_status(rows):
+    """The row scan over ``(locus, x, index)`` rows: the first row whose index
+    is no prime power fails; otherwise one witness per (locus, index), the
+    first in row order, sorted by (locus, index)."""
+    first = {}
+    for locus, x, idx in rows:
+        if not classify_prime_power(idx).is_prime_power:
+            return False, [(locus, x, idx)]
+        first.setdefault((locus, idx), x)
+    return True, [(locus, x, idx) for (locus, idx), x in sorted(first.items())]
+
+
+def status_rows(status):
+    return [(w.locus, w.element, w.index) for w in status.witnesses]
+
+
 @pytest.mark.parametrize("G", table_groups(), ids=repr)
 def test_index_profiles_from_store_ids_match_brute_force(G):
-    from baerlab.baer import _pp_profile, _status_from_rows, is_p_baer
-    from baerlab.numth import classify_prime_power
+    from baerlab.baer import _pp_rows, is_baer, is_p_baer
 
     for F in some_factorisations(G):
         rows = [
-            (locus, x, x.order(), brute_class_size(G, x))
+            (locus, x, brute_class_size(G, x))
             for locus, sub in F.factors()
             for x in sub.members()
             if x.order() > 1 and classify_prime_power(x.order()).is_prime_power
         ]
-        assert _pp_profile(F) == rows
+        for locus, sub in F.factors():
+            assert [(locus, x, idx) for x, _o, idx in _pp_rows(sub)] == [
+                row for row in rows if row[0] == locus
+            ]
+        per_prime, failing = {}, []
         for p in pi_of(G):
+            union = brute_status([row for row in rows if is_p_number(row[1].order(), p)])
+            got = is_p_baer(F, p, via="union")
+            assert (got.is_p_baer, status_rows(got)) == union
             P = find_prefactorised_sylow(F, p)
             sylow_rows = [
-                (locus, x, x.order(), brute_class_size(G, x))
+                (locus, x, brute_class_size(G, x))
                 for locus, sub in F.factors()
                 for x in P.intersection(sub).members()
                 if x.order() > 1
             ]
-            expected = _status_from_rows(F, p, sylow_rows)
             got = is_p_baer(F, p, via="sylow")
-            assert (got.is_p_baer, got.witnesses) == (expected.is_p_baer, expected.witnesses)
+            assert (got.is_p_baer, status_rows(got)) == brute_status(sylow_rows)
+            per_prime[p] = union[0]
+            if not union[0]:
+                failing += union[1]
+        holds = all(per_prime.values())
+        status = is_baer(F)
+        assert (status.is_baer, status.per_prime) == (holds, per_prime)
+        assert status_rows(status) == (brute_status(rows)[1] if holds else failing)
+
+
+def test_index_profile_oracle_sees_a_failing_witness():
+    # The factorisations above fail as well as pass: the trivial one of
+    # symmetric(4) is not 2-Baer, and its first failing row is the
+    # transposition (2 3), of index 6.
+    from baerlab.baer import is_baer, is_p_baer
+
+    F = some_factorisations(symmetric(4))[0]
+    assert F.is_trivial()
+    status = is_p_baer(F, 2)
+    assert not status.is_p_baer
+    assert [(w.locus, w.index, w.element.is_identity()) for w in status.witnesses] == [("A", 6, False)]
+    assert status_rows(is_baer(F)) == status_rows(status)
 
 
 # -- conjugation orbits against the all-elements loop -----------------------------------
