@@ -15,6 +15,11 @@ so reports are byte-reproducible.
 
 Facts read from one factor are memoised on that subgroup, which every
 factorisation with the same side shares; a factorisation only combines them.
+Facts about a factor as a group of its own (its Sylow subgroups and class
+sizes, for Theorems A, D and F and Corollary C) are read in the parent's id
+space by :func:`~baerlab.structure.factor_sylows` and
+:func:`~baerlab.structure.factor_class_index`, not through a Group built per
+factor; only past the Cayley-table gate do those build a view of the factor.
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ from .reporting import FAIL, NOT_APPLICABLE, PASS, SKIPPED, TheoremReport
 from .structure import (
     Factorisation,
     _blockwise,
+    factor_class_index,
+    factor_sylow,
+    factor_sylows,
     find_prefactorised_sylow,
     fitting,
     fitting2,
@@ -54,7 +62,6 @@ from .structure import (
     pi_of,
     quotient_group,
     sylow,
-    sylow_conjugates,
     upper_p_series,
 )
 
@@ -136,7 +143,8 @@ def _index_rows(G: Group, sub: Subgroup, keep) -> list:
     index the product of the block indices (class sizes multiply in a
     direct product), and its permutation is joined only when ``keep``
     passes.  Block members are sorted, so the product of the block rows is
-    in ``sub.members()`` order.  Otherwise, for instance for the base of a
+    in ``sub.members()`` order; each block's rows are memoised on the block
+    subgroup (:func:`_block_rows`).  Otherwise, for instance for the base of a
     wreath product, each member's order and class size is computed from its
     permutation.  :func:`_pp_rows` memoises it per subgroup.
     """
@@ -149,7 +157,7 @@ def _index_rows(G: Group, sub: Subgroup, keep) -> list:
             for i in sorted(sub.ids_in_store())
             if keep(orders[i])
         ]
-    parts = _blockwise(G, lambda f, s: _index_rows(f, s, lambda o: True), sub)
+    parts = _blockwise(G, lambda _f, s: _block_rows(s), sub)
     if parts is not None:
         check_enumerable("subgroup", sub.order)
         rows = []
@@ -165,6 +173,13 @@ def _index_rows(G: Group, sub: Subgroup, keep) -> list:
         if keep(o):
             rows.append((x, o, class_index(G, x)))
     return rows
+
+
+def _block_rows(S: Subgroup) -> list:
+    """The :func:`_index_rows` of every member of a block subgroup S, memoised on
+    S: block subgroups are id-backed and canonical, so each block's rows are
+    built once, however many product-form subgroups share that block."""
+    return S.cached("block_rows", lambda: _index_rows(S.parent, S, lambda o: True))
 
 
 def _is_nontrivial_prime_power(o: int) -> bool:
@@ -303,11 +318,12 @@ def _skipped_on_cap(theorem: str):
 
 def _side_centraliser_indices(S: Subgroup) -> list:
     """``(p, |G : C_G(S_p)|, prime power?)`` for each prime p of ``G = S.parent``
-    ascending, with ``S_p = sylow(S, p)``; memoised on S."""
+    ascending, with ``S_p = factor_sylow(S, p)``; memoised on S.  The index
+    does not depend on the choice of S_p: ``C_G(S_p^s) = C_G(S_p)^s``."""
 
     def build():
-        G, view = S.parent, S.as_group()
-        indices = [(p, G.order // centraliser(G, sylow(view, p)).order) for p in sorted(pi_of(G))]
+        G = S.parent
+        indices = [(p, G.order // centraliser(G, factor_sylow(S, p)).order) for p in sorted(pi_of(G))]
         return [(p, idx, classify_prime_power(idx).is_prime_power) for p, idx in indices]
 
     return S.cached("centraliser_indices", build)
@@ -317,11 +333,11 @@ def _side_choice_independent(S: Subgroup) -> bool:
     """Whether each Sylow subgroup of S has its prime's centraliser index; memoised on S."""
 
     def build():
-        G, view = S.parent, S.as_group()
+        G = S.parent
         return all(
             G.order // centraliser(G, Q).order == idx
             for p, idx, _ok in _side_centraliser_indices(S)
-            for Q in sylow_conjugates(view, p)
+            for Q in factor_sylows(S, p)
         )
 
     return S.cached("choice_independent", build)
@@ -458,9 +474,7 @@ def report_theorem_a(F: Factorisation, p: int) -> TheoremReport:
                 {"sides": [locus for locus, _ in applicable], "hall_order": H.order},
             )
 
-    SA = sylow(F.a.as_group(), p)
-    SB = sylow(F.b.as_group(), p)
-    if is_abelian(SA) or is_abelian(SB):
+    if is_abelian(factor_sylow(F.a, p)) or is_abelian(factor_sylow(F.b, p)):
         report.add("6:nonabelian-factor-sylows-force-decomposition", NOT_APPLICABLE,
                    "a factor has an abelian Sylow p-subgroup")
     else:
@@ -520,13 +534,14 @@ def report_theorem_b(F: Factorisation, p: int) -> TheoremReport:
     report.add("unique-primes", PASS, {"q": up.q, "r": up.r})
 
     P = find_prefactorised_sylow(F, p)
-    Fit = fitting(G)
-    complement = o_pi(Fit.as_group(), set(prime_divisors(Fit.order)) - {q_eff, r_eff})
+    # F(G) is nilpotent, so its {q,r}-complement is the product of the cores
+    # O_s(G), s in pi(F(G)) - {q, r}: each is the Sylow s-subgroup of F(G).
+    cores = [o_p(G, s) for s in prime_divisors(fitting(G).order) if s not in (q_eff, r_eff)]
     CP = centraliser(G, P)
     report.add(
         "centralises-fitting-complement",
-        PASS if all(b in CP for b in complement.generating_set()) else FAIL,
-        {"complement_order": complement.order},
+        PASS if all(b in CP for core in cores for b in core.generating_set()) else FAIL,
+        {"complement_order": math.prod(core.order for core in cores)},
     )
 
     K = P
@@ -577,11 +592,12 @@ def report_corollary_c(F: Factorisation) -> TheoremReport:
 
     sigma = set()
     for p in pi_of(G):
-        if not is_abelian(sylow(F.a.as_group(), p)) and not is_abelian(sylow(F.b.as_group(), p)):
+        if not is_abelian(factor_sylow(F.a, p)) and not is_abelian(factor_sylow(F.b, p)):
             sigma.add(p)
     Os = o_pi(G, sigma)
     Osp = o_pi(G, set(pi_of(G)) - sigma)
-    ok3 = Os.order * Osp.order == G.order and is_nilpotent(Os.as_group())
+    # O_sigma(G) is normal, so it is nilpotent iff it lies in F(G).
+    ok3 = Os.order * Osp.order == G.order and Os.subset_of(fitting(G))
     report.add("3:sigma-decomposition", PASS if ok3 else FAIL,
                {"sigma": sorted(sigma), "order_sigma": Os.order})
 
@@ -596,19 +612,19 @@ def report_corollary_c(F: Factorisation) -> TheoremReport:
 def _side_inheritance(S: Subgroup) -> tuple:
     """Theorem D on one factor S, memoised on S: ``(members checked, the first
     whose index in S does not inherit the prime of its index in S.parent,
-    S is a Baer group)``."""
+    S is a Baer group)``.  S is a Baer group when every prime-power-order
+    member has a prime-power class size in S (:func:`factor_class_index`)."""
 
     def build():
-        view, bad = S.as_group(), None
+        bad, baer_group = None, True
         for x, _o, idx in _pp_rows(S):
-            inner = class_index(view, x)
-            if idx == 1:
-                ok = inner == 1
-            else:
-                ok = classify_prime_power(inner).compatible_with(classify_prime_power(idx).prime)
+            inner = factor_class_index(S, x)
+            c = classify_prime_power(inner)
+            baer_group = baer_group and c.is_prime_power
+            ok = inner == 1 if idx == 1 else c.compatible_with(classify_prime_power(idx).prime)
             if not ok and bad is None:
                 bad = {"element": format_cycles(x), "outer_index": idx, "inner_index": inner}
-        return len(_pp_rows(S)), bad, is_baer(Factorisation.trivial(view)).is_baer
+        return len(_pp_rows(S)), bad, baer_group
 
     return S.cached("inheritance", build)
 
@@ -714,10 +730,9 @@ def baer_decomposition(G: Group):
     blocks = sorted([tuple(sorted(b)) for b in best])
     factors = [o_pi(G, set(b)) for b in blocks]
     for block, S in zip(blocks, factors):
-        view = S.as_group()
         shape_ok = classify_prime_power(S.order).is_prime_power or (
             len(prime_divisors(S.order)) == 2
-            and all(is_abelian(sylow(view, q)) for q in block)
+            and all(is_abelian(factor_sylow(S, q)) for q in block)
         )
         if not shape_ok:
             raise InternalInvariantViolation(f"decomposition factor of order {S.order} has the wrong shape")
@@ -870,8 +885,8 @@ def check_pq_baer(F: Factorisation, p: int, q: int) -> TheoremReport:
             ok = (
                 s == p
                 and is_normal(G, H)
-                and is_abelian(sylow(H.as_group(), p))
-                and is_abelian(sylow(H.as_group(), q))
+                and is_abelian(factor_sylow(H, p))
+                and is_abelian(factor_sylow(H, q))
             )
             report.add("b:normal-hall-pq", PASS if ok else FAIL,
                        {"s": s, "hall_order": H.order})

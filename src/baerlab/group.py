@@ -791,7 +791,11 @@ class Subgroup:
         """View this subgroup as a Group in its own right (same degree).
 
         A subgroup of full order is the parent itself, so it shares the
-        parent's store, table and caches.
+        parent's store, table and caches.  Any other view builds a Group with
+        its own store, and its own table when one is asked for.  The paper
+        layer reads a subgroup's Sylow subgroups and class sizes in the
+        parent's id space instead, and calls this only past the
+        Cayley-table gate (``structure._factor_view``).
         """
         if "group" not in self._cache:
             factors = self._factors

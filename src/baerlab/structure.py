@@ -4,10 +4,11 @@ Every operation here is a pure function of immutable groups.  Results are
 memoised on the group object (write-once), keyed by operation name and
 arguments, so sweeps never recompute per-group structure.  Facts about one
 subgroup (its generating ids and centraliser, whether it is normal or
-abelian, and the index profiles, centraliser indices and products with
-normal subgroups of ``baer``) are memoised on the subgroup through
-:meth:`Subgroup.cached`; since id-backed subgroups are canonical per group,
-every factorisation of a group that reaches the same subgroup shares them.
+abelian, its own Sylow subgroups and class sizes, and the index profiles,
+centraliser indices and products with normal subgroups of ``baer``) are
+memoised on the subgroup through :meth:`Subgroup.cached`; since id-backed
+subgroups are canonical per group, every factorisation of a group that
+reaches the same subgroup shares them.
 
 Direct products follow one rule, decided by :attr:`Group.blocks`: a group is
 handled blockwise exactly when it carries ``direct_factors`` and its store is
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceeded, InternalInvariantViolation
 from .constructions import direct_product
-from .group import Group, Subgroup, centraliser, join_blocks, split_blocks
+from .group import Group, Subgroup, centraliser, class_index, join_blocks, split_blocks
 from .numth import (
     classify_prime_power,
     is_p_number,
@@ -219,6 +220,97 @@ def sylow_conjugates(G: Group, p: int) -> list:
     :func:`hall_conjugates`, so the first entry is sylow(G, p).
     """
     return _cached(G, ("sylow_conjugates", p), lambda: hall_conjugates(G, sylow(G, p)))
+
+
+# -- a subgroup as a group of its own ---------------------------------------------
+#
+# G = S.parent already holds the store, table and Sylow conjugates of every
+# element of S, so these facts about S are read in G's id space, memoised on S.
+
+
+def _factor_view(S: Subgroup) -> Group:
+    """S as a Group of its own, for a parent that is past the Cayley-table gate
+    and no unmaterialised product: the one route that builds a view."""
+    return S.as_group()
+
+
+def factor_sylows(S: Subgroup, p: int) -> list:
+    """Syl_p(S) for a subgroup S of G = S.parent; memoised on S per prime.
+
+    Within the gate these are the intersections ``S n Q`` of order ``|S|_p``
+    for Q in :func:`sylow_conjugates` of G, in that order, each once.  That is
+    every Sylow subgroup of S: each lies in some Sylow subgroup Q of G, and is
+    then ``S n Q``, the largest p-subgroup of S there.  On an unmaterialised
+    product with S product-form over its blocks, a Sylow subgroup of S is a
+    product of block ones, listed in ``itertools.product`` order.  Otherwise
+    they are the Sylow conjugates of a view of S.  The first entry is
+    :func:`factor_sylow`.
+    """
+
+    def build():
+        G = S.parent
+        if G.use_id_arithmetic():
+            pk = p_part(S.order, p)
+            meets = (S.intersection(Q) for Q in sylow_conjugates(G, p))
+            return list(dict.fromkeys(R for R in meets if R.order == pk))
+        if (parts := _blockwise(G, lambda _f, s: factor_sylows(s, p), S)) is not None:
+            return [Subgroup.from_factors(G, c) for c in itertools.product(*parts)]
+        return sylow_conjugates(_factor_view(S), p)
+
+    return S.cached(("factor_sylows", p), build)
+
+
+def factor_sylow(S: Subgroup, p: int) -> Subgroup:
+    """The first of :func:`factor_sylows`, built without listing the others on
+    a product or past the gate; memoised on S per prime."""
+
+    def build():
+        G = S.parent
+        if G.use_id_arithmetic():
+            return factor_sylows(S, p)[0]
+        if (parts := _blockwise(G, lambda _f, s: factor_sylow(s, p), S)) is not None:
+            return Subgroup.from_factors(G, parts)
+        return sylow(_factor_view(S), p)
+
+    return S.cached(("factor_sylow", p), build)
+
+
+def factor_class_index(S: Subgroup, x: Permutation) -> int:
+    """``|S : C_S(x)|``, the class size in S of a member x of S.
+
+    Within the gate the classes of S are orbits under ``S.generating_ids()``
+    on G's table, ``id(s^-1 x s) = mul[inv[s]][mul[x][s]]``, walked once and
+    memoised on S.  On an unmaterialised product with S product-form over its
+    blocks, class sizes multiply over the blocks.  Otherwise the class is
+    read from a view of S.
+    """
+    G = S.parent
+    if G.use_id_arithmetic():
+        return S.cached("class_sizes", lambda: _class_sizes_on_table(S))[G.element_id(x)]
+    if (factors := _blockwise(G, lambda _f, s: s, S)) is not None:
+        return math.prod(factor_class_index(s, y) for s, y in zip(factors, G.split(x)))
+    return class_index(_factor_view(S), x)
+
+
+def _class_sizes_on_table(S: Subgroup) -> dict:
+    """``{id: class size in S}`` over the store ids of S, by orbit walks on the table."""
+    G = S.parent
+    mul, inv = G.cayley(), G.inverse_ids()
+    gens = [(mul[inv[s]], s) for s in S.generating_ids()]
+    size = {}
+    for x in S.ids_in_store():
+        if x in size:
+            continue
+        orbit, seen = [x], {x}
+        for y in orbit:
+            row = mul[y]
+            for left, s in gens:
+                z = left[row[s]]
+                if z not in seen:
+                    seen.add(z)
+                    orbit.append(z)
+        size.update(dict.fromkeys(orbit, len(orbit)))
+    return size
 
 
 # -- cores: O_p, O_pi ------------------------------------------------------------

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from baerlab import baer
@@ -323,3 +326,149 @@ def test_side_facts_are_built_once_per_subgroup(monkeypatch):
     assert len(profiled) == len(set(profiled)) < 2 * len(pairs)
     distinct = {call[:3] for call in products}
     assert sum(call[3] for call in products) == len(distinct) < len(products)
+
+
+# -- facts about the factors, read in G's id space -------------------------------------
+
+
+def test_factor_facts_past_the_gate_keep_their_answers():
+    # cyclic(2500) is past the Cayley-table gate, so G's own Sylow subgroups
+    # cannot be found on a table; the factor helpers fall back to a view of
+    # each factor, and Theorems F and D stay decided.
+    G = cyclic(2500)
+    assert G.order > CAYLEY_TABLE_MAX_ORDER
+    g = G.generators[0]
+    A = Subgroup.from_generators(G, [g ** 625])
+    B = Subgroup.from_generators(G, [g ** 4])
+    F = Factorisation(G, A, B)
+    assert [(c.clause, c.verdict) for c in check_theorem_f_equivalence(F).clauses] == [
+        ("equivalence", PASS)
+    ]
+    for factorisation in (F, Factorisation.trivial(G)):
+        report = baer.check_factor_inheritance(factorisation)
+        assert [(c.clause, c.verdict) for c in report.clauses] == [
+            ("1:index-prime-inherited", PASS), ("2:factors-are-baer-groups", PASS)
+        ]
+
+
+# The direct-products corpus of the benchmark: G = A x B with A and B whole
+# blocks of a product that is never materialised.
+PRODUCT_CASES = (
+    ([symmetric(4), dihedral(10)], [frobenius(7, 3), symmetric(3)]),
+    ([cyclic(3), frobenius(7, 2), frobenius(11, 5)], [cyclic(5)]),
+    ([frobenius(11, 5), symmetric(3)], [frobenius(7, 3), dihedral(10)]),
+    ([symmetric(4)], [frobenius(13, 3), dihedral(8)]),
+)
+
+
+def test_block_index_rows_are_built_once_per_block_subgroup(monkeypatch):
+    # Work-count guard: the index rows of a block subgroup are memoised on
+    # it, so every check on the direct-products corpus builds the rows of
+    # each of its 53 distinct block subgroups once.
+    cases = [block_halves_factorisation(left, right) for left, right in PRODUCT_CASES]
+    blocks = {f for F in cases for f in F.group.direct_factors}
+    calls = []
+    index_rows = baer._index_rows
+
+    def rows(H, sub, keep):
+        if H in blocks:
+            calls.append((H, sub.key()))
+        return index_rows(H, sub, keep)
+
+    monkeypatch.setattr(baer, "_index_rows", rows)
+    for F in cases:
+        factorisation_rows(F)
+        assert not F.group.is_materialized
+    assert len(calls) == len(set(calls)) == 53
+
+
+def test_factor_facts_build_no_group_and_no_view(monkeypatch):
+    # Work-count guard: every check on the 199 factorisations the benchmark
+    # sweeps of semilinear(2,3) reads the factors' Sylow subgroups and class
+    # sizes in G's id space, so no subgroup is viewed as a Group and the one
+    # Group built is a quotient.
+    G = semilinear(2, 3)
+    subs = enumerate_subgroups(G)
+    pairs = [(i, j) for i, j in factorisation_pairs(G)
+             if subs[i].order < G.order and subs[j].order < G.order]
+    factorisations = [Factorisation.trivial(G)] + [Factorisation(G, subs[i], subs[j]) for i, j in pairs]
+    assert len(factorisations) == 199
+    built, viewed = [], []
+    init, as_group = Group.__init__, Subgroup.as_group
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("name"))
+        init(self, *args, **kwargs)
+
+    def counted_view(self):
+        viewed.append(self)
+        return as_group(self)
+
+    monkeypatch.setattr(Group, "__init__", counted_init)
+    monkeypatch.setattr(Subgroup, "as_group", counted_view)
+    for F in factorisations:
+        factorisation_rows(F)
+    group_rows(G)
+    assert viewed == []
+    assert len(built) == 1 and "/N" in built[0]
+
+
+def output_lines(F) -> list:
+    """The full output of every factorisation check of ``baer`` on F, as JSON lines:
+    reports, statuses with their witnesses, and unique index primes."""
+    def status(st):
+        return {"holds": st.holds(), "per_prime": st.per_prime,
+                "witnesses": [w.to_json_dict() for w in st.witnesses]}
+
+    out = []
+    primes = sorted(pi_of(F.group))
+    for p in primes:
+        out += [status(baer.is_p_baer(F, p, via)) for via in ("union", "sylow")]
+        if baer.is_p_baer(F, p).is_p_baer:
+            out.append(repr(baer.unique_primes(F, p)))
+        out += [baer.report_theorem_a(F, p), baer.report_theorem_b(F, p), baer.report_theorem_e(F, p)]
+        out += [baer.check_p_index_decomposition(F, p, s) for s in ("p-elements", "all prime power")]
+        out += [baer.check_pq_baer(F, p, q) for q in primes]
+    out.append(status(baer.is_baer(F)))
+    out += [baer.check_theorem_f_equivalence(F), baer.report_corollary_c(F),
+            baer.check_factor_inheritance(F)]
+    return [json.dumps(r.to_json_dict() if isinstance(r, TheoremReport) else r, sort_keys=True)
+            for r in out]
+
+
+def group_output_lines(G) -> list:
+    decomposition = baer.baer_decomposition(G)
+    out = [None if decomposition is None else
+           [decomposition.prime_partition, [S.order for S in decomposition.factors]]]
+    out += [check(G).to_json_dict()
+            for check in (baer.check_wielandt, baer.check_camina_camina, baer.check_lemma_bk)]
+    return [json.dumps(r, sort_keys=True) for r in out]
+
+
+@pytest.mark.parametrize("spec, digest", [
+    ("dihedral(12)", "63b360ca440d9f4688b9deaa02ace3d36512b498aa43cc8ab097bea3f52f27ee"),
+    ("symmetric(4)", "6f3891c74fb067da9ee217ebf95ec5003938d1b21939762a93e4387d16d7dbc1"),
+])
+def test_every_output_on_every_factorisation_is_pinned(spec, digest):
+    # Golden output: the sha256 of every report, witness and status over
+    # every factorisation, so a changed witness shows even where the
+    # verdicts, which the benchmark digests cover, stay the same.
+    G = parse_group_spec(spec)
+    subs = enumerate_subgroups(G)
+    lines = [line for i, j in factorisation_pairs(G)
+             for line in output_lines(Factorisation(G, subs[i], subs[j]))]
+    lines += group_output_lines(G)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+def test_every_output_on_lazy_products_is_pinned():
+    # The same on two products that stay unmaterialised: the second is a
+    # Baer factorisation, so Theorem D reads class sizes block by block.
+    lines = []
+    for left, right in [([symmetric(3)], [dihedral(10)]), PRODUCT_CASES[1]]:
+        F = block_halves_factorisation(left, right)
+        lines += output_lines(F)
+        assert not F.group.is_materialized
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "afab19144ff1c285045c92258a1a419f8b4d6d6d6589592f7731f3d2752fd1e1"
+    )

@@ -14,6 +14,10 @@ and conjugation maps); every other module asks for them through the
 ``Group`` methods that build them, so how a table is built or held can
 change in one place.
 
+The paper layer reads facts about a subgroup as a group of its own in its
+parent's id space; only ``structure._factor_view``, the route past the
+Cayley-table gate, views a subgroup as a ``Group`` of its own.
+
 No module reads the process environment, so no setting can change the
 engine's behaviour outside its arguments and constants.
 """
@@ -182,6 +186,51 @@ def test_table_read_detector():
         "    return mul[x][g], G._conj_maps[0][x], getattr(G, '_inverse_ids')\n"
     )
     assert table_reads(source) == [(2, "_cayley"), (4, "_conj_maps")]
+
+
+def as_group_calls(source: str) -> list:
+    """(line, enclosing module-level function) for every ``.as_group()`` call."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef):
+                visit(child, where or child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "as_group"):
+                out.append((child.lineno, where))
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return sorted(out)
+
+
+SUBGROUP_VIEWS = {"structure.py": {"_factor_view"}}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SOURCE.glob("*.py")) if p.name != "group.py"], ids=lambda p: p.name
+)
+def test_subgroup_views_only_past_the_gate(path):
+    allowed = SUBGROUP_VIEWS.get(path.name, set())
+    calls = as_group_calls(path.read_text())
+    assert [call for call in calls if call[1] not in allowed] == []
+    assert {where for _line, where in calls} == allowed
+
+
+def test_as_group_call_detector():
+    source = (
+        "def f(S):\n"
+        "    def build():\n"
+        "        return S.as_group()\n"
+        "    return build, S.as_group\n"
+        "V = [S.as_group() for S in ()]\n"
+        "class C:\n"
+        "    def g(self, S):\n"
+        "        return (lambda: S.as_group())()\n"
+    )
+    assert as_group_calls(source) == [(3, "f"), (5, None), (8, "g")]
 
 
 ENVIRONMENT_READERS = frozenset({"environ", "getenv"})

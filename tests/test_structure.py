@@ -14,16 +14,19 @@ from baerlab.constructions import (
     subgroup_from_words,
     symmetric,
 )
-from baerlab.errors import CapExceeded
+from baerlab.errors import CAYLEY_TABLE_MAX_ORDER, CapExceeded
 from baerlab.group import Group, Subgroup, _small_generating_ids, centraliser, class_index
 from baerlab.numth import classify_prime_power, is_p_number, is_pi_number, p_part, prime_divisors
-from baerlab.perm import Permutation
+from baerlab.perm import Permutation, parse_cycles
 from baerlab.structure import (
     Factorisation,
     center,
     derived_subgroup,
     enumerate_subgroups,
     exponent,
+    factor_class_index,
+    factor_sylow,
+    factor_sylows,
     find_prefactorised_sylow,
     fitting,
     fitting2,
@@ -648,6 +651,95 @@ def test_index_profile_oracle_sees_a_failing_witness():
     assert not status.is_p_baer
     assert [(w.locus, w.index, w.element.is_identity()) for w in status.witnesses] == [("A", 6, False)]
     assert status_rows(is_baer(F)) == status_rows(status)
+
+
+# -- a subgroup as a group of its own, against brute-force definitions -------------------
+
+
+def brute_factor_sylows(G, S, p):
+    """The subgroups of S of order ``|S|_p``, from every subgroup of G."""
+    pk = p_part(S.order, p)
+    return {T.ids for T in enumerate_subgroups(G) if T.order == pk and T.ids <= S.ids}
+
+
+def brute_class_size_in(S, x):
+    members = S.members()
+    return len({x.conjugate(s) for s in members})
+
+
+@pytest.mark.parametrize("G", table_groups(), ids=repr)
+def test_factor_sylows_and_class_sizes_on_the_table_match_brute_force(G):
+    for S in enumerate_subgroups(G):
+        for p in pi_of(G):
+            found = factor_sylows(S, p)
+            assert len({R.ids for R in found}) == len(found)
+            assert {R.ids for R in found} == brute_factor_sylows(G, S, p)
+            assert factor_sylow(S, p) is found[0]
+        for x in S.members():
+            assert factor_class_index(S, x) == brute_class_size_in(S, x)
+
+
+def test_factor_sylows_and_class_sizes_of_a_lazy_product_match_materialised_product():
+    # Block by block on the lazy copy, in G's id space on the materialised one.
+    lazy, whole = sym3_x_d10(), sym3_x_d10()
+    whole.materialize()
+    left, right = (enumerate_subgroups(f) for f in lazy.direct_factors)
+    for S1 in left:
+        for S2 in right:
+            S = Subgroup.from_factors(lazy, [S1, S2])
+            T = Subgroup.from_members(whole, S.members())
+            for p in pi_of(lazy):
+                found = [frozenset(R.members()) for R in factor_sylows(S, p)]
+                assert len(set(found)) == len(found)
+                assert set(found) == {frozenset(R.members()) for R in factor_sylows(T, p)}
+                assert frozenset(factor_sylow(S, p).members()) == found[0]
+            for x in S.members():
+                assert factor_class_index(S, x) == factor_class_index(T, x)
+    assert not lazy.is_materialized
+
+
+def test_factor_sylows_and_class_sizes_past_the_gate_match_brute_force():
+    # symmetric(7) is past the Cayley-table gate, so S is read through a view;
+    # Syl_p(S) is the S-conjugacy class of any one Sylow subgroup.
+    G = symmetric(7)
+    S = Subgroup.from_generators(G, [parse_cycles("(0 1 2 3)", 7), parse_cycles("(0 1)", 7)])
+    assert S.order == 24 and G.order > CAYLEY_TABLE_MAX_ORDER
+    for p, count in [(2, 3), (3, 4), (5, 1)]:
+        found = [frozenset(R.members()) for R in factor_sylows(S, p)]
+        first = factor_sylow(S, p).members()
+        assert frozenset(first) == found[0] and len(first) == p_part(24, p)
+        assert set(found) == {frozenset(x.conjugate(s) for x in first) for s in S.members()}
+        assert len(found) == count
+    for x in S.members():
+        assert factor_class_index(S, x) == brute_class_size_in(S, x)
+
+
+def fitting_groups():
+    return table_groups() + [dihedral(12)]
+
+
+@pytest.mark.parametrize("G", fitting_groups(), ids=repr)
+def test_fitting_complements_are_products_of_cores(G):
+    # F(G) is nilpotent, so its pi-part is the product of the cores O_s(G),
+    # s in pi: what Theorem B reads instead of o_pi of a view of F(G).
+    Fit = fitting(G)
+    primes = prime_divisors(Fit.order)
+    for k in range(len(primes) + 1):
+        for pi in itertools.combinations(primes, k):
+            cores = [o_p(G, s) for s in pi]
+            product = Subgroup.from_generators(G, [g for core in cores for g in core.generating_set()])
+            assert product.order == math.prod(core.order for core in cores)
+            assert members_set(product) == members_set(o_pi(Fit.as_group(), set(pi)))
+
+
+@pytest.mark.parametrize("G", fitting_groups(), ids=repr)
+def test_normal_pi_cores_are_nilpotent_iff_inside_fitting(G):
+    # What Corollary C reads instead of the nilpotency of a view of O_sigma(G).
+    primes = pi_of(G)
+    for k in range(len(primes) + 1):
+        for sigma in itertools.combinations(primes, k):
+            Os = o_pi(G, set(sigma))
+            assert Os.subset_of(fitting(G)) == is_nilpotent(Os.as_group())
 
 
 # -- conjugation orbits against the all-elements loop -----------------------------------
