@@ -19,7 +19,7 @@ Facts about a factor as a group of its own (its Sylow subgroups and class
 sizes, for Theorems A, D and F and Corollary C) are read in the parent's id
 space by :func:`~baerlab.structure.factor_sylows` and
 :func:`~baerlab.structure.factor_class_index`, not through a Group built per
-factor; only past the Cayley-table gate do those build a view of the factor.
+factor.
 """
 
 from __future__ import annotations
@@ -492,9 +492,9 @@ def _product_with_normal(G: Group, S: Subgroup, N: Subgroup) -> Subgroup:
     When G is an unmaterialised direct product and S and N are product-form
     over its blocks, ``S N`` is the product of the blockwise ``S_i N_i``
     (each ``N_i`` is normal in its block), so only the small blocks are
-    closed and the result stays product-form.  Otherwise, when G is within
-    the Cayley-table gate, S N is the closure of both generating sets on the
-    table (``G.closure_from_gen_ids``); past the gate the generating
+    closed and the result stays product-form.  Otherwise, when G is
+    materialised, S N is the closure of both generating sets on the table
+    (``G.closure_from_gen_ids``); in any other case the generating
     permutations are closed.  In every case the result's order is checked
     against ``|S| |N| / |S n N|``, the size of the set S N.
     """
@@ -502,7 +502,7 @@ def _product_with_normal(G: Group, S: Subgroup, N: Subgroup) -> Subgroup:
     def build():
         if (parts := _blockwise(G, _product_with_normal, S, N)) is not None:
             K = Subgroup.from_factors(G, parts)
-        elif G.use_id_arithmetic() and S.parent is G and N.parent is G:
+        elif G.is_materialized and S.parent is G and N.parent is G:
             K = Subgroup.from_ids(G, G.closure_from_gen_ids(S.generating_ids() + N.generating_ids()))
         else:
             K = Subgroup.from_generators(G, list(S.generating_set()) + list(N.generating_set()))

@@ -11,12 +11,11 @@ ENUMERATION_CAP = 5_000_000
 # Default bound on a single conjugacy-orbit walk.
 DEFAULT_CLASS_ORBIT_CAP = 1_000_000
 
-# Materialised groups up to this order get an integer Cayley table for fast
-# id-level subgroup arithmetic.  Unmaterialised direct products are handled
-# block by block at any order and build no table of their own.
-# The table is built from generator maps in |G| * |gens| compositions, so the
-# gate bounds memory (|G|**2 list cells, about 46 MB at the bound), not time.
-CAYLEY_TABLE_MAX_ORDER = 2400
+# Cells one group's Cayley table holds: its columns of |G| ids each are filled
+# on demand and the oldest dropped to stay within this budget, so every
+# materialised group gets id-level arithmetic.  It bounds memory (about 46 MB
+# of list cells), as an all-rows table of a group of order 2400 did.
+CAYLEY_CELL_BUDGET = 2400**2
 
 
 class CapExceeded(RuntimeError):

@@ -12,7 +12,9 @@ are the one codec between a product's permutations and its block
 permutations.
 
 A :class:`Subgroup` follows the same rule: it is ids into its parent's
-materialised store, or per-block factors of an unmaterialised product.
+materialised store, or per-block factors of an unmaterialised product.  On
+store ids, a materialised group of any order multiplies through its
+:class:`CayleyTable`, filled column by column as columns are asked for.
 
 Determinism rules used throughout the package:
 
@@ -28,7 +30,7 @@ import math
 import weakref
 
 from .errors import (
-    CAYLEY_TABLE_MAX_ORDER,
+    CAYLEY_CELL_BUDGET,
     DEFAULT_CLASS_ORBIT_CAP,
     ENUMERATION_CAP,
     CapExceeded,
@@ -145,8 +147,7 @@ class Group:
         self.name = name if name is not None else f"group(degree={degree})"
         self._elements: tuple | None = None
         self._index: dict | None = None
-        self._cayley: list | None = None
-        self._inverse_ids: list | None = None
+        self._cayley: CayleyTable | None = None
         self._conj_maps: list | None = None
         self._cache: dict = {}
         # The canonical id-backed subgroups (Subgroup.from_ids), held weakly
@@ -204,13 +205,6 @@ class Group:
         self._index = {p: i for i, p in enumerate(self._elements)}
         return self._elements
 
-    def materializable(self) -> bool:
-        try:
-            self.materialize()
-            return True
-        except CapExceeded:
-            return False
-
     @property
     def elements(self) -> tuple:
         return self.materialize()
@@ -254,56 +248,16 @@ class Group:
     def embed_factor_element(self, i: int, p: Permutation) -> Permutation:
         return embed_block([f.degree for f in self.direct_factors], i, p)
 
-    # -- id-level machinery (small materialised groups) -------------------
+    # -- id-level machinery (materialised groups) ---------------------------
 
-    def cayley(self) -> list:
-        """Integer multiplication table ``mul[a][b] == id(a * b)``.
-
-        Built from one left-multiplication map per generator, ``x -> g * x``
-        on ids, so only ``|G| * |gens|`` permutation products are composed.
-        Every other row comes from its parent along a breadth-first spanning
-        tree from the identity: ``row[g * a] = [lmap_g[v] for v in row[a]]``,
-        since ``(g * a) * b == g * (a * b)``.  The gate bounds the ``|G|**2``
-        cells the table holds.
-        """
+    def cayley(self) -> "CayleyTable":
+        """The group's :class:`CayleyTable`, whose columns are filled as they are asked for."""
         if self._cayley is None:
-            n = self.order  # checked before any store is built
-            if n > CAYLEY_TABLE_MAX_ORDER:
-                raise CapExceeded(
-                    f"order {n} beyond Cayley-table gate {CAYLEY_TABLE_MAX_ORDER}",
-                    cap=CAYLEY_TABLE_MAX_ORDER,
-                )
-            els = self.materialize()
-            idx = self._index
-            lmaps = [[idx[g * x] for x in els] for g in self.generators]
-            id0 = idx[self.identity()]
-            rows = [None] * n
-            rows[id0] = list(range(n))
-            frontier = [id0]
-            while frontier:
-                new = []
-                for a in frontier:
-                    row = rows[a]
-                    for lmap in lmaps:
-                        c = lmap[a]
-                        if rows[c] is None:
-                            rows[c] = list(map(lmap.__getitem__, row))
-                            new.append(c)
-                frontier = new
-            if None in rows:
-                raise InternalInvariantViolation(
-                    f"Cayley build reached {n - rows.count(None)} of {n} elements"
-                )
-            self._cayley = rows
-            self._inverse_ids = [row.index(id0) for row in rows]
+            self._cayley = CayleyTable(self)
         return self._cayley
 
     def inverse_ids(self) -> list:
-        self.cayley()
-        return self._inverse_ids
-
-    def use_id_arithmetic(self) -> bool:
-        return self.is_materialized and len(self._elements) <= CAYLEY_TABLE_MAX_ORDER
+        return self.cayley().inv
 
     def closure_ids(self, seed_ids, extra_gens_ids=()) -> frozenset:
         """Closure of the subgroup ``seed_ids`` plus extra generators, as element ids."""
@@ -314,15 +268,15 @@ class Group:
 
     def closure_from_gen_ids(self, gen_ids) -> frozenset:
         mul = self.cayley()
+        cols = [mul.col(g) for g in gen_ids]
         # The identity has the least image tuple, so it is store id 0.
         seen = {0}
         frontier = [0]
         while frontier:
             new = []
             for a in frontier:
-                row = mul[a]
-                for g in gen_ids:
-                    c = row[g]
+                for col in cols:
+                    c = col[a]
                     if c not in seen:
                         seen.add(c)
                         new.append(c)
@@ -336,20 +290,14 @@ class Group:
     def conjugation_maps(self) -> list:
         """Per generator ``g``, the id map ``cmap[x] == id(g**-1 * x * g)``.
 
-        Built once per group: within the Cayley-table gate each map is read
-        from the table, ``mul[g**-1][mul[x][g]]``; past it, every stored
-        element is conjugated and looked up in the store.  The maps come in
-        generator order.
+        Built once per group from the table, ``row(g**-1)[col(g)[x]]``; the
+        maps come in generator order.
         """
         if self._conj_maps is None:
-            els = self.materialize()
-            if len(els) <= CAYLEY_TABLE_MAX_ORDER:
-                mul, inv = self.cayley(), self.inverse_ids()
-                maps = [[mul[inv[g]][row[g]] for row in mul] for g in self.generator_ids()]
-            else:
-                idx = self._index
-                maps = [[idx[x.conjugate(g)] for x in els] for g in self.generators]
-            self._conj_maps = maps
+            mul, inv = self.cayley(), self.inverse_ids()
+            self._conj_maps = [
+                list(map(mul.row(inv[g]).__getitem__, mul.col(g))) for g in self.generator_ids()
+            ]
         return self._conj_maps
 
     # -- element facts, cached --------------------------------------------
@@ -392,6 +340,91 @@ class Group:
         return self._cache["class_of"][eid]
 
 
+class CayleyTable:
+    """The multiplication of a materialised group on store ids, filled on demand.
+
+    ``col(s)[x] == id(x * s)`` is the right column of ``s``, ``row(s)[x] ==
+    id(s * x)`` its left row and ``inv[x] == id(x**-1)``.  The table keeps
+    one left map ``x -> id(g * x)`` per generator and a breadth-first
+    spanning tree of left multiplications from the identity (a Schreier
+    vector).  A column is built from its tree parent's column when that is
+    held, ``id(x * g * h) == col(h)[col(g)[x]]``, and otherwise spread down
+    the tree from the generator maps, ``id(g * a * s) == lmap_g[id(a * s)]``:
+    a few list lookups per element either way, however deep the tree.  A row
+    is read off a column, ``row(s)[x] == inv[col(s**-1)[inv[x]]]``.  Columns
+    are held, oldest dropped first, within ``CAYLEY_CELL_BUDGET`` cells.
+
+    There is deliberately no ``__getitem__``: a ``mul[a][b]`` read of an
+    all-rows table fails instead of reading a transpose.
+    """
+
+    def __init__(self, G: Group):
+        els = G.materialize()
+        self._lmaps = [[G._index[g * x] for x in els] for g in G.generators]
+        # pos[x] is x's place in breadth-first order; a block (j, parents)
+        # holds, at consecutive places, the children g_j * a of the parents
+        # at the places listed; up[g_j * a] is (id(g_j), a) for a != 1.
+        pos = [-1] * len(els)
+        pos[0] = 0  # the identity has the least image tuple, so it is id 0
+        up = [None] * len(els)
+        size, blocks, frontier = 1, [], [0]
+        while frontier:
+            new = []
+            for j, lmap in enumerate(self._lmaps):
+                parents = []
+                for a in frontier:
+                    c = lmap[a]
+                    if pos[c] < 0:
+                        pos[c] = size
+                        size += 1
+                        up[c] = (lmap[0], a) if a else None
+                        parents.append(pos[a])
+                        new.append(c)
+                if parents:
+                    blocks.append((j, parents))
+            frontier = new
+        if size != len(els):
+            raise InternalInvariantViolation(f"spanning tree reached {size} of {len(els)} elements")
+        self._pos, self._blocks, self._up = pos, blocks, up
+        self._cols: dict = {}
+        self._cells = 0
+        # id(g_j**-1) is where lmap_j reaches the identity.
+        self.inv = self._spread(0, [self.col(lmap.index(0)) for lmap in self._lmaps])
+
+    def __len__(self) -> int:
+        return len(self._pos)
+
+    def _spread(self, seed: int, maps) -> list:
+        """The id list ``v`` with ``v[0] == seed`` at the identity and
+        ``v[id(g_j * a)] == maps[j][v[a]]`` down the tree."""
+        vals = [seed]
+        for j, parents in self._blocks:
+            vals.extend(map(maps[j].__getitem__, map(vals.__getitem__, parents)))
+        return list(map(vals.__getitem__, self._pos))
+
+    def col(self, s: int) -> list:
+        """``[id(x * s) for x in G]``."""
+        cols = self._cols
+        cells = cols.get(s)
+        if cells is None:
+            step = self._up[s]
+            parent = step and cols.get(step[1])
+            if parent:
+                cells = list(map(parent.__getitem__, self.col(step[0])))
+            else:
+                cells = self._spread(s, self._lmaps)
+            while cols and self._cells + len(cells) > CAYLEY_CELL_BUDGET:
+                self._cells -= len(cols.pop(next(iter(cols))))
+            cols[s] = cells
+            self._cells += len(cells)
+        return cells
+
+    def row(self, s: int) -> list:
+        """``[id(s * x) for x in G]``."""
+        inv = self.inv
+        return list(map(inv.__getitem__, map(self.col(inv[s]).__getitem__, inv)))
+
+
 def conjugacy_class(G: Group, x: Permutation, cap: int = DEFAULT_CLASS_ORBIT_CAP) -> list:
     """Orbit of ``x`` under conjugation by the generators of ``G``.
 
@@ -426,20 +459,20 @@ def class_index(G: Group, x: Permutation) -> int:
 
     Unmaterialised direct products are handled componentwise; a materialised
     group reads the class from its conjugacy partition; otherwise the orbit
-    walk is used, falling back to the centraliser path.
+    walk is used, and when it outgrows its cap the group is materialised
+    (which raises :class:`CapExceeded` past the enumeration cap) and the
+    partition read.
     """
     if G.blocks is not None:
         return math.prod(
             class_index(f, col[0]) for f, col in zip(G.blocks, G.split_all([x]))
         )
-    if G.is_materialized:
-        return len(G.conjugacy_partition()[G.class_of_id(G.element_id(x))])
-    try:
-        return len(conjugacy_class(G, x))
-    except CapExceeded:
-        if G.materializable():
-            return G.order // centraliser_order(G, [x])
-        raise
+    if not G.is_materialized:
+        try:
+            return len(conjugacy_class(G, x))
+        except CapExceeded:
+            G.materialize()
+    return len(G.conjugacy_partition()[G.class_of_id(G.element_id(x))])
 
 
 def class_index_via_centraliser(G: Group, x: Permutation) -> int:
@@ -466,31 +499,18 @@ def centraliser(G: Group, S) -> "Subgroup":
     On an unmaterialised direct product this is computed blockwise, which is
     exact because commutation in a product is componentwise; an element of
     ``S`` that mixes blocks is no element of the product and raises
-    ValueError, as in :func:`class_index`.  Otherwise, when ``G`` is within
-    the Cayley-table gate and every element of ``S`` lies in ``G``, the
-    table decides commutation: one pass per element ``s`` keeps the ids
-    ``g`` with ``mul[g][s] == mul[s][g]``.  Past the gate, or for elements
-    outside ``G``, every element of ``G`` is
-    composed with every element of ``S``.
+    ValueError, as in :func:`class_index`.  Otherwise ``G`` is materialised
+    and, when every element of ``S`` lies in ``G``, the table decides
+    commutation: one pass per element ``s`` keeps the ids ``g`` with
+    ``col(s)[g] == row(s)[g]``.  For elements outside ``G``, every element
+    of ``G`` is composed with every element of ``S``.
 
     For a :class:`Subgroup` the answer is memoised on ``S``, keyed by ``G``,
-    since ``S`` may belong to another group on the same points, such as a
-    view of a subgroup of ``G``.  Such an ``S`` is also answered through the
-    canonical subgroup of ``G`` with the same elements, so the views that
-    share a subgroup share its centraliser.
+    since ``S`` may belong to another group on the same points.
     """
     if isinstance(S, Subgroup):
-        return S.cached(("centraliser", G), lambda: _subgroup_centraliser(G, S))
+        return S.cached(("centraliser", G), lambda: _centraliser(G, S.generating_set()))
     return _centraliser(G, S)
-
-
-def _subgroup_centraliser(G: Group, S: "Subgroup") -> "Subgroup":
-    if S.parent is not G and G.use_id_arithmetic():
-        ids = [G._index.get(x) for x in S.members()]
-        if None not in ids:
-            T = Subgroup.from_ids(G, ids)
-            return T.cached(("centraliser", G), lambda: _centraliser(G, S.generating_set()))
-    return _centraliser(G, S.generating_set())
 
 
 def _centraliser(G: Group, gens) -> "Subgroup":
@@ -503,13 +523,12 @@ def _centraliser(G: Group, gens) -> "Subgroup":
         )
     els = G.materialize()
     idx = G._index
-    if G.use_id_arithmetic() and all(s in idx for s in gens):
+    if all(s in idx for s in gens):
         mul = G.cayley()
         ids = range(len(els))
         for s in gens:
-            sid = idx[s]
-            row = mul[sid]
-            ids = [g for g in ids if mul[g][sid] == row[g]]
+            col, row = mul.col(idx[s]), mul.row(idx[s])
+            ids = [g for g in ids if col[g] == row[g]]
         return Subgroup.from_ids(G, ids)
     ids = frozenset(i for i, g in enumerate(els) if _commutes_with_all(g, gens))
     return Subgroup.from_ids(G, ids)
@@ -527,25 +546,6 @@ def _small_generating_ids(G: Group, ids: frozenset) -> list:
         gens.append(x)
         have = G.closure_from_gen_ids(gens)
         if len(have) == len(ids):
-            break
-    return gens
-
-
-def _small_generating_perms(members_sorted) -> list:
-    """Greedy generating subset of an explicit, sorted element list."""
-    members = list(members_sorted)
-    if len(members) <= 1:
-        return []
-    degree = members[0].degree
-    memberset = set(members)
-    gens: list[Permutation] = []
-    have = {identity(degree)}
-    for x in members:
-        if x in have:
-            continue
-        gens.append(x)
-        have = set(closure(gens, cap=len(memberset) + 1, degree=degree))
-        if len(have) == len(memberset):
             break
     return gens
 
@@ -739,21 +739,18 @@ class Subgroup:
                     for i, s in enumerate(self._factors)
                     for g in s.generating_set()
                 ]
-            elif self.parent.use_id_arithmetic():
+            else:
                 els = self.parent.elements
                 gens = [els[i] for i in self.generating_ids()]
-            else:
-                gens = _small_generating_perms(self.members())
             self._cache["gens"] = tuple(gens)
         return self._cache["gens"]
 
     def generating_ids(self) -> list:
         """A small, deterministic generating set as parent store ids.
 
-        Needs a parent within the Cayley-table gate; for an id-backed
-        subgroup these are the ids of :meth:`generating_set`.  Callers must
-        not mutate the list: it is the memo shared by every user of this
-        canonical subgroup.
+        Materialises the parent; for an id-backed subgroup these are the
+        ids of :meth:`generating_set`.  Callers must not mutate the list: it
+        is the memo shared by every user of this canonical subgroup.
         """
         return self.cached(
             "gen_ids", lambda: _small_generating_ids(self.parent, self.ids_in_store())
@@ -793,9 +790,8 @@ class Subgroup:
         A subgroup of full order is the parent itself, so it shares the
         parent's store, table and caches.  Any other view builds a Group with
         its own store, and its own table when one is asked for.  The paper
-        layer reads a subgroup's Sylow subgroups and class sizes in the
-        parent's id space instead, and calls this only past the
-        Cayley-table gate (``structure._factor_view``).
+        layer never calls this: it reads a subgroup's Sylow subgroups and
+        class sizes in the parent's id space.
         """
         if "group" not in self._cache:
             factors = self._factors

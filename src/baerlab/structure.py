@@ -72,18 +72,18 @@ def _blockwise(G: Group, op, *subs):
 def is_abelian(obj) -> bool:
     """Works on groups and subgroups; generator pairs decide it.
 
-    For a subgroup whose parent is within the Cayley-table gate the pairs are
-    compared on the table (``mul[a][b] == mul[b][a]`` over the subgroup's
-    generating ids); otherwise generator permutations are composed.  The
-    answer is memoised on the group or subgroup.
+    For a subgroup of a materialised parent the pairs are compared on the
+    table (``col(b)[a] == col(a)[b]`` over the subgroup's generating ids);
+    otherwise generator permutations are composed.  The answer is memoised
+    on the group or subgroup.
     """
 
     def build():
         if isinstance(obj, Subgroup):
-            if obj.parent.use_id_arithmetic():
+            if obj.parent.is_materialized:
                 mul = obj.parent.cayley()
                 gens = obj.generating_ids()
-                return all(mul[a][b] == mul[b][a] for a in gens for b in gens)
+                return all(mul.col(b)[a] == mul.col(a)[b] for a in gens for b in gens)
             gens = obj.generating_set()
         elif (parts := _blockwise(obj, is_abelian)) is not None:
             return all(parts)
@@ -175,7 +175,7 @@ def _conjugation_orbit(G: Group, ids) -> tuple:
 
     ``orbit`` starts at ``ids`` and grows by images under
     :meth:`Group.conjugation_maps`, so it costs ``|G : N_G(H)|`` set images.
-    The labels follow a walk of the Cayley table from the identity, by
+    The labels follow a walk of the generator columns from the identity, by
     ``label[g s] = act[label[g]][s]`` for a generator ``s``, since
     ``H^(g s) = (H^g)^s``.
     """
@@ -193,14 +193,14 @@ def _conjugation_orbit(G: Group, ids) -> tuple:
             row.append(where[M])
         act.append(row)
     mul = G.cayley()
-    gens = G.generator_ids()
+    cols = [mul.col(s) for s in G.generator_ids()]
     label = [-1] * len(mul)
     label[0] = 0
     reached = [0]
     for g in reached:
-        row, here = mul[g], act[label[g]]
-        for j, s in enumerate(gens):
-            c = row[s]
+        here = act[label[g]]
+        for j, col in enumerate(cols):
+            c = col[g]
             if label[c] < 0:
                 label[c] = here[j]
                 reached.append(c)
@@ -228,49 +228,38 @@ def sylow_conjugates(G: Group, p: int) -> list:
 # element of S, so these facts about S are read in G's id space, memoised on S.
 
 
-def _factor_view(S: Subgroup) -> Group:
-    """S as a Group of its own, for a parent that is past the Cayley-table gate
-    and no unmaterialised product: the one route that builds a view."""
-    return S.as_group()
-
-
 def factor_sylows(S: Subgroup, p: int) -> list:
     """Syl_p(S) for a subgroup S of G = S.parent; memoised on S per prime.
 
-    Within the gate these are the intersections ``S n Q`` of order ``|S|_p``
-    for Q in :func:`sylow_conjugates` of G, in that order, each once.  That is
-    every Sylow subgroup of S: each lies in some Sylow subgroup Q of G, and is
-    then ``S n Q``, the largest p-subgroup of S there.  On an unmaterialised
-    product with S product-form over its blocks, a Sylow subgroup of S is a
-    product of block ones, listed in ``itertools.product`` order.  Otherwise
-    they are the Sylow conjugates of a view of S.  The first entry is
-    :func:`factor_sylow`.
+    On an unmaterialised product with S product-form over its blocks, a
+    Sylow subgroup of S is a product of block ones, listed in
+    ``itertools.product`` order.  Otherwise these are the intersections
+    ``S n Q`` of order ``|S|_p`` for Q in :func:`sylow_conjugates` of G, in
+    that order, each once.  That is every Sylow subgroup of S: each lies in
+    some Sylow subgroup Q of G, and is then ``S n Q``, the largest
+    p-subgroup of S there.  The first entry is :func:`factor_sylow`.
     """
 
     def build():
         G = S.parent
-        if G.use_id_arithmetic():
-            pk = p_part(S.order, p)
-            meets = (S.intersection(Q) for Q in sylow_conjugates(G, p))
-            return list(dict.fromkeys(R for R in meets if R.order == pk))
         if (parts := _blockwise(G, lambda _f, s: factor_sylows(s, p), S)) is not None:
             return [Subgroup.from_factors(G, c) for c in itertools.product(*parts)]
-        return sylow_conjugates(_factor_view(S), p)
+        pk = p_part(S.order, p)
+        meets = (S.intersection(Q) for Q in sylow_conjugates(G, p))
+        return list(dict.fromkeys(R for R in meets if R.order == pk))
 
     return S.cached(("factor_sylows", p), build)
 
 
 def factor_sylow(S: Subgroup, p: int) -> Subgroup:
     """The first of :func:`factor_sylows`, built without listing the others on
-    a product or past the gate; memoised on S per prime."""
+    a product; memoised on S per prime."""
 
     def build():
         G = S.parent
-        if G.use_id_arithmetic():
-            return factor_sylows(S, p)[0]
         if (parts := _blockwise(G, lambda _f, s: factor_sylow(s, p), S)) is not None:
             return Subgroup.from_factors(G, parts)
-        return sylow(_factor_view(S), p)
+        return factor_sylows(S, p)[0]
 
     return S.cached(("factor_sylow", p), build)
 
@@ -278,34 +267,33 @@ def factor_sylow(S: Subgroup, p: int) -> Subgroup:
 def factor_class_index(S: Subgroup, x: Permutation) -> int:
     """``|S : C_S(x)|``, the class size in S of a member x of S.
 
-    Within the gate the classes of S are orbits under ``S.generating_ids()``
-    on G's table, ``id(s^-1 x s) = mul[inv[s]][mul[x][s]]``, walked once and
-    memoised on S.  On an unmaterialised product with S product-form over its
-    blocks, class sizes multiply over the blocks.  Otherwise the class is
-    read from a view of S.
+    On an unmaterialised product with S product-form over its blocks, class
+    sizes multiply over the blocks.  A subgroup of full order is G, whose
+    conjugacy partition gives the class (:func:`class_index`).  Otherwise the
+    classes of S are orbits under ``S.generating_ids()`` on G's table,
+    ``id(s^-1 x s) = row(s^-1)[col(s)[x]]``, walked once and memoised on S.
     """
     G = S.parent
-    if G.use_id_arithmetic():
-        return S.cached("class_sizes", lambda: _class_sizes_on_table(S))[G.element_id(x)]
     if (factors := _blockwise(G, lambda _f, s: s, S)) is not None:
         return math.prod(factor_class_index(s, y) for s, y in zip(factors, G.split(x)))
-    return class_index(_factor_view(S), x)
+    if S.order == G.order:
+        return class_index(G, x)
+    return S.cached("class_sizes", lambda: _class_sizes_on_table(S))[G.element_id(x)]
 
 
 def _class_sizes_on_table(S: Subgroup) -> dict:
     """``{id: class size in S}`` over the store ids of S, by orbit walks on the table."""
     G = S.parent
     mul, inv = G.cayley(), G.inverse_ids()
-    gens = [(mul[inv[s]], s) for s in S.generating_ids()]
+    gens = [(mul.row(inv[s]), mul.col(s)) for s in S.generating_ids()]
     size = {}
     for x in S.ids_in_store():
         if x in size:
             continue
         orbit, seen = [x], {x}
         for y in orbit:
-            row = mul[y]
-            for left, s in gens:
-                z = left[row[s]]
+            for left, col in gens:
+                z = left[col[y]]
                 if z not in seen:
                     seen.add(z)
                     orbit.append(z)
@@ -451,10 +439,9 @@ class Quotient:
             return g
         if self._parts is not None:
             return join_blocks(q.project(part) for q, part in zip(self._parts, self.source.split(g)))
-        mul = self.source.cayley()
-        gid = self.source.element_id(g)
+        col = self.source.cayley().col(self.source.element_id(g))
         coset_of = self._coset_of
-        return Permutation._make(tuple(coset_of[mul[r][gid]] for r in self._reps))
+        return Permutation._make(tuple(coset_of[col[r]] for r in self._reps))
 
     def preimage(self, S: Subgroup) -> Subgroup:
         if self.is_identity():
@@ -465,11 +452,10 @@ class Quotient:
             if parts is None:
                 raise CapExceeded("preimage in an unenumerated product needs a product-form subgroup")
             return Subgroup.from_factors(self.source, parts)
-        quotient_members = S.member_set()
-        keep = [c for c in range(len(self._reps))
-                if self.project(self.source.elements[self._reps[c]]) in quotient_members]
-        keep_set = set(keep)
-        ids = [e for e, c in enumerate(self._coset_of) if c in keep_set]
+        # The quotient acts regularly on the cosets, and the projection of
+        # coset c's representative is its one element taking coset 0 to c.
+        keep = {q(0) for q in S.members()}
+        ids = [e for e, c in enumerate(self._coset_of) if c in keep]
         return Subgroup.from_ids(self.source, ids)
 
     def lift_p_element(self, qp: Permutation, p: int) -> Permutation:
@@ -505,27 +491,33 @@ def quotient_group(G: Group, N: Subgroup) -> Quotient:
     def build():
         if (parts := _blockwise(G, quotient_group, N)) is not None:
             return Quotient(G, N, direct_product([q.group for q in parts]), parts=parts)
+        # The coset N e is the orbit of e under left multiplication by N.
         mul = G.cayley()
-        els = G.elements
-        nids = sorted(N.ids_in_store())
-        coset_of = [-1] * len(els)
+        rows = [mul.row(n) for n in N.generating_ids()]
+        coset_of = [-1] * len(mul)
         reps = []
-        for e in range(len(els)):
+        for e in range(len(mul)):
             if coset_of[e] >= 0:
                 continue
             label = len(reps)
             reps.append(e)
-            for nid in nids:
-                coset_of[mul[nid][e]] = label
-        m = len(reps)
+            coset_of[e] = label
+            orbit = [e]
+            for y in orbit:
+                for row in rows:
+                    z = row[y]
+                    if coset_of[z] < 0:
+                        coset_of[z] = label
+                        orbit.append(z)
         gen_perms = []
         for gid in G.generator_ids():
-            gen_perms.append(Permutation._make(tuple(coset_of[mul[r][gid]] for r in reps)))
+            col = mul.col(gid)
+            gen_perms.append(Permutation._make(tuple(coset_of[col[r]] for r in reps)))
         qgroup = Group(
-            m,
+            len(reps),
             gen_perms,
-            order_hint=len(els) // len(nids),
-            name=f"{G.name}/N{len(nids)}",
+            order_hint=len(mul) // N.order,
+            name=f"{G.name}/N{N.order}",
         )
         return Quotient(G, N, qgroup, coset_of=coset_of, reps=reps)
 
@@ -690,11 +682,10 @@ def hall_conjugates(G: Group, H: Subgroup) -> list:
 
     On an unmaterialised product with ``H`` product-form over its blocks,
     every conjugate is the product of block conjugates, so the list is the
-    product of the blocks' lists, in ``itertools.product`` order.  Within
-    the Cayley-table gate the conjugates are the points of
-    :func:`_conjugation_orbit`; past it, ``H`` is conjugated by every
-    element.  Both give first-appearance store order: ``H^g`` for ``g`` in
-    store order, each conjugate where it first appears.
+    product of the blocks' lists, in ``itertools.product`` order.
+    Otherwise the conjugates are the points of :func:`_conjugation_orbit`,
+    in first-appearance store order: ``H^g`` for ``g`` in store order, each
+    conjugate where it first appears.
     """
     if H.parent is not G:
         raise ValueError("subgroup does not belong to this group")
@@ -702,15 +693,8 @@ def hall_conjugates(G: Group, H: Subgroup) -> list:
         return [Subgroup.from_factors(G, c) for c in itertools.product(*parts)]
     if H.is_trivial():
         return [H]
-    els = G.materialize()
-    if G.use_id_arithmetic():
-        orbit, label = _conjugation_orbit(G, H.ids_in_store())
-        return [Subgroup.from_ids(G, orbit[i]) for i in dict.fromkeys(label)]
-    out = {}
-    for g in els:
-        Q = H.conjugate(g)
-        out.setdefault(Q.key(), Q)
-    return list(out.values())
+    orbit, label = _conjugation_orbit(G, H.ids_in_store())
+    return [Subgroup.from_ids(G, orbit[i]) for i in dict.fromkeys(label)]
 
 
 # -- decomposability and the upper p-series -------------------------------------------
@@ -800,17 +784,17 @@ def is_normal(G: Group, S: Subgroup) -> bool:
     On an unmaterialised product with ``S`` product-form over its blocks the
     answer is blockwise, which is exact: ``S_1 x ... x S_r`` is normal in
     ``G_1 x ... x G_r`` iff every ``S_i`` is normal in ``G_i``.  When ``S``
-    is a subgroup of ``G`` itself and ``G`` is within the Cayley-table gate,
-    the conjugates are read from :meth:`Group.conjugation_maps` and tested
-    against S's store ids.  In any other case, for instance for a subgroup
-    of another group on the same points, the permutations are conjugated
-    and tested for membership.
+    is a subgroup of ``G`` itself and ``G`` is materialised, the conjugates
+    are read from :meth:`Group.conjugation_maps` and tested against S's
+    store ids.  In any other case, for instance for a subgroup of another
+    group on the same points, the permutations are conjugated and tested
+    for membership.
     """
     if S.order == G.order:
         return True
     if (parts := _blockwise(G, is_normal, S)) is not None:
         return all(parts)
-    if S.parent is G and G.use_id_arithmetic():
+    if S.parent is G and G.is_materialized:
         ids = S.ids_in_store()
         return S.cached("normal", lambda: all(
             cmap[s] in ids for cmap in G.conjugation_maps() for s in S.generating_ids()
@@ -860,11 +844,11 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
             if x in covered or o == 1 or not classify_prime_power(o).is_prime_power:
                 continue
             pp_ids.append(x)
-            y = x
+            col, y = mul.col(x), x
             for k in range(1, o):
                 if math.gcd(k, o) == 1:
                     covered.add(y)
-                y = mul[y][x]
+                y = col[y]
         trivial = Subgroup.trivial(G)
         found = {trivial.ids: trivial}
         frontier = [trivial]

@@ -14,7 +14,12 @@ from baerlab.constructions import (
     semilinear,
     symmetric,
 )
-from baerlab.errors import CAYLEY_TABLE_MAX_ORDER, CapExceeded, InternalInvariantViolation
+from baerlab.errors import (
+    CAYLEY_CELL_BUDGET,
+    ENUMERATION_CAP,
+    CapExceeded,
+    InternalInvariantViolation,
+)
 from baerlab.group import Group, Subgroup
 from baerlab.perm import Permutation
 from baerlab.reporting import FAIL, PASS, SKIPPED, TheoremReport
@@ -64,21 +69,27 @@ def test_theorem_a_on_unmaterialised_product_factorisation():
     assert not G.is_materialized
 
 
-def test_cayley_gate_is_a_skipped_clause():
-    # semilinear(2,5) has order 4960, past the Cayley-table gate.
-    report = report_theorem_a(Factorisation.trivial(semilinear(2, 5)), 2)
+def test_enumeration_cap_is_a_skipped_clause():
+    # The trivial factorisation of product(symmetric(7),symmetric(7)), of
+    # order 25,401,600: the union route lists A u B = G, past the
+    # enumeration cap, and G's store is never built.
+    G = direct_product([symmetric(7), symmetric(7)])
+    report = report_theorem_a(Factorisation.trivial(G), 2)
     assert (report.theorem, report.prime) == ("A", 2)
     [clause] = report.clauses
     assert clause.verdict == SKIPPED
-    assert clause.witness["cap"] == CAYLEY_TABLE_MAX_ORDER
+    assert clause.witness["cap"] == ENUMERATION_CAP
     assert report.has_skips() and report.passed()
+    assert not G.is_materialized
 
 
 def test_theorem_f_cap_is_a_skipped_clause():
-    report = check_theorem_f_equivalence(Factorisation.trivial(symmetric(7)))
+    G = direct_product([symmetric(7), symmetric(7)])
+    report = check_theorem_f_equivalence(Factorisation.trivial(G))
     assert report.theorem == "F" and report.prime is None
     assert [c.verdict for c in report.clauses] == [SKIPPED]
-    assert report.clauses[0].witness["cap"] == CAYLEY_TABLE_MAX_ORDER
+    assert report.clauses[0].witness["cap"] == ENUMERATION_CAP
+    assert not G.is_materialized
 
 
 def test_cap_witness_and_invariant_violations(monkeypatch):
@@ -332,11 +343,11 @@ def test_side_facts_are_built_once_per_subgroup(monkeypatch):
 
 
 def test_factor_facts_past_the_gate_keep_their_answers():
-    # cyclic(2500) is past the Cayley-table gate, so G's own Sylow subgroups
-    # cannot be found on a table; the factor helpers fall back to a view of
-    # each factor, and Theorems F and D stay decided.
+    # An all-rows table of cyclic(2500) would pass the cell budget; the
+    # factors' facts are read on columns of G's table, and Theorems F and D
+    # stay decided.
     G = cyclic(2500)
-    assert G.order > CAYLEY_TABLE_MAX_ORDER
+    assert G.order**2 > CAYLEY_CELL_BUDGET
     g = G.generators[0]
     A = Subgroup.from_generators(G, [g ** 625])
     B = Subgroup.from_generators(G, [g ** 4])

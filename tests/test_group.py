@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from baerlab import group as group_module
 from baerlab.errors import CapExceeded
 from baerlab.group import (
     Group,
@@ -220,15 +221,18 @@ def test_closure_is_a_group(data):
 
 
 def assert_table_matches_products(G):
-    """Oracle: every table cell and inverse id against direct composition."""
+    """Oracle: every column and row cell and inverse id against direct composition."""
     els = G.elements
     idx = {p: i for i, p in enumerate(els)}
     mul = G.cayley()
     assert len(mul) == len(els)
-    for i, a in enumerate(els):
-        assert len(mul[i]) == len(els)
-        for j, b in enumerate(els):
-            assert mul[i][j] == idx[a * b]
+    assert not hasattr(mul, "__getitem__")
+    for j, b in enumerate(els):
+        col, row = mul.col(j), mul.row(j)
+        assert len(col) == len(row) == len(els)
+        for i, a in enumerate(els):
+            assert col[i] == idx[a * b]
+            assert row[i] == idx[b * a]
     inv = G.inverse_ids()
     assert [els[k] for k in inv] == [a.inverse() for a in els]
 
@@ -242,7 +246,8 @@ def test_cayley_table_matches_products(data):
 
 def test_cayley_table_trivial_group():
     G = Group(3, [])
-    assert G.cayley() == [[0]]
+    mul = G.cayley()
+    assert len(mul) == 1 and mul.col(0) == mul.row(0) == [0]
     assert G.inverse_ids() == [0]
 
 
@@ -251,6 +256,17 @@ def test_cayley_table_redundant_generators():
     G = Group(4, gens)
     assert G.order == 24
     assert_table_matches_products(G)
+
+
+def test_cayley_table_keeps_within_its_cell_budget(monkeypatch):
+    # A budget of three columns: older columns are dropped, and
+    # every one asked for again is rebuilt with the same cells.
+    monkeypatch.setattr(group_module, "CAYLEY_CELL_BUDGET", 3 * 24)
+    G = Group(4, [parse_cycles("(0 1)", 4), parse_cycles("(0 1 2 3)")])
+    assert G.order == 24
+    assert_table_matches_products(G)
+    assert_table_matches_products(G)
+    assert G.cayley()._cells <= 3 * 24
 
 
 def test_cayley_table_of_quotient_group():

@@ -15,8 +15,8 @@ and conjugation maps); every other module asks for them through the
 change in one place.
 
 The paper layer reads facts about a subgroup as a group of its own in its
-parent's id space; only ``structure._factor_view``, the route past the
-Cayley-table gate, views a subgroup as a ``Group`` of its own.
+parent's id space; no module but ``group.py`` views a subgroup as a
+``Group`` of its own.
 
 No module reads the process environment, so no setting can change the
 engine's behaviour outside its arguments and constants.
@@ -206,7 +206,7 @@ def as_group_calls(source: str) -> list:
     return sorted(out)
 
 
-SUBGROUP_VIEWS = {"structure.py": {"_factor_view"}}
+SUBGROUP_VIEWS = {}
 
 
 @pytest.mark.parametrize(

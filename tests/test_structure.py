@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from baerlab import structure
 from baerlab.constructions import (
     cyclic,
     dihedral,
@@ -14,7 +15,7 @@ from baerlab.constructions import (
     subgroup_from_words,
     symmetric,
 )
-from baerlab.errors import CAYLEY_TABLE_MAX_ORDER, CapExceeded
+from baerlab.errors import CAYLEY_CELL_BUDGET, CapExceeded
 from baerlab.group import Group, Subgroup, _small_generating_ids, centraliser, class_index
 from baerlab.numth import classify_prime_power, is_p_number, is_pi_number, p_part, prime_divisors
 from baerlab.perm import Permutation, parse_cycles
@@ -141,6 +142,13 @@ def test_sylow_conjugates_share_order():
         conjs = sylow_conjugates(G, p)
         assert all(Q.order == sylow(G, p).order for Q in conjs)
     assert len(sylow_conjugates(G, 3)) == 4
+
+
+def test_sylow_reaches_groups_whose_all_rows_table_would_pass_the_budget():
+    G, H = semilinear(2, 5), symmetric(7)
+    assert min(G.order, H.order) ** 2 > CAYLEY_CELL_BUDGET
+    assert sylow(G, 2).order == 32
+    assert sylow(H, 2).order == 16
 
 
 # -- cores ----------------------------------------------------------------------
@@ -546,7 +554,7 @@ def brute_class_size(G, x):
 @pytest.mark.parametrize("G", table_groups(), ids=repr)
 def test_is_normal_and_is_abelian_on_the_table_match_brute_force(G):
     subs = enumerate_subgroups(G)
-    assert G.use_id_arithmetic()
+    assert G.is_materialized
     for S in subs:
         assert is_normal(G, S) == brute_is_normal(G, S)
         members = S.members()
@@ -699,11 +707,12 @@ def test_factor_sylows_and_class_sizes_of_a_lazy_product_match_materialised_prod
 
 
 def test_factor_sylows_and_class_sizes_past_the_gate_match_brute_force():
-    # symmetric(7) is past the Cayley-table gate, so S is read through a view;
-    # Syl_p(S) is the S-conjugacy class of any one Sylow subgroup.
+    # An all-rows table of symmetric(7) would pass the cell budget, so S is
+    # read on columns of G's table; Syl_p(S) is the S-conjugacy class of any
+    # one Sylow subgroup.
     G = symmetric(7)
     S = Subgroup.from_generators(G, [parse_cycles("(0 1 2 3)", 7), parse_cycles("(0 1)", 7)])
-    assert S.order == 24 and G.order > CAYLEY_TABLE_MAX_ORDER
+    assert S.order == 24 and G.order**2 > CAYLEY_CELL_BUDGET
     for p, count in [(2, 3), (3, 4), (5, 1)]:
         found = [frozenset(R.members()) for R in factor_sylows(S, p)]
         first = factor_sylow(S, p).members()
@@ -740,6 +749,29 @@ def test_normal_pi_cores_are_nilpotent_iff_inside_fitting(G):
         for sigma in itertools.combinations(primes, k):
             Os = o_pi(G, set(sigma))
             assert Os.subset_of(fitting(G)) == is_nilpotent(Os.as_group())
+
+
+def test_factor_class_index_of_a_full_order_subgroup_reads_the_partition(monkeypatch):
+    # Work-count guard: a subgroup of full order is G, so its class sizes are
+    # read from G's conjugacy partition and no class is walked again.
+    walks = []
+    walk = structure._class_sizes_on_table
+
+    def counted(S):
+        walks.append(S)
+        return walk(S)
+
+    monkeypatch.setattr(structure, "_class_sizes_on_table", counted)
+    G = semilinear(2, 3)
+    S = Subgroup.full(G)
+    for x in G.elements:
+        assert factor_class_index(S, x) == brute_class_size(G, x)
+    assert walks == []
+    P = sylow(G, 2)
+    assert [factor_class_index(P, x) for x in P.members()] == [
+        brute_class_size_in(P, x) for x in P.members()
+    ]
+    assert walks == [P]
 
 
 # -- conjugation orbits against the all-elements loop -----------------------------------
@@ -827,10 +859,8 @@ def test_conjugacy_partition_matches_brute_force_classes(G):
 
 
 def test_conjugacy_partition_past_the_table_gate_has_cycle_type_sizes():
-    from baerlab.errors import CAYLEY_TABLE_MAX_ORDER
-
     G = symmetric(7)
-    assert G.order > CAYLEY_TABLE_MAX_ORDER
+    assert G.order**2 > CAYLEY_CELL_BUDGET
     classes = G.conjugacy_partition()
     assert len(classes) == 15  # the partitions of 7
 
@@ -875,6 +905,30 @@ def test_conjugates_and_classes_on_the_table_conjugate_no_permutation(monkeypatc
     assert H is not None and H.order == 15
     assert len(hall_conjugates(G, H)) > 1
     assert calls == {"Subgroup": 0, "Permutation": 0}
+
+
+def test_materialised_product_past_an_all_rows_table_walks_sylow_orbits(monkeypatch):
+    # A materialised product(symmetric(5),cyclic(30)), of order 3,600, takes
+    # the id route like any materialised group: its Sylow 2-subgroup is found
+    # on table columns and its conjugates are an orbit walk, so no subgroup
+    # is conjugated.
+    G = parse_group_spec("product(symmetric(5),cyclic(30))")
+    G.materialize()
+    assert G.order**2 > CAYLEY_CELL_BUDGET
+    P = sylow(G, 2)
+    assert P.order == 16
+    calls = []
+    conjugate = Subgroup.conjugate
+
+    def counted(self, g):
+        calls.append(g)
+        return conjugate(self, g)
+
+    monkeypatch.setattr(Subgroup, "conjugate", counted)
+    found = [frozenset(Q.members()) for Q in sylow_conjugates(G, 2)]
+    assert calls == []
+    assert found == brute_conjugates(G, P)
+    assert len(found) == 15
 
 
 # -- factorisations ------------------------------------------------------------------
