@@ -131,32 +131,21 @@ class BaerDecomposition:
 
 
 def _index_rows(G: Group, sub: Subgroup, keep) -> list:
-    """``(x, order, index)`` for the members x of ``sub`` whose order passes
-    ``keep``, in the order of ``sub.members()``.
+    """``(x, order, index)`` for the members x of the subgroup ``sub`` of G
+    whose order passes ``keep``, in the order of ``sub.members()``.
 
-    On a materialised G the members are read as sorted store ids, which is
-    the same order; orders come from ``G.element_orders()`` and indices are
-    class sizes from ``G.conjugacy_partition()``.  On an unmaterialised
-    product with ``sub`` product-form over its blocks (:func:`_blockwise`),
-    each block gives the rows of all of its members, and a member of ``sub``
-    is one row per block: its order is the lcm of the block orders, its
-    index the product of the block indices (class sizes multiply in a
-    direct product), and its permutation is joined only when ``keep``
-    passes.  Block members are sorted, so the product of the block rows is
-    in ``sub.members()`` order; each block's rows are memoised on the block
-    subgroup (:func:`_block_rows`).  Otherwise, for instance for the base of a
-    wreath product, each member's order and class size is computed from its
-    permutation.  :func:`_pp_rows` memoises it per subgroup.
+    On an unmaterialised product (:func:`_blockwise`), each block gives the
+    rows of all of its members, and a member of ``sub`` is one row per
+    block: its order is the lcm of the block orders, its index the product
+    of the block indices (class sizes multiply in a direct product), and its
+    permutation is joined only when ``keep`` passes.  Block members are
+    sorted, so the product of the block rows is in ``sub.members()`` order;
+    each block's rows are memoised on the block subgroup
+    (:func:`_block_rows`).  Otherwise the members are read as sorted store
+    ids, which is the same order; orders come from ``G.element_orders()``
+    and indices are class sizes from ``G.conjugacy_partition()``.
+    :func:`_pp_rows` memoises it per subgroup.
     """
-    if G.is_materialized:
-        els = G.elements
-        orders = G.element_orders()
-        classes = G.conjugacy_partition()
-        return [
-            (els[i], orders[i], len(classes[G.class_of_id(i)]))
-            for i in sorted(sub.ids_in_store())
-            if keep(orders[i])
-        ]
     parts = _blockwise(G, lambda _f, s: _block_rows(s), sub)
     if parts is not None:
         check_enumerable("subgroup", sub.order)
@@ -167,12 +156,11 @@ def _index_rows(G: Group, sub: Subgroup, keep) -> list:
                 x = join_blocks(r[0] for r in row)
                 rows.append((x, o, math.prod(r[2] for r in row)))
         return rows
-    rows = []
-    for x in sub.members():
-        o = x.order()
-        if keep(o):
-            rows.append((x, o, class_index(G, x)))
-    return rows
+    ids = sorted(sub.ids_in_store())
+    els = G.elements
+    orders = G.element_orders()
+    classes = G.conjugacy_partition()
+    return [(els[i], orders[i], len(classes[G.class_of_id(i)])) for i in ids if keep(orders[i])]
 
 
 def _block_rows(S: Subgroup) -> list:
@@ -487,25 +475,22 @@ def report_theorem_a(F: Factorisation, p: int) -> TheoremReport:
 
 
 def _product_with_normal(G: Group, S: Subgroup, N: Subgroup) -> Subgroup:
-    """``S N`` for normal N, a subgroup; memoised on S, keyed by G and ``N.key()``.
+    """``S N`` for subgroups S and N of G with N normal; memoised on S, keyed
+    by G and ``N.key()``.
 
-    When G is an unmaterialised direct product and S and N are product-form
-    over its blocks, ``S N`` is the product of the blockwise ``S_i N_i``
-    (each ``N_i`` is normal in its block), so only the small blocks are
-    closed and the result stays product-form.  Otherwise, when G is
-    materialised, S N is the closure of both generating sets on the table
-    (``G.closure_from_gen_ids``); in any other case the generating
-    permutations are closed.  In every case the result's order is checked
+    When G is an unmaterialised direct product, ``S N`` is the product of
+    the blockwise ``S_i N_i`` (each ``N_i`` is normal in its block), so only
+    the small blocks are closed and the result stays product-form.
+    Otherwise S N is the closure of both generating sets on G's table
+    (``G.closure_from_gen_ids``).  Either way the result's order is checked
     against ``|S| |N| / |S n N|``, the size of the set S N.
     """
 
     def build():
         if (parts := _blockwise(G, _product_with_normal, S, N)) is not None:
             K = Subgroup.from_factors(G, parts)
-        elif G.is_materialized and S.parent is G and N.parent is G:
-            K = Subgroup.from_ids(G, G.closure_from_gen_ids(S.generating_ids() + N.generating_ids()))
         else:
-            K = Subgroup.from_generators(G, list(S.generating_set()) + list(N.generating_set()))
+            K = Subgroup.from_ids(G, G.closure_from_gen_ids(S.generating_ids() + N.generating_ids()))
         if K.order != S.product_order(N):
             raise InternalInvariantViolation("product with a normal subgroup is not its closure")
         return K

@@ -288,17 +288,14 @@ def _wreath_parts(base: Group, top: Group, action: str, want_parts: bool = False
                 images[j * d + i] = tj * d + i
         return Permutation._make(tuple(images))
 
-    gens = [embed_block([d] * n, j, g) for j in range(n) for g in base.generators]
+    base_gens = [embed_block([d] * n, j, g) for j in range(n) for g in base.generators]
     top_gens = [embed_top(t) for t in top.generators]
-    gens.extend(top_gens)
     order = base.order**n * top.order
     name = f"wreath({base.name}, {top.name}, {action})"
-    W = Group(degree, gens, order_hint=order, name=name)
+    W = Group(degree, base_gens + top_gens, order_hint=order, name=name)
     if not want_parts:
         return (W,)
-    base_sub = Subgroup.from_factors(W, [Subgroup.full(base)] * n)
-    top_sub = Subgroup.from_generators(W, top_gens)
-    return W, base_sub, top_sub
+    return W, Subgroup.from_generators(W, base_gens), Subgroup.from_generators(W, top_gens)
 
 
 # -- subgroups from generator words -------------------------------------------

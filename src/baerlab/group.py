@@ -11,10 +11,12 @@ and beyond) desk-computable.  :func:`split_blocks` and :func:`join_blocks`
 are the one codec between a product's permutations and its block
 permutations.
 
-A :class:`Subgroup` follows the same rule: it is ids into its parent's
-materialised store, or per-block factors of an unmaterialised product.  On
-store ids, a materialised group of any order multiplies through its
-:class:`CayleyTable`, filled column by column as columns are asked for.
+A :class:`Subgroup` of G is ids into G's materialised store, or one factor
+per block of ``G.direct_factors``; its constructors enforce this.  So every
+operation on a subgroup of G has two routes: block by block while G is an
+unmaterialised product, otherwise on store ids, multiplying through G's
+:class:`CayleyTable`, filled column by column as columns are asked for.  An
+element outside G raises ValueError on either route.
 
 Determinism rules used throughout the package:
 
@@ -150,10 +152,10 @@ class Group:
         self._cayley: CayleyTable | None = None
         self._conj_maps: list | None = None
         self._cache: dict = {}
-        # The canonical id-backed subgroups (Subgroup.from_ids), held weakly
-        # so that a group and its subgroups are freed by reference counting;
-        # built on first use, since most groups never get one.
-        self._subgroups: weakref.WeakValueDictionary | None = None
+        # The canonical subgroups (Subgroup.from_ids, from_factors), held
+        # weakly so that a group and its subgroups are freed by reference
+        # counting.
+        self._subgroups = weakref.WeakValueDictionary()
 
     # -- basic facts ----------------------------------------------------
 
@@ -496,17 +498,17 @@ def centraliser_order(G: Group, gens) -> int:
 def centraliser(G: Group, S) -> "Subgroup":
     """``C_G(S)`` for a set (or Subgroup) ``S`` of elements of ``G``.
 
-    On an unmaterialised direct product this is computed blockwise, which is
-    exact because commutation in a product is componentwise; an element of
-    ``S`` that mixes blocks is no element of the product and raises
-    ValueError, as in :func:`class_index`.  Otherwise ``G`` is materialised
-    and, when every element of ``S`` lies in ``G``, the table decides
+    Two routes.  On an unmaterialised direct product this is computed
+    blockwise, which is exact because commutation in a product is
+    componentwise.  Otherwise ``G`` is materialised and its table decides
     commutation: one pass per element ``s`` keeps the ids ``g`` with
-    ``col(s)[g] == row(s)[g]``.  For elements outside ``G``, every element
-    of ``G`` is composed with every element of ``S``.
+    ``col(s)[g] == row(s)[g]``.  Every element of ``S`` must lie in ``G``:
+    one that mixes blocks raises ValueError, as in :func:`class_index`, and
+    any other non-member raises it through :meth:`Group.element_id`.
 
     For a :class:`Subgroup` the answer is memoised on ``S``, keyed by ``G``,
-    since ``S`` may belong to another group on the same points.
+    since the elements of a subgroup of another group on the same points may
+    lie in ``G`` too.
     """
     if isinstance(S, Subgroup):
         return S.cached(("centraliser", G), lambda: _centraliser(G, S.generating_set()))
@@ -521,16 +523,12 @@ def _centraliser(G: Group, gens) -> "Subgroup":
         return Subgroup.from_factors(
             G, [centraliser(f, col) for f, col in zip(G.blocks, G.split_all(gens))]
         )
-    els = G.materialize()
-    idx = G._index
-    if all(s in idx for s in gens):
-        mul = G.cayley()
-        ids = range(len(els))
-        for s in gens:
-            col, row = mul.col(idx[s]), mul.row(idx[s])
-            ids = [g for g in ids if col[g] == row[g]]
-        return Subgroup.from_ids(G, ids)
-    ids = frozenset(i for i, g in enumerate(els) if _commutes_with_all(g, gens))
+    sids = [G.element_id(s) for s in gens]
+    mul = G.cayley()
+    ids = range(len(mul))
+    for s in sids:
+        col, row = mul.col(s), mul.row(s)
+        ids = [g for g in ids if col[g] == row[g]]
     return Subgroup.from_ids(G, ids)
 
 
@@ -557,22 +555,25 @@ class Subgroup:
 
     * ``ids`` -- member ids into the parent's materialised element store
       (frozensets give O(1) membership and canonical dedup keys);
-    * ``factors`` -- one subgroup per block of a block action, for the
-      product-form subgroups of a direct product whose store is not built
+    * ``factors`` -- one subgroup of each block of ``parent.direct_factors``,
+      in block order, for the product-form subgroups of a direct product
       (order known as the product of factor orders, membership tested
-      blockwise), and for the base of a wreath product.
+      blockwise).
 
-    So a subgroup is ids of a materialised parent, or blocks of an
-    unmaterialised product: building a subgroup of any other group
-    materialises the parent's cap-guarded store, never its Cayley table, and
-    an element outside the parent raises ValueError.
+    :meth:`from_ids` and :meth:`from_factors` enforce this: a subgroup is
+    ids of a materialised parent, or blocks of a direct product.  Building a
+    subgroup from members that are not a product of block subgroups of an
+    unmaterialised product materialises the parent's cap-guarded store,
+    never its Cayley table, and an element outside the parent raises
+    ValueError.
 
-    Id-backed subgroups are canonical per parent: :meth:`from_ids`, through
-    which every id-backed construction goes, returns the one object for
-    ``(parent, frozenset(ids))`` while it is alive, so facts memoised on it
-    (:meth:`cached`) are computed once per group, whatever route reached the
-    subgroup.  The parent holds its pool of canonical subgroups weakly, so
-    the pool keeps neither them nor, through them, the parent alive.
+    Subgroups are canonical per parent: :meth:`from_ids` returns the one
+    object for ``(parent, frozenset(ids))`` and :meth:`from_factors` the one
+    for ``(parent, factors)`` while it is alive (the factors are canonical
+    themselves), so facts memoised on it (:meth:`cached`) are computed once
+    per group, whatever route reached the subgroup.  The parent holds its
+    pool of canonical subgroups weakly, so the pool keeps neither them nor,
+    through them, the parent alive.
     """
 
     __slots__ = ("parent", "_ids", "_factors", "_cache", "__weakref__")
@@ -591,12 +592,9 @@ class Subgroup:
     def from_ids(cls, parent: Group, ids) -> "Subgroup":
         """The canonical subgroup of ``parent`` with these member ids."""
         ids = frozenset(ids)
-        pool = parent._subgroups
-        if pool is None:
-            pool = parent._subgroups = weakref.WeakValueDictionary()
-        S = pool.get(ids)
+        S = parent._subgroups.get(ids)
         if S is None:
-            S = pool[ids] = cls(parent, ids=ids)
+            S = parent._subgroups[ids] = cls(parent, ids=ids)
         return S
 
     @classmethod
@@ -619,10 +617,15 @@ class Subgroup:
 
     @classmethod
     def from_factors(cls, parent: Group, factor_subs) -> "Subgroup":
+        """The canonical product of ``factor_subs``, one subgroup per block of
+        ``parent.direct_factors`` in block order."""
         factor_subs = tuple(factor_subs)
-        if sum(s.parent.degree for s in factor_subs) != parent.degree:
-            raise ValueError("factor degrees do not cover the parent degree")
-        return cls(parent, factors=factor_subs)
+        if tuple(s.parent for s in factor_subs) != parent.direct_factors:
+            raise ValueError("factors are not subgroups of the parent's direct factors")
+        S = parent._subgroups.get(factor_subs)
+        if S is None:
+            S = parent._subgroups[factor_subs] = cls(parent, factors=factor_subs)
+        return S
 
     @classmethod
     def from_generators(cls, parent: Group, gens) -> "Subgroup":
@@ -692,19 +695,8 @@ class Subgroup:
         return self._factors
 
     def factor_parents(self):
-        """The block groups of a product-form subgroup, or None.
-
-        Two product-form subgroups are aligned, and can be combined block by
-        block, when these tuples are equal (groups compare by identity).
-        """
-        if self._factors is None:
-            return None
-        return tuple(s.parent for s in self._factors)
-
-    def _block_degrees(self) -> list:
-        # From the factors, not the parent: the parent of a product-form
-        # subgroup need not be a direct product (the base of a wreath product).
-        return [s.parent.degree for s in self._factors]
+        """``parent.direct_factors`` for a product-form subgroup, else None."""
+        return None if self._factors is None else self.parent.direct_factors
 
     # -- membership and elements ----------------------------------------------
 
@@ -714,7 +706,7 @@ class Subgroup:
                 return self.parent.element_id(p) in self._ids
             except ValueError:
                 return False
-        parts = split_blocks(p, self._block_degrees())
+        parts = self.parent.split(p)
         return parts is not None and all(q in s for q, s in zip(parts, self._factors))
 
     def members(self) -> tuple:
@@ -733,9 +725,8 @@ class Subgroup:
         """A small, deterministic generating set."""
         if "gens" not in self._cache:
             if self._factors is not None:
-                degrees = self._block_degrees()
                 gens = [
-                    embed_block(degrees, i, g)
+                    self.parent.embed_factor_element(i, g)
                     for i, s in enumerate(self._factors)
                     for g in s.generating_set()
                 ]
@@ -761,15 +752,12 @@ class Subgroup:
     def intersection(self, other: "Subgroup") -> "Subgroup":
         if self.parent is not other.parent:
             raise ValueError("subgroups of different parents")
-        if self._ids is not None and other._ids is not None:
-            return Subgroup.from_ids(self.parent, self._ids & other._ids)
-        if self._factors is not None and self.factor_parents() == other.factor_parents():
+        if self._factors is not None and other._factors is not None:
             return Subgroup.from_factors(
                 self.parent, [a.intersection(b) for a, b in zip(self._factors, other._factors)]
             )
-        small, big = (self, other) if self.order <= other.order else (other, self)
-        members = [p for p in small.members() if p in big]
-        return Subgroup.from_members(self.parent, members)
+        # An id-backed side means the parent is materialised.
+        return Subgroup.from_ids(self.parent, self.ids_in_store() & other.ids_in_store())
 
     def product_order(self, other: "Subgroup") -> int:
         """``|A B| = |A| |B| / |A n B|`` as a set count."""

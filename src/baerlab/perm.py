@@ -92,9 +92,6 @@ class Permutation:
     def order(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles(include_fixed=True)))
 
-    def moved_points(self) -> list:
-        return [i for i, v in enumerate(self.images) if i != v]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 

@@ -6,19 +6,20 @@ arguments, so sweeps never recompute per-group structure.  Facts about one
 subgroup (its generating ids and centraliser, whether it is normal or
 abelian, its own Sylow subgroups and class sizes, and the index profiles,
 centraliser indices and products with normal subgroups of ``baer``) are
-memoised on the subgroup through :meth:`Subgroup.cached`; since id-backed
-subgroups are canonical per group, every factorisation of a group that
-reaches the same subgroup shares them.
+memoised on the subgroup through :meth:`Subgroup.cached`; since subgroups
+are canonical per group, every factorisation of a group that reaches the
+same subgroup shares them.
 
-Direct products follow one rule, decided by :attr:`Group.blocks`: a group is
-handled blockwise exactly when it carries ``direct_factors`` and its store is
-not built.  The operations that distribute over products (centre, derived
-subgroup, Sylow and Hall subgroups and their conjugates, cores, Fitting terms,
-exponent, normality, quotients and preimages, prefactorised Sylow
-subgroups) then recurse into the factors through :func:`_blockwise`,
-provided every subgroup argument is product-form over the same blocks; so
-does the p-power index profile of ``baer``.  Every other call, a
-materialised product included, takes the whole-group route.
+A subgroup argument of an operation on G belongs to G (``S.parent is G``),
+so it is ids into G's store or one factor per block of ``G.direct_factors``
+(see :class:`Subgroup`), and each operation has two routes.  While G is an
+unmaterialised direct product (:attr:`Group.blocks`), the operations that
+distribute over products (centre, derived subgroup, Sylow and Hall subgroups
+and their conjugates, cores, Fitting terms, exponent, normality, quotients
+and preimages, prefactorised Sylow subgroups) recurse into the factors
+through :func:`_blockwise`; so does the p-power index profile of ``baer``.
+Every other call, a materialised product included, works on G's store ids
+and its Cayley table.
 """
 
 from __future__ import annotations
@@ -779,29 +780,25 @@ def normal_closure(G: Group, S) -> Subgroup:
 
 
 def is_normal(G: Group, S: Subgroup) -> bool:
-    """Whether ``S`` is normal in ``G``: generators conjugate generators into S.
+    """Whether the subgroup ``S`` of ``G`` is normal: generators conjugate
+    generators into S.
 
-    On an unmaterialised product with ``S`` product-form over its blocks the
-    answer is blockwise, which is exact: ``S_1 x ... x S_r`` is normal in
-    ``G_1 x ... x G_r`` iff every ``S_i`` is normal in ``G_i``.  When ``S``
-    is a subgroup of ``G`` itself and ``G`` is materialised, the conjugates
-    are read from :meth:`Group.conjugation_maps` and tested against S's
-    store ids.  In any other case, for instance for a subgroup of another
-    group on the same points, the permutations are conjugated and tested
-    for membership.
+    On an unmaterialised product the answer is blockwise, which is exact:
+    ``S_1 x ... x S_r`` is normal in ``G_1 x ... x G_r`` iff every ``S_i``
+    is normal in ``G_i``.  Otherwise the conjugates are read from
+    :meth:`Group.conjugation_maps` and tested against S's store ids.  A
+    subgroup of another group raises ValueError.
     """
+    if S.parent is not G:
+        raise ValueError("subgroup does not belong to this group")
     if S.order == G.order:
         return True
     if (parts := _blockwise(G, is_normal, S)) is not None:
         return all(parts)
-    if S.parent is G and G.is_materialized:
-        ids = S.ids_in_store()
-        return S.cached("normal", lambda: all(
-            cmap[s] in ids for cmap in G.conjugation_maps() for s in S.generating_ids()
-        ))
-    return all(
-        s.conjugate(g) in S for g in G.generators for s in S.generating_set()
-    )
+    ids = S.ids_in_store()
+    return S.cached("normal", lambda: all(
+        cmap[s] in ids for cmap in G.conjugation_maps() for s in S.generating_ids()
+    ))
 
 
 # -- bounded subgroup enumeration ----------------------------------------------------

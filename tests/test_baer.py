@@ -375,15 +375,21 @@ PRODUCT_CASES = (
 def test_block_index_rows_are_built_once_per_block_subgroup(monkeypatch):
     # Work-count guard: the index rows of a block subgroup are memoised on
     # it, so every check on the direct-products corpus builds the rows of
-    # each of its 53 distinct block subgroups once.
+    # each of its 53 distinct block subgroups once.  Product-form subgroups
+    # are canonical too, so the rows of a subgroup of a corpus group are
+    # built once while it is alive: 34 distinct subgroups take 36 calls,
+    # the 2 repeats being on subgroups freed between their calls.
     cases = [block_halves_factorisation(left, right) for left, right in PRODUCT_CASES]
-    blocks = {f for F in cases for f in F.group.direct_factors}
-    calls = []
+    groups = {F.group for F in cases}
+    blocks = {f for G in groups for f in G.direct_factors}
+    calls, group_calls = [], []
     index_rows = baer._index_rows
 
     def rows(H, sub, keep):
         if H in blocks:
             calls.append((H, sub.key()))
+        elif H in groups:
+            group_calls.append((H, sub.key()))
         return index_rows(H, sub, keep)
 
     monkeypatch.setattr(baer, "_index_rows", rows)
@@ -391,6 +397,8 @@ def test_block_index_rows_are_built_once_per_block_subgroup(monkeypatch):
         factorisation_rows(F)
         assert not F.group.is_materialized
     assert len(calls) == len(set(calls)) == 53
+    assert len(group_calls) == 36
+    assert len(set(group_calls)) == 34
 
 
 def test_factor_facts_build_no_group_and_no_view(monkeypatch):

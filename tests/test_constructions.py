@@ -158,6 +158,7 @@ def test_wreath_with_parts_factorises():
     W, base, top = wreath_with_parts(cyclic(2), cyclic(2), "regular")
     assert base.order == 4
     assert top.order == 2
+    assert base.factors is None and base.parent is W
     assert base.intersection(top).order == 1
     assert base.product_order(top) == W.order
 

@@ -309,13 +309,15 @@ def test_centraliser_matches_permutation_scan(data, draw):
     els = G.elements
     picks = draw.draw(st.lists(st.sampled_from(els), min_size=1, max_size=3))
     outside = [p for p in map(Permutation, itertools.permutations(range(degree))) if p not in G]
-    cases = [[identity(degree)], list(G.generators), picks]
-    if outside:  # an element not in G takes the permutation scan
-        cases.append(picks + [draw.draw(st.sampled_from(outside))])
-    for S in cases:
+    for S in [[identity(degree)], list(G.generators), picks]:
         cent = centraliser(G, S)
         assert set(cent.members()) == set(brute_centraliser(G, S))
         assert cent.order == centraliser_order(G, S)
+    if outside:  # C_G(S) is defined for subsets of G only
+        S = picks + [draw.draw(st.sampled_from(outside))]
+        with pytest.raises(ValueError, match="not an element"):
+            centraliser(G, S)
+        assert centraliser_order(G, S) == len(brute_centraliser(G, S))
 
 
 # -- canonical id-backed subgroups ------------------------------------------------
@@ -388,3 +390,42 @@ def test_members_outside_the_parent_are_rejected():
     G = lazy_sym3_squared()
     with pytest.raises(ValueError, match="direct-product blocks"):
         Subgroup.from_generators(G, [parse_cycles("(2 3)", 6)])
+
+
+def test_product_form_subgroups_are_canonical_and_over_the_parent_blocks():
+    from baerlab.constructions import cyclic, wreath
+
+    G = lazy_sym3_squared()
+    left, right = G.direct_factors
+    S = Subgroup.from_factors(G, [Subgroup.full(left), Subgroup.trivial(right)])
+    assert Subgroup.from_factors(G, [Subgroup.full(left), Subgroup.trivial(right)]) is S
+    assert Subgroup.from_generators(G, S.generating_set()) is S
+    # A copy of symmetric(3) has the right degree but is not a block of G.
+    with pytest.raises(ValueError, match="direct factors"):
+        Subgroup.from_factors(G, [Subgroup.full(lazy_sym3_squared().direct_factors[0]),
+                                  Subgroup.trivial(right)])
+    with pytest.raises(ValueError, match="direct factors"):
+        Subgroup.from_factors(G, [Subgroup.trivial(right), Subgroup.full(left)])
+    # The degrees of two cyclic(2) subgroups cover the wreath product's four
+    # points, but the wreath product has no direct factors.
+    W = wreath(cyclic(2), cyclic(2), "regular")
+    with pytest.raises(ValueError, match="direct factors"):
+        Subgroup.from_factors(W, [Subgroup.full(cyclic(2))] * 2)
+
+
+def test_mixed_backings_intersect_on_store_ids():
+    from baerlab.constructions import cyclic, direct_product, symmetric
+
+    G = direct_product([symmetric(3), cyclic(2)])
+    A = Subgroup.from_factors(
+        G, [Subgroup.from_generators(G.direct_factors[0], [parse_cycles("(0 1)", 3)]),
+            Subgroup.full(G.direct_factors[1])]
+    )
+    G.materialize()
+    # The diagonal of (0 1) and the swap of the cyclic(2) block.
+    B = Subgroup.from_generators(G, [parse_cycles("(0 1)(3 4)", 5), parse_cycles("(0 1 2)", 5)])
+    assert A.factors is not None and B.factors is None
+    meet = A.intersection(B)
+    assert meet.member_set() == A.member_set() & B.member_set()
+    assert meet is B.intersection(A)
+    assert meet.order == 2

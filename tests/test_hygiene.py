@@ -18,6 +18,10 @@ The paper layer reads facts about a subgroup as a group of its own in its
 parent's id space; no module but ``group.py`` views a subgroup as a
 ``Group`` of its own.
 
+Conjugation goes through ``Group.conjugation_maps``: no module but
+``group.py`` and ``perm.py`` calls a ``.conjugate`` method, so no route
+conjugates permutations one by one behind the id maps.
+
 No module reads the process environment, so no setting can change the
 engine's behaviour outside its arguments and constants.
 """
@@ -231,6 +235,36 @@ def test_as_group_call_detector():
         "        return (lambda: S.as_group())()\n"
     )
     assert as_group_calls(source) == [(3, "f"), (5, None), (8, "g")]
+
+
+def conjugate_calls(source: str) -> list:
+    """Lines of every ``.conjugate(...)`` call."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "conjugate"
+    )
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SOURCE.glob("*.py")) if p.name not in ("group.py", "perm.py")],
+    ids=lambda p: p.name,
+)
+def test_conjugation_goes_through_the_id_maps(path):
+    assert conjugate_calls(path.read_text()) == []
+
+
+def test_conjugate_call_detector():
+    source = (
+        "def f(G, S, x, g):\n"
+        "    maps = G.conjugation_maps()\n"
+        "    y = x.conjugate(g)\n"
+        "    conjugate = S.conjugate\n"
+        "    return [s.conjugate(g) in S for s in S.generating_set()], conjugate(g)\n"
+    )
+    assert conjugate_calls(source) == [3, 5]
 
 
 ENVIRONMENT_READERS = frozenset({"environ", "getenv"})

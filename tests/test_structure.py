@@ -561,14 +561,16 @@ def test_is_normal_and_is_abelian_on_the_table_match_brute_force(G):
         assert is_abelian(S) == all(a * b == b * a for a in members for b in members)
 
 
-def test_is_normal_on_a_subgroup_of_another_group_takes_permutation_route():
+def test_is_normal_rejects_a_subgroup_of_another_group():
     G = symmetric(4)
     G.materialize()
     D8 = sylow(G, 2).as_group()
     assert D8 is not G and D8.degree == G.degree
     verdicts = []
     for S in enumerate_subgroups(D8):
-        verdicts.append(is_normal(G, S))
+        with pytest.raises(ValueError, match="does not belong"):
+            is_normal(G, S)
+        verdicts.append(is_normal(G, Subgroup.from_members(G, S.members())))
         assert verdicts[-1] == brute_is_normal(G, S)
     assert True in verdicts and False in verdicts
 
