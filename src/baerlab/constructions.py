@@ -252,15 +252,6 @@ def wreath(base: Group, top: Group, action: str = "natural") -> Group:
     which requires materialising the top group).  Generator construction
     always succeeds; materialising the result is a separate cap-guarded step.
     """
-    return _wreath_parts(base, top, action)[0]
-
-
-def wreath_with_parts(base: Group, top: Group, action: str = "natural"):
-    """Like :func:`wreath` but also returns the base and top-copy subgroups."""
-    return _wreath_parts(base, top, action, want_parts=True)
-
-
-def _wreath_parts(base: Group, top: Group, action: str, want_parts: bool = False):
     if action not in ("natural", "regular"):
         raise ValueError(f"wreath action must be 'natural' or 'regular', got {action!r}")
     if action == "natural":
@@ -292,10 +283,7 @@ def _wreath_parts(base: Group, top: Group, action: str, want_parts: bool = False
     top_gens = [embed_top(t) for t in top.generators]
     order = base.order**n * top.order
     name = f"wreath({base.name}, {top.name}, {action})"
-    W = Group(degree, base_gens + top_gens, order_hint=order, name=name)
-    if not want_parts:
-        return (W,)
-    return W, Subgroup.from_generators(W, base_gens), Subgroup.from_generators(W, top_gens)
+    return Group(degree, base_gens + top_gens, order_hint=order, name=name)
 
 
 # -- subgroups from generator words -------------------------------------------

@@ -261,13 +261,6 @@ class Group:
     def inverse_ids(self) -> list:
         return self.cayley().inv
 
-    def closure_ids(self, seed_ids, extra_gens_ids=()) -> frozenset:
-        """Closure of the subgroup ``seed_ids`` plus extra generators, as element ids."""
-        seed_ids = frozenset(seed_ids)
-        gens = Subgroup.from_ids(self, seed_ids).generating_ids() if seed_ids else []
-        gens = gens + [g for g in extra_gens_ids if g not in seed_ids]
-        return self.closure_from_gen_ids(gens)
-
     def closure_from_gen_ids(self, gen_ids) -> frozenset:
         mul = self.cayley()
         cols = [mul.col(g) for g in gen_ids]
@@ -477,24 +470,6 @@ def class_index(G: Group, x: Permutation) -> int:
     return len(G.conjugacy_partition()[G.class_of_id(G.element_id(x))])
 
 
-def class_index_via_centraliser(G: Group, x: Permutation) -> int:
-    """Independent route to the class size through ``|G| / |C_G(x)|``."""
-    return G.order // centraliser_order(G, [x])
-
-
-def _commutes_with_all(g: Permutation, gens) -> bool:
-    return all(g * s == s * g for s in gens)
-
-
-def centraliser_order(G: Group, gens) -> int:
-    gens = [s for s in gens if not s.is_identity()]
-    if not gens:
-        return G.order
-    if G.blocks is not None:
-        return math.prod(centraliser_order(f, col) for f, col in zip(G.blocks, G.split_all(gens)))
-    return sum(1 for g in G.materialize() if _commutes_with_all(g, gens))
-
-
 def centraliser(G: Group, S) -> "Subgroup":
     """``C_G(S)`` for a set (or Subgroup) ``S`` of elements of ``G``.
 
@@ -700,7 +675,9 @@ class Subgroup:
 
     # -- membership and elements ----------------------------------------------
 
-    def __contains__(self, p: Permutation) -> bool:
+    def __contains__(self, p) -> bool:
+        if not isinstance(p, Permutation) or p.degree != self.parent.degree:
+            return False
         if self._ids is not None:
             try:
                 return self.parent.element_id(p) in self._ids
@@ -717,9 +694,6 @@ class Subgroup:
         check_enumerable("subgroup", self.order)
         blocks = [s.members() for s in self._factors]
         return tuple(sorted(map(join_blocks, itertools.product(*blocks))))
-
-    def member_set(self) -> frozenset:
-        return self.cached("member_set", lambda: frozenset(self.members()))
 
     def generating_set(self) -> tuple:
         """A small, deterministic generating set."""
@@ -766,35 +740,3 @@ class Subgroup:
 
     def subset_of(self, other: "Subgroup") -> bool:
         return all(g in other for g in self.generating_set())
-
-    def conjugate(self, g: Permutation) -> "Subgroup":
-        return Subgroup.from_members(self.parent, (x.conjugate(g) for x in self.members()))
-
-    # -- group view ------------------------------------------------------------
-
-    def as_group(self) -> Group:
-        """View this subgroup as a Group in its own right (same degree).
-
-        A subgroup of full order is the parent itself, so it shares the
-        parent's store, table and caches.  Any other view builds a Group with
-        its own store, and its own table when one is asked for.  The paper
-        layer never calls this: it reads a subgroup's Sylow subgroups and
-        class sizes in the parent's id space.
-        """
-        if "group" not in self._cache:
-            factors = self._factors
-            if self.order == self.parent.order:
-                view = self.parent
-            else:
-                view = Group(
-                    self.parent.degree,
-                    self.generating_set(),
-                    order_hint=self.order,
-                    direct_factors=None if factors is None else [s.as_group() for s in factors],
-                    name=f"subgroup({self.order}) of {self.parent.name}",
-                )
-                if factors is None:
-                    view._elements = self.members()
-                    view._index = {p: i for i, p in enumerate(view._elements)}
-            self._cache["group"] = view
-        return self._cache["group"]

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceeded, InternalInvariantViolation
 from .constructions import direct_product
-from .group import Group, Subgroup, centraliser, class_index, join_blocks, split_blocks
+from .group import Group, Subgroup, centraliser, class_index, join_blocks
 from .numth import (
     classify_prime_power,
     is_p_number,
@@ -152,7 +152,8 @@ def sylow(G: Group, p: int) -> Subgroup:
         for i, o in enumerate(orders):
             if o > best and is_p_number(o, p) and o > 1:
                 seed, best = i, o
-        H = G.closure_ids([], [seed])
+        gens = [seed]
+        H = G.closure_from_gen_ids(gens)
         while len(H) < pk:
             norm = _normaliser_ids(G, H)
             grow = None
@@ -164,7 +165,8 @@ def sylow(G: Group, p: int) -> Subgroup:
                 raise InternalInvariantViolation(
                     f"Sylow extension stalled at order {len(H)} < {pk}"
                 )
-            H = G.closure_ids(H, [grow])
+            gens.append(grow)
+            H = G.closure_from_gen_ids(gens)
         return Subgroup.from_ids(G, H)
 
     return _cached(G, ("sylow", p), build)
@@ -351,7 +353,7 @@ def o_pi(G: Group, pi) -> Subgroup:
                 gens.extend(cls)
         if not gens:
             return Subgroup.trivial(G)
-        core = Subgroup.from_ids(G, G.closure_ids([], gens))
+        core = Subgroup.from_ids(G, G.closure_from_gen_ids(gens))
         if not is_pi_number(core.order, pi):
             raise InternalInvariantViolation("pi-core is not a pi-group")
         if not is_normal(G, core):
@@ -381,7 +383,7 @@ def fitting(G: Group) -> Subgroup:
             return Subgroup.trivial(G)
         if len(parts) == 1:
             return parts[0]
-        ids = G.closure_ids([], [i for S in parts for i in S.generating_ids()])
+        ids = G.closure_from_gen_ids([i for S in parts for i in S.generating_ids()])
         expected = math.prod(S.order for S in parts)
         if len(ids) != expected:
             raise InternalInvariantViolation("p-cores did not multiply to a direct product")
@@ -413,14 +415,12 @@ class Quotient:
 
     Cosets are labelled by their minimal element in store order, so degrees
     and projections are reproducible.  ``project`` is the quotient map;
-    ``preimage`` pulls quotient subgroups back; ``lift_p_element`` lifts a
-    p-element of the quotient to a p-element of ``G`` (the p-part of any
-    coset representative).
+    ``preimage`` pulls quotient subgroups back.
 
     The quotient by the trivial subgroup is the identity quotient: its
     ``group`` is ``source`` itself, with no coset action built, so
-    ``project``, ``preimage`` and ``lift_p_element`` are identities and
-    work on ``G`` reuses ``G``'s own caches.
+    ``project`` and ``preimage`` are identities and work on ``G`` reuses
+    ``G``'s own caches.
     """
 
     def __init__(self, source: Group, kernel: Subgroup, group: Group, parts=None,
@@ -458,23 +458,6 @@ class Quotient:
         keep = {q(0) for q in S.members()}
         ids = [e for e, c in enumerate(self._coset_of) if c in keep]
         return Subgroup.from_ids(self.source, ids)
-
-    def lift_p_element(self, qp: Permutation, p: int) -> Permutation:
-        o = qp.order()
-        if not is_p_number(o, p):
-            raise ValueError("quotient element is not a p-element")
-        if self.is_identity():
-            return qp
-        if self._parts is not None:
-            qparts = split_blocks(qp, [q.group.degree for q in self._parts])
-            return join_blocks(q.lift_p_element(part, p) for q, part in zip(self._parts, qparts))
-        rep = self.source.elements[self._reps[qp(0)]]
-        ro = rep.order()
-        m = ro // p_part(ro, p)
-        if m == 1:
-            return rep
-        exp = m * pow(m, -1, p_part(ro, p))
-        return rep**exp
 
 
 def quotient_group(G: Group, N: Subgroup) -> Quotient:
@@ -561,13 +544,6 @@ class Factorisation:
 
     def __repr__(self) -> str:
         return f"Factorisation(|G|={self.group.order}, |A|={self.a.order}, |B|={self.b.order})"
-
-
-def is_prefactorised(F: Factorisation, S: Subgroup) -> bool:
-    """Whether ``S = (S n A)(S n B)`` with respect to the factorisation."""
-    ia = S.intersection(F.a)
-    ib = S.intersection(F.b)
-    return ia.product_order(ib) == S.order
 
 
 def find_prefactorised_sylow(F: Factorisation, p: int) -> Subgroup:
@@ -883,10 +859,3 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
 
     return _cached(G, ("subgroups", budget, max_order), build)
 
-
-def normal_subgroups(G: Group, max_order: int = 200) -> list:
-    return _cached(
-        G,
-        ("normal_subgroups", max_order),
-        lambda: [S for S in enumerate_subgroups(G, max_order=max_order) if is_normal(G, S)],
-    )

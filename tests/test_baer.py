@@ -21,7 +21,7 @@ from baerlab.errors import (
     InternalInvariantViolation,
 )
 from baerlab.group import Group, Subgroup
-from baerlab.perm import Permutation
+from baerlab.perm import Permutation, parse_cycles
 from baerlab.reporting import FAIL, PASS, SKIPPED, TheoremReport
 from baerlab.structure import (
     Factorisation,
@@ -223,12 +223,17 @@ def report_rows(report) -> list:
     return rows
 
 
-def factorisation_rows(F) -> list:
-    """Every factorisation check of ``baer`` on F, as comparable verdict rows."""
+def factorisation_rows(F, reports=None) -> list:
+    """Every factorisation check of ``baer`` on F, as comparable verdict rows.
+
+    Each report is also appended to ``reports`` when it is given.
+    """
     rows = []
 
     def record(name, result):
         if isinstance(result, TheoremReport):
+            if reports is not None:
+                reports.append(result)
             rows.extend(report_rows(result))
         else:
             rows.append((name, repr(result)))
@@ -256,13 +261,45 @@ def factorisation_rows(F) -> list:
     return rows
 
 
-def group_rows(G) -> list:
-    """Every group check of ``baer`` on G, as comparable verdict rows."""
+def group_rows(G, reports=None) -> list:
+    """Every group check of ``baer`` on G, as comparable verdict rows; each
+    report is also appended to ``reports`` when it is given."""
     decomposition = baer.baer_decomposition(G)
     rows = [("decomposition", None if decomposition is None else decomposition.prime_partition)]
     for check in (baer.check_wielandt, baer.check_camina_camina, baer.check_lemma_bk):
-        rows.extend(report_rows(check(G)))
+        report = check(G)
+        if reports is not None:
+            reports.append(report)
+        rows.extend(report_rows(report))
     return rows
+
+
+def test_reports_and_index_witnesses_survive_json():
+    G = parse_group_spec("dihedral(12)")
+    subs = enumerate_subgroups(G)
+    reports, witnesses = [], []
+    for i, j in factorisation_pairs(G):
+        F = Factorisation(G, subs[i], subs[j])
+        factorisation_rows(F, reports)
+        for p in pi_of(G):
+            for via in ("union", "sylow"):
+                witnesses += baer.is_p_baer(F, p, via).witnesses
+    group_rows(G, reports)
+    assert reports and witnesses
+    for report in reports:
+        back = json.loads(json.dumps(report.to_json_dict()))
+        assert (back["theorem"], back["prime"], back["overall"]) == (
+            report.theorem, report.prime, report.overall
+        )
+        assert [(c["clause"], c["verdict"]) for c in back["clauses"]] == [
+            (c.clause, c.verdict) for c in report.clauses
+        ]
+    for w in witnesses:
+        back = json.loads(json.dumps(w.to_json_dict()))
+        assert parse_cycles(back["element"], G.degree) == w.element
+        assert (back["locus"], back["index"], back["prime_power"]) == (
+            w.locus, w.index, w.classification.is_prime_power
+        )
 
 
 @pytest.mark.parametrize("spec", PAPER_LAYER_SPECS)
@@ -404,31 +441,25 @@ def test_block_index_rows_are_built_once_per_block_subgroup(monkeypatch):
 def test_factor_facts_build_no_group_and_no_view(monkeypatch):
     # Work-count guard: every check on the 199 factorisations the benchmark
     # sweeps of semilinear(2,3) reads the factors' Sylow subgroups and class
-    # sizes in G's id space, so no subgroup is viewed as a Group and the one
-    # Group built is a quotient.
+    # sizes in G's id space, so no subgroup becomes a Group of its own and the
+    # one Group built is a quotient.
     G = semilinear(2, 3)
     subs = enumerate_subgroups(G)
     pairs = [(i, j) for i, j in factorisation_pairs(G)
              if subs[i].order < G.order and subs[j].order < G.order]
     factorisations = [Factorisation.trivial(G)] + [Factorisation(G, subs[i], subs[j]) for i, j in pairs]
     assert len(factorisations) == 199
-    built, viewed = [], []
-    init, as_group = Group.__init__, Subgroup.as_group
+    built = []
+    init = Group.__init__
 
     def counted_init(self, *args, **kwargs):
         built.append(kwargs.get("name"))
         init(self, *args, **kwargs)
 
-    def counted_view(self):
-        viewed.append(self)
-        return as_group(self)
-
     monkeypatch.setattr(Group, "__init__", counted_init)
-    monkeypatch.setattr(Subgroup, "as_group", counted_view)
     for F in factorisations:
         factorisation_rows(F)
     group_rows(G)
-    assert viewed == []
     assert len(built) == 1 and "/N" in built[0]
 
 

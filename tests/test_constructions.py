@@ -15,10 +15,9 @@ from baerlab.constructions import (
     subgroup_from_words,
     symmetric,
     wreath,
-    wreath_with_parts,
 )
 from baerlab.errors import CapExceeded
-from baerlab.group import Subgroup, class_index, class_index_via_centraliser
+from baerlab.group import Subgroup, class_index
 from baerlab.perm import element_order
 
 
@@ -117,7 +116,7 @@ def test_direct_product_componentwise_class_index():
         lazy = direct_product(factors)
         assert G.order <= 5000
         for x in G.materialize():
-            assert class_index(lazy, x) == class_index_via_centraliser(G, x)
+            assert class_index(lazy, x) == G.order // sum(g * x == x * g for g in G.elements)
         assert not lazy.is_materialized
 
 
@@ -155,7 +154,10 @@ def test_wreath_huge_constructible_but_not_materializable():
 
 
 def test_wreath_with_parts_factorises():
-    W, base, top = wreath_with_parts(cyclic(2), cyclic(2), "regular")
+    W = wreath(cyclic(2), cyclic(2), "regular")
+    # The generators are one per block of the base group, then the top group's.
+    base = Subgroup.from_generators(W, W.generators[:2])
+    top = Subgroup.from_generators(W, W.generators[2:])
     assert base.order == 4
     assert top.order == 2
     assert base.factors is None and base.parent is W
@@ -233,6 +235,5 @@ def test_product_subgroup_view_componentwise():
     G = direct_product([A, B])
     emb_a = Subgroup.from_factors(G, [Subgroup.full(A), Subgroup.trivial(B)])
     assert emb_a.order == 42
-    assert emb_a.as_group().order == 42
     for g in emb_a.members():
         assert g in G

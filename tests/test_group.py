@@ -9,9 +9,7 @@ from baerlab.group import (
     Group,
     Subgroup,
     centraliser,
-    centraliser_order,
     class_index,
-    class_index_via_centraliser,
     closure,
     conjugacy_class,
 )
@@ -89,7 +87,7 @@ def test_class_index_paths_agree_sym3():
     G = sym3()
     for x in G.elements:
         orbit = class_index(G, x)
-        assert orbit == class_index_via_centraliser(G, x)
+        assert orbit == G.order // len(brute_centraliser(G, [x]))
         assert orbit == len(brute_class(G, x))
 
 
@@ -109,8 +107,7 @@ def test_blockwise_routes_reject_elements_mixing_product_blocks():
 
     G = direct_product([symmetric(3), cyclic(2)])
     x = parse_cycles("(2 3)", 5)
-    queries = (class_index, lambda G, x: centraliser(G, [x]), lambda G, x: centraliser_order(G, [x]))
-    for query in queries:
+    for query in (class_index, lambda G, x: centraliser(G, [x])):
         with pytest.raises(ValueError, match="direct-product blocks"):
             query(G, x)
     assert not G.is_materialized
@@ -119,7 +116,7 @@ def test_blockwise_routes_reject_elements_mixing_product_blocks():
 def test_class_index_times_centraliser_is_order():
     G = sym3()
     for x in G.elements:
-        assert class_index(G, x) * centraliser_order(G, [x]) == G.order
+        assert class_index(G, x) * centraliser(G, [x]).order == G.order
 
 
 def test_element_store_sorted_and_indexed():
@@ -181,22 +178,6 @@ def test_subgroup_generating_set_regenerates():
     full = Subgroup.full(G)
     regen = Subgroup.from_generators(G, full.generating_set())
     assert regen.order == 6
-
-
-def test_subgroup_conjugate():
-    G = sym3()
-    B = Subgroup.from_generators(G, [parse_cycles("(0 1)", 3)])
-    conj = B.conjugate(parse_cycles("(0 1 2)"))
-    assert conj.order == 2
-    assert parse_cycles("(1 2)", 3) in conj
-
-
-def test_as_group_view():
-    G = sym3()
-    A = Subgroup.from_generators(G, [parse_cycles("(0 1 2)")])
-    view = A.as_group()
-    assert view.order == 3
-    assert view.degree == 3
 
 
 @st.composite
@@ -279,17 +260,6 @@ def test_cayley_table_of_quotient_group():
     assert_table_matches_products(Q.group)
 
 
-def test_full_order_views_are_the_parent():
-    G = sym3()
-    G.materialize()
-    assert Subgroup.full(G).as_group() is G
-    assert Subgroup.from_ids(G, range(6)).as_group() is G
-    assert Subgroup.from_generators(G, [parse_cycles("(0 1 2)")]).as_group() is not G
-    H = Group(3, [parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)")], order_hint=6)
-    assert Subgroup.full(H).as_group() is H
-    assert Subgroup.full(H) is Subgroup.from_ids(H, range(6))
-
-
 @settings(max_examples=25, deadline=None)
 @given(generator_sets())
 def test_class_index_paths_agree_random(data):
@@ -298,7 +268,7 @@ def test_class_index_paths_agree_random(data):
     if G.order > 200:
         return
     for x in G.elements:
-        assert class_index(G, x) == class_index_via_centraliser(G, x)
+        assert class_index(G, x) == G.order // len(brute_centraliser(G, [x]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -312,12 +282,10 @@ def test_centraliser_matches_permutation_scan(data, draw):
     for S in [[identity(degree)], list(G.generators), picks]:
         cent = centraliser(G, S)
         assert set(cent.members()) == set(brute_centraliser(G, S))
-        assert cent.order == centraliser_order(G, S)
     if outside:  # C_G(S) is defined for subsets of G only
         S = picks + [draw.draw(st.sampled_from(outside))]
         with pytest.raises(ValueError, match="not an element"):
             centraliser(G, S)
-        assert centraliser_order(G, S) == len(brute_centraliser(G, S))
 
 
 # -- canonical id-backed subgroups ------------------------------------------------
@@ -331,11 +299,6 @@ def test_from_ids_returns_the_canonical_subgroup():
     assert Subgroup.from_ids(G, ids) is Subgroup.from_ids(G, frozenset(ids)) is A
     assert A.intersection(Subgroup.full(G)) is A
     assert centraliser(G, [parse_cycles("(0 1 2)")]) is A
-    B = Subgroup.from_generators(G, [parse_cycles("(0 1)", 3)])
-    g = parse_cycles("(0 1 2)")
-    conj_ids = {G.element_id(x.conjugate(g)) for x in B.members()}
-    assert B.conjugate(g) is Subgroup.from_ids(G, conj_ids)
-    assert B.conjugate(G.identity()) is B
     # The pool is per parent: the same ids in another group are another subgroup.
     H = sym3()
     H.materialize()
@@ -360,7 +323,7 @@ def test_block_form_members_of_a_lazy_product_are_factor_backed():
     for S in (Subgroup.from_members(G, members), Subgroup.from_generators(G, gens)):
         assert [s.order for s in S.factors] == [3, 2]
         assert S.order == 6
-        assert S.member_set() == set(members)
+        assert set(S.members()) == set(members)
     assert Subgroup.trivial(G).factors is not None
     assert not G.is_materialized
 
@@ -373,7 +336,7 @@ def test_diagonal_of_a_lazy_product_is_id_backed():
     assert D.factors is None
     assert D.order == 6
     assert D is Subgroup.from_ids(G, D.ids)
-    assert D.member_set() == set(diagonal)
+    assert set(D.members()) == set(diagonal)
 
 
 def test_trivial_and_full_of_a_lazy_group_are_canonical_id_subgroups():
@@ -426,6 +389,22 @@ def test_mixed_backings_intersect_on_store_ids():
     B = Subgroup.from_generators(G, [parse_cycles("(0 1)(3 4)", 5), parse_cycles("(0 1 2)", 5)])
     assert A.factors is not None and B.factors is None
     meet = A.intersection(B)
-    assert meet.member_set() == A.member_set() & B.member_set()
+    assert set(meet.members()) == set(A.members()) & set(B.members())
     assert meet is B.intersection(A)
     assert meet.order == 2
+
+
+def test_membership_agrees_across_backings_for_any_degree():
+    # Product-form, id-backed and Group membership answer alike, also for a
+    # permutation of another degree, which belongs to none of them.
+    G = lazy_sym3_squared()
+    materialised = lazy_sym3_squared()
+    materialised.materialize()
+    cases = [("(0 1)", 3), ("(0 1)", 6), ("(2 3)", 6), ("(0 1 2)", 7), ("(5 6)", 7)]
+    for cycles, degree in cases:
+        x = parse_cycles(cycles, degree)
+        expected = degree == 6 and cycles == "(0 1)"
+        assert (x in G) == (x in materialised) == expected
+        assert (x in Subgroup.full(G)) == (x in Subgroup.full(materialised)) == expected
+    assert "(0 1)" not in Subgroup.full(G)
+    assert not G.is_materialized

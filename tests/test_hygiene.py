@@ -15,12 +15,15 @@ and conjugation maps); every other module asks for them through the
 change in one place.
 
 The paper layer reads facts about a subgroup as a group of its own in its
-parent's id space; no module but ``group.py`` views a subgroup as a
-``Group`` of its own.
+parent's id space; no module views a subgroup as a ``Group`` of its own.
 
 Conjugation goes through ``Group.conjugation_maps``: no module but
 ``group.py`` and ``perm.py`` calls a ``.conjugate`` method, so no route
 conjugates permutations one by one behind the id maps.
+
+Every function and method of the engine modules ``group.py`` and
+``structure.py`` has a reader elsewhere in the package, so no code is kept
+alive by the tests alone.
 
 No module reads the process environment, so no setting can change the
 engine's behaviour outside its arguments and constants.
@@ -193,34 +196,19 @@ def test_table_read_detector():
 
 
 def as_group_calls(source: str) -> list:
-    """(line, enclosing module-level function) for every ``.as_group()`` call."""
-    out = []
-
-    def visit(node, where):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef):
-                visit(child, where or child.name)
-                continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "as_group"):
-                out.append((child.lineno, where))
-            visit(child, where)
-
-    visit(ast.parse(source), None)
-    return sorted(out)
+    """Lines of every ``.as_group()`` call."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "as_group"
+    )
 
 
-SUBGROUP_VIEWS = {}
-
-
-@pytest.mark.parametrize(
-    "path", [p for p in sorted(SOURCE.glob("*.py")) if p.name != "group.py"], ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
 def test_subgroup_views_only_past_the_gate(path):
-    allowed = SUBGROUP_VIEWS.get(path.name, set())
-    calls = as_group_calls(path.read_text())
-    assert [call for call in calls if call[1] not in allowed] == []
-    assert {where for _line, where in calls} == allowed
+    """No subgroup becomes a ``Group`` of its own, within the gate or past it."""
+    assert as_group_calls(path.read_text()) == []
 
 
 def test_as_group_call_detector():
@@ -234,7 +222,7 @@ def test_as_group_call_detector():
         "    def g(self, S):\n"
         "        return (lambda: S.as_group())()\n"
     )
-    assert as_group_calls(source) == [(3, "f"), (5, None), (8, "g")]
+    assert as_group_calls(source) == [3, 5, 8]
 
 
 def conjugate_calls(source: str) -> list:
@@ -304,3 +292,89 @@ def test_environment_read_detector():
         "    return os.getenv('X'), environ, os.path.join('a')\n"
     )
     assert environment_reads(source) == [(2, "os.getenv"), (3, "os.environ"), (5, "os.getenv")]
+
+
+# Engine entry points with no caller in the package.  The subgroup
+# enumeration builds the factorisation corpora of the benchmark and the tests.
+# The tests check the centre, derived subgroup and exponent against sympy, and
+# use Quotient.project to check that a quotient is a homomorphism with kernel N.
+ENTRY_POINTS = frozenset(
+    {"enumerate_subgroups", "center", "derived_subgroup", "exponent", "Quotient.project"}
+)
+
+
+def definitions(tree: ast.Module) -> list:
+    """(qualified name, node) for every module-level function and class method."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef):
+            out.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            out.extend(
+                (f"{node.name}.{item.name}", item)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef | ast.AsyncFunctionDef)
+            )
+    return out
+
+
+def name_reads(tree: ast.Module) -> list:
+    """(name, line) for every name or attribute the module reads."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.append((node.attr, node.lineno))
+    return out
+
+
+def definitions_without_a_reader(source: str, others, exempt=frozenset()) -> list:
+    """(line, name) for each definition of ``source`` that neither ``source``
+    outside the definition's own body nor any of ``others`` reads.
+
+    Dunder methods and the names in ``exempt``, bare or qualified, are skipped.
+    """
+    tree = ast.parse(source)
+    own = name_reads(tree)
+    elsewhere = {name for text in others for name, _line in name_reads(ast.parse(text))}
+    out = []
+    for qualified, node in definitions(tree):
+        name = node.name
+        if (name.startswith("__") and name.endswith("__")) or {name, qualified} & exempt:
+            continue
+        inside = range(node.lineno, node.end_lineno + 1)
+        if name not in elsewhere and all(n != name or line in inside for n, line in own):
+            out.append((node.lineno, qualified))
+    return out
+
+
+@pytest.mark.parametrize("path", [SOURCE / "group.py", SOURCE / "structure.py"], ids=lambda p: p.name)
+def test_engine_definitions_have_a_source_caller(path):
+    others = [p.read_text() for p in sorted(SOURCE.glob("*.py")) if p != path]
+    exempt = exported_names(ast.parse((SOURCE / "__init__.py").read_text())) | ENTRY_POINTS
+    assert definitions_without_a_reader(path.read_text(), others, exempt) == []
+
+
+def test_definition_without_a_reader_detector():
+    source = (
+        "def used(x):\n"
+        "    return x\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else 0\n"
+        "def exported():\n"
+        "    pass\n"
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self.method = None\n"
+        "    def method(self):\n"
+        "        return used(self)\n"
+        "    def read_elsewhere(self):\n"
+        "        pass\n"
+        "    def kept(self):\n"
+        "        pass\n"
+    )
+    others = ["def f(c):\n    return c.read_elsewhere\n"]
+    assert definitions_without_a_reader(source, others, {"exported", "C.kept"}) == [
+        (3, "recursive"), (10, "C.method")
+    ]
