@@ -261,21 +261,28 @@ class Group:
     def inverse_ids(self) -> list:
         return self.cayley().inv
 
-    def closure_from_gen_ids(self, gen_ids) -> frozenset:
+    def closure_from_gen_ids(self, gen_ids, prefix=None) -> frozenset:
+        """``<gen_ids>`` as store ids by Dimino's closure: each generator s not
+        yet in ``H`` grows it to ``<H, s>`` by whole right cosets, ``H r t`` being
+        ``H r`` mapped through the column of a generator t, at ``|<H, s>|`` lookups.
+        A given ``prefix`` must be ``<gen_ids[:-1]>``; then only the last step runs."""
         mul = self.cayley()
-        cols = [mul.col(g) for g in gen_ids]
         # The identity has the least image tuple, so it is store id 0.
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            new = []
-            for a in frontier:
+        els = [0] if prefix is None else list(prefix)
+        seen = set(els)
+        cols = [] if prefix is None else [mul.col(g) for g in gen_ids[:-1]]
+        for g in gen_ids if prefix is None else gen_ids[-1:]:
+            if g in seen:
+                continue
+            cols.append(mul.col(g))
+            n, lo = len(els), 0
+            while lo < len(els):
                 for col in cols:
-                    c = col[a]
-                    if c not in seen:
-                        seen.add(c)
-                        new.append(c)
-            frontier = new
+                    if col[els[lo]] not in seen:
+                        new = list(map(col.__getitem__, els[lo : lo + n]))
+                        els += new
+                        seen.update(new)
+                lo += n
         return frozenset(seen)
 
     def generator_ids(self) -> list:
@@ -298,8 +305,12 @@ class Group:
     # -- element facts, cached --------------------------------------------
 
     def element_orders(self) -> list:
+        """Element orders by store id.  Conjugates share an order, so the
+        cycles of one member per conjugacy class are walked."""
         if "orders" not in self._cache:
-            self._cache["orders"] = [p.order() for p in self.materialize()]
+            els = self.materialize()
+            per_class = [els[cls[0]].order() for cls in self.conjugacy_partition()]
+            self._cache["orders"] = list(map(per_class.__getitem__, self._cache["class_of"]))
         return self._cache["orders"]
 
     def conjugacy_partition(self) -> list:
@@ -512,12 +523,12 @@ def _small_generating_ids(G: Group, ids: frozenset) -> list:
     if len(ids) == 1:
         return []
     gens: list[int] = []
-    have = G.closure_from_gen_ids(gens)
+    have = frozenset([0])
     for x in sorted(ids):
         if x in have:
             continue
         gens.append(x)
-        have = G.closure_from_gen_ids(gens)
+        have = G.closure_from_gen_ids(gens, have)
         if len(have) == len(ids):
             break
     return gens

@@ -166,7 +166,7 @@ def sylow(G: Group, p: int) -> Subgroup:
                     f"Sylow extension stalled at order {len(H)} < {pk}"
                 )
             gens.append(grow)
-            H = G.closure_from_gen_ids(gens)
+            H = G.closure_from_gen_ids(gens, H)
         return Subgroup.from_ids(G, H)
 
     return _cached(G, ("sylow", p), build)
@@ -327,9 +327,11 @@ def o_p(G: Group, p: int) -> Subgroup:
 
 
 def o_pi(G: Group, pi) -> Subgroup:
-    """Largest normal pi-subgroup: generated by the elements whose normal
-    closure is a pi-group.  ``pi`` may be any prime set, so this covers both
-    O_{p'} and general O_pi."""
+    """Largest normal pi-subgroup, for any prime set ``pi`` (so O_{p'} too).
+
+    One normal pi-subgroup K grows from 1: a class outside K lies in O_pi
+    iff its representative x has pi-order and the normal closure ``K <x^G>``
+    of K's generating ids and x is a pi-group (:func:`_normal_closure_ids`)."""
     pi = frozenset(p for p in pi if G.order % p == 0)
 
     def build():
@@ -343,17 +345,15 @@ def o_pi(G: Group, pi) -> Subgroup:
             return Subgroup.from_factors(G, parts)
         G.materialize()
         orders = G.element_orders()
-        gens = []
+        K, gens = frozenset([0]), []
         for cls in G.conjugacy_partition():
             rep = cls[0]
-            if orders[rep] == 1 or not is_pi_number(orders[rep], pi):
+            if rep in K or not is_pi_number(orders[rep], pi):
                 continue
-            nc = _normal_closure_ids(G, [rep])
-            if is_pi_number(len(nc), pi):
-                gens.extend(cls)
-        if not gens:
-            return Subgroup.trivial(G)
-        core = Subgroup.from_ids(G, G.closure_from_gen_ids(gens))
+            closed, closed_gens = _normal_closure_ids(G, gens + [rep], pi)
+            if is_pi_number(len(closed), pi):
+                K, gens = closed, closed_gens
+        core = Subgroup.from_ids(G, K)
         if not is_pi_number(core.order, pi):
             raise InternalInvariantViolation("pi-core is not a pi-group")
         if not is_normal(G, core):
@@ -629,7 +629,7 @@ def hall(G: Group, pi):
                 if spent >= HALL_BUDGET:
                     return None
                 spent += 1
-                K = G.closure_from_gen_ids(hgens + [x])
+                K = G.closure_from_gen_ids(hgens + [x], H)
                 if K in visited:
                     continue
                 visited.add(K)
@@ -728,21 +728,20 @@ def upper_p_series(G: Group, p: int) -> UpperPSeries:
 # -- normal closures and normality ------------------------------------------------------
 
 
-def _normal_closure_ids(G: Group, seed_ids) -> frozenset:
-    gen_ids = list(seed_ids)
-    K = G.closure_from_gen_ids(gen_ids)
-    maps = G.conjugation_maps()
-    changed = True
-    while changed:
-        changed = False
-        for s in Subgroup.from_ids(G, K).generating_ids():
-            for cmap in maps:
-                c = cmap[s]
-                if c not in K:
-                    gen_ids.append(c)
-                    K = G.closure_from_gen_ids(gen_ids)
-                    changed = True
-    return K
+def _normal_closure_ids(G: Group, seed, pi=None) -> tuple:
+    """``(K, gens)``: the normal closure K of the ids ``seed`` and ids generating
+    it.  Each generator's conjugates are tested once; one outside K extends it
+    by a Dimino step.  With ``pi``, a partial K returns once |K| is no pi-number."""
+    gens = list(seed)
+    K = G.closure_from_gen_ids(gens)
+    for s in gens:
+        for cmap in G.conjugation_maps():
+            if pi is not None and not is_pi_number(len(K), pi):
+                return K, gens
+            if cmap[s] not in K:
+                gens.append(cmap[s])
+                K = G.closure_from_gen_ids(gens, K)
+    return K, gens
 
 
 def normal_closure(G: Group, S) -> Subgroup:
@@ -751,7 +750,7 @@ def normal_closure(G: Group, S) -> Subgroup:
     gens = [g for g in gens if not g.is_identity()]
     if not gens:
         return Subgroup.trivial(G)
-    ids = _normal_closure_ids(G, [G.element_id(g) for g in gens])
+    ids, _ = _normal_closure_ids(G, [G.element_id(g) for g in gens])
     return Subgroup.from_ids(G, ids)
 
 
@@ -840,7 +839,7 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
                             cap=budget,
                             partial=len(found),
                         )
-                    K = G.closure_from_gen_ids(hgens + [x])
+                    K = G.closure_from_gen_ids(hgens + [x], hids)
                     if K in found:
                         continue
                     found[K] = S = Subgroup.from_ids(G, K)

@@ -359,10 +359,10 @@ def test_side_facts_are_built_once_per_subgroup(monkeypatch):
         finally:
             products[-1] += (closures.pop(),)
 
-    def close(self, gen_ids):
+    def close(self, gen_ids, prefix=None):
         if closures:
             closures[-1] += 1
-        return closure(self, gen_ids)
+        return closure(self, gen_ids, prefix)
 
     monkeypatch.setattr(baer, "_index_rows", rows)
     monkeypatch.setattr(baer, "_product_with_normal", product)
