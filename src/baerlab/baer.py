@@ -13,8 +13,10 @@ means an engine bug since the conclusions are established facts) from
 ``not-applicable`` (hypotheses unmet).  Witness lists are canonically sorted
 so reports are byte-reproducible.
 
-Facts read from one factor are memoised on that subgroup, which every
-factorisation with the same side shares; a factorisation only combines them.
+Facts read from one factor are memoised on that subgroup by
+:func:`~baerlab.group.memo`, so every factorisation with the same side
+shares them; a factorisation only combines them, and its own p-Baer and Baer
+verdicts are memoised on it.
 Facts about a factor as a group of its own (its Sylow subgroups and class
 sizes, for Theorems A, D and F and Corollary C) are read in the parent's id
 space by :func:`~baerlab.structure.factor_sylows` and
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import CapExceeded, InternalInvariantViolation, check_enumerable
-from .group import Group, Subgroup, centraliser, class_index, join_blocks
+from .group import Group, Subgroup, centraliser, class_index, join_blocks, memo
 from .numth import (
     PrimePower,
     classify_prime_power,
@@ -163,36 +165,35 @@ def _index_rows(G: Group, sub: Subgroup, keep) -> list:
     return [(els[i], orders[i], len(classes[G.class_of_id(i)])) for i in ids if keep(orders[i])]
 
 
+@memo
 def _block_rows(S: Subgroup) -> list:
     """The :func:`_index_rows` of every member of a block subgroup S, memoised on
     S: block subgroups are id-backed and canonical, so each block's rows are
     built once, however many product-form subgroups share that block."""
-    return S.cached("block_rows", lambda: _index_rows(S.parent, S, lambda o: True))
+    return _index_rows(S.parent, S, lambda o: True)
 
 
 def _is_nontrivial_prime_power(o: int) -> bool:
     return o > 1 and classify_prime_power(o).is_prime_power
 
 
+@memo
 def _pp_rows(S: Subgroup) -> list:
     """The :func:`_index_rows` of the nontrivial prime-power-order members of
     S, with their index in ``S.parent``; memoised on S."""
-    return S.cached("pp_rows", lambda: _index_rows(S.parent, S, _is_nontrivial_prime_power))
+    return _index_rows(S.parent, S, _is_nontrivial_prime_power)
 
 
+@memo
 def _side_profile(S: Subgroup, p: int | None = None) -> dict:
     """``{index in S.parent: first member with that index}`` over the p-elements
     of S in member order (every prime-power-order member for ``p=None``);
     memoised on S per prime."""
-
-    def build():
-        profile = {}
-        for x, o, idx in _pp_rows(S):
-            if p is None or is_p_number(o, p):
-                profile.setdefault(idx, x)
-        return profile
-
-    return S.cached(("index_profile", p), build)
+    profile = {}
+    for x, o, idx in _pp_rows(S):
+        if p is None or is_p_number(o, p):
+            profile.setdefault(idx, x)
+    return profile
 
 
 def _status(F: Factorisation, p, subs) -> BaerStatus:
@@ -210,6 +211,7 @@ def _status(F: Factorisation, p, subs) -> BaerStatus:
     return BaerStatus(F, p, True, None, witnesses=witnesses)
 
 
+@memo
 def is_p_baer(F: Factorisation, p: int, via: str = "union") -> BaerStatus:
     """Decide whether ``G = AB`` is a p-Baer factorisation.
 
@@ -220,35 +222,32 @@ def is_p_baer(F: Factorisation, p: int, via: str = "union") -> BaerStatus:
     of each side, A and B or their Sylow intersections (p-groups, whose
     nontrivial members are all p-elements); the status is memoised on F.
     """
-    key = ("p_baer", p, via)
-    if key not in F._cache:
-        if via == "union":
-            subs = F.factors()
-        elif via == "sylow":
-            P = find_prefactorised_sylow(F, p)
-            subs = [(locus, P.intersection(sub)) for locus, sub in F.factors()]
-        else:
-            raise ValueError(f"unknown route {via!r}")
-        F._cache[key] = _status(F, p, subs)
-    return F._cache[key]
+    if via == "union":
+        subs = F.factors()
+    elif via == "sylow":
+        P = find_prefactorised_sylow(F, p)
+        subs = [(locus, P.intersection(sub)) for locus, sub in F.factors()]
+    else:
+        raise ValueError(f"unknown route {via!r}")
+    return _status(F, p, subs)
 
 
+@memo
 def is_baer(F: Factorisation) -> BaerStatus:
-    """Conjunction of the p-Baer predicate over every prime dividing |G|."""
-    if "baer" not in F._cache:
-        per_prime = {}
-        witnesses = []
-        ok = True
-        for p in pi_of(F.group):
-            st = is_p_baer(F, p)
-            per_prime[p] = st.is_p_baer
-            if not st.is_p_baer:
-                ok = False
-                witnesses.extend(st.witnesses)
-        if ok:
-            witnesses = _status(F, None, F.factors()).witnesses
-        F._cache["baer"] = BaerStatus(F, None, None, ok, witnesses=witnesses, per_prime=per_prime)
-    return F._cache["baer"]
+    """Conjunction of the p-Baer predicate over every prime dividing |G|;
+    memoised on F."""
+    per_prime = {}
+    witnesses = []
+    ok = True
+    for p in pi_of(F.group):
+        st = is_p_baer(F, p)
+        per_prime[p] = st.is_p_baer
+        if not st.is_p_baer:
+            ok = False
+            witnesses.extend(st.witnesses)
+    if ok:
+        witnesses = _status(F, None, F.factors()).witnesses
+    return BaerStatus(F, None, None, ok, witnesses=witnesses, per_prime=per_prime)
 
 
 # -- unique index primes -----------------------------------------------------------
@@ -304,31 +303,25 @@ def _skipped_on_cap(theorem: str):
 # -- equivalence with the Sylow-centraliser predicate ----------------------------------
 
 
+@memo
 def _side_centraliser_indices(S: Subgroup) -> list:
     """``(p, |G : C_G(S_p)|, prime power?)`` for each prime p of ``G = S.parent``
     ascending, with ``S_p = factor_sylow(S, p)``; memoised on S.  The index
     does not depend on the choice of S_p: ``C_G(S_p^s) = C_G(S_p)^s``."""
-
-    def build():
-        G = S.parent
-        indices = [(p, G.order // centraliser(G, factor_sylow(S, p)).order) for p in sorted(pi_of(G))]
-        return [(p, idx, classify_prime_power(idx).is_prime_power) for p, idx in indices]
-
-    return S.cached("centraliser_indices", build)
+    G = S.parent
+    indices = [(p, G.order // centraliser(G, factor_sylow(S, p)).order) for p in sorted(pi_of(G))]
+    return [(p, idx, classify_prime_power(idx).is_prime_power) for p, idx in indices]
 
 
+@memo
 def _side_choice_independent(S: Subgroup) -> bool:
     """Whether each Sylow subgroup of S has its prime's centraliser index; memoised on S."""
-
-    def build():
-        G = S.parent
-        return all(
-            G.order // centraliser(G, Q).order == idx
-            for p, idx, _ok in _side_centraliser_indices(S)
-            for Q in factor_sylows(S, p)
-        )
-
-    return S.cached("choice_independent", build)
+    G = S.parent
+    return all(
+        G.order // centraliser(G, Q).order == idx
+        for p, idx, _ok in _side_centraliser_indices(S)
+        for Q in factor_sylows(S, p)
+    )
 
 
 @_skipped_on_cap("F")
@@ -474,9 +467,10 @@ def report_theorem_a(F: Factorisation, p: int) -> TheoremReport:
     return report
 
 
+@memo(owner="S")
 def _product_with_normal(G: Group, S: Subgroup, N: Subgroup) -> Subgroup:
     """``S N`` for subgroups S and N of G with N normal; memoised on S, keyed
-    by G and ``N.key()``.
+    by G and N.
 
     When G is an unmaterialised direct product, ``S N`` is the product of
     the blockwise ``S_i N_i`` (each ``N_i`` is normal in its block), so only
@@ -485,17 +479,13 @@ def _product_with_normal(G: Group, S: Subgroup, N: Subgroup) -> Subgroup:
     (``G.closure_from_gen_ids``).  Either way the result's order is checked
     against ``|S| |N| / |S n N|``, the size of the set S N.
     """
-
-    def build():
-        if (parts := _blockwise(G, _product_with_normal, S, N)) is not None:
-            K = Subgroup.from_factors(G, parts)
-        else:
-            K = Subgroup.from_ids(G, G.closure_from_gen_ids(S.generating_ids() + N.generating_ids()))
-        if K.order != S.product_order(N):
-            raise InternalInvariantViolation("product with a normal subgroup is not its closure")
-        return K
-
-    return S.cached(("product_with_normal", G, N.key()), build)
+    if (parts := _blockwise(G, _product_with_normal, S, N)) is not None:
+        K = Subgroup.from_factors(G, parts)
+    else:
+        K = Subgroup.from_ids(G, G.closure_from_gen_ids(S.generating_ids() + N.generating_ids()))
+    if K.order != S.product_order(N):
+        raise InternalInvariantViolation("product with a normal subgroup is not its closure")
+    return K
 
 
 @_skipped_on_cap("B")
@@ -594,24 +584,21 @@ def report_corollary_c(F: Factorisation) -> TheoremReport:
     return report
 
 
+@memo
 def _side_inheritance(S: Subgroup) -> tuple:
     """Theorem D on one factor S, memoised on S: ``(members checked, the first
     whose index in S does not inherit the prime of its index in S.parent,
     S is a Baer group)``.  S is a Baer group when every prime-power-order
     member has a prime-power class size in S (:func:`factor_class_index`)."""
-
-    def build():
-        bad, baer_group = None, True
-        for x, _o, idx in _pp_rows(S):
-            inner = factor_class_index(S, x)
-            c = classify_prime_power(inner)
-            baer_group = baer_group and c.is_prime_power
-            ok = inner == 1 if idx == 1 else c.compatible_with(classify_prime_power(idx).prime)
-            if not ok and bad is None:
-                bad = {"element": format_cycles(x), "outer_index": idx, "inner_index": inner}
-        return len(_pp_rows(S)), bad, baer_group
-
-    return S.cached("inheritance", build)
+    bad, baer_group = None, True
+    for x, _o, idx in _pp_rows(S):
+        inner = factor_class_index(S, x)
+        c = classify_prime_power(inner)
+        baer_group = baer_group and c.is_prime_power
+        ok = inner == 1 if idx == 1 else c.compatible_with(classify_prime_power(idx).prime)
+        if not ok and bad is None:
+            bad = {"element": format_cycles(x), "outer_index": idx, "inner_index": inner}
+    return len(_pp_rows(S)), bad, baer_group
 
 
 @_skipped_on_cap("D")
@@ -688,19 +675,17 @@ def _partition_is_coprime_split(G: Group, blocks) -> bool:
     return math.prod(o_pi(G, set(b)).order for b in blocks) == G.order
 
 
+@memo
 def baer_decomposition(G: Group):
     """Finest coprime partition of the primes with ``G`` the direct product of
     the corresponding cores, for groups in which every prime-power-order
     element has prime-power index; None when the index condition fails.
 
     Each non-prime-power-order factor must touch exactly two primes and have
-    abelian Sylow subgroups; a violation is an internal red alert.
+    abelian Sylow subgroups; a violation is an internal red alert.  The
+    answer, None included, is memoised on G.
     """
-    key = "baer_decomposition"
-    if key in G._cache:
-        return G._cache[key]
     if not is_baer(Factorisation.trivial(G)).is_baer:
-        G._cache[key] = None
         return None
     primes = list(pi_of(G))
     best = None
@@ -728,9 +713,7 @@ def baer_decomposition(G: Group):
             gi, gj = Si.generating_set(), Sj.generating_set()
             if not all(a * b == b * a for a in gi for b in gj):
                 raise InternalInvariantViolation("decomposition factors do not commute")
-    result = BaerDecomposition(factors, [list(b) for b in blocks])
-    G._cache[key] = result
-    return result
+    return BaerDecomposition(factors, [list(b) for b in blocks])
 
 
 # -- unconditional index facts (regression oracles) ----------------------------------------

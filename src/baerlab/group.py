@@ -27,6 +27,7 @@ Determinism rules used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import weakref
@@ -40,6 +41,49 @@ from .errors import (
     check_enumerable,
 )
 from .perm import Permutation, identity
+
+
+def memo(fn=None, *, owner=None):
+    """Memoise ``fn`` on one of its arguments, its owner; ``@memo`` or ``@memo(owner="S")``.
+
+    * Owner: the first argument, or the one ``owner`` names.  It is a
+      :class:`Group`, a :class:`Subgroup` or a ``Factorisation``, and the value
+      lives in its ``_cache``, so it is freed with the owner.
+    * Key: ``fn`` when it takes no other argument, else ``(fn, *others)``,
+      the other arguments in parameter order with defaults filled in; so
+      ``f(F, p)``, ``f(F, p, "union")`` and ``f(F, p, via="union")`` share one
+      entry.  The owner is left out, so no memo keeps its owner alive.  The
+      other arguments must be hashable.
+    * Write-once: a stored value, None included, is returned as it is, and a
+      call that raises stores nothing.
+
+    The wrapper is compiled with ``fn``'s own parameter list, so Python binds
+    a call's arguments and fills its defaults, and a hit costs one key and
+    one dict lookup.  A generic ``*args, **kwargs`` wrapper that binds them
+    itself costs several times as much per hit, and a subgroup-sweep battery
+    makes about 99,000 memo calls.
+    """
+    if fn is None:
+        return functools.partial(memo, owner=owner)
+    params = fn.__code__.co_varnames[: fn.__code__.co_argcount]
+    defaults = dict(zip(reversed(params), reversed(fn.__defaults__ or ())))
+    owner = owner or params[0]
+    others = ", ".join(name for name in params if name != owner)
+    head = ", ".join(f"{name}=_defaults[{name!r}]" if name in defaults else name for name in params)
+    source = (
+        f"def {fn.__name__}({head}):\n"
+        f"    _memo = {owner}._cache\n"
+        f"    _key = {f'(_fn, {others})' if others else '_fn'}\n"
+        "    try:\n"
+        "        return _memo[_key]\n"
+        "    except KeyError:\n"
+        "        pass\n"
+        f"    _value = _memo[_key] = _fn({', '.join(params)})\n"
+        "    return _value\n"
+    )
+    scope = {"_fn": fn, "_defaults": defaults}
+    exec(compile(source, f"<memo {fn.__qualname__}>", "exec"), scope)
+    return functools.wraps(fn)(scope[fn.__name__])
 
 
 def _dedup_generators(generators, degree=None):
@@ -304,46 +348,49 @@ class Group:
 
     # -- element facts, cached --------------------------------------------
 
+    @memo
     def element_orders(self) -> list:
         """Element orders by store id.  Conjugates share an order, so the
         cycles of one member per conjugacy class are walked."""
-        if "orders" not in self._cache:
-            els = self.materialize()
-            per_class = [els[cls[0]].order() for cls in self.conjugacy_partition()]
-            self._cache["orders"] = list(map(per_class.__getitem__, self._cache["class_of"]))
-        return self._cache["orders"]
+        els = self.materialize()
+        per_class = [els[cls[0]].order() for cls in self.conjugacy_partition()]
+        return list(map(per_class.__getitem__, self._class_ids()))
 
+    @memo
     def conjugacy_partition(self) -> list:
-        """All conjugacy classes as sorted id tuples, by ascending least member.
+        """All conjugacy classes as sorted id tuples, by ascending least member;
+        class i holds the ids that :meth:`class_of_id` maps to i."""
+        classes = []
+        for x, cid in enumerate(self._class_ids()):
+            if cid == len(classes):
+                classes.append([])
+            classes[cid].append(x)
+        return list(map(tuple, classes))
 
-        Each class is the orbit of its least id under the
-        :meth:`conjugation_maps`, so no permutation is conjugated once the
-        maps exist.
-        """
-        if "classes" not in self._cache:
-            maps = self.conjugation_maps()
-            assigned = [-1] * len(self.materialize())
-            classes = []
-            for start in range(len(assigned)):
-                if assigned[start] >= 0:
-                    continue
-                cid = len(classes)
-                assigned[start] = cid
-                cls = [start]
-                for x in cls:
-                    for cmap in maps:
-                        y = cmap[x]
-                        if assigned[y] < 0:
-                            assigned[y] = cid
-                            cls.append(y)
-                classes.append(tuple(sorted(cls)))
-            self._cache["classes"] = classes
-            self._cache["class_of"] = assigned
-        return self._cache["classes"]
+    @memo
+    def _class_ids(self) -> list:
+        """Per store id, the index of its conjugacy class.  Each class is the
+        orbit of its least id under the :meth:`conjugation_maps`, so no
+        permutation is conjugated once the maps exist."""
+        maps = self.conjugation_maps()
+        class_ids = [-1] * len(self.materialize())
+        cid = 0
+        for start in range(len(class_ids)):
+            if class_ids[start] >= 0:
+                continue
+            class_ids[start] = cid
+            orbit = [start]
+            for x in orbit:
+                for cmap in maps:
+                    y = cmap[x]
+                    if class_ids[y] < 0:
+                        class_ids[y] = cid
+                        orbit.append(y)
+            cid += 1
+        return class_ids
 
     def class_of_id(self, eid: int) -> int:
-        self.conjugacy_partition()
-        return self._cache["class_of"][eid]
+        return self._class_ids()[eid]
 
 
 class CayleyTable:
@@ -463,21 +510,15 @@ def conjugacy_class(G: Group, x: Permutation, cap: int = DEFAULT_CLASS_ORBIT_CAP
 def class_index(G: Group, x: Permutation) -> int:
     """``|G : C_G(x)|``, the conjugacy class size of ``x`` in ``G``.
 
-    Unmaterialised direct products are handled componentwise; a materialised
-    group reads the class from its conjugacy partition; otherwise the orbit
-    walk is used, and when it outgrows its cap the group is materialised
-    (which raises :class:`CapExceeded` past the enumeration cap) and the
-    partition read.
+    Two routes.  While G is an unmaterialised direct product the class size
+    is the product of the block class sizes.  Otherwise it is read from G's
+    :meth:`~Group.conjugacy_partition`, which materialises G (raising
+    :class:`CapExceeded` past the enumeration cap).
     """
     if G.blocks is not None:
         return math.prod(
             class_index(f, col[0]) for f, col in zip(G.blocks, G.split_all([x]))
         )
-    if not G.is_materialized:
-        try:
-            return len(conjugacy_class(G, x))
-        except CapExceeded:
-            G.materialize()
     return len(G.conjugacy_partition()[G.class_of_id(G.element_id(x))])
 
 
@@ -497,8 +538,13 @@ def centraliser(G: Group, S) -> "Subgroup":
     lie in ``G`` too.
     """
     if isinstance(S, Subgroup):
-        return S.cached(("centraliser", G), lambda: _centraliser(G, S.generating_set()))
+        return _subgroup_centraliser(G, S)
     return _centraliser(G, S)
+
+
+@memo(owner="S")
+def _subgroup_centraliser(G: Group, S: "Subgroup") -> "Subgroup":
+    return _centraliser(G, S.generating_set())
 
 
 def _centraliser(G: Group, gens) -> "Subgroup":
@@ -556,10 +602,10 @@ class Subgroup:
     Subgroups are canonical per parent: :meth:`from_ids` returns the one
     object for ``(parent, frozenset(ids))`` and :meth:`from_factors` the one
     for ``(parent, factors)`` while it is alive (the factors are canonical
-    themselves), so facts memoised on it (:meth:`cached`) are computed once
-    per group, whatever route reached the subgroup.  The parent holds its
-    pool of canonical subgroups weakly, so the pool keeps neither them nor,
-    through them, the parent alive.
+    themselves), so facts memoised on it with :func:`memo` are computed once
+    per group, whatever route reached the subgroup, and freed with it.  The
+    parent holds its pool of canonical subgroups weakly, so the pool keeps
+    neither them nor, through them, the parent alive.
     """
 
     __slots__ = ("parent", "_ids", "_factors", "_cache", "__weakref__")
@@ -644,30 +690,15 @@ class Subgroup:
             raise ValueError("subgroup is not backed by parent element ids")
         return self._ids
 
-    def cached(self, key, build):
-        """``build()``, computed once per subgroup and key (write-once memo)."""
-        cache = self._cache
-        if key not in cache:
-            cache[key] = build()
-        return cache[key]
-
     def ids_in_store(self) -> frozenset:
         """Member ids in the parent store, materialising the parent if needed."""
         if self._ids is not None:
             return self._ids
-        return self.cached(
-            "store_ids", lambda: frozenset(map(self.parent.element_id, self.members()))
-        )
+        return self._store_ids()
 
-    def key(self):
-        """Canonical hashable identity for dedup and cache keys.
-
-        Backed by store ids whenever the parent is materialised, so that
-        subgroups built through different routes compare equal.
-        """
-        if self.parent.is_materialized:
-            return ("ids", self.ids_in_store())
-        return ("factors", tuple(s.key() for s in self._factors))
+    @memo
+    def _store_ids(self) -> frozenset:
+        return frozenset(map(self.parent.element_id, self.members()))
 
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -706,21 +737,19 @@ class Subgroup:
         blocks = [s.members() for s in self._factors]
         return tuple(sorted(map(join_blocks, itertools.product(*blocks))))
 
+    @memo
     def generating_set(self) -> tuple:
         """A small, deterministic generating set."""
-        if "gens" not in self._cache:
-            if self._factors is not None:
-                gens = [
-                    self.parent.embed_factor_element(i, g)
-                    for i, s in enumerate(self._factors)
-                    for g in s.generating_set()
-                ]
-            else:
-                els = self.parent.elements
-                gens = [els[i] for i in self.generating_ids()]
-            self._cache["gens"] = tuple(gens)
-        return self._cache["gens"]
+        if self._factors is not None:
+            return tuple(
+                self.parent.embed_factor_element(i, g)
+                for i, s in enumerate(self._factors)
+                for g in s.generating_set()
+            )
+        els = self.parent.elements
+        return tuple(els[i] for i in self.generating_ids())
 
+    @memo
     def generating_ids(self) -> list:
         """A small, deterministic generating set as parent store ids.
 
@@ -728,9 +757,7 @@ class Subgroup:
         ids of :meth:`generating_set`.  Callers must not mutate the list: it
         is the memo shared by every user of this canonical subgroup.
         """
-        return self.cached(
-            "gen_ids", lambda: _small_generating_ids(self.parent, self.ids_in_store())
-        )
+        return _small_generating_ids(self.parent, self.ids_in_store())
 
     # -- set algebra ---------------------------------------------------------
 

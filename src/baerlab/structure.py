@@ -1,14 +1,14 @@
 """Characteristic subgroups, Sylow/Hall machinery, quotients and series.
 
 Every operation here is a pure function of immutable groups.  Results are
-memoised on the group object (write-once), keyed by operation name and
-arguments, so sweeps never recompute per-group structure.  Facts about one
-subgroup (its generating ids and centraliser, whether it is normal or
-abelian, its own Sylow subgroups and class sizes, and the index profiles,
-centraliser indices and products with normal subgroups of ``baer``) are
-memoised on the subgroup through :meth:`Subgroup.cached`; since subgroups
+memoised write-once by :func:`~baerlab.group.memo` on the object they are
+about, keyed by the function and its other arguments, so sweeps never
+recompute per-group structure.  Facts about one subgroup (its generating ids
+and centraliser, whether it is normal or abelian, its own Sylow subgroups and
+class sizes, and the index profiles, centraliser indices and products with
+normal subgroups of ``baer``) are memoised on the subgroup; since subgroups
 are canonical per group, every factorisation of a group that reaches the
-same subgroup shares them.
+same subgroup shares them, and they are freed with it.
 
 A subgroup argument of an operation on G belongs to G (``S.parent is G``),
 so it is ids into G's store or one factor per block of ``G.direct_factors``
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceeded, InternalInvariantViolation
 from .constructions import direct_product
-from .group import Group, Subgroup, centraliser, class_index, join_blocks
+from .group import Group, Subgroup, centraliser, class_index, join_blocks, memo
 from .numth import (
     classify_prime_power,
     is_p_number,
@@ -45,13 +45,6 @@ from .perm import Permutation
 def pi_of(G: Group):
     """Set of primes dividing the group order."""
     return prime_divisors(G.order)
-
-
-def _cached(G: Group, key, build):
-    cache = G._cache
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
 
 
 def _blockwise(G: Group, op, *subs):
@@ -70,6 +63,7 @@ def _blockwise(G: Group, op, *subs):
 # -- commutativity and elementary structure -----------------------------------
 
 
+@memo
 def is_abelian(obj) -> bool:
     """Works on groups and subgroups; generator pairs decide it.
 
@@ -78,51 +72,42 @@ def is_abelian(obj) -> bool:
     otherwise generator permutations are composed.  The answer is memoised
     on the group or subgroup.
     """
-
-    def build():
-        if isinstance(obj, Subgroup):
-            if obj.parent.is_materialized:
-                mul = obj.parent.cayley()
-                gens = obj.generating_ids()
-                return all(mul.col(b)[a] == mul.col(a)[b] for a in gens for b in gens)
-            gens = obj.generating_set()
-        elif (parts := _blockwise(obj, is_abelian)) is not None:
-            return all(parts)
-        else:
-            gens = obj.generators
-        return all(a * b == b * a for a in gens for b in gens)
-
     if isinstance(obj, Subgroup):
-        return obj.cached("abelian", build)
-    return _cached(obj, "abelian", build)
+        if obj.parent.is_materialized:
+            mul = obj.parent.cayley()
+            gens = obj.generating_ids()
+            return all(mul.col(b)[a] == mul.col(a)[b] for a in gens for b in gens)
+        gens = obj.generating_set()
+    elif (parts := _blockwise(obj, is_abelian)) is not None:
+        return all(parts)
+    else:
+        gens = obj.generators
+    return all(a * b == b * a for a in gens for b in gens)
 
 
+@memo
 def exponent(G: Group) -> int:
     if (parts := _blockwise(G, exponent)) is not None:
         return math.lcm(*parts)
-    return _cached(G, "exponent", lambda: math.lcm(*(o for o in G.element_orders())))
+    return math.lcm(*(o for o in G.element_orders()))
 
 
+@memo
 def center(G: Group) -> Subgroup:
-    def build():
-        if (parts := _blockwise(G, center)) is not None:
-            return Subgroup.from_factors(G, parts)
-        return centraliser(G, G.generators)
-
-    return _cached(G, "center", build)
+    if (parts := _blockwise(G, center)) is not None:
+        return Subgroup.from_factors(G, parts)
+    return centraliser(G, G.generators)
 
 
+@memo
 def derived_subgroup(G: Group) -> Subgroup:
-    def build():
-        if (parts := _blockwise(G, derived_subgroup)) is not None:
-            return Subgroup.from_factors(G, parts)
-        gens = G.generators
-        comms = [
-            a.inverse() * b.inverse() * a * b for a in gens for b in gens if a != b
-        ]
-        return normal_closure(G, comms)
-
-    return _cached(G, "derived", build)
+    if (parts := _blockwise(G, derived_subgroup)) is not None:
+        return Subgroup.from_factors(G, parts)
+    gens = G.generators
+    comms = [
+        a.inverse() * b.inverse() * a * b for a in gens for b in gens if a != b
+    ]
+    return normal_closure(G, comms)
 
 
 def is_nilpotent(G: Group) -> bool:
@@ -132,6 +117,7 @@ def is_nilpotent(G: Group) -> bool:
 # -- Sylow subgroups ------------------------------------------------------------
 
 
+@memo
 def sylow(G: Group, p: int) -> Subgroup:
     """A deterministic Sylow p-subgroup (full p-part order).
 
@@ -139,37 +125,33 @@ def sylow(G: Group, p: int) -> Subgroup:
     store, then repeatedly adjoin the first p-element of the normaliser that
     enlarges the current subgroup.
     """
-
-    def build():
-        pk = p_part(G.order, p)
-        if pk == 1:
-            return Subgroup.trivial(G)
-        if (parts := _blockwise(G, lambda f: sylow(f, p))) is not None:
-            return Subgroup.from_factors(G, parts)
-        G.materialize()
-        orders = G.element_orders()
-        seed, best = None, 0
-        for i, o in enumerate(orders):
-            if o > best and is_p_number(o, p) and o > 1:
-                seed, best = i, o
-        gens = [seed]
-        H = G.closure_from_gen_ids(gens)
-        while len(H) < pk:
-            norm = _normaliser_ids(G, H)
-            grow = None
-            for y in sorted(norm):
-                if y not in H and orders[y] > 1 and is_p_number(orders[y], p):
-                    grow = y
-                    break
-            if grow is None:
-                raise InternalInvariantViolation(
-                    f"Sylow extension stalled at order {len(H)} < {pk}"
-                )
-            gens.append(grow)
-            H = G.closure_from_gen_ids(gens, H)
-        return Subgroup.from_ids(G, H)
-
-    return _cached(G, ("sylow", p), build)
+    pk = p_part(G.order, p)
+    if pk == 1:
+        return Subgroup.trivial(G)
+    if (parts := _blockwise(G, lambda f: sylow(f, p))) is not None:
+        return Subgroup.from_factors(G, parts)
+    G.materialize()
+    orders = G.element_orders()
+    seed, best = None, 0
+    for i, o in enumerate(orders):
+        if o > best and is_p_number(o, p) and o > 1:
+            seed, best = i, o
+    gens = [seed]
+    H = G.closure_from_gen_ids(gens)
+    while len(H) < pk:
+        norm = _normaliser_ids(G, H)
+        grow = None
+        for y in sorted(norm):
+            if y not in H and orders[y] > 1 and is_p_number(orders[y], p):
+                grow = y
+                break
+        if grow is None:
+            raise InternalInvariantViolation(
+                f"Sylow extension stalled at order {len(H)} < {pk}"
+            )
+        gens.append(grow)
+        H = G.closure_from_gen_ids(gens, H)
+    return Subgroup.from_ids(G, H)
 
 
 def _conjugation_orbit(G: Group, ids) -> tuple:
@@ -216,13 +198,14 @@ def _normaliser_ids(G: Group, H: frozenset) -> list:
     return [g for g, i in enumerate(label) if i == 0]
 
 
+@memo
 def sylow_conjugates(G: Group, p: int) -> list:
     """All distinct conjugates of sylow(G, p): ``hall_conjugates(G, sylow(G, p))``.
 
     Memoised per group and prime; the route and the order are those of
     :func:`hall_conjugates`, so the first entry is sylow(G, p).
     """
-    return _cached(G, ("sylow_conjugates", p), lambda: hall_conjugates(G, sylow(G, p)))
+    return hall_conjugates(G, sylow(G, p))
 
 
 # -- a subgroup as a group of its own ---------------------------------------------
@@ -231,6 +214,7 @@ def sylow_conjugates(G: Group, p: int) -> list:
 # element of S, so these facts about S are read in G's id space, memoised on S.
 
 
+@memo
 def factor_sylows(S: Subgroup, p: int) -> list:
     """Syl_p(S) for a subgroup S of G = S.parent; memoised on S per prime.
 
@@ -242,29 +226,22 @@ def factor_sylows(S: Subgroup, p: int) -> list:
     some Sylow subgroup Q of G, and is then ``S n Q``, the largest
     p-subgroup of S there.  The first entry is :func:`factor_sylow`.
     """
-
-    def build():
-        G = S.parent
-        if (parts := _blockwise(G, lambda _f, s: factor_sylows(s, p), S)) is not None:
-            return [Subgroup.from_factors(G, c) for c in itertools.product(*parts)]
-        pk = p_part(S.order, p)
-        meets = (S.intersection(Q) for Q in sylow_conjugates(G, p))
-        return list(dict.fromkeys(R for R in meets if R.order == pk))
-
-    return S.cached(("factor_sylows", p), build)
+    G = S.parent
+    if (parts := _blockwise(G, lambda _f, s: factor_sylows(s, p), S)) is not None:
+        return [Subgroup.from_factors(G, c) for c in itertools.product(*parts)]
+    pk = p_part(S.order, p)
+    meets = (S.intersection(Q) for Q in sylow_conjugates(G, p))
+    return list(dict.fromkeys(R for R in meets if R.order == pk))
 
 
+@memo
 def factor_sylow(S: Subgroup, p: int) -> Subgroup:
     """The first of :func:`factor_sylows`, built without listing the others on
     a product; memoised on S per prime."""
-
-    def build():
-        G = S.parent
-        if (parts := _blockwise(G, lambda _f, s: factor_sylow(s, p), S)) is not None:
-            return Subgroup.from_factors(G, parts)
-        return factor_sylows(S, p)[0]
-
-    return S.cached(("factor_sylow", p), build)
+    G = S.parent
+    if (parts := _blockwise(G, lambda _f, s: factor_sylow(s, p), S)) is not None:
+        return Subgroup.from_factors(G, parts)
+    return factor_sylows(S, p)[0]
 
 
 def factor_class_index(S: Subgroup, x: Permutation) -> int:
@@ -281,7 +258,12 @@ def factor_class_index(S: Subgroup, x: Permutation) -> int:
         return math.prod(factor_class_index(s, y) for s, y in zip(factors, G.split(x)))
     if S.order == G.order:
         return class_index(G, x)
-    return S.cached("class_sizes", lambda: _class_sizes_on_table(S))[G.element_id(x)]
+    return _class_sizes(S)[G.element_id(x)]
+
+
+@memo
+def _class_sizes(S: Subgroup) -> dict:
+    return _class_sizes_on_table(S)
 
 
 def _class_sizes_on_table(S: Subgroup) -> dict:
@@ -307,23 +289,20 @@ def _class_sizes_on_table(S: Subgroup) -> dict:
 # -- cores: O_p, O_pi ------------------------------------------------------------
 
 
+@memo
 def o_p(G: Group, p: int) -> Subgroup:
     """Largest normal p-subgroup, as the intersection of all Sylow p-conjugates."""
-
-    def build():
-        if (parts := _blockwise(G, lambda f: o_p(f, p))) is not None:
-            return Subgroup.from_factors(G, parts)
-        if p_part(G.order, p) == 1:
-            return Subgroup.trivial(G)
-        conjs = sylow_conjugates(G, p)
-        ids = conjs[0].ids_in_store()
-        for Q in conjs[1:]:
-            ids = ids & Q.ids_in_store()
-            if len(ids) == 1:
-                break
-        return Subgroup.from_ids(G, ids)
-
-    return _cached(G, ("o_p", p), build)
+    if (parts := _blockwise(G, lambda f: o_p(f, p))) is not None:
+        return Subgroup.from_factors(G, parts)
+    if p_part(G.order, p) == 1:
+        return Subgroup.trivial(G)
+    conjs = sylow_conjugates(G, p)
+    ids = conjs[0].ids_in_store()
+    for Q in conjs[1:]:
+        ids = ids & Q.ids_in_store()
+        if len(ids) == 1:
+            break
+    return Subgroup.from_ids(G, ids)
 
 
 def o_pi(G: Group, pi) -> Subgroup:
@@ -331,36 +310,37 @@ def o_pi(G: Group, pi) -> Subgroup:
 
     One normal pi-subgroup K grows from 1: a class outside K lies in O_pi
     iff its representative x has pi-order and the normal closure ``K <x^G>``
-    of K's generating ids and x is a pi-group (:func:`_normal_closure_ids`)."""
-    pi = frozenset(p for p in pi if G.order % p == 0)
+    of K's generating ids and x is a pi-group (:func:`_normal_closure_ids`).
+    Memoised per group and set of the primes in pi dividing |G|."""
+    return _o_pi(G, frozenset(p for p in pi if G.order % p == 0))
 
-    def build():
-        if not pi:
-            return Subgroup.trivial(G)
-        if pi == frozenset(pi_of(G)):
-            return Subgroup.full(G)
-        if len(pi) == 1:
-            return o_p(G, next(iter(pi)))
-        if (parts := _blockwise(G, lambda f: o_pi(f, pi))) is not None:
-            return Subgroup.from_factors(G, parts)
-        G.materialize()
-        orders = G.element_orders()
-        K, gens = frozenset([0]), []
-        for cls in G.conjugacy_partition():
-            rep = cls[0]
-            if rep in K or not is_pi_number(orders[rep], pi):
-                continue
-            closed, closed_gens = _normal_closure_ids(G, gens + [rep], pi)
-            if is_pi_number(len(closed), pi):
-                K, gens = closed, closed_gens
-        core = Subgroup.from_ids(G, K)
-        if not is_pi_number(core.order, pi):
-            raise InternalInvariantViolation("pi-core is not a pi-group")
-        if not is_normal(G, core):
-            raise InternalInvariantViolation("pi-core is not normal")
-        return core
 
-    return _cached(G, ("o_pi", pi), build)
+@memo
+def _o_pi(G: Group, pi: frozenset) -> Subgroup:
+    if not pi:
+        return Subgroup.trivial(G)
+    if pi == frozenset(pi_of(G)):
+        return Subgroup.full(G)
+    if len(pi) == 1:
+        return o_p(G, next(iter(pi)))
+    if (parts := _blockwise(G, lambda f: o_pi(f, pi))) is not None:
+        return Subgroup.from_factors(G, parts)
+    G.materialize()
+    orders = G.element_orders()
+    K, gens = frozenset([0]), []
+    for cls in G.conjugacy_partition():
+        rep = cls[0]
+        if rep in K or not is_pi_number(orders[rep], pi):
+            continue
+        closed, closed_gens = _normal_closure_ids(G, gens + [rep], pi)
+        if is_pi_number(len(closed), pi):
+            K, gens = closed, closed_gens
+    core = Subgroup.from_ids(G, K)
+    if not is_pi_number(core.order, pi):
+        raise InternalInvariantViolation("pi-core is not a pi-group")
+    if not is_normal(G, core):
+        raise InternalInvariantViolation("pi-core is not normal")
+    return core
 
 
 def o_p_prime(G: Group, p: int) -> Subgroup:
@@ -371,40 +351,34 @@ def o_p_prime(G: Group, p: int) -> Subgroup:
 # -- Fitting series ---------------------------------------------------------------
 
 
+@memo
 def fitting(G: Group) -> Subgroup:
     """F(G), the product of the p-cores over all primes dividing the order."""
-
-    def build():
-        if (parts := _blockwise(G, fitting)) is not None:
-            return Subgroup.from_factors(G, parts)
-        parts = [o_p(G, p) for p in pi_of(G)]
-        parts = [S for S in parts if not S.is_trivial()]
-        if not parts:
-            return Subgroup.trivial(G)
-        if len(parts) == 1:
-            return parts[0]
-        ids = G.closure_from_gen_ids([i for S in parts for i in S.generating_ids()])
-        expected = math.prod(S.order for S in parts)
-        if len(ids) != expected:
-            raise InternalInvariantViolation("p-cores did not multiply to a direct product")
-        return Subgroup.from_ids(G, ids)
-
-    return _cached(G, "fitting", build)
+    if (parts := _blockwise(G, fitting)) is not None:
+        return Subgroup.from_factors(G, parts)
+    parts = [o_p(G, p) for p in pi_of(G)]
+    parts = [S for S in parts if not S.is_trivial()]
+    if not parts:
+        return Subgroup.trivial(G)
+    if len(parts) == 1:
+        return parts[0]
+    ids = G.closure_from_gen_ids([i for S in parts for i in S.generating_ids()])
+    expected = math.prod(S.order for S in parts)
+    if len(ids) != expected:
+        raise InternalInvariantViolation("p-cores did not multiply to a direct product")
+    return Subgroup.from_ids(G, ids)
 
 
+@memo
 def fitting2(G: Group) -> Subgroup:
     """Second Fitting term: preimage of F(G / F(G))."""
-
-    def build():
-        if (parts := _blockwise(G, fitting2)) is not None:
-            return Subgroup.from_factors(G, parts)
-        F = fitting(G)
-        if F.order == G.order:
-            return Subgroup.full(G)
-        Q = quotient_group(G, F)
-        return Q.preimage(fitting(Q.group))
-
-    return _cached(G, "fitting2", build)
+    if (parts := _blockwise(G, fitting2)) is not None:
+        return Subgroup.from_factors(G, parts)
+    F = fitting(G)
+    if F.order == G.order:
+        return Subgroup.full(G)
+    Q = quotient_group(G, F)
+    return Q.preimage(fitting(Q.group))
 
 
 # -- quotients -----------------------------------------------------------------
@@ -463,7 +437,8 @@ class Quotient:
 def quotient_group(G: Group, N: Subgroup) -> Quotient:
     """Quotient of ``G`` by a normal subgroup, as a permutation action on cosets.
 
-    The trivial subgroup gives the identity quotient, whose group is ``G``.
+    The trivial subgroup gives the identity quotient, whose group is ``G``;
+    any other quotient is memoised on G.
     """
     if N.parent is not G:
         raise ValueError("subgroup does not belong to this group")
@@ -471,41 +446,42 @@ def quotient_group(G: Group, N: Subgroup) -> Quotient:
         return Quotient(G, N, G)
     if not is_normal(G, N):
         raise ValueError("quotient by a non-normal subgroup")
+    return _quotient(G, N)
 
-    def build():
-        if (parts := _blockwise(G, quotient_group, N)) is not None:
-            return Quotient(G, N, direct_product([q.group for q in parts]), parts=parts)
-        # The coset N e is the orbit of e under left multiplication by N.
-        mul = G.cayley()
-        rows = [mul.row(n) for n in N.generating_ids()]
-        coset_of = [-1] * len(mul)
-        reps = []
-        for e in range(len(mul)):
-            if coset_of[e] >= 0:
-                continue
-            label = len(reps)
-            reps.append(e)
-            coset_of[e] = label
-            orbit = [e]
-            for y in orbit:
-                for row in rows:
-                    z = row[y]
-                    if coset_of[z] < 0:
-                        coset_of[z] = label
-                        orbit.append(z)
-        gen_perms = []
-        for gid in G.generator_ids():
-            col = mul.col(gid)
-            gen_perms.append(Permutation._make(tuple(coset_of[col[r]] for r in reps)))
-        qgroup = Group(
-            len(reps),
-            gen_perms,
-            order_hint=len(mul) // N.order,
-            name=f"{G.name}/N{N.order}",
-        )
-        return Quotient(G, N, qgroup, coset_of=coset_of, reps=reps)
 
-    return _cached(G, ("quotient", N.key()), build)
+@memo
+def _quotient(G: Group, N: Subgroup) -> Quotient:
+    if (parts := _blockwise(G, quotient_group, N)) is not None:
+        return Quotient(G, N, direct_product([q.group for q in parts]), parts=parts)
+    # The coset N e is the orbit of e under left multiplication by N.
+    mul = G.cayley()
+    rows = [mul.row(n) for n in N.generating_ids()]
+    coset_of = [-1] * len(mul)
+    reps = []
+    for e in range(len(mul)):
+        if coset_of[e] >= 0:
+            continue
+        label = len(reps)
+        reps.append(e)
+        coset_of[e] = label
+        orbit = [e]
+        for y in orbit:
+            for row in rows:
+                z = row[y]
+                if coset_of[z] < 0:
+                    coset_of[z] = label
+                    orbit.append(z)
+    gen_perms = []
+    for gid in G.generator_ids():
+        col = mul.col(gid)
+        gen_perms.append(Permutation._make(tuple(coset_of[col[r]] for r in reps)))
+    qgroup = Group(
+        len(reps),
+        gen_perms,
+        order_hint=len(mul) // N.order,
+        name=f"{G.name}/N{N.order}",
+    )
+    return Quotient(G, N, qgroup, coset_of=coset_of, reps=reps)
 
 
 # -- factorisations ---------------------------------------------------------------
@@ -546,6 +522,7 @@ class Factorisation:
         return f"Factorisation(|G|={self.group.order}, |A|={self.a.order}, |B|={self.b.order})"
 
 
+@memo
 def find_prefactorised_sylow(F: Factorisation, p: int) -> Subgroup:
     """A Sylow p-subgroup with ``P = (P n A)(P n B)`` and Sylow intersections.
 
@@ -553,33 +530,26 @@ def find_prefactorised_sylow(F: Factorisation, p: int) -> Subgroup:
     order; such a conjugate always exists, so exhausting the search is an
     internal red alert, never a silent failure.
     """
-
-    def build():
-        G = F.group
-        pa = p_part(F.a.order, p)
-        pb = p_part(F.b.order, p)
-        parts = _blockwise(
-            G, lambda f, a, b: find_prefactorised_sylow(Factorisation(f, a, b), p), F.a, F.b
-        )
-        if parts is not None:
-            return Subgroup.from_factors(G, parts)
-        for P in sylow_conjugates(G, p):
-            ia = P.intersection(F.a)
-            if ia.order != pa:
-                continue
-            ib = P.intersection(F.b)
-            if ib.order != pb:
-                continue
-            if ia.product_order(ib) == P.order:
-                return P
-        raise InternalInvariantViolation(
-            f"no prefactorised Sylow {p}-subgroup found in {G.name}"
-        )
-
-    key = ("prefact_sylow", p)
-    if key not in F._cache:
-        F._cache[key] = build()
-    return F._cache[key]
+    G = F.group
+    pa = p_part(F.a.order, p)
+    pb = p_part(F.b.order, p)
+    parts = _blockwise(
+        G, lambda f, a, b: find_prefactorised_sylow(Factorisation(f, a, b), p), F.a, F.b
+    )
+    if parts is not None:
+        return Subgroup.from_factors(G, parts)
+    for P in sylow_conjugates(G, p):
+        ia = P.intersection(F.a)
+        if ia.order != pa:
+            continue
+        ib = P.intersection(F.b)
+        if ib.order != pb:
+            continue
+        if ia.product_order(ib) == P.order:
+            return P
+    raise InternalInvariantViolation(
+        f"no prefactorised Sylow {p}-subgroup found in {G.name}"
+    )
 
 
 # -- Hall subgroups -----------------------------------------------------------------
@@ -596,62 +566,63 @@ def hall(G: Group, pi):
     Strategy: seed with the conjugates of a Sylow subgroup for the heaviest
     prime in pi and greedily adjoin pi-elements whose closure stays a
     pi-group, backtracking on dead ends, bounded by ``HALL_BUDGET`` closures.
+    Memoised, None included, per group and set of the primes in pi dividing |G|.
     """
-    pi = frozenset(p for p in pi if G.order % p == 0)
+    return _hall(G, frozenset(p for p in pi if G.order % p == 0))
 
-    def build():
-        target = pi_part(G.order, pi)
-        if target == 1:
-            return Subgroup.trivial(G)
-        if target == G.order:
-            return Subgroup.full(G)
-        if len(pi) == 1:
-            return sylow(G, next(iter(pi)))
-        if (parts := _blockwise(G, lambda f: hall(f, pi))) is not None:
-            return None if None in parts else Subgroup.from_factors(G, parts)
-        G.materialize()
-        orders = G.element_orders()
-        candidates = [
-            i for i, o in enumerate(orders) if o > 1 and is_pi_number(o, pi)
-        ]
-        p0 = max(pi, key=lambda q: (p_part(G.order, q), q))
-        spent = 0
-        visited = set()
 
-        def extend(H: frozenset):
-            nonlocal spent
-            if len(H) == target:
-                return H
-            hgens = Subgroup.from_ids(G, H).generating_ids()
-            for x in candidates:
-                if x in H:
-                    continue
-                if spent >= HALL_BUDGET:
-                    return None
-                spent += 1
-                K = G.closure_from_gen_ids(hgens + [x], H)
-                if K in visited:
-                    continue
-                visited.add(K)
-                if target % len(K) or not is_pi_number(len(K), pi):
-                    continue
-                r = extend(K)
-                if r is not None:
-                    return r
-            return None
+@memo
+def _hall(G: Group, pi: frozenset):
+    target = pi_part(G.order, pi)
+    if target == 1:
+        return Subgroup.trivial(G)
+    if target == G.order:
+        return Subgroup.full(G)
+    if len(pi) == 1:
+        return sylow(G, next(iter(pi)))
+    if (parts := _blockwise(G, lambda f: hall(f, pi))) is not None:
+        return None if None in parts else Subgroup.from_factors(G, parts)
+    G.materialize()
+    orders = G.element_orders()
+    candidates = [
+        i for i, o in enumerate(orders) if o > 1 and is_pi_number(o, pi)
+    ]
+    p0 = max(pi, key=lambda q: (p_part(G.order, q), q))
+    spent = 0
+    visited = set()
 
-        for P in sylow_conjugates(G, p0):
-            if P.ids in visited:
+    def extend(H: frozenset):
+        nonlocal spent
+        if len(H) == target:
+            return H
+        hgens = Subgroup.from_ids(G, H).generating_ids()
+        for x in candidates:
+            if x in H:
                 continue
-            visited.add(P.ids)
-            r = extend(P.ids)
-            if r is not None:
-                return Subgroup.from_ids(G, r)
             if spent >= HALL_BUDGET:
-                break
+                return None
+            spent += 1
+            K = G.closure_from_gen_ids(hgens + [x], H)
+            if K in visited:
+                continue
+            visited.add(K)
+            if target % len(K) or not is_pi_number(len(K), pi):
+                continue
+            r = extend(K)
+            if r is not None:
+                return r
         return None
 
-    return _cached(G, ("hall", pi), build)
+    for P in sylow_conjugates(G, p0):
+        if P.ids in visited:
+            continue
+        visited.add(P.ids)
+        r = extend(P.ids)
+        if r is not None:
+            return Subgroup.from_ids(G, r)
+        if spent >= HALL_BUDGET:
+            break
+    return None
 
 
 def hall_conjugates(G: Group, H: Subgroup) -> list:
@@ -677,11 +648,10 @@ def hall_conjugates(G: Group, H: Subgroup) -> list:
 # -- decomposability and the upper p-series -------------------------------------------
 
 
+@memo
 def is_p_decomposable(G: Group, p: int) -> bool:
     """Whether ``G = O_p(G) x O_{p'}(G)``; memoised on G."""
-    return _cached(
-        G, ("p_decomposable", p), lambda: o_p(G, p).order * o_p_prime(G, p).order == G.order
-    )
+    return o_p(G, p).order * o_p_prime(G, p).order == G.order
 
 
 @dataclass
@@ -694,35 +664,33 @@ class UpperPSeries:
     is_p_soluble: bool = False
 
 
+@memo
 def upper_p_series(G: Group, p: int) -> UpperPSeries:
-    def build():
-        series = UpperPSeries(prime=p)
-        current = Subgroup.trivial(G)
-        series.terms.append(current)
-        mode_p = False  # start with the O_{p'} step
-        idle = 0
-        while current.order < G.order:
-            Q = quotient_group(G, current)
+    series = UpperPSeries(prime=p)
+    current = Subgroup.trivial(G)
+    series.terms.append(current)
+    mode_p = False  # start with the O_{p'} step
+    idle = 0
+    while current.order < G.order:
+        Q = quotient_group(G, current)
+        if mode_p:
+            S = o_p(Q.group, p)
+        else:
+            S = o_pi(Q.group, set(pi_of(Q.group)) - {p})
+        new = Q.preimage(S) if not S.is_trivial() else current
+        if new.order > current.order:
+            series.terms.append(new)
             if mode_p:
-                S = o_p(Q.group, p)
-            else:
-                S = o_pi(Q.group, set(pi_of(Q.group)) - {p})
-            new = Q.preimage(S) if not S.is_trivial() else current
-            if new.order > current.order:
-                series.terms.append(new)
-                if mode_p:
-                    series.p_length += 1
-                current = new
-                idle = 0
-            else:
-                idle += 1
-                if idle >= 2:
-                    break
-            mode_p = not mode_p
-        series.is_p_soluble = current.order == G.order
-        return series
-
-    return _cached(G, ("upper_p_series", p), build)
+                series.p_length += 1
+            current = new
+            idle = 0
+        else:
+            idle += 1
+            if idle >= 2:
+                break
+        mode_p = not mode_p
+    series.is_p_soluble = current.order == G.order
+    return series
 
 
 # -- normal closures and normality ------------------------------------------------------
@@ -761,8 +729,8 @@ def is_normal(G: Group, S: Subgroup) -> bool:
     On an unmaterialised product the answer is blockwise, which is exact:
     ``S_1 x ... x S_r`` is normal in ``G_1 x ... x G_r`` iff every ``S_i``
     is normal in ``G_i``.  Otherwise the conjugates are read from
-    :meth:`Group.conjugation_maps` and tested against S's store ids.  A
-    subgroup of another group raises ValueError.
+    :meth:`Group.conjugation_maps` and tested against S's store ids, and the
+    answer is memoised on S.  A subgroup of another group raises ValueError.
     """
     if S.parent is not G:
         raise ValueError("subgroup does not belong to this group")
@@ -770,15 +738,19 @@ def is_normal(G: Group, S: Subgroup) -> bool:
         return True
     if (parts := _blockwise(G, is_normal, S)) is not None:
         return all(parts)
+    return _is_normal_on_table(G, S)
+
+
+@memo(owner="S")
+def _is_normal_on_table(G: Group, S: Subgroup) -> bool:
     ids = S.ids_in_store()
-    return S.cached("normal", lambda: all(
-        cmap[s] in ids for cmap in G.conjugation_maps() for s in S.generating_ids()
-    ))
+    return all(cmap[s] in ids for cmap in G.conjugation_maps() for s in S.generating_ids())
 
 
 # -- bounded subgroup enumeration ----------------------------------------------------
 
 
+@memo
 def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -> list:
     """All subgroups, sorted by (order, member ids) and cached.
 
@@ -801,60 +773,56 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
     budget reports the subgroups found so far as ``partial``.  Every result
     carries its memoised :meth:`Subgroup.generating_ids`.
     """
-
-    def build():
-        if G.order > max_order:
-            raise CapExceeded(
-                f"subgroup enumeration bound is {max_order}, group has order {G.order}",
-                cap=max_order,
-            )
-        G.materialize()
-        mul = G.cayley()
-        pp_ids = []
-        covered = set()
-        for x, o in enumerate(G.element_orders()):
-            if x in covered or o == 1 or not classify_prime_power(o).is_prime_power:
-                continue
-            pp_ids.append(x)
-            col, y = mul.col(x), x
-            for k in range(1, o):
-                if math.gcd(k, o) == 1:
-                    covered.add(y)
-                y = col[y]
-        trivial = Subgroup.trivial(G)
-        found = {trivial.ids: trivial}
-        frontier = [trivial]
-        spent = 0
-        while frontier:
-            new = []
-            for H in frontier:
-                hids, hgens = H.ids, H.generating_ids()
-                for x in pp_ids:
-                    if x in hids:
-                        continue
-                    spent += 1
-                    if spent > budget:
-                        raise CapExceeded(
-                            f"subgroup enumeration exceeded budget {budget}",
-                            cap=budget,
-                            partial=len(found),
-                        )
-                    K = G.closure_from_gen_ids(hgens + [x], hids)
-                    if K in found:
-                        continue
-                    found[K] = S = Subgroup.from_ids(G, K)
-                    new.append(S)
-                    orbit = [K]
-                    for L in orbit:
-                        for cmap in G.conjugation_maps():
-                            M = frozenset(map(cmap.__getitem__, L))
-                            if M not in found:
-                                found[M] = Subgroup.from_ids(G, M)
-                                orbit.append(M)
-            frontier = new
-        for S in found.values():
-            S.generating_ids()
-        return sorted(found.values(), key=lambda S: (S.order, tuple(sorted(S.ids))))
-
-    return _cached(G, ("subgroups", budget, max_order), build)
+    if G.order > max_order:
+        raise CapExceeded(
+            f"subgroup enumeration bound is {max_order}, group has order {G.order}",
+            cap=max_order,
+        )
+    G.materialize()
+    mul = G.cayley()
+    pp_ids = []
+    covered = set()
+    for x, o in enumerate(G.element_orders()):
+        if x in covered or o == 1 or not classify_prime_power(o).is_prime_power:
+            continue
+        pp_ids.append(x)
+        col, y = mul.col(x), x
+        for k in range(1, o):
+            if math.gcd(k, o) == 1:
+                covered.add(y)
+            y = col[y]
+    trivial = Subgroup.trivial(G)
+    found = {trivial.ids: trivial}
+    frontier = [trivial]
+    spent = 0
+    while frontier:
+        new = []
+        for H in frontier:
+            hids, hgens = H.ids, H.generating_ids()
+            for x in pp_ids:
+                if x in hids:
+                    continue
+                spent += 1
+                if spent > budget:
+                    raise CapExceeded(
+                        f"subgroup enumeration exceeded budget {budget}",
+                        cap=budget,
+                        partial=len(found),
+                    )
+                K = G.closure_from_gen_ids(hgens + [x], hids)
+                if K in found:
+                    continue
+                found[K] = S = Subgroup.from_ids(G, K)
+                new.append(S)
+                orbit = [K]
+                for L in orbit:
+                    for cmap in G.conjugation_maps():
+                        M = frozenset(map(cmap.__getitem__, L))
+                        if M not in found:
+                            found[M] = Subgroup.from_ids(G, M)
+                            orbit.append(M)
+        frontier = new
+    for S in found.values():
+        S.generating_ids()
+    return sorted(found.values(), key=lambda S: (S.order, tuple(sorted(S.ids))))
 

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 
@@ -20,14 +22,16 @@ from baerlab.errors import (
     CapExceeded,
     InternalInvariantViolation,
 )
-from baerlab.group import Group, Subgroup
+from baerlab.group import Group, Subgroup, centraliser
 from baerlab.perm import Permutation, parse_cycles
 from baerlab.reporting import FAIL, PASS, SKIPPED, TheoremReport
 from baerlab.structure import (
     Factorisation,
     enumerate_subgroups,
+    factor_sylow,
     hall,
     hall_conjugates,
+    is_abelian,
     is_normal,
     o_p,
     pi_of,
@@ -337,6 +341,14 @@ def test_theorem_a_clause_6_floor_on_every_factorisation_of_d8_x_f21():
     assert decided >= 17
 
 
+def subgroup_key(S):
+    """S's members as a value that does not keep S alive: store ids once its
+    parent is materialised, else the keys of its block factors."""
+    if S.parent.is_materialized:
+        return ("ids", S.ids_in_store())
+    return ("factors", tuple(subgroup_key(s) for s in S.factors))
+
+
 def test_side_facts_are_built_once_per_subgroup(monkeypatch):
     # Work-count guard: every check on every factorisation of dihedral(12)
     # builds the index rows of each subgroup it profiles once, and closes
@@ -352,7 +364,7 @@ def test_side_facts_are_built_once_per_subgroup(monkeypatch):
         return index_rows(H, sub, keep)
 
     def product(H, S, N):
-        products.append((H, S, N.key()))
+        products.append((H, S, subgroup_key(N)))
         closures.append(0)
         try:
             return product_with_normal(H, S, N)
@@ -424,9 +436,9 @@ def test_block_index_rows_are_built_once_per_block_subgroup(monkeypatch):
 
     def rows(H, sub, keep):
         if H in blocks:
-            calls.append((H, sub.key()))
+            calls.append((H, subgroup_key(sub)))
         elif H in groups:
-            group_calls.append((H, sub.key()))
+            group_calls.append((H, subgroup_key(sub)))
         return index_rows(H, sub, keep)
 
     monkeypatch.setattr(baer, "_index_rows", rows)
@@ -522,3 +534,48 @@ def test_every_output_on_lazy_products_is_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "afab19144ff1c285045c92258a1a419f8b4d6d6d6589592f7731f3d2752fd1e1"
     )
+
+
+# -- the memo contract --------------------------------------------------------------
+
+
+def test_memos_are_freed_with_their_owner():
+    # Facts memoised on S live in S and are keyed without it, so reference
+    # counting alone frees S once the caller drops it.
+    G = symmetric(4)
+    a, b = parse_cycles("(0 1 2)", 4), parse_cycles("(0 1)(2 3)", 4)
+    S = Subgroup.from_ids(G, G.closure_from_gen_ids([G.element_id(a), G.element_id(b)]))
+    assert S.order == 12
+    gc.disable()
+    try:
+        assert not is_abelian(S)
+        assert factor_sylow(S, 2).order == 4
+        assert centraliser(G, S).order == 1
+        assert is_normal(G, S)
+        alive = weakref.ref(S)
+        del S
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_memo_keys_fill_in_defaults():
+    G = symmetric(4)
+    F = Factorisation.trivial(G)
+    assert baer.is_p_baer(F, 2) is baer.is_p_baer(F, 2, "union") is baer.is_p_baer(F, 2, via="union")
+    assert baer.is_p_baer(F, 2, "sylow") is not baer.is_p_baer(F, 2)
+    assert enumerate_subgroups(G) is enumerate_subgroups(G, budget=400_000)
+
+
+def test_a_raise_stores_nothing_and_a_stored_none_is_a_hit(monkeypatch):
+    G = symmetric(4)
+    for _ in range(2):
+        with pytest.raises(CapExceeded):
+            enumerate_subgroups(G, budget=3)
+    # S4 has classes of size 6, so no Baer decomposition: the memo holds None.
+    calls = []
+    is_baer = baer.is_baer
+    monkeypatch.setattr(baer, "is_baer", lambda F: calls.append(F) or is_baer(F))
+    assert baer.baer_decomposition(G) is None
+    assert baer.baer_decomposition(G) is None
+    assert len(calls) == 1

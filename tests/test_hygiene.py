@@ -9,6 +9,11 @@ Likewise only ``group.py`` calls the ``Subgroup`` constructor or reads a
 group's pool of canonical subgroups, so no id-backed subgroup bypasses
 ``Subgroup.from_ids``.
 
+Only ``group.py`` reads or writes a memo: every write-once fact goes through
+its ``memo`` decorator, so no module keys, fills or reads an owner's
+``_cache`` by hand.  The one exception is the empty ``self._cache = {}`` that
+an ``__init__`` gives a new owner (``Factorisation``'s, in ``structure.py``).
+
 Only ``group.py`` reads a group's id tables (its Cayley table, inverse ids
 and conjugation maps); every other module asks for them through the
 ``Group`` methods that build them, so how a table is built or held can
@@ -164,6 +169,50 @@ def test_pool_bypass_detector():
     assert pool_bypasses(source) == [
         (3, "Subgroup(...)"), (4, "Subgroup(...)"), (5, "_subgroups")
     ]
+
+
+EMPTY_MEMO = frozenset({"self._cache = {}", "self._cache: dict = {}"})
+
+
+def memo_accesses(source: str) -> list:
+    """Lines of every access to an attribute named ``_cache``, except an empty
+    ``self._cache = {}`` statement in the body of an ``__init__``."""
+    tree = ast.parse(source)
+    seeded = {
+        stmt.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+        for stmt in node.body
+        if ast.unparse(stmt) in EMPTY_MEMO
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_cache" and node.lineno not in seeded
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SOURCE.glob("*.py")) if p.name != "group.py"], ids=lambda p: p.name
+)
+def test_memos_stay_behind_the_decorator(path):
+    assert memo_accesses(path.read_text()) == []
+
+
+def test_memo_access_detector():
+    source = (
+        "class F:\n"
+        "    def __init__(self):\n"
+        "        self._cache: dict = {}\n"
+        "        self._cache = {'seeded': 1}\n"
+        "    def reset(self):\n"
+        "        self._cache = {}\n"
+        "def f(G, key):\n"
+        "    if key not in G._cache:\n"
+        "        G._cache[key] = 1\n"
+        "    return len(getattr(G, '_cache')), G.cache, G._cached\n"
+    )
+    assert memo_accesses(source) == [4, 6, 8, 9]
 
 
 GROUP_TABLES = frozenset({"_cayley", "_inverse_ids", "_conj_maps"})
