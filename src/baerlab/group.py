@@ -21,8 +21,8 @@ element outside G raises ValueError on either route.
 Determinism rules used throughout the package:
 
 * element stores are sorted lexicographically on image tuples;
-* breadth-first walks visit frontier elements in insertion order and
-  generators in the order they were supplied.
+* breadth-first walks go level by level, each level generator by generator
+  in the order supplied, and over the frontier in insertion order.
 """
 
 from __future__ import annotations
@@ -102,38 +102,58 @@ def _dedup_generators(generators, degree=None):
 
 
 def closure(generators, cap: int = ENUMERATION_CAP, *, degree: int | None = None) -> list:
-    """Breadth-first closure of ``generators`` under composition.
+    """Breadth-first closure of ``generators`` by left products ``g * a``.
 
-    Insertion order is deterministic given the generator order; the identity
-    always comes first.  Exceeding ``cap`` elements raises :class:`CapExceeded`
-    (callers must then fall back to orbit methods).
+    The order is :func:`_left_walk`'s, deterministic given the generator
+    order, identity first.  Exceeding ``cap`` elements raises
+    :class:`CapExceeded` (callers must then fall back to orbit methods).
     """
     gens, degree = _dedup_generators(generators, degree)
     if degree is None:
         raise ValueError("cannot infer degree from an empty generator set")
     if cap <= 0:
         raise ValueError("cap must be positive")
-    e = identity(degree)
-    seen = {e}
-    out = [e]
-    frontier = [e]
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                c = a * g
-                if c not in seen:
-                    if len(seen) >= cap:
+    return _left_walk(gens, degree, cap)[0]
+
+
+def _left_walk(gens, degree: int, cap: int) -> tuple:
+    """Breadth-first walk of ``<gens>`` from the identity by left products ``g * a``.
+
+    Each level is walked generator by generator, and for each generator over
+    the level in walk order, so every element is multiplied once by every
+    generator: ``|G| * len(gens)`` products.  Returns ``(els, place, maps,
+    blocks)``: the elements in walk order, ``place[x]`` the walk place of x,
+    ``maps[j][w]`` the place of ``gens[j] * els[w]``, and the spanning tree
+    of the walk as blocks ``(j, parents)``, each holding at consecutive places
+    the new children ``gens[j] * a`` of the parents at the places listed.
+    """
+    els = [identity(degree)]
+    place = {els[0]: 0}
+    maps = [[] for _ in gens]
+    blocks = []
+    lo, size = 0, 1
+    while lo < size:
+        hi = size
+        for j, g in enumerate(gens):
+            lmap, parents = maps[j], []
+            for a, x in enumerate(els[lo:hi], lo):
+                c = g * x
+                w = place.setdefault(c, size)
+                if w == size:
+                    if size >= cap:
                         raise CapExceeded(
                             f"closure exceeded cap of {cap} elements",
                             cap=cap,
-                            partial=len(seen),
+                            partial=size,
                         )
-                    seen.add(c)
-                    out.append(c)
-                    new.append(c)
-        frontier = new
-    return out
+                    size += 1
+                    els.append(c)
+                    parents.append(a)
+                lmap.append(w)
+            if parents:
+                blocks.append((j, parents))
+        lo = hi
+    return els, place, maps, blocks
 
 
 # -- the block codec of direct products -----------------------------------------
@@ -193,6 +213,7 @@ class Group:
         self.name = name if name is not None else f"group(degree={degree})"
         self._elements: tuple | None = None
         self._index: dict | None = None
+        self._walk: tuple | None = None
         self._cayley: CayleyTable | None = None
         self._conj_maps: list | None = None
         self._cache: dict = {}
@@ -236,19 +257,29 @@ class Group:
     # -- element store ---------------------------------------------------
 
     def materialize(self) -> tuple:
-        """Build (or return) the element store, sorted lexicographically."""
+        """Build (or return) the element store, sorted lexicographically.
+
+        The store is :func:`_left_walk`'s elements sorted by their image
+        tuples: the order of ``Permutation.__lt__``, at the speed of a tuple
+        sort.  The walk's generator maps and tree are held, with the sort's
+        order to read them by store id, until :meth:`cayley` takes them.
+        """
         if self._elements is not None:
             return self._elements
         known = self.order_hint
         if known is not None:
             check_enumerable("group", known)
-        els = closure(self.generators, degree=self.degree)
+        els, index, maps, blocks = _left_walk(self.generators, self.degree, ENUMERATION_CAP)
         if known is not None and len(els) != known:
             raise InternalInvariantViolation(
                 f"closure size {len(els)} contradicts declared order {known}"
             )
-        self._elements = tuple(sorted(els))
-        self._index = {p: i for i, p in enumerate(self._elements)}
+        # order[x] is the walk place of store id x.
+        order = sorted(range(len(els)), key=[x.images for x in els].__getitem__)
+        self._elements = tuple(map(els.__getitem__, order))
+        index.update(zip(self._elements, range(len(els))))  # places become store ids
+        self._index = index
+        self._walk = (order, maps, blocks)
         return self._elements
 
     @property
@@ -398,58 +429,50 @@ class CayleyTable:
 
     ``col(s)[x] == id(x * s)`` is the right column of ``s``, ``row(s)[x] ==
     id(s * x)`` its left row and ``inv[x] == id(x**-1)``.  The table keeps
-    one left map ``x -> id(g * x)`` per generator and a breadth-first
+    one left map ``x -> id(g * x)`` per generator and the breadth-first
     spanning tree of left multiplications from the identity (a Schreier
-    vector).  A column is built from its tree parent's column when that is
-    held, ``id(x * g * h) == col(h)[col(g)[x]]``, and otherwise spread down
-    the tree from the generator maps, ``id(g * a * s) == lmap_g[id(a * s)]``:
-    a few list lookups per element either way, however deep the tree.  A row
-    is read off a column, ``row(s)[x] == inv[col(s**-1)[inv[x]]]``.  Columns
-    are held, oldest dropped first, within ``CAYLEY_CELL_BUDGET`` cells.
+    vector), both taken from the walk that built the store
+    (:func:`_left_walk`), so building the table costs list lookups and no
+    permutation product.  A column is built from its tree parent's column when
+    that is held, ``id(x * g * h) == col(h)[col(g)[x]]``, and otherwise
+    :meth:`spread` down the tree from the generator maps, ``id(g * a * s) ==
+    lmap_g[id(a * s)]``: a few list lookups per element either way, however
+    deep the tree.  A row is read off a column, ``row(s)[x] ==
+    inv[col(s**-1)[inv[x]]]``.  Columns are held, oldest dropped first, within
+    ``CAYLEY_CELL_BUDGET`` cells.
 
     There is deliberately no ``__getitem__``: a ``mul[a][b]`` read of an
     all-rows table fails instead of reading a transpose.
     """
 
     def __init__(self, G: Group):
-        els = G.materialize()
-        self._lmaps = [[G._index[g * x] for x in els] for g in G.generators]
-        # pos[x] is x's place in breadth-first order; a block (j, parents)
-        # holds, at consecutive places, the children g_j * a of the parents
-        # at the places listed; up[g_j * a] is (id(g_j), a) for a != 1.
-        pos = [-1] * len(els)
-        pos[0] = 0  # the identity has the least image tuple, so it is id 0
-        up = [None] * len(els)
-        size, blocks, frontier = 1, [], [0]
-        while frontier:
-            new = []
-            for j, lmap in enumerate(self._lmaps):
-                parents = []
-                for a in frontier:
-                    c = lmap[a]
-                    if pos[c] < 0:
-                        pos[c] = size
-                        size += 1
-                        up[c] = (lmap[0], a) if a else None
-                        parents.append(pos[a])
-                        new.append(c)
-                if parents:
-                    blocks.append((j, parents))
-            frontier = new
-        if size != len(els):
-            raise InternalInvariantViolation(f"spanning tree reached {size} of {len(els)} elements")
-        self._pos, self._blocks, self._up = pos, blocks, up
+        G.materialize()
+        # pos[x] is the walk place of store id x and rank[w] the store id at
+        # place w; the group's copy of the walk is dropped once reindexed.
+        pos, maps, blocks = G._walk
+        G._walk = None
+        rank = sorted(range(len(pos)), key=pos.__getitem__)
+        self._lmaps = [list(map(rank.__getitem__, map(m.__getitem__, pos))) for m in maps]
+        # The element at place w is gen[w] * up[w] in store ids; both are 0
+        # for the identity and up[w] is 0 for a generator.
+        up, gen = [0], [0]
+        for j, parents in blocks:
+            up += map(rank.__getitem__, parents)
+            gen += [self._lmaps[j][0]] * len(parents)
+        self._pos, self._blocks, self._up, self._gen = pos, blocks, up, gen
         self._cols: dict = {}
         self._cells = 0
         # id(g_j**-1) is where lmap_j reaches the identity.
-        self.inv = self._spread(0, [self.col(lmap.index(0)) for lmap in self._lmaps])
+        self.inv = self.spread(0, [self.col(lmap.index(0)) for lmap in self._lmaps])
 
     def __len__(self) -> int:
         return len(self._pos)
 
-    def _spread(self, seed: int, maps) -> list:
-        """The id list ``v`` with ``v[0] == seed`` at the identity and
-        ``v[id(g_j * a)] == maps[j][v[a]]`` down the tree."""
+    def spread(self, seed: int, maps) -> list:
+        """The list ``v`` by store id with ``v[id(1)] == seed`` and
+        ``v[id(g_j * a)] == maps[j][v[id(a)]]`` down the tree, one list lookup
+        per element: store ids for a column, orbit indices for the labels of
+        a conjugation orbit."""
         vals = [seed]
         for j, parents in self._blocks:
             vals.extend(map(maps[j].__getitem__, map(vals.__getitem__, parents)))
@@ -460,12 +483,12 @@ class CayleyTable:
         cols = self._cols
         cells = cols.get(s)
         if cells is None:
-            step = self._up[s]
-            parent = step and cols.get(step[1])
+            w = self._pos[s]
+            parent = self._up[w] and cols.get(self._up[w])
             if parent:
-                cells = list(map(parent.__getitem__, self.col(step[0])))
+                cells = list(map(parent.__getitem__, self.col(self._gen[w])))
             else:
-                cells = self._spread(s, self._lmaps)
+                cells = self.spread(s, self._lmaps)
             while cols and self._cells + len(cells) > CAYLEY_CELL_BUDGET:
                 self._cells -= len(cols.pop(next(iter(cols))))
             cols[s] = cells

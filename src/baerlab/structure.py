@@ -160,36 +160,26 @@ def _conjugation_orbit(G: Group, ids) -> tuple:
 
     ``orbit`` starts at ``ids`` and grows by images under
     :meth:`Group.conjugation_maps`, so it costs ``|G : N_G(H)|`` set images.
-    The labels follow a walk of the generator columns from the identity, by
-    ``label[g s] = act[label[g]][s]`` for a generator ``s``, since
-    ``H^(g s) = (H^g)^s``.
+    The labels are no walk of G but a
+    :meth:`~baerlab.group.CayleyTable.spread` down the table's tree of left
+    products: ``H^((s a)^-1) = (H^(a^-1))^(s^-1)``, so the label of ``x**-1``
+    spreads by the inverse action of each generator on the orbit, and is read
+    back through the inverse ids.
     """
     maps = G.conjugation_maps()
     orbit = [frozenset(ids)]
     where = {orbit[0]: 0}
-    act = []
+    act = [[] for _ in maps]  # act[j][i]: the index of orbit[i]^(g_j)
     for L in orbit:
-        row = []
-        for cmap in maps:
+        for cmap, images in zip(maps, act):
             M = frozenset(map(cmap.__getitem__, L))
             if M not in where:
                 where[M] = len(orbit)
                 orbit.append(M)
-            row.append(where[M])
-        act.append(row)
-    mul = G.cayley()
-    cols = [mul.col(s) for s in G.generator_ids()]
-    label = [-1] * len(mul)
-    label[0] = 0
-    reached = [0]
-    for g in reached:
-        here = act[label[g]]
-        for j, col in enumerate(cols):
-            c = col[g]
-            if label[c] < 0:
-                label[c] = here[j]
-                reached.append(c)
-    return orbit, label
+            images.append(where[M])
+    # Each act[j] permutes the orbit; sorting by it gives its inverse.
+    back = [sorted(range(len(orbit)), key=images.__getitem__) for images in act]
+    return orbit, list(map(G.cayley().spread(0, back).__getitem__, G.inverse_ids()))
 
 
 def _normaliser_ids(G: Group, H: frozenset) -> list:

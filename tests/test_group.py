@@ -1,9 +1,11 @@
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from baerlab import group as group_module
+from baerlab.constructions import parse_group_spec
 from baerlab.errors import CapExceeded
 from baerlab.group import (
     Group,
@@ -201,6 +203,18 @@ def test_closure_is_a_group(data):
             assert a * b in seen
 
 
+def assert_store_is_the_sorted_closure(G):
+    """The store is the closure sorted by ``Permutation.__lt__`` and indexed by
+    position; the walk is held until the table is built, and then only there."""
+    els = G.elements
+    assert els == tuple(sorted(closure(G.generators, degree=G.degree)))
+    assert len(G._index) == len(els)
+    assert all(G._index[x] == i for i, x in enumerate(els))
+    assert G._walk is not None
+    G.cayley()
+    assert G._walk is None
+
+
 def assert_table_matches_products(G):
     """Oracle: every column and row cell and inverse id against direct composition."""
     els = G.elements
@@ -222,11 +236,14 @@ def assert_table_matches_products(G):
 @given(generator_sets())
 def test_cayley_table_matches_products(data):
     degree, gens = data
-    assert_table_matches_products(Group(degree, gens))
+    G = Group(degree, gens)
+    assert_store_is_the_sorted_closure(G)
+    assert_table_matches_products(G)
 
 
 def test_cayley_table_trivial_group():
     G = Group(3, [])
+    assert_store_is_the_sorted_closure(G)
     mul = G.cayley()
     assert len(mul) == 1 and mul.col(0) == mul.row(0) == [0]
     assert G.inverse_ids() == [0]
@@ -236,6 +253,7 @@ def test_cayley_table_redundant_generators():
     gens = [parse_cycles(c, 4) for c in ("(0 1)", "(0 1 2 3)", "(1 2)", "(0 3 2 1)", "(0 1)(2 3)")]
     G = Group(4, gens)
     assert G.order == 24
+    assert_store_is_the_sorted_closure(G)
     assert_table_matches_products(G)
 
 
@@ -258,6 +276,58 @@ def test_cayley_table_of_quotient_group():
     Q = quotient_group(G, o_p(G, 2))
     assert Q.group.order == 21
     assert_table_matches_products(Q.group)
+
+
+# -- the store walk: one pass of products, handed to the table -----------------------
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """``products[0]`` counts the ``Permutation.__mul__`` calls made since it was last reset."""
+    count = [0]
+    compose = Permutation.__mul__
+
+    def counted(p, q):
+        count[0] += 1
+        return compose(p, q)
+
+    monkeypatch.setattr(Permutation, "__mul__", counted)
+    return count
+
+
+def quotient_of_semilinear_2_3():
+    from baerlab.constructions import semilinear
+    from baerlab.structure import o_p, quotient_group
+
+    G = semilinear(2, 3)
+    return quotient_group(G, o_p(G, 2)).group
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        functools.partial(parse_group_spec, "symmetric(5)"),
+        functools.partial(parse_group_spec, "subgroup(semilinear(2,4); g0, g1, g2^2)"),
+        quotient_of_semilinear_2_3,
+    ],
+    ids=["symmetric(5)", "order-480 subgroup of semilinear(2,4)", "semilinear(2,3)/O_2"],
+)
+def test_only_the_store_walk_multiplies_permutations(build, products):
+    from baerlab.structure import _conjugation_orbit, pi_of, sylow
+
+    G = build()
+    assert not G.is_materialized
+    products[0] = 0
+    G.materialize()
+    assert products[0] == G.order * len(G.generators)
+    products[0] = 0
+    G.cayley()
+    assert products[0] == 0
+    for p in pi_of(G):
+        ids = sylow(G, p).ids
+        products[0] = 0
+        _conjugation_orbit(G, ids)
+        assert products[0] == 0
 
 
 @settings(max_examples=25, deadline=None)

@@ -851,6 +851,21 @@ def test_conjugates_and_normalisers_match_the_all_elements_loop(G):
     assert 1 < N.order < G.order and len(hall_conjugates(G, N)) == 1
 
 
+@pytest.mark.parametrize("G", [symmetric(4), frobenius(7, 3), semilinear(2, 3)], ids=repr)
+def test_conjugation_labels_match_permutation_conjugation(G):
+    from baerlab.structure import _conjugation_orbit, _normaliser_ids
+
+    idx = {x: i for i, x in enumerate(G.elements)}
+    for p in pi_of(G):
+        H = sylow(G, p)
+        orbit, label = _conjugation_orbit(G, H.ids)
+        for g, x in enumerate(G.elements):
+            assert orbit[label[g]] == {idx[h.conjugate(x)] for h in H.members()}
+        assert _normaliser_ids(G, H.ids) == brute_normaliser_ids(G, H)
+        expected = [frozenset(map(idx.__getitem__, Q)) for Q in brute_conjugates(G, H)]
+        assert [Q.ids for Q in hall_conjugates(G, H)] == expected
+
+
 @pytest.mark.parametrize("G, count", [(symmetric(5), 5), (frobenius(11, 10), 11)], ids=repr)
 def test_orbit_cases_include_a_non_sylow_hall_subgroup(G, count):
     [H] = [H for H in orbit_cases(G) if len(prime_divisors(H.order)) > 1 and not is_normal(G, H)]
