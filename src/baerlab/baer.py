@@ -22,18 +22,25 @@ sizes, for Theorems A, D and F and Corollary C) are read in the parent's id
 space by :func:`~baerlab.structure.factor_sylows` and
 :func:`~baerlab.structure.factor_class_index`, not through a Group built per
 factor.
+
+On an unmaterialised direct product, the index profiles and Theorem D of a
+product-form factor are folded from its blocks (:func:`_kinds`): a member
+is a p-element exactly when every component is one, and its index and
+class size are the products of its components'.  So the factor's members
+are never listed, the work is bounded by the distinct index and class-size
+pairs, not by the factor's order, and the witnesses are the ones a
+member-by-member scan finds.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
-import itertools
 import math
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded, InternalInvariantViolation, check_enumerable
-from .group import Group, Subgroup, centraliser, class_index, join_blocks, memo
+from .errors import CapExceeded, InternalInvariantViolation
+from .group import Group, Subgroup, centraliser, join_blocks, memo
 from .numth import (
     PrimePower,
     classify_prime_power,
@@ -136,41 +143,18 @@ def _index_rows(G: Group, sub: Subgroup, keep) -> list:
     """``(x, order, index)`` for the members x of the subgroup ``sub`` of G
     whose order passes ``keep``, in the order of ``sub.members()``.
 
-    On an unmaterialised product (:func:`_blockwise`), each block gives the
-    rows of all of its members, and a member of ``sub`` is one row per
-    block: its order is the lcm of the block orders, its index the product
-    of the block indices (class sizes multiply in a direct product), and its
-    permutation is joined only when ``keep`` passes.  Block members are
-    sorted, so the product of the block rows is in ``sub.members()`` order;
-    each block's rows are memoised on the block subgroup
-    (:func:`_block_rows`).  Otherwise the members are read as sorted store
-    ids, which is the same order; orders come from ``G.element_orders()``
-    and indices are class sizes from ``G.conjugacy_partition()``.
-    :func:`_pp_rows` memoises it per subgroup.
+    The members are read as sorted store ids, which is that order; orders
+    come from ``G.element_orders()`` and indices are class sizes from
+    ``G.conjugacy_partition()``.  So this is the materialised route: it builds
+    G's store, and the profiles of a product-form subgroup of an
+    unmaterialised product are folded from its blocks' kinds
+    (:func:`_kinds`) instead.  :func:`_pp_rows` memoises it per subgroup.
     """
-    parts = _blockwise(G, lambda _f, s: _block_rows(s), sub)
-    if parts is not None:
-        check_enumerable("subgroup", sub.order)
-        rows = []
-        for row in itertools.product(*parts):
-            o = math.lcm(*(r[1] for r in row))
-            if keep(o):
-                x = join_blocks(r[0] for r in row)
-                rows.append((x, o, math.prod(r[2] for r in row)))
-        return rows
     ids = sorted(sub.ids_in_store())
     els = G.elements
     orders = G.element_orders()
     classes = G.conjugacy_partition()
     return [(els[i], orders[i], len(classes[G.class_of_id(i)])) for i in ids if keep(orders[i])]
-
-
-@memo
-def _block_rows(S: Subgroup) -> list:
-    """The :func:`_index_rows` of every member of a block subgroup S, memoised on
-    S: block subgroups are id-backed and canonical, so each block's rows are
-    built once, however many product-form subgroups share that block."""
-    return _index_rows(S.parent, S, lambda o: True)
 
 
 def _is_nontrivial_prime_power(o: int) -> bool:
@@ -185,10 +169,98 @@ def _pp_rows(S: Subgroup) -> list:
 
 
 @memo
+def _kinds(S: Subgroup, p: int) -> dict:
+    """The p-elements of S, the identity included, grouped into kinds; memoised
+    on S per prime.
+
+    A kind's key is ``(index in S.parent, class size in S, is the identity)``
+    and its value ``(position, member, count)``: the least position in member
+    order of S of a member of that kind, that member, and how many members
+    are of that kind.  On a product-form subgroup of an unmaterialised
+    product the blocks' kinds are folded (:func:`_fold_kinds`), so S's members
+    are never listed: a member is a p-element exactly when every component
+    is one, and its index and class size are the products of its
+    components'.  Otherwise the kinds come from :func:`_pp_rows` and the
+    identity; a position is the row's place, and the identity, the least
+    member, is at -1.
+    """
+    if (parts := _blockwise(S.parent, lambda _f, s: _kinds(s, p), S)) is not None:
+        return functools.reduce(_fold_kinds, parts, {(1, 1, True): ((), (), 1)})
+    kinds = {(1, 1, True): (-1, S.parent.identity(), 1)}
+    for place, (x, o, idx) in enumerate(_pp_rows(S)):
+        if is_p_number(o, p):
+            key = (idx, factor_class_index(S, x), False)
+            first, y, n = kinds.get(key, (place, x, 0))
+            kinds[key] = (first, y, n + 1)
+    return kinds
+
+
+def _fold_kinds(left: dict, block: dict) -> dict:
+    """The kinds of ``L x S_i`` from those of L and of the next block S_i.
+
+    Indices and class sizes multiply and counts add over equal keys.
+    Positions and members are tuples of block positions and block members;
+    block members are sorted, so the lexicographic order of positions is
+    member order and the least position kept is the first member of the
+    kind.  Members are joined into permutations only when read
+    (:func:`_member`).
+    """
+    out = {}
+    for (idx, inner, one), (first, x, n) in left.items():
+        for (b_idx, b_inner, b_one), (b_first, y, m) in block.items():
+            key = (idx * b_idx, inner * b_inner, one and b_one)
+            here = first + (b_first,)
+            old = out.get(key)
+            if old is None:
+                out[key] = (here, x + (y,), n * m)
+            elif here < old[0]:
+                out[key] = (here, x + (y,), old[2] + n * m)
+            else:
+                out[key] = (old[0], old[1], old[2] + n * m)
+    return out
+
+
+def _member(x) -> Permutation:
+    """A kind's member as a permutation: folded members are tuples of block members."""
+    return x if isinstance(x, Permutation) else join_blocks(map(_member, x))
+
+
+def _folded_kinds(S: Subgroup, primes):
+    """``(position, member, index, class size in S, count)`` for the kinds of the
+    nontrivial p-elements of S over ``primes``, by first position; None
+    unless S is product-form over the blocks of an unmaterialised product.
+
+    A nontrivial prime-power-order member of a product is a p-element for
+    one p only, so the kinds of different primes never share a member.
+    """
+    if S.factors is None or S.parent.blocks is None:
+        return None
+    rows = [
+        (first, x, idx, inner, n)
+        for p in primes
+        for (idx, inner, one), (first, x, n) in _kinds(S, p).items()
+        if not one
+    ]
+    rows.sort(key=lambda row: row[0])
+    return rows
+
+
+@memo
 def _side_profile(S: Subgroup, p: int | None = None) -> dict:
-    """``{index in S.parent: first member with that index}`` over the p-elements
-    of S in member order (every prime-power-order member for ``p=None``);
-    memoised on S per prime."""
+    """``{index in S.parent: first member with that index}`` over the nontrivial
+    p-elements of S in member order (every nontrivial prime-power-order
+    member for ``p=None``); memoised on S per prime.
+
+    On a product-form S of an unmaterialised product this reads the folded
+    kinds (:func:`_folded_kinds`; ``p=None`` is their union over the primes of
+    |S|) and joins one member per index; otherwise it reads :func:`_pp_rows`.
+    """
+    kinds = _folded_kinds(S, prime_divisors(S.order) if p is None else [p])
+    if kinds is not None:
+        first = {}
+        for _first, x, idx, _inner, _n in kinds:
+            first.setdefault(idx, x)
+        return {idx: _member(x) for idx, x in first.items()}
     profile = {}
     for x, o, idx in _pp_rows(S):
         if p is None or is_p_number(o, p):
@@ -589,16 +661,25 @@ def _side_inheritance(S: Subgroup) -> tuple:
     """Theorem D on one factor S, memoised on S: ``(members checked, the first
     whose index in S does not inherit the prime of its index in S.parent,
     S is a Baer group)``.  S is a Baer group when every prime-power-order
-    member has a prime-power class size in S (:func:`factor_class_index`)."""
-    bad, baer_group = None, True
-    for x, _o, idx in _pp_rows(S):
-        inner = factor_class_index(S, x)
+    member has a prime-power class size in S (:func:`factor_class_index`).
+
+    On a product-form S of an unmaterialised product the members are read by
+    kind (:func:`_folded_kinds`), each kind counting its members and only
+    the first failing member being joined; otherwise one by one from
+    :func:`_pp_rows`.
+    """
+    rows = _folded_kinds(S, prime_divisors(S.order))
+    if rows is None:
+        rows = [(None, x, idx, factor_class_index(S, x), 1) for x, _o, idx in _pp_rows(S)]
+    checked, bad, baer_group = 0, None, True
+    for _first, x, idx, inner, n in rows:
+        checked += n
         c = classify_prime_power(inner)
         baer_group = baer_group and c.is_prime_power
         ok = inner == 1 if idx == 1 else c.compatible_with(classify_prime_power(idx).prime)
         if not ok and bad is None:
-            bad = {"element": format_cycles(x), "outer_index": idx, "inner_index": inner}
-    return len(_pp_rows(S)), bad, baer_group
+            bad = {"element": format_cycles(_member(x)), "outer_index": idx, "inner_index": inner}
+    return checked, bad, baer_group
 
 
 @_skipped_on_cap("D")
@@ -722,23 +803,24 @@ def baer_decomposition(G: Group):
 @_skipped_on_cap("wielandt")
 def check_wielandt(G: Group) -> TheoremReport:
     """A p-element whose index is a p-number lies in ``O_p(G)``; checked for
-    every prime and every element."""
+    every prime and every element.  Order and index are class functions and
+    ``O_p(G)`` is normal, so the elements are walked a conjugacy class at a
+    time; the least member of the first failing class is the least failing
+    element."""
     report = TheoremReport("wielandt")
     G.materialize()
     orders = G.element_orders()
+    classes = G.conjugacy_partition()
     for p in sorted(pi_of(G)):
-        core = o_p(G, p)
+        core = o_p(G, p).ids_in_store()
         bad = None
         checked = 0
-        for i, x in enumerate(G.elements):
-            if not is_p_number(orders[i], p):
+        for cls in classes:
+            if not is_p_number(orders[cls[0]], p) or not is_p_number(len(cls), p):
                 continue
-            idx = class_index(G, x)
-            if not is_p_number(idx, p):
-                continue
-            checked += 1
-            if x not in core:
-                bad = {"element": format_cycles(x), "index": idx}
+            checked += len(cls)
+            if cls[0] not in core:
+                bad = {"element": format_cycles(G.elements[cls[0]]), "index": len(cls)}
                 break
         report.add(f"p={p}", FAIL if bad else PASS, bad or {"elements_checked": checked})
     return report
@@ -746,19 +828,21 @@ def check_wielandt(G: Group) -> TheoremReport:
 
 @_skipped_on_cap("camina-camina")
 def check_camina_camina(G: Group) -> TheoremReport:
-    """Every element of prime-power index lies in the second Fitting term."""
+    """Every element of prime-power index lies in the second Fitting term.
+    ``F_2(G)`` is normal, so the elements are walked a conjugacy class at a
+    time, as in :func:`check_wielandt`."""
     report = TheoremReport("camina-camina")
     G.materialize()
     F2 = fitting2(G)
+    members = F2.ids_in_store()
     bad = None
     checked = 0
-    for x in G.elements:
-        idx = class_index(G, x)
-        if not classify_prime_power(idx).is_prime_power:
+    for cls in G.conjugacy_partition():
+        if not classify_prime_power(len(cls)).is_prime_power:
             continue
-        checked += 1
-        if x not in F2:
-            bad = {"element": format_cycles(x), "index": idx}
+        checked += len(cls)
+        if cls[0] not in members:
+            bad = {"element": format_cycles(G.elements[cls[0]]), "index": len(cls)}
             break
     report.add("prime-power-index-in-F2", FAIL if bad else PASS,
                bad or {"elements_checked": checked, "F2_order": F2.order})
@@ -770,33 +854,40 @@ def check_lemma_bk(G: Group) -> TheoremReport:
     """For noncentral p-elements x, y with prime-power indices of distinct
     primes and ``i(xy)`` a prime power: their normal closure lies in
     ``O_p(G)``, ``i(xy)`` is the maximum of the two and a p-power, and the
-    Sylow p-subgroup is non-abelian.  Exhaustive pair scan."""
+    Sylow p-subgroup is non-abelian.  Exhaustive pair scan on store ids:
+    indices are class sizes read by id, and ``xy`` is ``col(y)[x]``."""
     report = TheoremReport("berkovich-kazarin")
     G.materialize()
+    els = G.elements
     orders = G.element_orders()
+    classes = G.conjugacy_partition()
+    mul = G.cayley()
+
+    def index(i: int) -> int:
+        return len(classes[G.class_of_id(i)])
+
     for p in sorted(pi_of(G)):
         rows = []
-        for i, x in enumerate(G.elements):
-            if orders[i] == 1 or not is_p_number(orders[i], p):
+        for i, o in enumerate(orders):
+            if o == 1 or not is_p_number(o, p):
                 continue
-            idx = class_index(G, x)
+            idx = index(i)
             if idx == 1:
                 continue
             c = classify_prime_power(idx)
             if c.is_prime_power:
-                rows.append((i, x, idx, c.prime))
+                rows.append((i, idx, c.prime))
         pairs = 0
         bad = None
-        for ai in range(len(rows)):
-            for bi in range(ai + 1, len(rows)):
-                _i1, x, ix, px = rows[ai]
-                _i2, y, iy, py = rows[bi]
+        for ai, (i, ix, px) in enumerate(rows):
+            for j, iy, py in rows[ai + 1 :]:
                 if px == py:
                     continue
-                ixy = class_index(G, x * y)
+                ixy = index(mul.col(j)[i])
                 if not classify_prime_power(ixy).is_prime_power:
                     continue
                 pairs += 1
+                x, y = els[i], els[j]
                 core = o_p(G, p)
                 nc = normal_closure(G, [x, y])
                 conclusion = (

@@ -5,7 +5,10 @@ from __future__ import annotations
 # Bound on every element store and closure.  A subgroup of a group that is not
 # an unmaterialised direct product is ids into the group's store, so building
 # one past this bound raises CapExceeded, which a report gives as ``skipped``.
-# Direct products past it are handled block by block, never by enumeration.
+# Direct products past it are handled block by block, never by enumeration;
+# the index profiles of their factors are folded from per-block kinds of
+# elements, so only the blocks need lie within it.  Listing a product's
+# members (``Subgroup.members``) still checks it.
 ENUMERATION_CAP = 5_000_000
 
 # Default bound on a single conjugacy-orbit walk.

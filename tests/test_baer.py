@@ -24,7 +24,7 @@ from baerlab.errors import (
 )
 from baerlab.group import Group, Subgroup, centraliser
 from baerlab.perm import Permutation, parse_cycles
-from baerlab.reporting import FAIL, PASS, SKIPPED, TheoremReport
+from baerlab.reporting import FAIL, NOT_APPLICABLE, PASS, SKIPPED, TheoremReport
 from baerlab.structure import (
     Factorisation,
     enumerate_subgroups,
@@ -73,26 +73,28 @@ def test_theorem_a_on_unmaterialised_product_factorisation():
     assert not G.is_materialized
 
 
-def test_enumeration_cap_is_a_skipped_clause():
+def test_theorem_a_on_a_product_past_the_enumeration_cap_is_decided():
     # The trivial factorisation of product(symmetric(7),symmetric(7)), of
-    # order 25,401,600: the union route lists A u B = G, past the
-    # enumeration cap, and G's store is never built.
+    # order 25,401,600, past the enumeration cap: the union route folds the
+    # blocks' kinds of 2-elements instead of listing A u B = G, finds a
+    # transposition of index 21, and G's store is never built.
     G = direct_product([symmetric(7), symmetric(7)])
-    report = report_theorem_a(Factorisation.trivial(G), 2)
+    assert G.order > ENUMERATION_CAP
+    F = Factorisation.trivial(G)
+    assert not baer.is_p_baer(F, 2).is_p_baer
+    report = report_theorem_a(F, 2)
     assert (report.theorem, report.prime) == ("A", 2)
-    [clause] = report.clauses
-    assert clause.verdict == SKIPPED
-    assert clause.witness["cap"] == ENUMERATION_CAP
-    assert report.has_skips() and report.passed()
+    assert [c.verdict for c in report.clauses] == [NOT_APPLICABLE]
     assert not G.is_materialized
 
 
-def test_theorem_f_cap_is_a_skipped_clause():
+def test_theorem_f_on_a_product_past_the_enumeration_cap_passes():
     G = direct_product([symmetric(7), symmetric(7)])
+    assert G.order > ENUMERATION_CAP
     report = check_theorem_f_equivalence(Factorisation.trivial(G))
     assert report.theorem == "F" and report.prime is None
-    assert [c.verdict for c in report.clauses] == [SKIPPED]
-    assert report.clauses[0].witness["cap"] == ENUMERATION_CAP
+    assert [(c.clause, c.verdict) for c in report.clauses] == [("equivalence", PASS)]
+    assert report.clauses[0].witness["definition_predicate"] is False
     assert not G.is_materialized
 
 
@@ -424,10 +426,9 @@ PRODUCT_CASES = (
 def test_block_index_rows_are_built_once_per_block_subgroup(monkeypatch):
     # Work-count guard: the index rows of a block subgroup are memoised on
     # it, so every check on the direct-products corpus builds the rows of
-    # each of its 53 distinct block subgroups once.  Product-form subgroups
-    # are canonical too, so the rows of a subgroup of a corpus group are
-    # built once while it is alive: 34 distinct subgroups take 36 calls,
-    # the 2 repeats being on subgroups freed between their calls.
+    # each of its 53 distinct block subgroups once.  A product-form subgroup
+    # is profiled by folding its blocks' kinds, so no rows are built for a
+    # subgroup of a corpus group, and none for a product-form subgroup.
     cases = [block_halves_factorisation(left, right) for left, right in PRODUCT_CASES]
     groups = {F.group for F in cases}
     blocks = {f for G in groups for f in G.direct_factors}
@@ -435,6 +436,7 @@ def test_block_index_rows_are_built_once_per_block_subgroup(monkeypatch):
     index_rows = baer._index_rows
 
     def rows(H, sub, keep):
+        assert sub.factors is None
         if H in blocks:
             calls.append((H, subgroup_key(sub)))
         elif H in groups:
@@ -446,8 +448,7 @@ def test_block_index_rows_are_built_once_per_block_subgroup(monkeypatch):
         factorisation_rows(F)
         assert not F.group.is_materialized
     assert len(calls) == len(set(calls)) == 53
-    assert len(group_calls) == 36
-    assert len(set(group_calls)) == 34
+    assert group_calls == []
 
 
 def test_factor_facts_build_no_group_and_no_view(monkeypatch):

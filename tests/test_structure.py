@@ -489,46 +489,52 @@ def test_lazy_product_blocks_match_materialised_product(factors):
     assert not lazy.is_materialized
 
 
+def product_form_subgroups(G):
+    """Every product of subgroups from :func:`enumerate_subgroups` of G's blocks,
+    in ``itertools.product`` order."""
+    per_block = [enumerate_subgroups(f) for f in G.direct_factors]
+    return [Subgroup.from_factors(G, c) for c in itertools.product(*per_block)]
+
+
+def side_facts(G, subgroups):
+    """Per subgroup, its index profiles for ``p=None`` and every prime of G as
+    ordered item lists, and its Theorem D side."""
+    from baerlab.baer import _side_inheritance, _side_profile
+
+    return [
+        ([list(_side_profile(S, p).items()) for p in [None, *pi_of(G)]], _side_inheritance(S))
+        for S in subgroups
+    ]
+
+
 @pytest.mark.parametrize(
-    "factors",
-    [(symmetric, 3, dihedral, 10), (symmetric, 4, cyclic, 3)],
-    ids=["sym3_x_d10", "sym4_x_c3"],
+    "spec",
+    [
+        "product(symmetric(3),dihedral(10))",
+        "product(symmetric(4),cyclic(3))",
+        "product(symmetric(3),cyclic(4),dihedral(10))",
+    ],
+    ids=["sym3_x_d10", "sym4_x_c3", "sym3_x_c4_x_d10"],
 )
 def test_lazy_product_profiles_normality_and_sylow_conjugates_match_materialised_product(
-    factors,
+    spec,
 ):
-    # The lazy copy reads index profiles, normality and Sylow conjugates from
-    # its blocks; the materialised copy reads them from its own store and
-    # table.  Blockwise the conjugates come in product order, so they are
+    # The lazy copy folds index profiles and Theorem D from its blocks' kinds
+    # and reads normality and Sylow conjugates from its blocks; the
+    # materialised copy reads them from its own store and table, member by
+    # member.  Blockwise the conjugates come in product order, so they are
     # compared as sets.
-    from baerlab.baer import _pp_rows, _side_profile
-
-    f1, n1, f2, n2 = factors
-    lazy = direct_product([f1(n1), f2(n2)])
-    whole = direct_product([f1(n1), f2(n2)])
+    lazy = parse_group_spec(spec)
+    whole = parse_group_spec(spec)
     whole.materialize()
 
-    def block_factorisation(G):
-        left, right = G.direct_factors
-        A = Subgroup.from_factors(G, [Subgroup.full(left), Subgroup.trivial(right)])
-        B = Subgroup.from_factors(G, [Subgroup.trivial(left), Subgroup.full(right)])
-        return Factorisation(G, A, B)
+    lazy_subs, whole_subs = product_form_subgroups(lazy), product_form_subgroups(whole)
+    facts = side_facts(lazy, lazy_subs)
+    assert facts == side_facts(whole, whole_subs)
+    assert {side[1] is None for _profiles, side in facts} == {True, False}
 
-    def side_profiles(G):
-        F = block_factorisation(G)
-        return [
-            (locus, _pp_rows(sub), [list(_side_profile(sub, p).items()) for p in [None, *pi_of(G)]])
-            for locus, sub in F.factors()
-        ]
-
-    assert side_profiles(lazy) == side_profiles(whole)
-
-    def normality(G):
-        left, right = (enumerate_subgroups(f) for f in G.direct_factors)
-        return [is_normal(G, Subgroup.from_factors(G, [S1, S2])) for S1 in left for S2 in right]
-
-    verdicts = normality(lazy)
-    assert verdicts == normality(whole)
+    verdicts = [is_normal(lazy, S) for S in lazy_subs]
+    assert verdicts == [is_normal(whole, S) for S in whole_subs]
     assert True in verdicts and False in verdicts
 
     for p in pi_of(lazy):
@@ -541,17 +547,43 @@ def test_lazy_product_profiles_normality_and_sylow_conjugates_match_materialised
     assert not lazy.is_materialized
 
 
-def test_index_profile_of_a_lazy_product_past_the_enumeration_cap_raises():
+def test_nested_lazy_product_profiles_match_flat_materialised_product():
+    # product(product(S3, C4), D10) acts on the same 12 points as the flat
+    # product(S3, C4, D10).  A product-form subgroup of the nested product
+    # whose first block is product-form too folds kinds whose members are
+    # tuples of tuples; joined, they are the flat product's members.
+    nested = parse_group_spec("product(product(symmetric(3),cyclic(4)),dihedral(10))")
+    flat = parse_group_spec("product(symmetric(3),cyclic(4),dihedral(10))")
+    flat.materialize()
+    inner, outer = nested.direct_factors
+    per_block = [enumerate_subgroups(f) for f in (*inner.direct_factors, outer)]
+    nested_subs = [
+        Subgroup.from_factors(nested, [Subgroup.from_factors(inner, [a, b]), c])
+        for a, b, c in itertools.product(*per_block)
+    ]
+    assert side_facts(nested, nested_subs) == side_facts(flat, product_form_subgroups(flat))
+    assert not nested.is_materialized and not inner.is_materialized
+
+
+def test_index_profile_of_a_lazy_product_past_the_enumeration_cap_is_folded():
     # Three blocks of order 200 multiply to 8,000,000 members, past the cap:
-    # the blockwise profile refuses to list them, as members() does.
-    from baerlab.baer import is_p_baer
+    # the profile folds the blocks' kinds of 2-elements without listing
+    # them.  G is abelian, so every index is 1, and the first 2-element in
+    # member order is g^25 of the last block, of order 8.
+    from baerlab.baer import check_factor_inheritance, is_p_baer
     from baerlab.errors import ENUMERATION_CAP
 
     G = direct_product([cyclic(200) for _ in range(3)])
     assert G.order > ENUMERATION_CAP
-    with pytest.raises(CapExceeded) as caught:
-        is_p_baer(Factorisation.trivial(G), 2)
-    assert caught.value.cap == ENUMERATION_CAP
+    status = is_p_baer(Factorisation.trivial(G), 2)
+    assert status.is_p_baer
+    first = G.embed_factor_element(2, G.direct_factors[2].generators[0] ** 25)
+    assert [(w.locus, w.element, w.index) for w in status.witnesses] == [
+        ("A", first, 1), ("B", first, 1)
+    ]
+    # Per side: 8^3 - 1 nontrivial 2-elements and 25^3 - 1 nontrivial 5-elements.
+    report = check_factor_inheritance(Factorisation.trivial(G))
+    assert report.clauses[0].witness == {"elements_checked": 2 * (8**3 - 1 + 25**3 - 1)}
     assert not G.is_materialized
 
 
