@@ -20,16 +20,16 @@ verdicts are memoised on it.
 Facts about a factor as a group of its own (its Sylow subgroups and class
 sizes, for Theorems A, D and F and Corollary C) are read in the parent's id
 space by :func:`~baerlab.structure.factor_sylows` and
-:func:`~baerlab.structure.factor_class_index`, not through a Group built per
+:func:`~baerlab.structure.factor_class_sizes`, not through a Group built per
 factor.
 
-On an unmaterialised direct product, the index profiles and Theorem D of a
-product-form factor are folded from its blocks (:func:`_kinds`): a member
-is a p-element exactly when every component is one, and its index and
-class size are the products of its components'.  So the factor's members
+The p-elements of a factor are read by kind (:func:`_kinds`): by their index
+in G and, for Theorem D, their class size in the factor.  A factor with store
+ids is read id by id; a product-form one folds its blocks' kinds, as a member
+is a p-element exactly when every component is one, and its index and class
+size are the products of its components'.  So a product-form factor's members
 are never listed, the work is bounded by the distinct index and class-size
-pairs, not by the factor's order, and the witnesses are the ones a
-member-by-member scan finds.
+pairs, and the witnesses are the ones a member-by-member scan finds.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .numth import (
     PrimePower,
     classify_prime_power,
     is_p_number,
+    pi_part,
     prime_divisors,
 )
 from .perm import Permutation, format_cycles
@@ -52,7 +53,7 @@ from .reporting import FAIL, NOT_APPLICABLE, PASS, SKIPPED, TheoremReport
 from .structure import (
     Factorisation,
     _blockwise,
-    factor_class_index,
+    factor_class_sizes,
     factor_sylow,
     factor_sylows,
     find_prefactorised_sylow,
@@ -139,59 +140,34 @@ class BaerDecomposition:
 # -- element-index profiles --------------------------------------------------------
 
 
-def _index_rows(G: Group, sub: Subgroup, keep) -> list:
-    """``(x, order, index)`` for the members x of the subgroup ``sub`` of G
-    whose order passes ``keep``, in the order of ``sub.members()``.
-
-    The members are read as sorted store ids, which is that order; orders
-    come from ``G.element_orders()`` and indices are class sizes from
-    ``G.conjugacy_partition()``.  So this is the materialised route: it builds
-    G's store, and the profiles of a product-form subgroup of an
-    unmaterialised product are folded from its blocks' kinds
-    (:func:`_kinds`) instead.  :func:`_pp_rows` memoises it per subgroup.
-    """
-    ids = sorted(sub.ids_in_store())
-    els = G.elements
-    orders = G.element_orders()
-    classes = G.conjugacy_partition()
-    return [(els[i], orders[i], len(classes[G.class_of_id(i)])) for i in ids if keep(orders[i])]
-
-
-def _is_nontrivial_prime_power(o: int) -> bool:
-    return o > 1 and classify_prime_power(o).is_prime_power
-
-
 @memo
-def _pp_rows(S: Subgroup) -> list:
-    """The :func:`_index_rows` of the nontrivial prime-power-order members of
-    S, with their index in ``S.parent``; memoised on S."""
-    return _index_rows(S.parent, S, _is_nontrivial_prime_power)
-
-
-@memo
-def _kinds(S: Subgroup, p: int) -> dict:
+def _kinds(S: Subgroup, p: int, inner: bool) -> dict:
     """The p-elements of S, the identity included, grouped into kinds; memoised
-    on S per prime.
+    on S per prime and ``inner``.
 
-    A kind's key is ``(index in S.parent, class size in S, is the identity)``
-    and its value ``(position, member, count)``: the least position in member
-    order of S of a member of that kind, that member, and how many members
-    are of that kind.  On a product-form subgroup of an unmaterialised
-    product the blocks' kinds are folded (:func:`_fold_kinds`), so S's members
-    are never listed: a member is a p-element exactly when every component
-    is one, and its index and class size are the products of its
-    components'.  Otherwise the kinds come from :func:`_pp_rows` and the
-    identity; a position is the row's place, and the identity, the least
-    member, is at -1.
+    A kind's key is ``(index in S.parent, class size in S, is the identity)``,
+    with class size 1 unless ``inner``, and its value ``(position, member,
+    count)``: the least position in member order of S of a member of that
+    kind, that member, and how many members are of that kind.  A
+    product-form S folds its blocks' kinds (:func:`_fold_kinds`) whether or
+    not G's store is built, so all kinds memoised on S have positions of one
+    form.  Otherwise S is one block, read by sorted store id: orders from
+    ``G.element_orders()``, indices from ``G.conjugacy_partition()`` and
+    class sizes from :func:`~baerlab.structure.factor_class_sizes`; a
+    position is the store id, the identity's, 0, being the least.
     """
-    if (parts := _blockwise(S.parent, lambda _f, s: _kinds(s, p), S)) is not None:
+    if S.factors is not None:
+        parts = (_kinds(s, p, inner) for s in S.factors)
         return functools.reduce(_fold_kinds, parts, {(1, 1, True): ((), (), 1)})
-    kinds = {(1, 1, True): (-1, S.parent.identity(), 1)}
-    for place, (x, o, idx) in enumerate(_pp_rows(S)):
-        if is_p_number(o, p):
-            key = (idx, factor_class_index(S, x), False)
-            first, y, n = kinds.get(key, (place, x, 0))
-            kinds[key] = (first, y, n + 1)
+    G = S.parent
+    els, orders, classes = G.elements, G.element_orders(), G.conjugacy_partition()
+    sizes = factor_class_sizes(S) if inner else None
+    kinds = {}
+    for i in sorted(S.ids_in_store()):
+        if is_p_number(orders[i], p):
+            key = (len(classes[G.class_of_id(i)]), sizes[i] if inner else 1, orders[i] == 1)
+            first, x, n = kinds.get(key, (i, els[i], 0))
+            kinds[key] = (first, x, n + 1)
     return kinds
 
 
@@ -201,20 +177,18 @@ def _fold_kinds(left: dict, block: dict) -> dict:
     Indices and class sizes multiply and counts add over equal keys.
     Positions and members are tuples of block positions and block members;
     block members are sorted, so the lexicographic order of positions is
-    member order and the least position kept is the first member of the
-    kind.  Members are joined into permutations only when read
-    (:func:`_member`).
+    member order.  Both dicts are in position order, so the pairs arrive in
+    lexicographic position order and the first pair to reach a key holds the
+    kind's first member.  Members are joined into permutations only when
+    read (:func:`_member`).
     """
     out = {}
     for (idx, inner, one), (first, x, n) in left.items():
         for (b_idx, b_inner, b_one), (b_first, y, m) in block.items():
             key = (idx * b_idx, inner * b_inner, one and b_one)
-            here = first + (b_first,)
             old = out.get(key)
             if old is None:
-                out[key] = (here, x + (y,), n * m)
-            elif here < old[0]:
-                out[key] = (here, x + (y,), old[2] + n * m)
+                out[key] = (first + (b_first,), x + (y,), n * m)
             else:
                 out[key] = (old[0], old[1], old[2] + n * m)
     return out
@@ -225,23 +199,21 @@ def _member(x) -> Permutation:
     return x if isinstance(x, Permutation) else join_blocks(map(_member, x))
 
 
-def _folded_kinds(S: Subgroup, primes):
+def _folded_kinds(S: Subgroup, primes, inner: bool) -> list:
     """``(position, member, index, class size in S, count)`` for the kinds of the
-    nontrivial p-elements of S over ``primes``, by first position; None
-    unless S is product-form over the blocks of an unmaterialised product.
+    nontrivial p-elements of S over ``primes`` (:func:`_kinds`), by first
+    position.
 
-    A nontrivial prime-power-order member of a product is a p-element for
-    one p only, so the kinds of different primes never share a member.
+    A nontrivial prime-power-order member is a p-element for one p only, so
+    the kinds of different primes never share a member.
     """
-    if S.factors is None or S.parent.blocks is None:
-        return None
     rows = [
-        (first, x, idx, inner, n)
+        (first, x, idx, in_s, n)
         for p in primes
-        for (idx, inner, one), (first, x, n) in _kinds(S, p).items()
+        for (idx, in_s, one), (first, x, n) in _kinds(S, p, inner).items()
         if not one
     ]
-    rows.sort(key=lambda row: row[0])
+    rows.sort()  # positions are distinct, so rows sort by position
     return rows
 
 
@@ -249,23 +221,15 @@ def _folded_kinds(S: Subgroup, primes):
 def _side_profile(S: Subgroup, p: int | None = None) -> dict:
     """``{index in S.parent: first member with that index}`` over the nontrivial
     p-elements of S in member order (every nontrivial prime-power-order
-    member for ``p=None``); memoised on S per prime.
-
-    On a product-form S of an unmaterialised product this reads the folded
-    kinds (:func:`_folded_kinds`; ``p=None`` is their union over the primes of
-    |S|) and joins one member per index; otherwise it reads :func:`_pp_rows`.
+    member for ``p=None``, the union over the primes of |S|); memoised on S
+    per prime.  One member per index is joined from the kinds
+    (:func:`_folded_kinds`).
     """
-    kinds = _folded_kinds(S, prime_divisors(S.order) if p is None else [p])
-    if kinds is not None:
-        first = {}
-        for _first, x, idx, _inner, _n in kinds:
-            first.setdefault(idx, x)
-        return {idx: _member(x) for idx, x in first.items()}
-    profile = {}
-    for x, o, idx in _pp_rows(S):
-        if p is None or is_p_number(o, p):
-            profile.setdefault(idx, x)
-    return profile
+    first = {}
+    primes = prime_divisors(S.order) if p is None else [p]
+    for _first, x, idx, _inner, _n in _folded_kinds(S, primes, False):
+        first.setdefault(idx, x)
+    return {idx: _member(x) for idx, x in first.items()}
 
 
 def _status(F: Factorisation, p, subs) -> BaerStatus:
@@ -661,18 +625,13 @@ def _side_inheritance(S: Subgroup) -> tuple:
     """Theorem D on one factor S, memoised on S: ``(members checked, the first
     whose index in S does not inherit the prime of its index in S.parent,
     S is a Baer group)``.  S is a Baer group when every prime-power-order
-    member has a prime-power class size in S (:func:`factor_class_index`).
+    member has a prime-power class size in S.
 
-    On a product-form S of an unmaterialised product the members are read by
-    kind (:func:`_folded_kinds`), each kind counting its members and only
-    the first failing member being joined; otherwise one by one from
-    :func:`_pp_rows`.
+    The members are read by kind (:func:`_folded_kinds`), each kind counting
+    its members and only the first failing member being joined.
     """
-    rows = _folded_kinds(S, prime_divisors(S.order))
-    if rows is None:
-        rows = [(None, x, idx, factor_class_index(S, x), 1) for x, _o, idx in _pp_rows(S)]
     checked, bad, baer_group = 0, None, True
-    for _first, x, idx, inner, n in rows:
+    for _first, x, idx, inner, n in _folded_kinds(S, prime_divisors(S.order), True):
         checked += n
         c = classify_prime_power(inner)
         baer_group = baer_group and c.is_prime_power
@@ -913,7 +872,9 @@ def check_pq_baer(F: Factorisation, p: int, q: int) -> TheoremReport:
     """When a factorisation is both p-Baer and q-Baer, with noncentral
     p-elements indexed by q on the A side and by r on the B side, the index
     prime s of the q-elements must lie in {p, r}; and if q = r then s = p and
-    a normal Hall {p,q}-subgroup with abelian Sylow subgroups exists."""
+    a normal Hall {p,q}-subgroup with abelian Sylow subgroups exists.  Such a
+    subgroup contains every {p,q}-subgroup, so it exists iff ``O_{p,q}(G)``
+    has the {p,q}-part of |G| as its order, and is then ``O_{p,q}(G)``."""
     if q == p:
         return TheoremReport.not_applicable("pq-baer", p, "q must differ from p")
     if not is_p_baer(F, p).is_p_baer or not is_p_baer(F, q).is_p_baer:
@@ -937,18 +898,14 @@ def check_pq_baer(F: Factorisation, p: int, q: int) -> TheoremReport:
     report.add("a:s-in-p-r", PASS if s in {p, r} else FAIL, {"s": s, "r": r, "q": q})
     if q == r:
         G = F.group
-        H = hall(G, {p, q})
-        if H is None:
-            report.add("b:normal-hall-pq", FAIL, "Hall {p,q}-subgroup not found within budget")
-        else:
-            ok = (
-                s == p
-                and is_normal(G, H)
-                and is_abelian(factor_sylow(H, p))
-                and is_abelian(factor_sylow(H, q))
-            )
-            report.add("b:normal-hall-pq", PASS if ok else FAIL,
-                       {"s": s, "hall_order": H.order})
+        H = o_pi(G, {p, q})
+        ok = (
+            s == p
+            and H.order == pi_part(G.order, {p, q})
+            and is_abelian(factor_sylow(H, p))
+            and is_abelian(factor_sylow(H, q))
+        )
+        report.add("b:normal-hall-pq", PASS if ok else FAIL, {"s": s, "hall_order": H.order})
     else:
         report.add("b:normal-hall-pq", NOT_APPLICABLE, "q differs from r")
     return report

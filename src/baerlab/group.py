@@ -242,9 +242,10 @@ class Group:
     def blocks(self):
         """The direct factors while the store is unbuilt, otherwise None.
 
-        The one place that decides the blockwise route: a direct product is
-        computed block by block until it is materialised, and from then on
-        like any other group, from its store.
+        The one place that decides the blockwise route, but for ``baer._kinds``
+        (a product-form subgroup's index kinds always fold its blocks'): a
+        direct product is computed block by block until it is materialised,
+        and from then on like any other group, from its store.
         """
         return self.direct_factors if self._elements is None else None
 

@@ -17,9 +17,11 @@ unmaterialised direct product (:attr:`Group.blocks`), the operations that
 distribute over products (centre, derived subgroup, Sylow and Hall subgroups
 and their conjugates, cores, Fitting terms, exponent, normality, quotients
 and preimages, prefactorised Sylow subgroups) recurse into the factors
-through :func:`_blockwise`; so does the p-power index profile of ``baer``.
-Every other call, a materialised product included, works on G's store ids
-and its Cayley table.
+through :func:`_blockwise`.  Every other call, a materialised product
+included, works on G's store ids and its Cayley table, but for ``baer``'s
+p-power index profile: a product-form subgroup folds its blocks' index kinds
+and class sizes even once G is materialised, and only an id-backed one reads
+:func:`factor_class_sizes`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceeded, InternalInvariantViolation
 from .constructions import direct_product
-from .group import Group, Subgroup, centraliser, class_index, join_blocks, memo
+from .group import Group, Subgroup, centraliser, join_blocks, memo
 from .numth import (
     classify_prime_power,
     is_p_number,
@@ -234,34 +236,23 @@ def factor_sylow(S: Subgroup, p: int) -> Subgroup:
     return factor_sylows(S, p)[0]
 
 
-def factor_class_index(S: Subgroup, x: Permutation) -> int:
-    """``|S : C_S(x)|``, the class size in S of a member x of S.
+@memo
+def factor_class_sizes(S: Subgroup) -> dict:
+    """``{id: |S : C_S(x)|}`` over the store ids x of S's members, the class
+    sizes in S; memoised on S.
 
-    On an unmaterialised product with S product-form over its blocks, class
-    sizes multiply over the blocks.  A subgroup of full order is G, whose
-    conjugacy partition gives the class (:func:`class_index`).  Otherwise the
-    classes of S are orbits under ``S.generating_ids()`` on G's table,
-    ``id(s^-1 x s) = row(s^-1)[col(s)[x]]``, walked once and memoised on S.
+    A subgroup of full order is G, whose conjugacy partition gives them.
+    Otherwise the classes of S are orbits under ``S.generating_ids()`` on G's
+    table, ``id(s^-1 x s) = row(s^-1)[col(s)[x]]``, each walked once.
     """
     G = S.parent
-    if (factors := _blockwise(G, lambda _f, s: s, S)) is not None:
-        return math.prod(factor_class_index(s, y) for s, y in zip(factors, G.split(x)))
+    size = {}
     if S.order == G.order:
-        return class_index(G, x)
-    return _class_sizes(S)[G.element_id(x)]
-
-
-@memo
-def _class_sizes(S: Subgroup) -> dict:
-    return _class_sizes_on_table(S)
-
-
-def _class_sizes_on_table(S: Subgroup) -> dict:
-    """``{id: class size in S}`` over the store ids of S, by orbit walks on the table."""
-    G = S.parent
+        for cls in G.conjugacy_partition():
+            size.update(dict.fromkeys(cls, len(cls)))
+        return size
     mul, inv = G.cayley(), G.inverse_ids()
     gens = [(mul.row(inv[s]), mul.col(s)) for s in S.generating_ids()]
-    size = {}
     for x in S.ids_in_store():
         if x in size:
             continue

@@ -22,7 +22,7 @@ from baerlab.errors import (
     CapExceeded,
     InternalInvariantViolation,
 )
-from baerlab.group import Group, Subgroup, centraliser
+from baerlab.group import Group, Subgroup, centraliser, memo
 from baerlab.perm import Permutation, parse_cycles
 from baerlab.reporting import FAIL, NOT_APPLICABLE, PASS, SKIPPED, TheoremReport
 from baerlab.structure import (
@@ -351,19 +351,28 @@ def subgroup_key(S):
     return ("factors", tuple(subgroup_key(s) for s in S.factors))
 
 
+def counted_kinds(monkeypatch, record):
+    """Replace ``baer._kinds`` by a memoised copy that calls ``record(S, p,
+    inner)`` once per build, not per memo hit."""
+    kinds = baer._kinds.__wrapped__
+
+    def built(S, p, inner):
+        record(S, p, inner)
+        return kinds(S, p, inner)
+
+    monkeypatch.setattr(baer, "_kinds", memo(built))
+
+
 def test_side_facts_are_built_once_per_subgroup(monkeypatch):
     # Work-count guard: every check on every factorisation of dihedral(12)
-    # builds the index rows of each subgroup it profiles once, and closes
-    # each product S N once, however many factorisations share S and N.
+    # builds the kinds of each subgroup it profiles once per prime and
+    # class-size flag, and closes each product S N once, however many
+    # factorisations share S and N.
     G = dihedral(12)
     subs = enumerate_subgroups(G)
     profiled, products, closures = [], [], []
-    index_rows, product_with_normal = baer._index_rows, baer._product_with_normal
+    product_with_normal = baer._product_with_normal
     closure = Group.closure_from_gen_ids
-
-    def rows(H, sub, keep):
-        profiled.append((H, sub))
-        return index_rows(H, sub, keep)
 
     def product(H, S, N):
         products.append((H, S, subgroup_key(N)))
@@ -378,14 +387,15 @@ def test_side_facts_are_built_once_per_subgroup(monkeypatch):
             closures[-1] += 1
         return closure(self, gen_ids, prefix)
 
-    monkeypatch.setattr(baer, "_index_rows", rows)
+    counted_kinds(monkeypatch, lambda S, p, inner: profiled.append((S, p, inner)))
     monkeypatch.setattr(baer, "_product_with_normal", product)
     monkeypatch.setattr(Group, "closure_from_gen_ids", close)
     pairs = factorisation_pairs(G)
     for i, j in pairs:
         factorisation_rows(Factorisation(G, subs[i], subs[j]))
     group_rows(G)
-    assert len(profiled) == len(set(profiled)) < 2 * len(pairs)
+    assert len(profiled) == len(set(profiled))
+    assert len({S for S, _p, _inner in profiled}) < 2 * len(pairs)
     distinct = {call[:3] for call in products}
     assert sum(call[3] for call in products) == len(distinct) < len(products)
 
@@ -424,30 +434,30 @@ PRODUCT_CASES = (
 
 
 def test_block_index_rows_are_built_once_per_block_subgroup(monkeypatch):
-    # Work-count guard: the index rows of a block subgroup are memoised on
-    # it, so every check on the direct-products corpus builds the rows of
-    # each of its 53 distinct block subgroups once.  A product-form subgroup
-    # is profiled by folding its blocks' kinds, so no rows are built for a
-    # subgroup of a corpus group, and none for a product-form subgroup.
+    # Work-count guard: the kinds of a block subgroup are memoised on it, so
+    # every check on the direct-products corpus builds the kinds of each of
+    # its 53 distinct block subgroups once per prime and class-size flag.  A
+    # product-form subgroup is the fold of its blocks' kinds, so no subgroup
+    # of a corpus group is read id by id.
     cases = [block_halves_factorisation(left, right) for left, right in PRODUCT_CASES]
     groups = {F.group for F in cases}
     blocks = {f for G in groups for f in G.direct_factors}
     calls, group_calls = [], []
-    index_rows = baer._index_rows
 
-    def rows(H, sub, keep):
-        assert sub.factors is None
-        if H in blocks:
-            calls.append((H, subgroup_key(sub)))
-        elif H in groups:
-            group_calls.append((H, subgroup_key(sub)))
-        return index_rows(H, sub, keep)
+    def record(S, p, inner):
+        if S.factors is not None:
+            return
+        if S.parent in blocks:
+            calls.append((S.parent, subgroup_key(S), p, inner))
+        elif S.parent in groups:
+            group_calls.append((S.parent, subgroup_key(S)))
 
-    monkeypatch.setattr(baer, "_index_rows", rows)
+    counted_kinds(monkeypatch, record)
     for F in cases:
         factorisation_rows(F)
         assert not F.group.is_materialized
-    assert len(calls) == len(set(calls)) == 53
+    assert len(calls) == len(set(calls))
+    assert len({call[:2] for call in calls}) == 53
     assert group_calls == []
 
 
@@ -511,6 +521,7 @@ def group_output_lines(G) -> list:
 @pytest.mark.parametrize("spec, digest", [
     ("dihedral(12)", "63b360ca440d9f4688b9deaa02ace3d36512b498aa43cc8ab097bea3f52f27ee"),
     ("symmetric(4)", "6f3891c74fb067da9ee217ebf95ec5003938d1b21939762a93e4387d16d7dbc1"),
+    ("frobenius(7,3)", "dac380ede25eaa21b2ae7612135347a8977ac346fec90457edefd31d223a9f80"),
 ])
 def test_every_output_on_every_factorisation_is_pinned(spec, digest):
     # Golden output: the sha256 of every report, witness and status over
@@ -535,6 +546,19 @@ def test_every_output_on_lazy_products_is_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "afab19144ff1c285045c92258a1a419f8b4d6d6d6589592f7731f3d2752fd1e1"
     )
+
+
+def test_kinds_memoised_before_a_product_is_materialised_still_fold():
+    # The kinds of a product-form factor are folded from its blocks whether
+    # or not G's store is built, so those memoised while G is lazy and those
+    # built after it is materialised have positions of one form, and every
+    # output matches a copy that stays lazy.
+    F = block_halves_factorisation([symmetric(3)], [dihedral(10)])
+    lazy = block_halves_factorisation([symmetric(3)], [dihedral(10)])
+    assert baer.is_p_baer(F, 2).is_p_baer
+    F.group.materialize()
+    assert output_lines(F) == output_lines(lazy)
+    assert not lazy.group.is_materialized
 
 
 # -- the memo contract --------------------------------------------------------------

@@ -25,7 +25,9 @@ from baerlab.group import (
     class_index,
     closure,
 )
-from baerlab.numth import classify_prime_power, is_p_number, is_pi_number, p_part, prime_divisors
+from baerlab.numth import (
+    classify_prime_power, is_p_number, is_pi_number, p_part, pi_part, prime_divisors
+)
 from baerlab.perm import Permutation, parse_cycles
 from baerlab.structure import (
     Factorisation,
@@ -33,7 +35,7 @@ from baerlab.structure import (
     derived_subgroup,
     enumerate_subgroups,
     exponent,
-    factor_class_index,
+    factor_class_sizes,
     factor_sylow,
     factor_sylows,
     find_prefactorised_sylow,
@@ -521,14 +523,17 @@ def test_lazy_product_profiles_normality_and_sylow_conjugates_match_materialised
 ):
     # The lazy copy folds index profiles and Theorem D from its blocks' kinds
     # and reads normality and Sylow conjugates from its blocks; the
-    # materialised copy reads them from its own store and table, member by
-    # member.  Blockwise the conjugates come in product order, so they are
-    # compared as sets.
+    # materialised copy reads them from its own store and table, store id by
+    # store id, on id-backed copies of the same subgroups (a product-form
+    # subgroup folds whether or not G is materialised).  Blockwise the
+    # conjugates come in product order, so they are compared as sets.
     lazy = parse_group_spec(spec)
     whole = parse_group_spec(spec)
     whole.materialize()
 
-    lazy_subs, whole_subs = product_form_subgroups(lazy), product_form_subgroups(whole)
+    lazy_subs = product_form_subgroups(lazy)
+    whole_subs = [Subgroup.from_members(whole, S.members()) for S in product_form_subgroups(whole)]
+    assert all(S.factors is None for S in whole_subs)
     facts = side_facts(lazy, lazy_subs)
     assert facts == side_facts(whole, whole_subs)
     assert {side[1] is None for _profiles, side in facts} == {True, False}
@@ -551,7 +556,8 @@ def test_nested_lazy_product_profiles_match_flat_materialised_product():
     # product(product(S3, C4), D10) acts on the same 12 points as the flat
     # product(S3, C4, D10).  A product-form subgroup of the nested product
     # whose first block is product-form too folds kinds whose members are
-    # tuples of tuples; joined, they are the flat product's members.
+    # tuples of tuples; joined, they are the flat product's members, read by
+    # store id on id-backed copies of its product-form subgroups.
     nested = parse_group_spec("product(product(symmetric(3),cyclic(4)),dihedral(10))")
     flat = parse_group_spec("product(symmetric(3),cyclic(4),dihedral(10))")
     flat.materialize()
@@ -561,7 +567,9 @@ def test_nested_lazy_product_profiles_match_flat_materialised_product():
         Subgroup.from_factors(nested, [Subgroup.from_factors(inner, [a, b]), c])
         for a, b, c in itertools.product(*per_block)
     ]
-    assert side_facts(nested, nested_subs) == side_facts(flat, product_form_subgroups(flat))
+    flat_subs = [Subgroup.from_members(flat, S.members()) for S in product_form_subgroups(flat)]
+    assert all(S.factors is None for S in flat_subs)
+    assert side_facts(nested, nested_subs) == side_facts(flat, flat_subs)
     assert not nested.is_materialized and not inner.is_materialized
 
 
@@ -665,9 +673,22 @@ def status_rows(status):
     return [(w.locus, w.element, w.index) for w in status.witnesses]
 
 
+def brute_kinds(S, p, inner):
+    """``{(index in G, class size in S or 1, is the identity): (first member,
+    count)}`` over the p-elements of S in member order."""
+    kinds = {}
+    for x in S.members():
+        if is_p_number(x.order(), p):
+            key = (brute_class_size(S.parent, x), brute_class_size_in(S, x) if inner else 1,
+                   x.is_identity())
+            first, n = kinds.get(key, (x, 0))
+            kinds[key] = (first, n + 1)
+    return kinds
+
+
 @pytest.mark.parametrize("G", table_groups(), ids=repr)
 def test_index_profiles_from_store_ids_match_brute_force(G):
-    from baerlab.baer import _pp_rows, is_baer, is_p_baer
+    from baerlab.baer import _kinds, _member, _side_profile, is_baer, is_p_baer
 
     for F in some_factorisations(G):
         rows = [
@@ -677,9 +698,22 @@ def test_index_profiles_from_store_ids_match_brute_force(G):
             if x.order() > 1 and classify_prime_power(x.order()).is_prime_power
         ]
         for locus, sub in F.factors():
-            assert [(locus, x, idx) for x, _o, idx in _pp_rows(sub)] == [
-                row for row in rows if row[0] == locus
-            ]
+            side = [(x, idx) for row_locus, x, idx in rows if row_locus == locus]
+            for p in [None, *pi_of(G)]:
+                first = {}
+                for x, idx in side:
+                    if p is None or is_p_number(x.order(), p):
+                        first.setdefault(idx, x)
+                assert list(_side_profile(sub, p).items()) == list(first.items())
+                if p is None:
+                    continue
+                for inner in (False, True):
+                    kinds = _kinds(sub, p, inner)
+                    assert {key: (_member(x), n) for key, (_pos, x, n) in kinds.items()} == (
+                        brute_kinds(sub, p, inner)
+                    )
+                    by_position = [_member(x) for _pos, x, _n in sorted(kinds.values())]
+                    assert by_position == sorted(by_position)
         per_prime, failing = {}, []
         for p in pi_of(G):
             union = brute_status([row for row in rows if is_p_number(row[1].order(), p)])
@@ -739,12 +773,20 @@ def test_factor_sylows_and_class_sizes_on_the_table_match_brute_force(G):
             assert len({R.ids for R in found}) == len(found)
             assert {R.ids for R in found} == brute_factor_sylows(G, S, p)
             assert factor_sylow(S, p) is found[0]
-        for x in S.members():
-            assert factor_class_index(S, x) == brute_class_size_in(S, x)
+        assert factor_class_sizes(S) == {
+            G.element_id(x): brute_class_size_in(S, x) for x in S.members()
+        }
 
 
 def test_factor_sylows_and_class_sizes_of_a_lazy_product_match_materialised_product():
-    # Block by block on the lazy copy, in G's id space on the materialised one.
+    # Block by block on the lazy copy, in G's id space on the materialised one:
+    # the class sizes in S of a product-form S are the fold of its blocks'
+    # (baer._kinds), those of T are read by store id.
+    from baerlab.baer import _kinds, _member
+
+    def kinds(S, p):
+        return {key: (_member(x), n) for key, (_pos, x, n) in _kinds(S, p, True).items()}
+
     lazy, whole = sym3_x_d10(), sym3_x_d10()
     whole.materialize()
     left, right = (enumerate_subgroups(f) for f in lazy.direct_factors)
@@ -757,8 +799,7 @@ def test_factor_sylows_and_class_sizes_of_a_lazy_product_match_materialised_prod
                 assert len(set(found)) == len(found)
                 assert set(found) == {frozenset(R.members()) for R in factor_sylows(T, p)}
                 assert frozenset(factor_sylow(S, p).members()) == found[0]
-            for x in S.members():
-                assert factor_class_index(S, x) == factor_class_index(T, x)
+                assert kinds(S, p) == kinds(T, p)
     assert not lazy.is_materialized
 
 
@@ -775,8 +816,7 @@ def test_factor_sylows_and_class_sizes_past_the_gate_match_brute_force():
         assert frozenset(first) == found[0] and len(first) == p_part(24, p)
         assert set(found) == {frozenset(x.conjugate(s) for x in first) for s in S.members()}
         assert len(found) == count
-    for x in S.members():
-        assert factor_class_index(S, x) == brute_class_size_in(S, x)
+    assert factor_class_sizes(S) == {G.element_id(x): brute_class_size_in(S, x) for x in S.members()}
 
 
 def fitting_groups():
@@ -807,27 +847,31 @@ def test_normal_pi_cores_are_nilpotent_iff_inside_fitting(G):
             assert Os.subset_of(fitting(G)) == is_nilpotent(as_group(Os))
 
 
-def test_factor_class_index_of_a_full_order_subgroup_reads_the_partition(monkeypatch):
+def test_factor_class_sizes_of_a_full_order_subgroup_read_the_partition(monkeypatch):
     # Work-count guard: a subgroup of full order is G, so its class sizes are
-    # read from G's conjugacy partition and no class is walked again.
-    walks = []
-    walk = structure._class_sizes_on_table
-
-    def counted(S):
-        walks.append(S)
-        return walk(S)
-
-    monkeypatch.setattr(structure, "_class_sizes_on_table", counted)
+    # read from G's conjugacy partition and no orbit is walked on the table;
+    # the walk of a proper subgroup reads G's inverse ids.
     G = semilinear(2, 3)
-    S = Subgroup.full(G)
-    for x in G.elements:
-        assert factor_class_index(S, x) == brute_class_size(G, x)
-    assert walks == []
+    G.conjugacy_partition()
     P = sylow(G, 2)
-    assert [factor_class_index(P, x) for x in P.members()] == [
-        brute_class_size_in(P, x) for x in P.members()
-    ]
-    assert walks == [P]
+    P.generating_ids()
+    walks = []
+    inverse_ids = Group.inverse_ids
+
+    def counted(self):
+        walks.append(self)
+        return inverse_ids(self)
+
+    monkeypatch.setattr(Group, "inverse_ids", counted)
+    S = Subgroup.full(G)
+    assert factor_class_sizes(S) == {
+        G.element_id(x): brute_class_size(G, x) for x in G.elements
+    }
+    assert walks == []
+    assert factor_class_sizes(P) == {
+        G.element_id(x): brute_class_size_in(P, x) for x in P.members()
+    }
+    assert walks == [G]
 
 
 # -- conjugation orbits against the all-elements loop -----------------------------------
@@ -1131,6 +1175,20 @@ def test_o_pi_matches_the_lattice_for_every_prime_set(spec):
     for k in range(len(primes) + 1):
         for pi in itertools.combinations(primes, k):
             assert members_set(o_pi(G, pi)) == members_set(lattice_o_pi(G, set(pi))), pi
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS)
+def test_a_normal_hall_subgroup_of_two_primes_is_their_core(spec):
+    # What clause b of the pq-Baer check reads instead of a Hall search: a
+    # normal Hall {p,q}-subgroup contains every {p,q}-subgroup, so one exists
+    # iff |O_{p,q}(G)| is the {p,q}-part of |G|, and then it is O_{p,q}(G).
+    # symmetric(5) has no Hall {2,5}- or {3,5}-subgroup, so hall gives None.
+    G = parse_group_spec(spec)
+    for p, q in itertools.combinations(sorted(pi_of(G)), 2):
+        H, core = hall(G, {p, q}), o_pi(G, {p, q})
+        normal = H is not None and is_normal(G, H)
+        assert normal == (core.order == pi_part(G.order, {p, q}))
+        assert not normal or H is core
 
 
 @pytest.mark.parametrize("spec", SWEEP_SPECS)
