@@ -2,9 +2,10 @@
 prime-power-index factorisation predicates.
 
 The package computes the structural objects of finite group theory (Sylow and
-Hall subgroups, cores, Fitting series, centralisers, quotients) and machine
-checks factorisation predicates and their structural consequences on worked
-examples and on swept corpora of small factorised groups.
+Hall subgroups, cores, Fitting series, centralisers; a fact about a factor
+group G/M is read as a relative core in G, with no group built for G/M) and
+machine checks factorisation predicates and their structural consequences on
+worked examples and on swept corpora of small factorised groups.
 """
 
 from .errors import CapExceeded, InternalInvariantViolation

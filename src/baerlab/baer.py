@@ -22,6 +22,9 @@ sizes, for Theorems A, D and F and Corollary C) are read in the parent's id
 space by :func:`~baerlab.structure.factor_sylows` and
 :func:`~baerlab.structure.factor_class_sizes`, not through a Group built per
 factor.
+Likewise a fact about a factor group G/M is read as a relative core in G
+(``over=M`` in :mod:`~baerlab.structure`), and a ``quotient_order`` witness is
+``|G| / |M|``.
 
 The p-elements of a factor are read by kind (:func:`_kinds`): by their index
 in G and, for Theorem D, their class size in the factor.  A factor with store
@@ -70,7 +73,6 @@ from .structure import (
     o_p_prime,
     o_pi,
     pi_of,
-    quotient_group,
     sylow,
     upper_p_series,
 )
@@ -405,12 +407,13 @@ def check_theorem_f_equivalence(F: Factorisation) -> TheoremReport:
 def report_theorem_a(F: Factorisation, p: int) -> TheoremReport:
     """Structure forced by a p-Baer factorisation.
 
-    Clauses: (1) the quotient by ``C_G(O_p(G))`` is p-decomposable; (2) both
-    ``P F(G)`` and ``P O_{p'}(G)`` are normal and G is p-soluble of p-length
-    at most 1; (3) the Sylow p-subgroup of ``G/F(G)`` is abelian; (4) P is
-    abelian iff ``O_p(G)`` is; (5) a Sylow intersection not centralising
-    ``O_p(G)`` centralises every Hall p'-subgroup; (6) if both factors have
-    non-abelian Sylow p-subgroups, G is p-decomposable.
+    Clauses: (1) ``G/C_G(O_p(G))`` is p-decomposable; (2) both ``P F(G)`` and
+    ``P O_{p'}(G)`` are normal and G is p-soluble of p-length at most 1; (3)
+    the Sylow p-subgroup ``P F(G)/F(G)`` of ``G/F(G)``, isomorphic to
+    ``P/O_p(G)`` as ``P n F(G) = O_p(G)``, is abelian; (4) P is abelian iff
+    ``O_p(G)`` is; (5) a Sylow intersection not centralising ``O_p(G)``
+    centralises every Hall p'-subgroup; (6) if both factors have non-abelian
+    Sylow p-subgroups, G is p-decomposable.  Clauses 1 and 3 are read in G.
     """
     if not is_p_baer(F, p).is_p_baer:
         return TheoremReport.not_applicable("A", p, "not a p-Baer factorisation")
@@ -420,11 +423,10 @@ def report_theorem_a(F: Factorisation, p: int) -> TheoremReport:
     Op = o_p(G, p)
     C = centraliser(G, Op)
 
-    quotient = quotient_group(G, C)
     report.add(
         "1:central-quotient-p-decomposable",
-        PASS if is_p_decomposable(quotient.group, p) else FAIL,
-        {"quotient_order": quotient.group.order},
+        PASS if is_p_decomposable(G, p, over=C) else FAIL,
+        {"quotient_order": G.order // C.order},
     )
 
     Fit = fitting(G)
@@ -448,11 +450,10 @@ def report_theorem_a(F: Factorisation, p: int) -> TheoremReport:
         },
     )
 
-    qf = quotient_group(G, Fit)
     report.add(
         "3:sylow-of-fitting-quotient-abelian",
-        PASS if is_abelian(sylow(qf.group, p)) else FAIL,
-        {"quotient_order": qf.group.order},
+        PASS if is_abelian(P, over=Op) else FAIL,
+        {"quotient_order": G.order // Fit.order},
     )
 
     report.add(
@@ -583,16 +584,17 @@ def report_theorem_b(F: Factorisation, p: int) -> TheoremReport:
 
 @_skipped_on_cap("C")
 def report_corollary_c(F: Factorisation) -> TheoremReport:
-    """Global structure of a Baer factorisation: abelian Fitting quotient,
-    the A-group criterion, and the sigma-decomposition along the primes whose
-    factor Sylow subgroups are both non-abelian."""
+    """Global structure of a Baer factorisation: abelian Fitting quotient
+    (read in G: G's generator commutators lie in F(G)), the A-group criterion,
+    and the sigma-decomposition along the primes whose factor Sylow subgroups
+    are both non-abelian."""
     if not is_baer(F).is_baer:
         return TheoremReport.not_applicable("C", None, "not a Baer factorisation")
     G = F.group
     report = TheoremReport("C")
-    qf = quotient_group(G, fitting(G))
-    report.add("1:fitting-quotient-abelian", PASS if is_abelian(qf.group) else FAIL,
-               {"quotient_order": qf.group.order})
+    Fit = fitting(G)
+    report.add("1:fitting-quotient-abelian", PASS if is_abelian(G, over=Fit) else FAIL,
+               {"quotient_order": G.order // Fit.order})
 
     all_sylow_abelian = all(is_abelian(sylow(G, p)) for p in pi_of(G))
     report.add(
@@ -664,7 +666,7 @@ def report_theorem_e(F: Factorisation, p: int) -> TheoremReport:
     """Centraliser index of a Sylow subgroup in a Baer factorisation: at most
     two primes divide ``|G : C_G(P)|`` (avoiding p when P is abelian), and the
     quotient by ``C_G(O_p(G))`` is p-decomposable with an abelian p-complement
-    touched by at most two primes."""
+    touched by at most two primes, read in G (:func:`_central_quotient`)."""
     if not is_baer(F).is_baer:
         return TheoremReport.not_applicable("E", p, "not a Baer factorisation")
     G = F.group
@@ -683,17 +685,21 @@ def report_theorem_e(F: Factorisation, p: int) -> TheoremReport:
                    {"index": idx, "primes": sorted(primes)})
         report.add("2:abelian-sylow-index", NOT_APPLICABLE, "Sylow p-subgroup is not abelian")
 
-    C = centraliser(G, o_p(G, p))
-    quotient = quotient_group(G, C)
-    comp = o_p_prime(quotient.group, p)
-    ok3 = (
-        is_p_decomposable(quotient.group, p)
-        and is_abelian(comp)
-        and len(prime_divisors(comp.order)) <= 2
-    )
+    ok, quotient_order, complement_order = _central_quotient(G, p)
+    ok3 = ok and len(prime_divisors(complement_order)) <= 2
     report.add("3:central-quotient-shape", PASS if ok3 else FAIL,
-               {"quotient_order": quotient.group.order, "complement_order": comp.order})
+               {"quotient_order": quotient_order, "complement_order": complement_order})
     return report
+
+
+def _central_quotient(G: Group, p: int) -> tuple:
+    """``(shape, |G : C|, |N : C|)`` for ``C = C_G(O_p(G))`` and N the relative
+    p'-core over C: shape is whether G/C is p-decomposable with the abelian
+    p-complement N/C, read in G as relative cores."""
+    C = centraliser(G, o_p(G, p))
+    N = o_pi(G, set(pi_of(G)) - {p}, over=C)
+    shape = is_p_decomposable(G, p, over=C) and is_abelian(N, over=C)
+    return shape, G.order // C.order, N.order // C.order
 
 
 # -- coprime direct decompositions ------------------------------------------------------
@@ -919,7 +925,8 @@ def check_p_index_decomposition(F: Factorisation, p: int, scope: str = "p-elemen
     p-decomposable.  Scope "all prime power": every prime-power-order element
     of A u B has p-number index iff ``G = O_p x O_{p'}`` with ``O_{p'}``
     abelian; on Baer factorisations additionally the quotient by
-    ``C_G(O_p(G))`` is p-decomposable with abelian p-complement.
+    ``C_G(O_p(G))`` is p-decomposable with abelian p-complement, read in G
+    (:func:`_central_quotient`).
     """
     G = F.group
     report = TheoremReport("p-index-decomposition", p)
@@ -934,10 +941,9 @@ def check_p_index_decomposition(F: Factorisation, p: int, scope: str = "p-elemen
         report.add("biconditional-prime-power", PASS if lhs == rhs else FAIL,
                    {"all_indices_p_numbers": lhs, "decomposed_with_abelian_complement": rhs})
         if is_baer(F).is_baer:
-            quotient = quotient_group(G, centraliser(G, o_p(G, p)))
-            ok = is_p_decomposable(quotient.group, p) and is_abelian(o_p_prime(quotient.group, p))
+            ok, quotient_order, _ = _central_quotient(G, p)
             report.add("baer-central-quotient", PASS if ok else FAIL,
-                       {"quotient_order": quotient.group.order})
+                       {"quotient_order": quotient_order})
         else:
             report.add("baer-central-quotient", NOT_APPLICABLE, "not a Baer factorisation")
     else:

@@ -40,9 +40,6 @@ class TheoremReport:
     def passed(self) -> bool:
         return self.overall == PASS
 
-    def has_skips(self) -> bool:
-        return any(c.verdict == SKIPPED for c in self.clauses)
-
     @classmethod
     def not_applicable(cls, theorem: str, prime: int | None, reason: str) -> "TheoremReport":
         rep = cls(theorem, prime)

@@ -1,4 +1,4 @@
-"""Characteristic subgroups, Sylow/Hall machinery, quotients and series.
+"""Characteristic subgroups, Sylow/Hall machinery, relative cores and series.
 
 Every operation here is a pure function of immutable groups.  Results are
 memoised write-once by :func:`~baerlab.group.memo` on the object they are
@@ -15,13 +15,20 @@ so it is ids into G's store or one factor per block of ``G.direct_factors``
 (see :class:`Subgroup`), and each operation has two routes.  While G is an
 unmaterialised direct product (:attr:`Group.blocks`), the operations that
 distribute over products (centre, derived subgroup, Sylow and Hall subgroups
-and their conjugates, cores, Fitting terms, exponent, normality, quotients
-and preimages, prefactorised Sylow subgroups) recurse into the factors
-through :func:`_blockwise`.  Every other call, a materialised product
+and their conjugates, cores and relative cores, Fitting terms, exponent,
+normality, prefactorised Sylow subgroups) recurse into the factors through
+:func:`_blockwise`.  Every other call, a materialised product
 included, works on G's store ids and its Cayley table, but for ``baer``'s
 p-power index profile: a product-form subgroup folds its blocks' index kinds
 and class sizes even once G is materialised, and only an id-backed one reads
 :func:`factor_class_sizes`.
+
+A fact about a factor group G/M, M normal, is a relative core in G's own id
+space, as in Huppert's upper pi-series (*Endliche Gruppen I*, VI):
+``o_pi(G, pi, over=M)`` is the N with ``N/M = O_pi(G/M)``, and
+:func:`is_p_decomposable` and :func:`is_abelian` take the same ``over``.  No
+Group is built per factor group; :func:`quotient_group` is only the tests'
+reference.
 """
 
 from __future__ import annotations
@@ -31,8 +38,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import CapExceeded, InternalInvariantViolation
-from .constructions import direct_product
-from .group import Group, Subgroup, centraliser, join_blocks, memo
+from .group import Group, Subgroup, centraliser, memo
 from .numth import (
     classify_prime_power,
     is_p_number,
@@ -54,37 +60,48 @@ def _blockwise(G: Group, op, *subs):
 
     The one dispatch for direct products: the blocks are used when G is an
     unmaterialised product (``G.blocks``) and every subgroup in ``subs`` is
-    product-form over those same blocks.
+    product-form over those same blocks.  A None in ``subs`` stands for no
+    subgroup and is passed as None to every block.
     """
     blocks = G.blocks
-    if blocks is None or any(S.factor_parents() != blocks for S in subs):
+    if blocks is None or any(S is not None and S.factor_parents() != blocks for S in subs):
         return None
-    return [op(*args) for args in zip(blocks, *(S.factors for S in subs))]
+    columns = (itertools.repeat(None) if S is None else S.factors for S in subs)
+    return [op(*args) for args in zip(blocks, *columns)]
 
 
 # -- commutativity and elementary structure -----------------------------------
 
 
 @memo
-def is_abelian(obj) -> bool:
-    """Works on groups and subgroups; generator pairs decide it.
+def is_abelian(obj, over: Subgroup | None = None) -> bool:
+    """Whether a group or subgroup is abelian, or with ``over=M``, a normal
+    subgroup of it, whether obj/M is: generator pairs commute, or with M
+    their commutators lie in M.
 
-    For a subgroup of a materialised parent the pairs are compared on the
-    table (``col(b)[a] == col(a)[b]`` over the subgroup's generating ids);
-    otherwise generator permutations are composed.  The answer is memoised
-    on the group or subgroup.
+    An unmaterialised product answers block by block when obj and M are
+    product-form.  Otherwise, for a subgroup of a materialised parent and no
+    M the pairs are compared on the table (``col(b)[a] == col(a)[b]`` over
+    the generating ids), and in every other case generator permutations are
+    composed.  Memoised on the group or subgroup per M.
     """
-    if isinstance(obj, Subgroup):
-        if obj.parent.is_materialized:
-            mul = obj.parent.cayley()
-            gens = obj.generating_ids()
-            return all(mul.col(b)[a] == mul.col(a)[b] for a in gens for b in gens)
-        gens = obj.generating_set()
-    elif (parts := _blockwise(obj, is_abelian)) is not None:
-        return all(parts)
+    if over is not None and over.order == obj.order:
+        return True  # obj/M is trivial, and no generating set is needed
+    subgroup = isinstance(obj, Subgroup)
+    if subgroup:
+        parts = _blockwise(obj.parent, lambda _f, s, m: is_abelian(s, m), obj, over)
     else:
-        gens = obj.generators
-    return all(a * b == b * a for a in gens for b in gens)
+        parts = _blockwise(obj, is_abelian, over)
+    if parts is not None:
+        return all(parts)
+    if subgroup and over is None and obj.parent.is_materialized:
+        mul = obj.parent.cayley()
+        gens = obj.generating_ids()
+        return all(mul.col(b)[a] == mul.col(a)[b] for a in gens for b in gens)
+    gens = obj.generating_set() if subgroup else obj.generators
+    if over is None:
+        return all(a * b == b * a for a in gens for b in gens)
+    return all(a.inverse() * b.inverse() * a * b in over for a in gens for b in gens)
 
 
 @memo
@@ -286,39 +303,47 @@ def o_p(G: Group, p: int) -> Subgroup:
     return Subgroup.from_ids(G, ids)
 
 
-def o_pi(G: Group, pi) -> Subgroup:
-    """Largest normal pi-subgroup, for any prime set ``pi`` (so O_{p'} too).
+def o_pi(G: Group, pi, over: Subgroup | None = None) -> Subgroup:
+    """Largest normal pi-subgroup, for any prime set ``pi`` (so O_{p'} too);
+    with ``over=M``, a normal subgroup of G, the relative core: the normal N
+    with ``N/M = O_pi(G/M)``, read in G's own id space.
 
-    One normal pi-subgroup K grows from 1: a class outside K lies in O_pi
-    iff its representative x has pi-order and the normal closure ``K <x^G>``
-    of K's generating ids and x is a pi-group (:func:`_normal_closure_ids`).
-    Memoised per group and set of the primes in pi dividing |G|."""
-    return _o_pi(G, frozenset(p for p in pi if G.order % p == 0))
+    One normal K with K/M a pi-group grows from M: a class of pi-elements
+    outside K lies in N iff the normal closure of K's generating ids and its
+    representative is a pi-group modulo M (:func:`_normal_closure_ids`).
+    That reaches all of N, which M and its pi-elements generate: the
+    pi'-part of an x in N lies in M.  Memoised on G per M (a trivial M is
+    none) and the primes in pi dividing |G : M|."""
+    over = None if over is None or over.is_trivial() else over
+    index = G.order if over is None else G.order // over.order
+    return _o_pi(G, frozenset(p for p in pi if index % p == 0), over)
 
 
 @memo
-def _o_pi(G: Group, pi: frozenset) -> Subgroup:
+def _o_pi(G: Group, pi: frozenset, over) -> Subgroup:
+    M = Subgroup.trivial(G) if over is None else over
     if not pi:
-        return Subgroup.trivial(G)
-    if pi == frozenset(pi_of(G)):
+        return M
+    if pi == frozenset(prime_divisors(G.order // M.order)):
         return Subgroup.full(G)
-    if len(pi) == 1:
+    if over is None and len(pi) == 1:
         return o_p(G, next(iter(pi)))
-    if (parts := _blockwise(G, lambda f: o_pi(f, pi))) is not None:
+    if (parts := _blockwise(G, lambda f, m: o_pi(f, pi, m), over)) is not None:
         return Subgroup.from_factors(G, parts)
     G.materialize()
     orders = G.element_orders()
-    K, gens = frozenset([0]), []
+    base = M.ids_in_store()
+    K, gens = base, list(M.generating_ids())
     for cls in G.conjugacy_partition():
         rep = cls[0]
         if rep in K or not is_pi_number(orders[rep], pi):
             continue
-        closed, closed_gens = _normal_closure_ids(G, gens + [rep], pi)
-        if is_pi_number(len(closed), pi):
+        closed, closed_gens = _normal_closure_ids(G, gens + [rep], pi, M.order)
+        if is_pi_number(len(closed) // M.order, pi):
             K, gens = closed, closed_gens
     core = Subgroup.from_ids(G, K)
-    if not is_pi_number(core.order, pi):
-        raise InternalInvariantViolation("pi-core is not a pi-group")
+    if not base <= K or not is_pi_number(core.order // M.order, pi):
+        raise InternalInvariantViolation("pi-core is not a pi-group over M")
     if not is_normal(G, core):
         raise InternalInvariantViolation("pi-core is not normal")
     return core
@@ -352,117 +377,61 @@ def fitting(G: Group) -> Subgroup:
 
 @memo
 def fitting2(G: Group) -> Subgroup:
-    """Second Fitting term: preimage of F(G / F(G))."""
+    """Second Fitting term, the N with ``N/F(G) = F(G/F(G))``: F(G/F(G)) is the
+    direct product of its p-cores, so N is the product of the relative cores
+    ``o_pi(G, {p}, over=F(G))``."""
     if (parts := _blockwise(G, fitting2)) is not None:
         return Subgroup.from_factors(G, parts)
     F = fitting(G)
     if F.order == G.order:
         return Subgroup.full(G)
-    Q = quotient_group(G, F)
-    return Q.preimage(fitting(Q.group))
+    cores = [o_pi(G, {p}, over=F) for p in prime_divisors(G.order // F.order)]
+    ids = G.closure_from_gen_ids([i for N in cores for i in N.generating_ids()])
+    if len(ids) * F.order ** (len(cores) - 1) != math.prod(N.order for N in cores):
+        raise InternalInvariantViolation("relative p-cores did not multiply to a direct product")
+    return Subgroup.from_ids(G, ids)
 
 
-# -- quotients -----------------------------------------------------------------
+# -- the reference quotient --------------------------------------------------------
 
 
+@dataclass
 class Quotient:
-    """The right-coset action of ``G`` on a normal subgroup ``N``.
+    """G/N as the right-coset action of G = ``source``: ``group`` is the
+    regular permutation group of degree |G : N| and ``project`` the quotient
+    map.  Store id x lies in coset ``coset_of[x]``, numbered by the cosets'
+    least ids ``reps``, so degrees and projections are reproducible."""
 
-    Cosets are labelled by their minimal element in store order, so degrees
-    and projections are reproducible.  ``project`` is the quotient map;
-    ``preimage`` pulls quotient subgroups back.
-
-    The quotient by the trivial subgroup is the identity quotient: its
-    ``group`` is ``source`` itself, with no coset action built, so
-    ``project`` and ``preimage`` are identities and work on ``G`` reuses
-    ``G``'s own caches.
-    """
-
-    def __init__(self, source: Group, kernel: Subgroup, group: Group, parts=None,
-                 coset_of=None, reps=None):
-        self.source = source
-        self.kernel = kernel
-        self.group = group
-        self._parts = parts
-        self._coset_of = coset_of
-        self._reps = reps
-
-    def is_identity(self) -> bool:
-        return self.group is self.source
+    source: Group
+    group: Group
+    coset_of: list
+    reps: list
 
     def project(self, g: Permutation) -> Permutation:
-        if self.is_identity():
-            return g
-        if self._parts is not None:
-            return join_blocks(q.project(part) for q, part in zip(self._parts, self.source.split(g)))
         col = self.source.cayley().col(self.source.element_id(g))
-        coset_of = self._coset_of
-        return Permutation._make(tuple(coset_of[col[r]] for r in self._reps))
-
-    def preimage(self, S: Subgroup) -> Subgroup:
-        if self.is_identity():
-            return S
-        if self._parts is not None:
-            block_quotient = {q.group: q for q in self._parts}
-            parts = _blockwise(self.group, lambda f, s: block_quotient[f].preimage(s), S)
-            if parts is None:
-                raise CapExceeded("preimage in an unenumerated product needs a product-form subgroup")
-            return Subgroup.from_factors(self.source, parts)
-        # The quotient acts regularly on the cosets, and the projection of
-        # coset c's representative is its one element taking coset 0 to c.
-        keep = {q(0) for q in S.members()}
-        ids = [e for e, c in enumerate(self._coset_of) if c in keep]
-        return Subgroup.from_ids(self.source, ids)
+        return Permutation._make(tuple(self.coset_of[col[r]] for r in self.reps))
 
 
 def quotient_group(G: Group, N: Subgroup) -> Quotient:
-    """Quotient of ``G`` by a normal subgroup, as a permutation action on cosets.
-
-    The trivial subgroup gives the identity quotient, whose group is ``G``;
-    any other quotient is memoised on G.
-    """
+    """G/N for a normal subgroup N, as the regular representation on the right
+    cosets of N in the materialised G, built anew per call.  No engine path
+    reads it: a fact about G/N is a relative core in G (see :func:`o_pi`),
+    and this is the reference the tests compare those against."""
     if N.parent is not G:
         raise ValueError("subgroup does not belong to this group")
-    if N.is_trivial():
-        return Quotient(G, N, G)
     if not is_normal(G, N):
         raise ValueError("quotient by a non-normal subgroup")
-    return _quotient(G, N)
-
-
-@memo
-def _quotient(G: Group, N: Subgroup) -> Quotient:
-    if (parts := _blockwise(G, quotient_group, N)) is not None:
-        return Quotient(G, N, direct_product([q.group for q in parts]), parts=parts)
-    # The coset N e is the orbit of e under left multiplication by N.
-    mul = G.cayley()
-    rows = [mul.row(n) for n in N.generating_ids()]
-    coset_of = [-1] * len(mul)
-    reps = []
+    mul, kernel = G.cayley(), N.ids_in_store()
+    coset_of, reps = [-1] * len(mul), []
     for e in range(len(mul)):
-        if coset_of[e] >= 0:
-            continue
-        label = len(reps)
-        reps.append(e)
-        coset_of[e] = label
-        orbit = [e]
-        for y in orbit:
-            for row in rows:
-                z = row[y]
-                if coset_of[z] < 0:
-                    coset_of[z] = label
-                    orbit.append(z)
-    gen_perms = []
-    for gid in G.generator_ids():
-        col = mul.col(gid)
-        gen_perms.append(Permutation._make(tuple(coset_of[col[r]] for r in reps)))
-    qgroup = Group(
-        len(reps),
-        gen_perms,
-        order_hint=len(mul) // N.order,
-        name=f"{G.name}/N{N.order}",
-    )
-    return Quotient(G, N, qgroup, coset_of=coset_of, reps=reps)
+        if coset_of[e] < 0:  # e is the least id of N e, whose ids are col(e)[n]
+            for x in map(mul.col(e).__getitem__, kernel):
+                coset_of[x] = len(reps)
+            reps.append(e)
+    cols = map(mul.col, G.generator_ids())
+    gens = [Permutation._make(tuple(coset_of[c[r]] for r in reps)) for c in cols]
+    group = Group(len(reps), gens, order_hint=len(mul) // N.order, name=f"{G.name}/N{N.order}")
+    return Quotient(G, group, coset_of, reps)
 
 
 # -- factorisations ---------------------------------------------------------------
@@ -630,14 +599,22 @@ def hall_conjugates(G: Group, H: Subgroup) -> list:
 
 
 @memo
-def is_p_decomposable(G: Group, p: int) -> bool:
-    """Whether ``G = O_p(G) x O_{p'}(G)``; memoised on G."""
-    return o_p(G, p).order * o_p_prime(G, p).order == G.order
+def is_p_decomposable(G: Group, p: int, over: Subgroup | None = None) -> bool:
+    """Whether ``G = O_p(G) x O_{p'}(G)``, or with ``over=M``, a normal subgroup,
+    whether G/M is p-decomposable: the relative cores N_p and N_p' of
+    :func:`o_pi` meet in M, so it is ``|N_p| |N_p'| = |G| |M|``.  An
+    unmaterialised product is p-decomposable modulo a product-form M iff every
+    block is.  Memoised on G per prime and M."""
+    if (parts := _blockwise(G, lambda f, m: is_p_decomposable(f, p, m), over)) is not None:
+        return all(parts)
+    m = 1 if over is None else over.order
+    return o_pi(G, {p}, over).order * o_pi(G, set(pi_of(G)) - {p}, over).order == G.order * m
 
 
 @dataclass
 class UpperPSeries:
-    """Alternating O_{p'} / O_p tower pulled back to the group."""
+    """The upper p-series ``1 <= O_{p'}(G) <= O_{p',p}(G) <= ...``, each term
+    the relative core (:func:`o_pi` with ``over``) of its step over the last."""
 
     prime: int
     terms: list = field(default_factory=list)
@@ -647,18 +624,16 @@ class UpperPSeries:
 
 @memo
 def upper_p_series(G: Group, p: int) -> UpperPSeries:
+    """Alternating O_{p'} and O_p steps, each read in G as a relative core over
+    the last term; two idle steps in a row end a series below G."""
     series = UpperPSeries(prime=p)
     current = Subgroup.trivial(G)
     series.terms.append(current)
+    others = set(pi_of(G)) - {p}
     mode_p = False  # start with the O_{p'} step
     idle = 0
     while current.order < G.order:
-        Q = quotient_group(G, current)
-        if mode_p:
-            S = o_p(Q.group, p)
-        else:
-            S = o_pi(Q.group, set(pi_of(Q.group)) - {p})
-        new = Q.preimage(S) if not S.is_trivial() else current
+        new = o_pi(G, {p} if mode_p else others, over=current)
         if new.order > current.order:
             series.terms.append(new)
             if mode_p:
@@ -677,15 +652,16 @@ def upper_p_series(G: Group, p: int) -> UpperPSeries:
 # -- normal closures and normality ------------------------------------------------------
 
 
-def _normal_closure_ids(G: Group, seed, pi=None) -> tuple:
+def _normal_closure_ids(G: Group, seed, pi=None, below: int = 1) -> tuple:
     """``(K, gens)``: the normal closure K of the ids ``seed`` and ids generating
     it.  Each generator's conjugates are tested once; one outside K extends it
-    by a Dimino step.  With ``pi``, a partial K returns once |K| is no pi-number."""
+    by a Dimino step.  With ``pi``, a partial K returns once ``|K| / below`` is
+    no pi-number, for ``below`` the order of a subgroup inside every K."""
     gens = list(seed)
     K = G.closure_from_gen_ids(gens)
     for s in gens:
         for cmap in G.conjugation_maps():
-            if pi is not None and not is_pi_number(len(K), pi):
+            if pi is not None and not is_pi_number(len(K) // below, pi):
                 return K, gens
             if cmap[s] not in K:
                 gens.append(cmap[s])

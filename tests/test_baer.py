@@ -37,6 +37,7 @@ from baerlab.structure import (
     pi_of,
     sylow,
     sylow_conjugates,
+    upper_p_series,
 )
 
 
@@ -461,17 +462,9 @@ def test_block_index_rows_are_built_once_per_block_subgroup(monkeypatch):
     assert group_calls == []
 
 
-def test_factor_facts_build_no_group_and_no_view(monkeypatch):
-    # Work-count guard: every check on the 199 factorisations the benchmark
-    # sweeps of semilinear(2,3) reads the factors' Sylow subgroups and class
-    # sizes in G's id space, so no subgroup becomes a Group of its own and the
-    # one Group built is a quotient.
-    G = semilinear(2, 3)
-    subs = enumerate_subgroups(G)
-    pairs = [(i, j) for i, j in factorisation_pairs(G)
-             if subs[i].order < G.order and subs[j].order < G.order]
-    factorisations = [Factorisation.trivial(G)] + [Factorisation(G, subs[i], subs[j]) for i, j in pairs]
-    assert len(factorisations) == 199
+@pytest.fixture
+def built_groups(monkeypatch):
+    """The names of the Groups built since the fixture was set up."""
     built = []
     init = Group.__init__
 
@@ -480,10 +473,39 @@ def test_factor_facts_build_no_group_and_no_view(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Group, "__init__", counted_init)
+    return built
+
+
+def test_factor_facts_build_no_group_and_no_view(built_groups):
+    # Work-count guard: every check on the 199 factorisations the benchmark
+    # sweeps of semilinear(2,3) reads the factors' Sylow subgroups and class
+    # sizes in G's id space, so no subgroup becomes a Group of its own, and
+    # reads every fact about a factor group G/M as a relative core in G, so no
+    # quotient becomes one either.
+    G = semilinear(2, 3)
+    subs = enumerate_subgroups(G)
+    pairs = [(i, j) for i, j in factorisation_pairs(G)
+             if subs[i].order < G.order and subs[j].order < G.order]
+    factorisations = [Factorisation.trivial(G)] + [Factorisation(G, subs[i], subs[j]) for i, j in pairs]
+    assert len(factorisations) == 199
+    built_groups.clear()
     for F in factorisations:
         factorisation_rows(F)
     group_rows(G)
-    assert len(built) == 1 and "/N" in built[0]
+    assert built_groups == []
+
+
+def test_trivial_battery_past_the_quotient_wall_builds_no_group(built_groups):
+    # Work-count guard: the upper 2-series of S7 x C2 (order 10,080, no direct
+    # product) steps over the centre C2 and then reads O_2'(G/C2) and
+    # O_2(G/C2) of a factor group of order 5,040, in G as relative cores.
+    G = parse_group_spec("subgroup(product(symmetric(7),cyclic(2)); g0, g1, g2)")
+    G.materialize()
+    built_groups.clear()
+    factorisation_rows(Factorisation.trivial(G))
+    group_rows(G)
+    assert built_groups == []
+    assert [t.order for t in upper_p_series(G, 2).terms] == [1, 2]
 
 
 def output_lines(F) -> list:

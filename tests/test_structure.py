@@ -311,29 +311,6 @@ def test_quotient_projection_is_homomorphism_with_kernel():
             assert kernel == members_set(N)
 
 
-def test_quotient_by_trivial_subgroup_is_identity():
-    product = sym3_x_d10()
-    for G in [symmetric(4), semilinear(2, 3), product]:
-        Q = quotient_group(G, Subgroup.trivial(G))
-        assert Q.group is G
-        for g in G.generators:
-            assert Q.project(g) is g
-        P = sylow(G, 2)
-        assert Q.preimage(P) is P
-    assert not product.is_materialized
-
-
-def test_quotient_componentwise_product_form():
-    G = sym3_x_d10()
-    N = fitting(G)  # product-form C3 x C5
-    Q = quotient_group(G, N)
-    assert Q.group.order == 4
-    assert is_abelian(Q.group)
-    for g in G.generators:
-        assert Q.project(g) in Q.group
-    assert not G.is_materialized
-
-
 # -- Hall subgroups -------------------------------------------------------------------
 
 
@@ -461,8 +438,9 @@ def test_product_with_normal_by_blocks_matches_closure():
 )
 def test_lazy_product_blocks_match_materialised_product(factors):
     # The same product twice: the lazy copy takes every blockwise route, the
-    # materialised copy the whole-group routes.  Unique subgroups must agree
-    # as sets, Sylow and Hall subgroups (chosen per route) in order.
+    # materialised copy the whole-group routes.  Unique subgroups, relative
+    # cores and upper p-series terms included, must agree as sets, Sylow and
+    # Hall subgroups (chosen per route) in order.
     f1, n1, f2, n2 = factors
     lazy = direct_product([f1(n1), f2(n2)])
     whole = direct_product([f1(n1), f2(n2)])
@@ -473,18 +451,25 @@ def test_lazy_product_blocks_match_materialised_product(factors):
         primes = pi_of(G)
         pis = [set(c) for k in range(1, len(primes) + 1) for c in itertools.combinations(primes, k)]
         halls = [hall(G, pi) for pi in pis]
+        series = [upper_p_series(G, p) for p in primes]
         return {
             "unique": [
                 members_set(S)
                 for S in [center(G), derived_subgroup(G), fitting(G), fitting2(G)]
                 + [o_p(G, p) for p in primes]
                 + [o_pi(G, pi) for pi in pis]
+                + [o_pi(G, pi, over=fitting(G)) for pi in pis]
                 + [centraliser(G, [g]) for g in G.generators]
+                + [t for s in series for t in s.terms]
             ],
             "sylow": [sylow(G, p).order for p in primes],
             "hall": [None if H is None else H.order for H in halls],
             "exponent": exponent(G),
-            "fitting_quotient": quotient_group(G, fitting(G)).group.order,
+            "central_quotient_p_decomposable": [
+                is_p_decomposable(G, p, over=centraliser(G, o_p(G, p))) for p in primes
+            ],
+            "fitting_quotient_abelian": is_abelian(G, over=fitting(G)),
+            "p_lengths": [(s.p_length, s.is_p_soluble) for s in series],
         }
 
     assert profile(lazy) == profile(whole)
@@ -1175,6 +1160,30 @@ def test_o_pi_matches_the_lattice_for_every_prime_set(spec):
     for k in range(len(primes) + 1):
         for pi in itertools.combinations(primes, k):
             assert members_set(o_pi(G, pi)) == members_set(lattice_o_pi(G, set(pi))), pi
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS + ("semilinear(3,2)",))
+def test_relative_cores_match_the_reference_quotient(spec):
+    # For every normal M of G, the facts about G/M read in G (relative cores,
+    # p-decomposability and H/M abelian for every H >= M) must equal those of
+    # the reference regular representation of G/M, pulled back through its
+    # projection.
+    G = parse_group_spec(spec)
+    subgroups = enumerate_subgroups(G)
+    primes = pi_of(G)
+    pis = [set(c) for k in range(1, len(primes) + 1) for c in itertools.combinations(primes, k)]
+    for M in (M for M in subgroups if is_normal(G, M)):
+        Q = quotient_group(G, M)
+        image = [Q.project(g) for g in G.elements]
+        for pi in pis:
+            core = o_pi(Q.group, pi)
+            pulled = {x for x, q in enumerate(image) if q in core}
+            assert o_pi(G, pi, over=M).ids == pulled, (M.order, pi)
+        for p in primes:
+            assert is_p_decomposable(G, p, over=M) == is_p_decomposable(Q.group, p), (M.order, p)
+        for H in (H for H in subgroups if M.ids <= H.ids):
+            H_mod_M = Subgroup.from_members(Q.group, {image[x] for x in H.ids})
+            assert is_abelian(H, over=M) == is_abelian(H_mod_M), (M.order, H.order)
 
 
 @pytest.mark.parametrize("spec", SWEEP_SPECS)
