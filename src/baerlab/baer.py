@@ -8,10 +8,13 @@ products, unique index primes, centraliser-index characterisations, and the
 coprime direct decomposition of groups in which every prime-power-order
 element has prime-power index).
 
-Every check distinguishes ``fail`` (hypotheses met, conclusion false, which
-means an engine bug since the conclusions are established facts) from
-``not-applicable`` (hypotheses unmet).  Witness lists are canonically sorted
-so reports are byte-reproducible.
+Every check has one shape, ``hypothesis => conclusions``, given by
+:func:`_check`: unmet hypotheses make the report one ``not-applicable``
+clause, a spent cap or budget one ``skipped`` clause, and otherwise each
+conclusion is ``pass`` or ``fail`` (:meth:`TheoremReport.check`).  A ``fail``
+means an engine bug, since the conclusions are established facts.  The
+conclusions alone are the check's ``__wrapped__``.  Witness lists are
+canonically sorted so reports are byte-reproducible.
 
 Facts read from one factor are memoised on that subgroup by
 :func:`~baerlab.group.memo`, so every factorisation with the same side
@@ -38,7 +41,6 @@ pairs, and the witnesses are the ones a member-by-member scan finds.
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -52,7 +54,7 @@ from .numth import (
     prime_divisors,
 )
 from .perm import Permutation, format_cycles
-from .reporting import FAIL, NOT_APPLICABLE, PASS, SKIPPED, TheoremReport
+from .reporting import NOT_APPLICABLE, SKIPPED, TheoremReport
 from .structure import (
     Factorisation,
     _blockwise,
@@ -308,34 +310,60 @@ def unique_primes(F: Factorisation, p: int) -> UniquePrimes:
     return UniquePrimes(p, out["A"], out["B"])
 
 
-# -- caps in reports ------------------------------------------------------------------
+# -- the shape of a check -------------------------------------------------------------
 
 
-def _skipped_on_cap(theorem: str):
-    """Report a check whose cap or budget ran out as one ``skipped`` clause.
+def _check(theorem: str, hypothesis=None):
+    """Give a check its one shape: ``hypothesis => conclusions``.
 
-    The witness carries the message, the cap and the partial count of the
-    :class:`CapExceeded` raised.  Any other exception, in particular
-    :class:`InternalInvariantViolation`, still propagates.
+    The decorated ``conclusions(report, *args)`` records its clauses on the
+    report.  The check is called with ``*args`` and returns a
+    ``TheoremReport(theorem, p)``, p being the argument named ``p`` (None
+    when there is none):
+
+    * when ``hypothesis(*args)`` returns a reason, the report is one
+      ``hypotheses`` clause, ``not-applicable``;
+    * when either raises :class:`CapExceeded`, it is one ``cap`` clause,
+      ``skipped``, whose witness carries the message, the cap and the
+      partial count; any other exception, in particular
+      :class:`InternalInvariantViolation`, propagates;
+    * otherwise it holds the conclusions' clauses.
+
+    ``__wrapped__`` runs the conclusions whatever the hypotheses.  The
+    position of ``p`` is found once per check, not per call.
     """
 
-    def decorate(check):
-        signature = inspect.signature(check)
+    def decorate(conclusions):
+        code = conclusions.__code__
+        params = code.co_varnames[1 : code.co_argcount]
+        at = params.index("p") if "p" in params else len(params)
 
-        @functools.wraps(check)
+        @functools.wraps(conclusions)
         def run(*args, **kwargs):
+            report = TheoremReport(theorem, args[at] if at < len(args) else kwargs.get("p"))
             try:
-                return check(*args, **kwargs)
+                reason = hypothesis and hypothesis(*args, **kwargs)
+                if reason:
+                    report.add("hypotheses", NOT_APPLICABLE, reason)
+                else:
+                    conclusions(report, *args, **kwargs)
             except CapExceeded as exc:
-                prime = signature.bind(*args, **kwargs).arguments.get("p")
-                report = TheoremReport(theorem, prime)
+                report.clauses = []
                 report.add("cap", SKIPPED,
                            {"message": str(exc), "cap": exc.cap, "partial": exc.partial})
-                return report
+            return report
 
         return run
 
     return decorate
+
+
+def _p_baer(F: Factorisation, p: int) -> str | None:
+    return None if is_p_baer(F, p).is_p_baer else "not a p-Baer factorisation"
+
+
+def _baer(F: Factorisation, p: int | None = None) -> str | None:
+    return None if is_baer(F).is_baer else "not a Baer factorisation"
 
 
 # -- equivalence with the Sylow-centraliser predicate ----------------------------------
@@ -362,8 +390,8 @@ def _side_choice_independent(S: Subgroup) -> bool:
     )
 
 
-@_skipped_on_cap("F")
-def check_theorem_f_equivalence(F: Factorisation) -> TheoremReport:
+@_check("F")
+def check_theorem_f_equivalence(report: TheoremReport, F: Factorisation) -> None:
     """Cross-check two independent routes to the Baer property.
 
     Route 1 is the definition (indices of prime-power-order elements of
@@ -373,8 +401,6 @@ def check_theorem_f_equivalence(F: Factorisation) -> TheoremReport:
     on small groups, that the centraliser indices do not depend on the
     Sylow choice.  The indices and the choice check are memoised per side.
     """
-    G = F.group
-    report = TheoremReport("F")
     pred1 = is_baer(F).is_baer
     loci, indices = zip(*((locus, _side_centraliser_indices(sub)) for locus, sub in F.factors()))
     details = [
@@ -383,28 +409,20 @@ def check_theorem_f_equivalence(F: Factorisation) -> TheoremReport:
         for locus, (p, idx, ok) in zip(loci, rows)
     ]
     pred2 = all(d["prime_power"] for d in details)
-    report.add(
-        "equivalence",
-        PASS if pred1 == pred2 else FAIL,
-        {
-            "definition_predicate": pred1,
-            "centraliser_predicate": pred2,
-            "centraliser_indices": details,
-        },
-    )
+    report.check("equivalence", pred1 == pred2, {"definition_predicate": pred1,
+                 "centraliser_predicate": pred2, "centraliser_indices": details})
     # An unmaterialised product answers blockwise; building its store here
     # would take it off the blockwise route for every later check.
-    if G.order <= 500:
-        stable = all(_side_choice_independent(sub) for _locus, sub in F.factors())
-        report.add("choice-independence", PASS if stable else FAIL, None)
-    return report
+    if F.group.order <= 500:
+        report.check("choice-independence",
+                     all(_side_choice_independent(sub) for _locus, sub in F.factors()))
 
 
 # -- structural consequences of a p-Baer factorisation -----------------------------------
 
 
-@_skipped_on_cap("A")
-def report_theorem_a(F: Factorisation, p: int) -> TheoremReport:
+@_check("A", _p_baer)
+def report_theorem_a(report: TheoremReport, F: Factorisation, p: int) -> None:
     """Structure forced by a p-Baer factorisation.
 
     Clauses: (1) ``G/C_G(O_p(G))`` is p-decomposable; (2) both ``P F(G)`` and
@@ -412,96 +430,54 @@ def report_theorem_a(F: Factorisation, p: int) -> TheoremReport:
     the Sylow p-subgroup ``P F(G)/F(G)`` of ``G/F(G)``, isomorphic to
     ``P/O_p(G)`` as ``P n F(G) = O_p(G)``, is abelian; (4) P is abelian iff
     ``O_p(G)`` is; (5) a Sylow intersection not centralising ``O_p(G)``
-    centralises every Hall p'-subgroup; (6) if both factors have non-abelian
-    Sylow p-subgroups, G is p-decomposable.  Clauses 1 and 3 are read in G.
+    centralises every Hall p'-subgroup, which exists as G is p-soluble; (6)
+    if both factors have non-abelian Sylow p-subgroups, G is p-decomposable.
+    Clauses 1 and 3 are read in G.
     """
-    if not is_p_baer(F, p).is_p_baer:
-        return TheoremReport.not_applicable("A", p, "not a p-Baer factorisation")
     G = F.group
-    report = TheoremReport("A", p)
     P = find_prefactorised_sylow(F, p)
     Op = o_p(G, p)
     C = centraliser(G, Op)
-
-    report.add(
-        "1:central-quotient-p-decomposable",
-        PASS if is_p_decomposable(G, p, over=C) else FAIL,
-        {"quotient_order": G.order // C.order},
-    )
+    report.check("1:central-quotient-p-decomposable", is_p_decomposable(G, p, over=C),
+                 {"quotient_order": G.order // C.order})
 
     Fit = fitting(G)
     pf = _product_with_normal(G, P, Fit)
     popp = _product_with_normal(G, P, o_p_prime(G, p))
     series = upper_p_series(G, p)
-    ok2 = (
-        is_normal(G, pf)
-        and is_normal(G, popp)
-        and series.is_p_soluble
-        and series.p_length <= 1
-    )
-    report.add(
+    report.check(
         "2:sylow-core-products-normal-p-soluble",
-        PASS if ok2 else FAIL,
-        {
-            "PF_order": pf.order,
-            "POpprime_order": popp.order,
-            "p_length": series.p_length,
-            "p_soluble": series.is_p_soluble,
-        },
+        is_normal(G, pf) and is_normal(G, popp) and series.is_p_soluble and series.p_length <= 1,
+        {"PF_order": pf.order, "POpprime_order": popp.order,
+         "p_length": series.p_length, "p_soluble": series.is_p_soluble},
     )
+    report.check("3:sylow-of-fitting-quotient-abelian", is_abelian(P, over=Op),
+                 {"quotient_order": G.order // Fit.order})
+    report.check("4:sylow-abelian-iff-core-abelian", is_abelian(P) == is_abelian(Op),
+                 {"sylow_abelian": is_abelian(P), "core_abelian": is_abelian(Op)})
 
-    report.add(
-        "3:sylow-of-fitting-quotient-abelian",
-        PASS if is_abelian(P, over=Op) else FAIL,
-        {"quotient_order": G.order // Fit.order},
-    )
-
-    report.add(
-        "4:sylow-abelian-iff-core-abelian",
-        PASS if is_abelian(P) == is_abelian(Op) else FAIL,
-        {"sylow_abelian": is_abelian(P), "core_abelian": is_abelian(Op)},
-    )
-
-    applicable = []
-    for locus, sub in F.factors():
-        PX = P.intersection(sub)
-        if not PX.subset_of(C):
-            applicable.append((locus, PX))
+    applicable = [(locus, PX) for locus, sub in F.factors()
+                  if not (PX := P.intersection(sub)).subset_of(C)]
     if not applicable:
         report.add("5:sylow-part-centralises-hall", NOT_APPLICABLE,
                    "both Sylow intersections centralise the p-core")
+    elif (H := hall(G, set(pi_of(G)) - {p})) is None:
+        report.check("5:sylow-part-centralises-hall", False,
+                     "G has no Hall p'-subgroup although it is p-soluble (clause 2)")
     else:
-        H = hall(G, set(pi_of(G)) - {p})
-        if H is None:
-            report.add(
-                "5:sylow-part-centralises-hall",
-                FAIL,
-                "Hall p'-subgroup not found within budget despite guaranteed existence",
-            )
-        else:
-            ok5 = True
-            for locus, PX in applicable:
-                pgens = PX.generating_set()
-                for Hg in hall_conjugates(G, H):
-                    hgens = Hg.generating_set()
-                    if not all(a * b == b * a for a in pgens for b in hgens):
-                        ok5 = False
-            report.add(
-                "5:sylow-part-centralises-hall",
-                PASS if ok5 else FAIL,
-                {"sides": [locus for locus, _ in applicable], "hall_order": H.order},
-            )
+        hgens = [Hg.generating_set() for Hg in hall_conjugates(G, H)]
+        report.check(
+            "5:sylow-part-centralises-hall",
+            all(a * b == b * a for _locus, PX in applicable for a in PX.generating_set()
+                for gens in hgens for b in gens),
+            {"sides": [locus for locus, _ in applicable], "hall_order": H.order},
+        )
 
     if is_abelian(factor_sylow(F.a, p)) or is_abelian(factor_sylow(F.b, p)):
         report.add("6:nonabelian-factor-sylows-force-decomposition", NOT_APPLICABLE,
                    "a factor has an abelian Sylow p-subgroup")
     else:
-        report.add(
-            "6:nonabelian-factor-sylows-force-decomposition",
-            PASS if is_p_decomposable(G, p) else FAIL,
-            None,
-        )
-    return report
+        report.check("6:nonabelian-factor-sylows-force-decomposition", is_p_decomposable(G, p))
 
 
 @memo(owner="S")
@@ -525,8 +501,8 @@ def _product_with_normal(G: Group, S: Subgroup, N: Subgroup) -> Subgroup:
     return K
 
 
-@_skipped_on_cap("B")
-def report_theorem_b(F: Factorisation, p: int) -> TheoremReport:
+@_check("B", _p_baer)
+def report_theorem_b(report: TheoremReport, F: Factorisation, p: int) -> None:
     """Index-prime structure of a p-Baer factorisation.
 
     After extracting the unique index primes (q, r), checks that P
@@ -535,91 +511,71 @@ def report_theorem_b(F: Factorisation, p: int) -> TheoremReport:
     {q, r} forces P abelian.  An absent side prime is instantiated with the
     other side's prime (or p), which the established statements allow.
     """
-    if not is_p_baer(F, p).is_p_baer:
-        return TheoremReport.not_applicable("B", p, "not a p-Baer factorisation")
     G = F.group
-    report = TheoremReport("B", p)
-    up = unique_primes(F, p)
+    up = unique_primes(F, p)  # raises on a second prime on one side
     present = [x for x in (up.q, up.r) if x is not None]
     q_eff = up.q if up.q is not None else (up.r if up.r is not None else p)
     r_eff = up.r if up.r is not None else (up.q if up.q is not None else p)
-    report.add("unique-primes", PASS, {"q": up.q, "r": up.r})
+    report.check("unique-primes", True, {"q": up.q, "r": up.r})
 
     P = find_prefactorised_sylow(F, p)
     # F(G) is nilpotent, so its {q,r}-complement is the product of the cores
     # O_s(G), s in pi(F(G)) - {q, r}: each is the Sylow s-subgroup of F(G).
     cores = [o_p(G, s) for s in prime_divisors(fitting(G).order) if s not in (q_eff, r_eff)]
     CP = centraliser(G, P)
-    report.add(
-        "centralises-fitting-complement",
-        PASS if all(b in CP for core in cores for b in core.generating_set()) else FAIL,
-        {"complement_order": math.prod(core.order for core in cores)},
-    )
+    report.check("centralises-fitting-complement",
+                 all(b in CP for core in cores for b in core.generating_set()),
+                 {"complement_order": math.prod(core.order for core in cores)})
 
     K = P
     for s in sorted({q_eff, r_eff}):
         K = _product_with_normal(G, K, o_p(G, s))
-    report.add(
-        "sylow-core-product-normal",
-        PASS if is_normal(G, K) else FAIL,
-        {"product_order": K.order},
-    )
+    report.check("sylow-core-product-normal", is_normal(G, K), {"product_order": K.order})
 
     if not present:
         report.add("1:q-equals-r-equals-p", NOT_APPLICABLE, "no noncentral p-element in either factor")
     elif all(x == p for x in present):
-        report.add("1:q-equals-r-equals-p", PASS if is_p_decomposable(G, p) else FAIL, None)
+        report.check("1:q-equals-r-equals-p", is_p_decomposable(G, p))
     else:
         report.add("1:q-equals-r-equals-p", NOT_APPLICABLE, "an index prime differs from p")
 
     if p not in present:
-        report.add("2:p-outside-forces-abelian", PASS if is_abelian(P) else FAIL, None)
+        report.check("2:p-outside-forces-abelian", is_abelian(P))
     else:
         report.add("2:p-outside-forces-abelian", NOT_APPLICABLE, "p occurs as an index prime")
-    return report
 
 
 # -- consequences of a full Baer factorisation ---------------------------------------------
 
 
-@_skipped_on_cap("C")
-def report_corollary_c(F: Factorisation) -> TheoremReport:
+@_check("C", _baer)
+def report_corollary_c(report: TheoremReport, F: Factorisation) -> None:
     """Global structure of a Baer factorisation: abelian Fitting quotient
     (read in G: G's generator commutators lie in F(G)), the A-group criterion,
     and the sigma-decomposition along the primes whose factor Sylow subgroups
     are both non-abelian."""
-    if not is_baer(F).is_baer:
-        return TheoremReport.not_applicable("C", None, "not a Baer factorisation")
     G = F.group
-    report = TheoremReport("C")
     Fit = fitting(G)
-    report.add("1:fitting-quotient-abelian", PASS if is_abelian(G, over=Fit) else FAIL,
-               {"quotient_order": G.order // Fit.order})
+    report.check("1:fitting-quotient-abelian", is_abelian(G, over=Fit),
+                 {"quotient_order": G.order // Fit.order})
 
     all_sylow_abelian = all(is_abelian(sylow(G, p)) for p in pi_of(G))
-    report.add(
-        "2:a-group-iff-abelian-fitting",
-        PASS if all_sylow_abelian == is_abelian(fitting(G)) else FAIL,
-        {"all_sylow_abelian": all_sylow_abelian, "fitting_abelian": is_abelian(fitting(G))},
-    )
+    report.check("2:a-group-iff-abelian-fitting", all_sylow_abelian == is_abelian(Fit),
+                 {"all_sylow_abelian": all_sylow_abelian, "fitting_abelian": is_abelian(Fit)})
 
-    sigma = set()
-    for p in pi_of(G):
-        if not is_abelian(factor_sylow(F.a, p)) and not is_abelian(factor_sylow(F.b, p)):
-            sigma.add(p)
+    sigma = {p for p in pi_of(G)
+             if not is_abelian(factor_sylow(F.a, p)) and not is_abelian(factor_sylow(F.b, p))}
     Os = o_pi(G, sigma)
     Osp = o_pi(G, set(pi_of(G)) - sigma)
     # O_sigma(G) is normal, so it is nilpotent iff it lies in F(G).
-    ok3 = Os.order * Osp.order == G.order and Os.subset_of(fitting(G))
-    report.add("3:sigma-decomposition", PASS if ok3 else FAIL,
-               {"sigma": sorted(sigma), "order_sigma": Os.order})
+    report.check("3:sigma-decomposition", Os.order * Osp.order == G.order and Os.subset_of(Fit),
+                 {"sigma": sorted(sigma), "order_sigma": Os.order})
 
     if sigma == set(pi_of(G)) and G.order > 1:
-        report.add("4:all-nonabelian-forces-nilpotent", PASS if is_nilpotent(G) else FAIL, None)
+        report.check("4:all-nonabelian-forces-nilpotent", is_nilpotent(G))
     else:
         report.add("4:all-nonabelian-forces-nilpotent", NOT_APPLICABLE,
                    "some factor Sylow subgroup is abelian")
-    return report
 
 
 @memo
@@ -643,53 +599,40 @@ def _side_inheritance(S: Subgroup) -> tuple:
     return checked, bad, baer_group
 
 
-@_skipped_on_cap("D")
-def check_factor_inheritance(F: Factorisation) -> TheoremReport:
+@_check("D", _baer)
+def check_factor_inheritance(report: TheoremReport, F: Factorisation) -> None:
     """Baer factorisations push index primes down into the factors: a
     prime-power-order element whose G-index is a q-number also has q-number
     index inside its own factor, and both factors are Baer groups.  Each
     factor's part is memoised on it (:func:`_side_inheritance`)."""
-    if not is_baer(F).is_baer:
-        return TheoremReport.not_applicable("D", None, "not a Baer factorisation")
-    report = TheoremReport("D")
     sides = [(locus, _side_inheritance(sub)) for locus, sub in F.factors()]
     bad = next(({"locus": locus, **side[1]} for locus, side in sides if side[1]), None)
-    report.add("1:index-prime-inherited", FAIL if bad else PASS,
-               bad or {"elements_checked": sum(side[0] for _locus, side in sides)})
-    factors_baer = all(side[2] for _locus, side in sides)
-    report.add("2:factors-are-baer-groups", PASS if factors_baer else FAIL, None)
-    return report
+    report.check("1:index-prime-inherited", bad is None,
+                 bad or {"elements_checked": sum(side[0] for _locus, side in sides)})
+    report.check("2:factors-are-baer-groups", all(side[2] for _locus, side in sides))
 
 
-@_skipped_on_cap("E")
-def report_theorem_e(F: Factorisation, p: int) -> TheoremReport:
+@_check("E", _baer)
+def report_theorem_e(report: TheoremReport, F: Factorisation, p: int) -> None:
     """Centraliser index of a Sylow subgroup in a Baer factorisation: at most
     two primes divide ``|G : C_G(P)|`` (avoiding p when P is abelian), and the
     quotient by ``C_G(O_p(G))`` is p-decomposable with an abelian p-complement
     touched by at most two primes, read in G (:func:`_central_quotient`)."""
-    if not is_baer(F).is_baer:
-        return TheoremReport.not_applicable("E", p, "not a Baer factorisation")
     G = F.group
-    report = TheoremReport("E", p)
     P = sylow(G, p)
     idx = G.order // centraliser(G, P).order
     primes = set(prime_divisors(idx))
+    witness = {"index": idx, "primes": sorted(primes)}
     if is_abelian(P):
         report.add("1:nonabelian-sylow-index", NOT_APPLICABLE, "Sylow p-subgroup is abelian")
-        ok2 = p not in primes and len(primes) <= 2
-        report.add("2:abelian-sylow-index", PASS if ok2 else FAIL,
-                   {"index": idx, "primes": sorted(primes)})
+        report.check("2:abelian-sylow-index", p not in primes and len(primes) <= 2, witness)
     else:
-        ok1 = len(primes - {p}) <= 1
-        report.add("1:nonabelian-sylow-index", PASS if ok1 else FAIL,
-                   {"index": idx, "primes": sorted(primes)})
+        report.check("1:nonabelian-sylow-index", len(primes - {p}) <= 1, witness)
         report.add("2:abelian-sylow-index", NOT_APPLICABLE, "Sylow p-subgroup is not abelian")
 
     ok, quotient_order, complement_order = _central_quotient(G, p)
-    ok3 = ok and len(prime_divisors(complement_order)) <= 2
-    report.add("3:central-quotient-shape", PASS if ok3 else FAIL,
-               {"quotient_order": quotient_order, "complement_order": complement_order})
-    return report
+    report.check("3:central-quotient-shape", ok and len(prime_divisors(complement_order)) <= 2,
+                 {"quotient_order": quotient_order, "complement_order": complement_order})
 
 
 def _central_quotient(G: Group, p: int) -> tuple:
@@ -765,63 +708,59 @@ def baer_decomposition(G: Group):
 # -- unconditional index facts (regression oracles) ----------------------------------------
 
 
-@_skipped_on_cap("wielandt")
-def check_wielandt(G: Group) -> TheoremReport:
-    """A p-element whose index is a p-number lies in ``O_p(G)``; checked for
-    every prime and every element.  Order and index are class functions and
-    ``O_p(G)`` is normal, so the elements are walked a conjugacy class at a
-    time; the least member of the first failing class is the least failing
-    element."""
-    report = TheoremReport("wielandt")
-    G.materialize()
-    orders = G.element_orders()
-    classes = G.conjugacy_partition()
-    for p in sorted(pi_of(G)):
-        core = o_p(G, p).ids_in_store()
-        bad = None
-        checked = 0
-        for cls in classes:
-            if not is_p_number(orders[cls[0]], p) or not is_p_number(len(cls), p):
-                continue
-            checked += len(cls)
-            if cls[0] not in core:
-                bad = {"element": format_cycles(G.elements[cls[0]]), "index": len(cls)}
-                break
-        report.add(f"p={p}", FAIL if bad else PASS, bad or {"elements_checked": checked})
-    return report
+def _first_class_outside(G: Group, members, qualifies) -> tuple:
+    """``(checked, witness)`` over the conjugacy classes of G that
+    ``qualifies`` accepts, in class order: the number of their elements up to
+    the first such class with its least member outside ``members``, and that
+    member with its index; the witness is None when there is no such class.
 
-
-@_skipped_on_cap("camina-camina")
-def check_camina_camina(G: Group) -> TheoremReport:
-    """Every element of prime-power index lies in the second Fitting term.
-    ``F_2(G)`` is normal, so the elements are walked a conjugacy class at a
-    time, as in :func:`check_wielandt`."""
-    report = TheoremReport("camina-camina")
-    G.materialize()
-    F2 = fitting2(G)
-    members = F2.ids_in_store()
-    bad = None
+    For ``members`` a normal subgroup, a class lies in it or outside it, and
+    the least member of the first class outside is the least element outside.
+    """
     checked = 0
     for cls in G.conjugacy_partition():
-        if not classify_prime_power(len(cls)).is_prime_power:
-            continue
-        checked += len(cls)
-        if cls[0] not in members:
-            bad = {"element": format_cycles(G.elements[cls[0]]), "index": len(cls)}
-            break
-    report.add("prime-power-index-in-F2", FAIL if bad else PASS,
-               bad or {"elements_checked": checked, "F2_order": F2.order})
-    return report
+        if qualifies(cls):
+            checked += len(cls)
+            if cls[0] not in members:
+                return checked, {"element": format_cycles(G.elements[cls[0]]), "index": len(cls)}
+    return checked, None
 
 
-@_skipped_on_cap("berkovich-kazarin")
-def check_lemma_bk(G: Group) -> TheoremReport:
+@_check("wielandt")
+def check_wielandt(report: TheoremReport, G: Group) -> None:
+    """A p-element whose index is a p-number lies in ``O_p(G)``; checked for
+    every prime and every element, a conjugacy class at a time
+    (:func:`_first_class_outside`), as order and index are class functions."""
+    G.materialize()
+    orders = G.element_orders()
+    for p in sorted(pi_of(G)):
+        checked, bad = _first_class_outside(
+            G, o_p(G, p).ids_in_store(),
+            lambda cls: is_p_number(orders[cls[0]], p) and is_p_number(len(cls), p),
+        )
+        report.check(f"p={p}", bad is None, bad or {"elements_checked": checked})
+
+
+@_check("camina-camina")
+def check_camina_camina(report: TheoremReport, G: Group) -> None:
+    """Every element of prime-power index lies in the second Fitting term,
+    checked a conjugacy class at a time as in :func:`check_wielandt`."""
+    G.materialize()
+    F2 = fitting2(G)
+    checked, bad = _first_class_outside(
+        G, F2.ids_in_store(), lambda cls: classify_prime_power(len(cls)).is_prime_power
+    )
+    report.check("prime-power-index-in-F2", bad is None,
+                 bad or {"elements_checked": checked, "F2_order": F2.order})
+
+
+@_check("berkovich-kazarin")
+def check_lemma_bk(report: TheoremReport, G: Group) -> None:
     """For noncentral p-elements x, y with prime-power indices of distinct
     primes and ``i(xy)`` a prime power: their normal closure lies in
     ``O_p(G)``, ``i(xy)`` is the maximum of the two and a p-power, and the
     Sylow p-subgroup is non-abelian.  Exhaustive pair scan on store ids:
     indices are class sizes read by id, and ``xy`` is ``col(y)[x]``."""
-    report = TheoremReport("berkovich-kazarin")
     G.materialize()
     els = G.elements
     orders = G.element_orders()
@@ -842,8 +781,7 @@ def check_lemma_bk(G: Group) -> TheoremReport:
             c = classify_prime_power(idx)
             if c.is_prime_power:
                 rows.append((i, idx, c.prime))
-        pairs = 0
-        bad = None
+        pairs, bad = 0, None
         for ai, (i, ix, px) in enumerate(rows):
             for j, iy, py in rows[ai + 1 :]:
                 if px == py:
@@ -853,72 +791,71 @@ def check_lemma_bk(G: Group) -> TheoremReport:
                     continue
                 pairs += 1
                 x, y = els[i], els[j]
-                core = o_p(G, p)
-                nc = normal_closure(G, [x, y])
                 conclusion = (
-                    nc.subset_of(core)
+                    normal_closure(G, [x, y]).subset_of(o_p(G, p))
                     and ixy == max(ix, iy)
                     and is_p_number(ixy, p)
                     and not is_abelian(sylow(G, p))
                 )
                 if not conclusion and bad is None:
-                    bad = {
-                        "x": format_cycles(x), "y": format_cycles(y),
-                        "ix": ix, "iy": iy, "ixy": ixy,
-                    }
-        report.add(f"p={p}", FAIL if bad else PASS, bad or {"qualifying_pairs": pairs})
-    return report
+                    bad = {"x": format_cycles(x), "y": format_cycles(y),
+                           "ix": ix, "iy": iy, "ixy": ixy}
+        report.check(f"p={p}", bad is None, bad or {"qualifying_pairs": pairs})
 
 
 # -- mixed-prime interplay ---------------------------------------------------------------
 
 
-@_skipped_on_cap("pq-baer")
-def check_pq_baer(F: Factorisation, p: int, q: int) -> TheoremReport:
+def _q_index_primes(F: Factorisation, q: int) -> set:
+    """The primes dividing the indices of the noncentral q-elements of A u B."""
+    uq = unique_primes(F, q)
+    return {x for x in (uq.q, uq.r) if x is not None}
+
+
+def _pq_baer(F: Factorisation, p: int, q: int) -> str | None:
+    """Why the pq-Baer statement does not apply, or None when it does: the
+    factorisation is p- and q-Baer for q != p, the noncentral p-elements have
+    q-indices in A and r-indices in B, and one prime s divides the indices
+    of the noncentral q-elements."""
+    if q == p:
+        return "q must differ from p"
+    if not is_p_baer(F, p).is_p_baer or not is_p_baer(F, q).is_p_baer:
+        return "not a p- and q-Baer factorisation"
+    up = unique_primes(F, p)
+    if up.q != q or up.r is None:
+        return "requires noncentral p-elements with q-indices in A and r-indices in B"
+    s = _q_index_primes(F, q)
+    if not s:
+        return "all q-elements of the factors are central"
+    if len(s) > 1:
+        return "q-element indices are not powers of a single prime"
+    return None
+
+
+@_check("pq-baer", _pq_baer)
+def check_pq_baer(report: TheoremReport, F: Factorisation, p: int, q: int) -> None:
     """When a factorisation is both p-Baer and q-Baer, with noncentral
     p-elements indexed by q on the A side and by r on the B side, the index
     prime s of the q-elements must lie in {p, r}; and if q = r then s = p and
     a normal Hall {p,q}-subgroup with abelian Sylow subgroups exists.  Such a
     subgroup contains every {p,q}-subgroup, so it exists iff ``O_{p,q}(G)``
     has the {p,q}-part of |G| as its order, and is then ``O_{p,q}(G)``."""
-    if q == p:
-        return TheoremReport.not_applicable("pq-baer", p, "q must differ from p")
-    if not is_p_baer(F, p).is_p_baer or not is_p_baer(F, q).is_p_baer:
-        return TheoremReport.not_applicable("pq-baer", p, "not a p- and q-Baer factorisation")
-    up = unique_primes(F, p)
-    if up.q != q or up.r is None:
-        return TheoremReport.not_applicable(
-            "pq-baer", p, "requires noncentral p-elements with q-indices in A and r-indices in B"
-        )
-    r = up.r
-    uq = unique_primes(F, q)
-    s_candidates = {x for x in (uq.q, uq.r) if x is not None}
-    if not s_candidates:
-        return TheoremReport.not_applicable("pq-baer", p, "all q-elements of the factors are central")
-    if len(s_candidates) > 1:
-        return TheoremReport.not_applicable(
-            "pq-baer", p, "q-element indices are not powers of a single prime"
-        )
-    s = s_candidates.pop()
-    report = TheoremReport("pq-baer", p)
-    report.add("a:s-in-p-r", PASS if s in {p, r} else FAIL, {"s": s, "r": r, "q": q})
+    r = unique_primes(F, p).r
+    (s,) = _q_index_primes(F, q)
+    report.check("a:s-in-p-r", s in {p, r}, {"s": s, "r": r, "q": q})
     if q == r:
         G = F.group
         H = o_pi(G, {p, q})
-        ok = (
-            s == p
-            and H.order == pi_part(G.order, {p, q})
-            and is_abelian(factor_sylow(H, p))
-            and is_abelian(factor_sylow(H, q))
-        )
-        report.add("b:normal-hall-pq", PASS if ok else FAIL, {"s": s, "hall_order": H.order})
+        ok = s == p and H.order == pi_part(G.order, {p, q})
+        report.check("b:normal-hall-pq", ok and all(is_abelian(factor_sylow(H, x)) for x in (p, q)),
+                     {"s": s, "hall_order": H.order})
     else:
         report.add("b:normal-hall-pq", NOT_APPLICABLE, "q differs from r")
-    return report
 
 
-@_skipped_on_cap("p-index-decomposition")
-def check_p_index_decomposition(F: Factorisation, p: int, scope: str = "p-elements") -> TheoremReport:
+@_check("p-index-decomposition")
+def check_p_index_decomposition(report: TheoremReport, F: Factorisation, p: int,
+                                scope: str = "p-elements") -> None:
     """Biconditionals tying index conditions on the factors to decomposability.
 
     Scope "p-elements": every p-element of A u B has p-number index iff G is
@@ -929,23 +866,20 @@ def check_p_index_decomposition(F: Factorisation, p: int, scope: str = "p-elemen
     (:func:`_central_quotient`).
     """
     G = F.group
-    report = TheoremReport("p-index-decomposition", p)
     if scope == "p-elements":
         lhs = all(is_p_number(idx, p) for _l, sub in F.factors() for idx in _side_profile(sub, p))
         rhs = is_p_decomposable(G, p)
-        report.add("biconditional-p-elements", PASS if lhs == rhs else FAIL,
-                   {"all_indices_p_numbers": lhs, "p_decomposable": rhs})
+        report.check("biconditional-p-elements", lhs == rhs,
+                     {"all_indices_p_numbers": lhs, "p_decomposable": rhs})
     elif scope == "all prime power":
         lhs = all(is_p_number(idx, p) for _l, sub in F.factors() for idx in _side_profile(sub))
         rhs = is_p_decomposable(G, p) and is_abelian(o_p_prime(G, p))
-        report.add("biconditional-prime-power", PASS if lhs == rhs else FAIL,
-                   {"all_indices_p_numbers": lhs, "decomposed_with_abelian_complement": rhs})
+        report.check("biconditional-prime-power", lhs == rhs,
+                     {"all_indices_p_numbers": lhs, "decomposed_with_abelian_complement": rhs})
         if is_baer(F).is_baer:
             ok, quotient_order, _ = _central_quotient(G, p)
-            report.add("baer-central-quotient", PASS if ok else FAIL,
-                       {"quotient_order": quotient_order})
+            report.check("baer-central-quotient", ok, {"quotient_order": quotient_order})
         else:
             report.add("baer-central-quotient", NOT_APPLICABLE, "not a Baer factorisation")
     else:
         raise ValueError(f"unknown scope {scope!r}")
-    return report

@@ -3,14 +3,8 @@
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-
-# Factor orders here are always products of small primes; trial division up to
-# this bound plus a Miller-Rabin test on the remainder covers everything.
-_TRIAL_BOUND = 100_000
-
-# Deterministic Miller-Rabin witnesses for n < 3.3 * 10**24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 @dataclass(frozen=True)
@@ -32,50 +26,30 @@ class PrimePower:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        if a % n == 0:
-            continue
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division up to the square root of n."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def prime_factorization(n: int) -> dict:
-    """Map prime -> exponent for n >= 1."""
+    """Map prime -> exponent for n >= 1, ascending, by trial division up to
+    the square root of what is left of n.
+
+    The numbers factored are orders, element orders and indices in
+    permutation groups: every prime dividing one is at most the degree, so
+    trial division is quick.
+    """
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
+    p = 2
+    while p * p <= n:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    p = 7
-    while p * p <= n and p <= _TRIAL_BOUND:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 2
+        p += 1 if p == 2 else 2
     if n > 1:
-        if not is_prime(n):
-            raise ValueError(f"cannot factor remaining cofactor {n}")
-        out[n] = out.get(n, 0) + 1
-    return dict(sorted(out.items()))
+        out[n] = 1
+    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -21,9 +21,9 @@ class ClauseResult:
 class TheoremReport:
     """Per-clause verdicts for one theorem check.
 
-    A clause whose hypotheses are unmet reports ``not-applicable`` and never
-    fails the report; ``skipped`` marks clauses abandoned on a cap, which the
-    CLI escalates only under ``--strict``.
+    A conclusion is recorded by :meth:`check` as ``pass`` or ``fail``.  A
+    clause whose hypotheses are unmet reports ``not-applicable`` and never
+    fails the report; ``skipped`` marks a check abandoned on a cap.
     """
 
     theorem: str
@@ -33,18 +33,13 @@ class TheoremReport:
     def add(self, clause: str, verdict: str, witness=None) -> None:
         self.clauses.append(ClauseResult(clause, verdict, witness))
 
+    def check(self, clause: str, holds: bool, witness=None) -> None:
+        """Record a conclusion: ``pass`` if it holds, else ``fail``."""
+        self.clauses.append(ClauseResult(clause, PASS if holds else FAIL, witness))
+
     @property
     def overall(self) -> str:
         return FAIL if any(c.verdict == FAIL for c in self.clauses) else PASS
-
-    def passed(self) -> bool:
-        return self.overall == PASS
-
-    @classmethod
-    def not_applicable(cls, theorem: str, prime: int | None, reason: str) -> "TheoremReport":
-        rep = cls(theorem, prime)
-        rep.add("hypotheses", NOT_APPLICABLE, reason)
-        return rep
 
     def to_json_dict(self) -> dict:
         return {

@@ -505,18 +505,21 @@ def find_prefactorised_sylow(F: Factorisation, p: int) -> Subgroup:
 # -- Hall subgroups -----------------------------------------------------------------
 
 
-# Closures one Hall search may attempt before it gives up.
+# Closures one Hall search may attempt before it raises CapExceeded.
 HALL_BUDGET = 50_000
 
 
 def hall(G: Group, pi):
-    """Best-effort Hall pi-subgroup search; ``None`` means "not found within
-    budget", which is distinct from a nonexistence proof.
+    """A Hall pi-subgroup of G, or ``None`` when G has none.
 
     Strategy: seed with the conjugates of a Sylow subgroup for the heaviest
-    prime in pi and greedily adjoin pi-elements whose closure stays a
-    pi-group, backtracking on dead ends, bounded by ``HALL_BUDGET`` closures.
-    Memoised, None included, per group and set of the primes in pi dividing |G|.
+    prime in pi and adjoin pi-elements whose closure stays a pi-group,
+    backtracking on dead ends.  A Hall pi-subgroup contains one of those
+    Sylow subgroups and is reached from it one element at a time, so a
+    search that ends without one proves that there is none.  A search that
+    needs more than ``HALL_BUDGET`` closures raises :class:`CapExceeded` with
+    the closures tried.  Memoised, None included, per group and set of the
+    primes in pi dividing |G|.
     """
     return _hall(G, frozenset(p for p in pi if G.order % p == 0))
 
@@ -550,7 +553,10 @@ def _hall(G: Group, pi: frozenset):
             if x in H:
                 continue
             if spent >= HALL_BUDGET:
-                return None
+                raise CapExceeded(
+                    f"Hall {sorted(pi)}-subgroup search of {G.name} spent its budget",
+                    cap=HALL_BUDGET, partial=spent,
+                )
             spent += 1
             K = G.closure_from_gen_ids(hgens + [x], H)
             if K in visited:
@@ -570,8 +576,6 @@ def _hall(G: Group, pi: frozenset):
         r = extend(P.ids)
         if r is not None:
             return Subgroup.from_ids(G, r)
-        if spent >= HALL_BUDGET:
-            break
     return None
 
 

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from baerlab import baer
+from baerlab import baer, structure
 from baerlab.baer import check_theorem_f_equivalence, report_theorem_a
 from baerlab.constructions import (
     cyclic,
@@ -106,11 +106,13 @@ def test_cap_witness_and_invariant_violations(monkeypatch):
         raise CapExceeded("walk too long", cap=7, partial=3)
 
     monkeypatch.setattr(baer, "is_p_baer", capped)
-    report = baer.report_theorem_b(F, p=3)
-    assert report.prime == 3
-    [clause] = report.clauses
-    assert clause.verdict == SKIPPED
-    assert clause.witness == {"message": "walk too long", "cap": 7, "partial": 3}
+    # The prime is read whether it is passed by position or by keyword.
+    for report in (baer.report_theorem_b(F, p=3), baer.report_theorem_b(F, 3),
+                   report_theorem_a(F, p=3), baer.check_pq_baer(F, 3, q=2)):
+        assert report.prime == 3
+        [clause] = report.clauses
+        assert clause.verdict == SKIPPED
+        assert clause.witness == {"message": "walk too long", "cap": 7, "partial": 3}
 
     def broken(*_args):
         raise InternalInvariantViolation("engine bug")
@@ -202,6 +204,61 @@ def test_theorem_f_fails_when_centralisers_are_wrong(monkeypatch):
     report = check_theorem_f_equivalence(Factorisation.trivial(symmetric(4)))
     assert report.clauses[0].clause == "equivalence"
     assert report.clauses[0].verdict == FAIL
+
+
+def test_a_spent_hall_budget_skips_theorem_a(monkeypatch):
+    # At p = 2 clause 5 searches for a Hall {3,7}-subgroup of this materialised
+    # group of order 168; a spent budget skips the report, it does not fail it.
+    spec = "subgroup(product(dihedral(8),frobenius(7,3)); g0, g1, g2, g3)"
+    monkeypatch.setattr(structure, "HALL_BUDGET", 0)
+    report = report_theorem_a(Factorisation.trivial(parse_group_spec(spec)), 2)
+    [clause] = report.clauses
+    assert (clause.clause, clause.verdict) == ("cap", SKIPPED)
+    assert (clause.witness["cap"], clause.witness["partial"]) == (0, 0)
+    monkeypatch.undo()
+    report = report_theorem_a(Factorisation.trivial(parse_group_spec(spec)), 2)
+    witness = {"sides": ["A", "B"], "hall_order": 21}
+    assert report_rows(report)[4] == ("A", 2, "5:sylow-part-centralises-hall", PASS, repr(witness))
+
+
+def conclusions(check, *args) -> dict:
+    """``{clause: verdict}`` of a check's conclusions, run whatever its hypotheses."""
+    report = TheoremReport(check.__name__)
+    check.__wrapped__(report, *args)
+    return {c.clause: c.verdict for c in report.clauses}
+
+
+def test_conclusions_outside_their_hypotheses_say_no_on_real_groups():
+    # Negative controls: off their hypotheses these conclusions are false, and
+    # the checks must say so; a conclusion that passed everywhere would show
+    # nothing about the engine.
+    # symmetric(4) is not 2-Baer (a transposition has index 6), and
+    # semilinear(2,3) is 2-Baer but not Baer (an element of order 3 has
+    # index 28).
+    S4 = Factorisation.trivial(symmetric(4))
+    for check, reason in ((report_theorem_a, "not a p-Baer factorisation"),
+                          (baer.report_theorem_e, "not a Baer factorisation")):
+        assert [(c.clause, c.verdict, c.witness) for c in check(S4, 2).clauses] == [
+            ("hypotheses", NOT_APPLICABLE, reason)
+        ]
+    assert conclusions(report_theorem_a, S4, 2) == {
+        "1:central-quotient-p-decomposable": FAIL,
+        "2:sylow-core-products-normal-p-soluble": FAIL,
+        "3:sylow-of-fitting-quotient-abelian": PASS,
+        "4:sylow-abelian-iff-core-abelian": FAIL,
+        "5:sylow-part-centralises-hall": FAIL,
+        "6:nonabelian-factor-sylows-force-decomposition": FAIL,
+    }
+    assert conclusions(baer.report_theorem_e, S4, 2)["3:central-quotient-shape"] == FAIL
+    assert conclusions(baer.report_corollary_c, S4)["1:fitting-quotient-abelian"] == FAIL
+    assert set(conclusions(baer.check_factor_inheritance, S4).values()) == {FAIL}
+
+    SL = Factorisation.trivial(semilinear(2, 3))
+    assert baer.is_p_baer(SL, 2).is_p_baer and not baer.is_baer(SL).is_baer
+    assert [c.clause for c in baer.report_theorem_e(SL, 2).clauses] == ["hypotheses"]
+    assert conclusions(baer.report_theorem_e, SL, 2)["3:central-quotient-shape"] == FAIL
+    assert conclusions(baer.report_corollary_c, SL)["1:fitting-quotient-abelian"] == FAIL
+    assert set(conclusions(baer.check_factor_inheritance, SL).values()) == {FAIL}
 
 
 # -- the whole paper layer on every factorisation of small groups ---------------------

@@ -32,6 +32,11 @@ named entry points are exempt.
 
 No module reads the process environment, so no setting can change the
 engine's behaviour outside its arguments and constants.
+
+Every paper check has one shape: each public ``report_*`` and ``check_*`` of
+``baer.py`` is decorated with ``_check``, and no code but ``_check`` builds a
+``TheoremReport``, so no check decides its own hypotheses, cap or verdict
+form.
 """
 
 import ast
@@ -343,6 +348,75 @@ def test_environment_read_detector():
     assert environment_reads(source) == [(2, "os.getenv"), (3, "os.environ"), (5, "os.getenv")]
 
 
+def undecorated_checks(source: str) -> list:
+    """(line, name) for every module-level ``report_*`` or ``check_*`` function
+    that is not decorated with a ``_check(...)`` call."""
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith(("report_", "check_"))
+        and not any(
+            isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_check"
+            for d in node.decorator_list
+        )
+    )
+
+
+def report_builds(source: str) -> list:
+    """Lines of every call that builds a ``TheoremReport`` (the class or one
+    of its class attributes) outside the body of ``_check``."""
+    tree = ast.parse(source)
+    inside = {
+        line
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_check"
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+
+    def builds(func) -> bool:
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            return func.attr == "TheoremReport" or func.value.id == "TheoremReport"
+        return isinstance(func, ast.Name) and func.id == "TheoremReport"
+
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and builds(node.func) and node.lineno not in inside
+    )
+
+
+def test_every_paper_check_is_decorated_with_check():
+    assert undecorated_checks((SOURCE / "baer.py").read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_reports_are_built_only_by_the_check_decorator(path):
+    assert report_builds(path.read_text()) == []
+
+
+def test_check_shape_detectors():
+    source = (
+        "def _check(theorem, hypothesis=None):\n"
+        "    return TheoremReport(theorem)\n"
+        "@_check('A', _p_baer)\n"
+        "def report_a(report, F, p):\n"
+        "    report.check('1', True)\n"
+        "@_skipped_on_cap('B')\n"
+        "def report_b(F, p):\n"
+        "    return TheoremReport.not_applicable('B', p, 'no')\n"
+        "@functools.wraps(report_a)\n"
+        "def check_c(F):\n"
+        "    return reporting.TheoremReport('C')\n"
+        "def _check_d(F):\n"
+        "    report = TheoremReport('D')\n"
+        "class C:\n"
+        "    def check_e(self):\n"
+        "        return TheoremReports(), TheoremReport\n"
+    )
+    assert undecorated_checks(source) == [(7, "report_b"), (10, "check_c")]
+    assert report_builds(source) == [8, 11, 13]
+
+
 # Engine entry points with no caller in the package, each with its reader.
 ENTRY_POINTS = frozenset({
     # builds the factorisation corpora of the benchmark and the tests
@@ -356,8 +430,8 @@ ENTRY_POINTS = frozenset({
     "parse_group_spec",
     # a subgroup from generator words, as in a spec's subgroup(...) form
     "subgroup_from_words",
-    # what a TheoremReport offers a reader: its verdict and its JSON form
-    "TheoremReport.passed", "TheoremReport.to_json_dict",
+    # what a TheoremReport offers a reader: its JSON form
+    "TheoremReport.to_json_dict",
 })
 
 # The verifier's public entry points with no caller in the package: the

@@ -324,6 +324,23 @@ def test_hall_examples():
     assert hall(G, {5}).order == 1
 
 
+def test_a_spent_hall_budget_is_a_cap_and_none_a_proven_absence(monkeypatch):
+    # symmetric(5) has no Hall {2,5}-subgroup; the search proves it in 1,080
+    # budgeted closures.  One fewer is a cap, never a None.
+    monkeypatch.setattr(structure, "HALL_BUDGET", 3)
+    with pytest.raises(CapExceeded) as exc:
+        hall(symmetric(5), {2, 5})
+    assert (exc.value.cap, exc.value.partial) == (3, 3)
+    monkeypatch.setattr(structure, "HALL_BUDGET", 1_079)
+    with pytest.raises(CapExceeded) as exc:
+        hall(symmetric(5), {2, 5})
+    assert (exc.value.cap, exc.value.partial) == (1_079, 1_079)
+    monkeypatch.setattr(structure, "HALL_BUDGET", 1_080)
+    assert hall(symmetric(5), {2, 5}) is None
+    monkeypatch.undo()
+    assert hall(symmetric(5), {2, 5}) is None
+
+
 def test_hall_p_prime_in_soluble_groups():
     for G in [symmetric(3), dihedral(10), symmetric(4), frobenius(11, 5), sym3_x_d10()]:
         for p in pi_of(G):
