@@ -293,19 +293,20 @@ def is_baer(F: Factorisation) -> BaerStatus:
 # -- unique index primes -----------------------------------------------------------
 
 
-def unique_primes(F: Factorisation, p: int) -> UniquePrimes:
+def _index_primes(S: Subgroup, p: int) -> set:
+    """The primes dividing the indices of the noncentral p-elements of S."""
+    return {q for idx in _side_profile(S, p) for q in prime_divisors(idx)}
+
+
+def unique_primes(F: Factorisation, p: int) -> UniquePrimes | None:
     """The unique primes q (A side) and r (B side) dividing the nontrivial
-    indices of p-elements; a second prime on one side is a hard failure."""
-    st = is_p_baer(F, p)
-    if not st.is_p_baer:
-        raise ValueError("unique index primes are only defined for p-Baer factorisations")
+    indices of p-elements, or None when one side's indices have two prime
+    divisors, which a p-Baer factorisation rules out."""
     out = {}
     for locus, sub in F.factors():
-        primes = {classify_prime_power(idx).prime for idx in _side_profile(sub, p) if idx > 1}
+        primes = _index_primes(sub, p)
         if len(primes) > 1:
-            raise InternalInvariantViolation(
-                f"two distinct index primes {sorted(primes)} on side {locus}"
-            )
+            return None
         out[locus] = primes.pop() if primes else None
     return UniquePrimes(p, out["A"], out["B"])
 
@@ -505,18 +506,21 @@ def _product_with_normal(G: Group, S: Subgroup, N: Subgroup) -> Subgroup:
 def report_theorem_b(report: TheoremReport, F: Factorisation, p: int) -> None:
     """Index-prime structure of a p-Baer factorisation.
 
-    After extracting the unique index primes (q, r), checks that P
+    After extracting the unique index primes (q, r), where a second prime
+    on one side fails ``unique-primes`` and ends the report, checks that P
     centralises the {q,r}-complement of F(G), that ``P O_q(G) O_r(G)`` is
     normal, that q = r = p forces p-decomposability, and that p outside
     {q, r} forces P abelian.  An absent side prime is instantiated with the
     other side's prime (or p), which the established statements allow.
     """
+    up = unique_primes(F, p)
+    report.check("unique-primes", up is not None, {"q": up.q, "r": up.r} if up else None)
+    if up is None:
+        return
     G = F.group
-    up = unique_primes(F, p)  # raises on a second prime on one side
     present = [x for x in (up.q, up.r) if x is not None]
     q_eff = up.q if up.q is not None else (up.r if up.r is not None else p)
     r_eff = up.r if up.r is not None else (up.q if up.q is not None else p)
-    report.check("unique-primes", True, {"q": up.q, "r": up.r})
 
     P = find_prefactorised_sylow(F, p)
     # F(G) is nilpotent, so its {q,r}-complement is the product of the cores
@@ -806,12 +810,6 @@ def check_lemma_bk(report: TheoremReport, G: Group) -> None:
 # -- mixed-prime interplay ---------------------------------------------------------------
 
 
-def _q_index_primes(F: Factorisation, q: int) -> set:
-    """The primes dividing the indices of the noncentral q-elements of A u B."""
-    uq = unique_primes(F, q)
-    return {x for x in (uq.q, uq.r) if x is not None}
-
-
 def _pq_baer(F: Factorisation, p: int, q: int) -> str | None:
     """Why the pq-Baer statement does not apply, or None when it does: the
     factorisation is p- and q-Baer for q != p, the noncentral p-elements have
@@ -822,9 +820,9 @@ def _pq_baer(F: Factorisation, p: int, q: int) -> str | None:
     if not is_p_baer(F, p).is_p_baer or not is_p_baer(F, q).is_p_baer:
         return "not a p- and q-Baer factorisation"
     up = unique_primes(F, p)
-    if up.q != q or up.r is None:
+    if up is None or up.q != q or up.r is None:
         return "requires noncentral p-elements with q-indices in A and r-indices in B"
-    s = _q_index_primes(F, q)
+    s = _index_primes(F.a, q) | _index_primes(F.b, q)
     if not s:
         return "all q-elements of the factors are central"
     if len(s) > 1:
@@ -841,7 +839,7 @@ def check_pq_baer(report: TheoremReport, F: Factorisation, p: int, q: int) -> No
     subgroup contains every {p,q}-subgroup, so it exists iff ``O_{p,q}(G)``
     has the {p,q}-part of |G| as its order, and is then ``O_{p,q}(G)``."""
     r = unique_primes(F, p).r
-    (s,) = _q_index_primes(F, q)
+    (s,) = _index_primes(F.a, q) | _index_primes(F.b, q)
     report.check("a:s-in-p-r", s in {p, r}, {"s": s, "r": r, "q": q})
     if q == r:
         G = F.group

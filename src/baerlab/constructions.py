@@ -5,10 +5,16 @@ products) rather than regular representations, so degrees stay proportional
 to the construction parameters even when orders explode.  Each constructor
 declares its closed-form order, which the element store verifies on
 materialisation.
+
+Group specs such as ``subgroup(semilinear(2,3); g0, g2)`` are read by one
+loop over the table ``_GRAMMAR``, which maps each constructor name to its
+function and argument form: the table is the grammar.  Generator words are
+checked only by :func:`evaluate_word`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -21,108 +27,65 @@ from .perm import Permutation, identity
 
 
 class _GF:
-    """GF(p^k) on labels 0..p^k-1, little-endian base-p coefficient vectors.
+    """GF(p^k) on labels 0..p^k-1: the label sum c_i p^i is the polynomial
+    sum c_i x^i, coefficients little-endian.
 
     The modulus is the least monic irreducible polynomial of degree k in the
     same encoding, so the construction is reproducible.
     """
 
     def __init__(self, p: int, k: int):
-        self.p = p
-        self.k = k
-        self.size = p**k
-        self.modulus = self._least_irreducible()
+        self.p, self.k, self.size = p, k, p**k
+        self.modulus = next(m for m in self._monic(k) if self._irreducible(m))
 
-    def _decode(self, n: int) -> list:
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(n % self.p)
-            n //= self.p
-        return coeffs
-
-    def _encode(self, coeffs) -> int:
-        n = 0
-        for c in reversed(list(coeffs)):
-            n = n * self.p + (c % self.p)
-        return n
-
-    def _poly_mod(self, coeffs, modulus):
-        coeffs = list(coeffs)
-        dm = len(modulus) - 1
-        for i in range(len(coeffs) - 1, dm - 1, -1):
-            factor = coeffs[i]
-            if factor:
-                inv_lead = pow(modulus[dm], -1, self.p)
-                scale = factor * inv_lead % self.p
-                for j, m in enumerate(modulus):
-                    coeffs[i - dm + j] = (coeffs[i - dm + j] - scale * m) % self.p
-        return coeffs[:dm]
-
-    def _least_irreducible(self):
-        if self.k == 1:
-            return [0, 1]
-        # Monic degree-k polynomials in ascending constant-part encoding.
-        for tail in range(self.size):
-            poly = self._decode(tail) + [1]
-            if self._is_irreducible(poly):
-                return poly
-        raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
-
-    def _is_irreducible(self, poly) -> bool:
+    def _irreducible(self, poly) -> bool:
+        """No monic factor of degree at most half of ``poly``'s leaves remainder 0."""
         k = len(poly) - 1
-        for deg in range(1, k // 2 + 1):
-            for tail in range(self.p**deg):
-                divisor = self._decode(tail)[:deg] + [1]
-                if self._divides(divisor, poly):
-                    return False
-        return True
+        return all(any(self._rem(poly, d)) for deg in range(1, k // 2 + 1) for d in self._monic(deg))
 
-    def _divides(self, divisor, poly) -> bool:
-        rem = list(poly)
-        dd = len(divisor) - 1
-        while len(rem) - 1 >= dd:
-            lead = rem[-1]
-            if lead:
-                for j, m in enumerate(divisor):
-                    rem[len(rem) - 1 - dd + j] = (rem[len(rem) - 1 - dd + j] - lead * m) % self.p
-            rem.pop()
-        return all(c == 0 for c in rem)
+    def _monic(self, deg: int):
+        """The monic polynomials of degree ``deg`` in label order of their tails."""
+        return (self._digits(tail, deg) + [1] for tail in range(self.p**deg))
+
+    def _digits(self, n: int, k: int) -> list:
+        out = []
+        for _ in range(k):
+            n, c = divmod(n, self.p)
+            out.append(c)
+        return out
+
+    def _rem(self, coeffs, monic) -> list:
+        """The remainder of ``coeffs`` modulo a monic polynomial."""
+        r, d = list(coeffs), len(monic) - 1
+        for i in range(len(r) - 1, d - 1, -1):
+            c = r[i]
+            if c:
+                for j, m in enumerate(monic):
+                    r[i - d + j] = (r[i - d + j] - c * m) % self.p
+        return r[:d]
+
+    def _label(self, coeffs) -> int:
+        return sum(c * self.p**i for i, c in enumerate(coeffs))
 
     def add(self, a: int, b: int) -> int:
-        ca, cb = self._decode(a), self._decode(b)
-        return self._encode((x + y) % self.p for x, y in zip(ca, cb))
+        k = self.k
+        return self._label([(x + y) % self.p for x, y in zip(self._digits(a, k), self._digits(b, k))])
 
     def mul(self, a: int, b: int) -> int:
-        ca, cb = self._decode(a), self._decode(b)
+        cb = self._digits(b, self.k)
         prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(ca):
+        for i, x in enumerate(self._digits(a, self.k)):
             if x:
                 for j, y in enumerate(cb):
                     prod[i + j] = (prod[i + j] + x * y) % self.p
-        return self._encode(self._poly_mod(prod, self.modulus))
-
-    def pow(self, a: int, e: int) -> int:
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
-    def multiplicative_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        x, n = a, 1
-        while x != 1:
-            x = self.mul(x, a)
-            n += 1
-        return n
+        return self._label(self._rem(prod, self.modulus))
 
     def least_element_of_order(self, q: int) -> int:
         for a in range(1, self.size):
-            if self.multiplicative_order(a) == q:
+            x, n = a, 1
+            while x != 1 and n < q:
+                x, n = self.mul(x, a), n + 1
+            if x == 1 and n == q:
                 return a
         raise ValueError(f"no element of multiplicative order {q} in GF({self.size})")
 
@@ -218,7 +181,7 @@ def semilinear(p: int, k: int) -> Group:
         g = field.least_element_of_order(size - 1)
         gens.append(Permutation._make(tuple(field.mul(g, x) for x in range(size))))
     if k > 1:
-        gens.append(Permutation._make(tuple(field.pow(x, p) for x in range(size))))
+        gens.append(Permutation._make(tuple(functools.reduce(field.mul, [x] * p) for x in range(size))))
     return Group(size, gens, order_hint=size * (size - 1) * k, name=f"semilinear({p},{k})")
 
 
@@ -289,33 +252,37 @@ def wreath(base: Group, top: Group, action: str = "natural") -> Group:
 # -- subgroups from generator words -------------------------------------------
 
 
-_WORD_TERM_RE = re.compile(r"g(\d+)(?:\^(-?\d+))?$")
+_WORD_TERM_RE = re.compile(r"\s*g([0-9]+)\s*(?:\^\s*(-?\d+)\s*)?")
 
 
 def evaluate_word(G: Group, word: str) -> Permutation:
     """Evaluate a generator word like ``g0*g1^-1`` in ``G``.
 
-    Terms multiply left to right in the package's apply-left-first order.
+    A word is one or more terms ``g<i>`` or ``g<i>^<e>`` joined by ``*``,
+    with spaces allowed between tokens.  Terms multiply left to right in the
+    package's apply-left-first order.
     """
     out = identity(G.degree)
-    word = word.replace(" ", "")
-    if not word:
-        return out
     for term in word.split("*"):
-        m = _WORD_TERM_RE.match(term)
+        m = _WORD_TERM_RE.fullmatch(term)
         if not m:
             raise ValueError(f"malformed generator word term: {term!r}")
-        idx = int(m.group(1))
-        exp = int(m.group(2)) if m.group(2) is not None else 1
+        idx = int(m[1])
         if idx >= len(G.generators):
             raise ValueError(f"generator g{idx} out of range (group has {len(G.generators)})")
-        out = out * G.generators[idx] ** exp
+        out = out * G.generators[idx] ** int(m[2] or 1)
     return out
 
 
 def subgroup_from_words(G: Group, words) -> Subgroup:
     """Closure of the evaluated generator words inside ``G``."""
     return Subgroup.from_generators(G, [evaluate_word(G, w) for w in words])
+
+
+def _subgroup(parent: Group, words) -> Group:
+    gens = [evaluate_word(parent, w) for w in words]
+    name = ", ".join("".join(w.split()) for w in words)
+    return Group(parent.degree, gens, name=f"subgroup({parent.name}; {name})")
 
 
 # -- the GroupSpec text grammar ------------------------------------------------
@@ -329,140 +296,84 @@ class SpecError(ValueError):
         self.pos = pos
 
 
-_SPEC_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z_0-9]*)|(-?\d+)|([(),;*^]))")
+# Each constructor's function and argument form: ``n`` an integer, ``s`` a
+# spec, ``+`` one or more specs as a list, ``a`` a name, ``w`` the generator
+# words up to the closing parenthesis, and ``,`` or ``;`` that character.
+_GRAMMAR = {
+    "cyclic": (cyclic, "n"),
+    "dihedral": (dihedral, "n"),
+    "symmetric": (symmetric, "n"),
+    "elemabelian": (elem_abelian, "n,n"),
+    "frobenius": (frobenius, "n,n"),
+    "semilinear": (semilinear, "n,n"),
+    "product": (direct_product, "+"),
+    "wreath": (wreath, "s,s,a"),
+    "subgroup": (_subgroup, "s;w"),
+}
+
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z_0-9]*)|(-?\d+)|(\S)|$)")
+_WORDS_RE = re.compile(r"[^)]*")
 
 
-def _tokenize_spec(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _SPEC_TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise SpecError(f"unexpected character {text[pos]!r}", pos)
-            break
-        if m.group(1):
-            tokens.append(("name", m.group(1), m.start(1)))
-        elif m.group(2):
-            tokens.append(("int", int(m.group(2)), m.start(2)))
-        else:
-            tokens.append(("punct", m.group(3), m.start(3)))
-        pos = m.end()
-    tokens.append(("eof", None, len(text)))
-    return tokens
+class _SpecReader:
+    """Reads one spec from its text, building each group as its ``)`` is read."""
 
-
-class _SpecParser:
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize_spec(text)
-        self.i = 0
+        self.text, self.pos = text, 0
 
-    def peek(self):
-        return self.tokens[self.i]
+    def peek(self) -> tuple:
+        """``(kind, token, position, end)`` of the next token; its kind is
+        ``name``, ``int``, the character itself, or "" at the end."""
+        m = _TOKEN_RE.match(self.text, self.pos)
+        i = m.lastindex or 0
+        return ("", "name", "int", m[3])[i], m[i].strip(), m.start(i), m.end()
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def take(self, want: str) -> tuple:
+        """Consume the next token, which must be of kind ``want``; ``(token, position)``."""
+        kind, token, pos, self.pos = self.peek()
+        if kind != want:
+            raise SpecError(f"expected {want or 'the end'!r}, found {token or 'the end'!r}", pos)
+        return token, pos
 
-    def expect(self, kind, value=None):
-        tok = self.next()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            want = value if value is not None else kind
-            raise SpecError(f"expected {want!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def parse(self) -> Group:
-        g = self.parse_spec()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise SpecError(f"trailing input {tok[1]!r}", tok[2])
-        return g
-
-    def parse_spec(self) -> Group:
-        kind, name, pos = self.next()
-        if kind != "name":
-            raise SpecError(f"expected a constructor name, found {name!r}", pos)
-        name = name.lower()
-        self.expect("punct", "(")
-        if name == "cyclic":
-            g = cyclic(self.parse_int())
-        elif name == "dihedral":
-            g = dihedral(self.parse_int())
-        elif name == "symmetric":
-            g = symmetric(self.parse_int())
-        elif name == "elemabelian":
-            p = self.parse_int()
-            self.expect("punct", ",")
-            g = elem_abelian(p, self.parse_int())
-        elif name == "frobenius":
-            p = self.parse_int()
-            self.expect("punct", ",")
-            g = frobenius(p, self.parse_int())
-        elif name == "semilinear":
-            p = self.parse_int()
-            self.expect("punct", ",")
-            g = semilinear(p, self.parse_int())
-        elif name == "product":
-            factors = [self.parse_spec()]
-            while self.peek()[1] == ",":
-                self.next()
-                factors.append(self.parse_spec())
-            g = direct_product(factors)
-        elif name == "wreath":
-            base = self.parse_spec()
-            self.expect("punct", ",")
-            top = self.parse_spec()
-            self.expect("punct", ",")
-            kind, action, pos = self.next()
-            if kind != "name" or action not in ("natural", "regular"):
-                raise SpecError("wreath action must be natural or regular", pos)
-            g = wreath(base, top, action)
-        elif name == "subgroup":
-            parent = self.parse_spec()
-            self.expect("punct", ";")
-            words = []
-            if self.peek()[1] != ")":
-                words.append(self.parse_word())
-                while self.peek()[1] == ",":
-                    self.next()
-                    words.append(self.parse_word())
-            g = Group(
-                parent.degree,
-                [evaluate_word(parent, w) for w in words],
-                name=f"subgroup({parent.name}; {', '.join(words)})",
-            )
-        else:
+    def spec(self) -> Group:
+        name, pos = self.take("name")
+        if name.lower() not in _GRAMMAR:
             raise SpecError(f"unknown constructor {name!r}", pos)
-        self.expect("punct", ")")
-        return g
+        build, form = _GRAMMAR[name.lower()]
+        self.take("(")
+        args = []
+        for item in form:
+            if item in ",;":
+                self.take(item)
+            elif item == "n":
+                args.append(int(self.take("int")[0]))
+            elif item == "a":
+                args.append(self.take("name")[0])
+            elif item == "s":
+                args.append(self.spec())
+            elif item == "+":
+                args.append(self.specs())
+            else:
+                args.append(self.words())
+        self.take(")")
+        try:
+            return build(*args)
+        except ValueError as exc:
+            raise SpecError(str(exc), pos) from exc
 
-    def parse_int(self) -> int:
-        tok = self.next()
-        if tok[0] != "int":
-            raise SpecError(f"expected an integer, found {tok[1]!r}", tok[2])
-        return tok[1]
+    def specs(self) -> list:
+        out = [self.spec()]
+        while self.peek()[0] == ",":
+            self.take(",")
+            out.append(self.spec())
+        return out
 
-    def parse_word(self) -> str:
-        # Words are re-serialised to text and evaluated by evaluate_word.
-        parts = []
-        while True:
-            kind, value, pos = self.next()
-            if kind != "name" or not re.fullmatch(r"g\d+", value):
-                raise SpecError(f"expected a generator term like g0, found {value!r}", pos)
-            term = value
-            if self.peek()[1] == "^":
-                self.next()
-                tok = self.next()
-                if tok[0] != "int":
-                    raise SpecError(f"expected an exponent, found {tok[1]!r}", tok[2])
-                term += f"^{tok[1]}"
-            parts.append(term)
-            if self.peek()[1] == "*":
-                self.next()
-                continue
-            return "*".join(parts)
+    def words(self) -> list:
+        """The comma-separated texts up to the next ``)``, each checked by
+        :func:`evaluate_word`; none when they are blank."""
+        text = _WORDS_RE.match(self.text, self.pos)[0]
+        self.pos += len(text)
+        return text.split(",") if text.strip() else []
 
 
 def parse_group_spec(text: str) -> Group:
@@ -473,4 +384,7 @@ def parse_group_spec(text: str) -> Group:
     ``product(spec, ...)``, ``wreath(base, top, natural|regular)``,
     ``subgroup(spec; w1, w2, ...)`` with words like ``g0*g1^-1``.
     """
-    return _SpecParser(text).parse()
+    reader = _SpecReader(text)
+    group = reader.spec()
+    reader.take("")
+    return group

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import re
 
+from .numth import is_p_number
+
 
 class Permutation:
     """A bijection of ``{0..degree-1}`` stored as its tuple of images.
@@ -105,14 +107,10 @@ class Permutation:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Permutation.parse({format_cycles(self)!r}, degree={self.degree})"
+        return f"parse_cycles({format_cycles(self)!r}, degree={self.degree})"
 
     def __str__(self) -> str:
         return format_cycles(self)
-
-    @staticmethod
-    def parse(text: str, degree: int | None = None) -> "Permutation":
-        return parse_cycles(text, degree)
 
 
 def identity(degree: int) -> Permutation:
@@ -131,10 +129,7 @@ def element_order(x: Permutation) -> int:
 
 def is_p_element(x: Permutation, p: int) -> bool:
     """True iff the order of ``x`` is a power of ``p`` (1 qualifies)."""
-    n = x.order()
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return is_p_number(x.order(), p)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -237,6 +237,7 @@ def test_conclusions_outside_their_hypotheses_say_no_on_real_groups():
     # index 28).
     S4 = Factorisation.trivial(symmetric(4))
     for check, reason in ((report_theorem_a, "not a p-Baer factorisation"),
+                          (baer.report_theorem_b, "not a p-Baer factorisation"),
                           (baer.report_theorem_e, "not a Baer factorisation")):
         assert [(c.clause, c.verdict, c.witness) for c in check(S4, 2).clauses] == [
             ("hypotheses", NOT_APPLICABLE, reason)
@@ -249,6 +250,8 @@ def test_conclusions_outside_their_hypotheses_say_no_on_real_groups():
         "5:sylow-part-centralises-hall": FAIL,
         "6:nonabelian-factor-sylows-force-decomposition": FAIL,
     }
+    # A transposition's index 6 has two prime divisors, so B ends at its first clause.
+    assert conclusions(baer.report_theorem_b, S4, 2) == {"unique-primes": FAIL}
     assert conclusions(baer.report_theorem_e, S4, 2)["3:central-quotient-shape"] == FAIL
     assert conclusions(baer.report_corollary_c, S4)["1:fitting-quotient-abelian"] == FAIL
     assert set(conclusions(baer.check_factor_inheritance, S4).values()) == {FAIL}
@@ -256,6 +259,7 @@ def test_conclusions_outside_their_hypotheses_say_no_on_real_groups():
     SL = Factorisation.trivial(semilinear(2, 3))
     assert baer.is_p_baer(SL, 2).is_p_baer and not baer.is_baer(SL).is_baer
     assert [c.clause for c in baer.report_theorem_e(SL, 2).clauses] == ["hypotheses"]
+    assert conclusions(baer.report_theorem_b, SL, 3) == {"unique-primes": FAIL}  # index 28
     assert conclusions(baer.report_theorem_e, SL, 2)["3:central-quotient-shape"] == FAIL
     assert conclusions(baer.report_corollary_c, SL)["1:fitting-quotient-abelian"] == FAIL
     assert set(conclusions(baer.check_factor_inheritance, SL).values()) == {FAIL}

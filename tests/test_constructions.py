@@ -1,7 +1,11 @@
 import math
+import random
+import re
+import string
 
 import pytest
 
+from baerlab import constructions
 from baerlab.constructions import (
     SpecError,
     cyclic,
@@ -217,10 +221,63 @@ def test_parse_group_spec_errors():
         "wreath(cyclic(2), cyclic(2), sideways)",
         "cyclic(7) trailing",
         "subgroup(cyclic(3); q0)",
+        "subgroup(cyclic(3); g 0)",
+        "subgroup(cyclic(3); g0,)",
+        "subgroup(cyclic(3); g0 g0)",
         "cyclic(x)",
     ]:
         with pytest.raises(SpecError):
             parse_group_spec(bad)
+
+
+@pytest.mark.parametrize("text, at", [
+    ("frobenius(1,5)", "frobenius"),
+    ("subgroup(dihedral(1);)", "dihedral"),
+    ("cyclic(-3)", "cyclic"),
+    ("subgroup(cyclic(3); g7)", "subgroup"),
+    ("wreath(cyclic(-3), symmetric(3), naturl)", "cyclic"),
+])
+def test_a_constructor_error_is_a_spec_error_at_the_constructor(text, at):
+    with pytest.raises(SpecError) as raised:
+        parse_group_spec(text)
+    assert raised.value.pos == text.index(at)
+
+
+def test_the_docstring_grammar_names_every_constructor():
+    grammar = parse_group_spec.__doc__.split("Grammar:")[1]
+    assert set(re.findall(r"``(\w+)\(", grammar)) == set(constructions._GRAMMAR)
+
+
+FUZZ_SPECS = (
+    "cyclic(7)", "dihedral(10)", "symmetric(4)", "elemabelian(2,3)", "frobenius(7,3)",
+    "semilinear(2,3)", "product(symmetric(3), dihedral(10))",
+    "wreath(cyclic(2), cyclic(2), regular)", "wreath(cyclic(3), symmetric(3), natural)",
+    "subgroup(semilinear(2,3); g0, g1^-1*g0*g1, g2)",
+)
+
+
+def test_spec_mutants_parse_or_raise_spec_error():
+    # One to three deletions, insertions or swaps of neighbours in a valid
+    # spec.  No digit is inserted, so no mutant asks for a large group.
+    rng = random.Random(20)
+    alphabet = sorted(set("".join(FUZZ_SPECS)) - set(string.digits))
+    accepted = 0
+    for _ in range(2000):
+        text = list(rng.choice(FUZZ_SPECS))
+        for _ in range(rng.randint(1, 3)):
+            i, op = rng.randrange(len(text)), rng.randrange(3)
+            if op == 0:
+                del text[i]
+            elif op == 1:
+                text.insert(i, rng.choice(alphabet))
+            elif i + 1 < len(text):
+                text[i], text[i + 1] = text[i + 1], text[i]
+        try:
+            parse_group_spec("".join(text))
+            accepted += 1
+        except SpecError:
+            pass
+    assert 0 < accepted < 100
 
 
 def test_constructors_are_pure():

@@ -93,6 +93,7 @@ def test_inverse_law(p):
 @given(perms())
 def test_parse_format_roundtrip(p):
     assert parse_cycles(format_cycles(p), degree=p.degree) == p
+    assert eval(repr(p), {"parse_cycles": parse_cycles}) == p
 
 
 @given(perms(6), perms(6))
