@@ -838,13 +838,15 @@ def check_pq_baer(report: TheoremReport, F: Factorisation, p: int, q: int) -> No
     a normal Hall {p,q}-subgroup with abelian Sylow subgroups exists.  Such a
     subgroup contains every {p,q}-subgroup, so it exists iff ``O_{p,q}(G)``
     has the {p,q}-part of |G| as its order, and is then ``O_{p,q}(G)``."""
-    r = unique_primes(F, p).r
-    (s,) = _index_primes(F.a, q) | _index_primes(F.b, q)
-    report.check("a:s-in-p-r", s in {p, r}, {"s": s, "r": r, "q": q})
-    if q == r:
+    rs = _index_primes(F.b, p)
+    ss = _index_primes(F.a, q) | _index_primes(F.b, q)
+    # Inside the hypotheses rs == {r} and ss == {s}, and the witness names r and s.
+    r, s = (min(x) if len(x) == 1 else sorted(x) for x in (rs, ss))
+    report.check("a:s-in-p-r", ss <= rs | {p}, {"s": s, "r": r, "q": q})
+    if rs == {q}:
         G = F.group
         H = o_pi(G, {p, q})
-        ok = s == p and H.order == pi_part(G.order, {p, q})
+        ok = ss == {p} and H.order == pi_part(G.order, {p, q})
         report.check("b:normal-hall-pq", ok and all(is_abelian(factor_sylow(H, x)) for x in (p, q)),
                      {"s": s, "hall_order": H.order})
     else:

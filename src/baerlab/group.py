@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import weakref
 
 from .errors import (
@@ -105,7 +106,8 @@ def closure(generators, cap: int = ENUMERATION_CAP, *, degree: int | None = None
     """Breadth-first closure of ``generators`` by left products ``g * a``.
 
     The order is :func:`_left_walk`'s, deterministic given the generator
-    order, identity first.  Exceeding ``cap`` elements raises
+    order, identity first; each walked image tuple is made a
+    :class:`Permutation` once, here.  Exceeding ``cap`` elements raises
     :class:`CapExceeded` (callers must then fall back to orbit methods).
     """
     gens, degree = _dedup_generators(generators, degree)
@@ -113,31 +115,39 @@ def closure(generators, cap: int = ENUMERATION_CAP, *, degree: int | None = None
         raise ValueError("cannot infer degree from an empty generator set")
     if cap <= 0:
         raise ValueError("cap must be positive")
-    return _left_walk(gens, degree, cap)[0]
+    return list(map(Permutation._make, _left_walk(gens, degree, cap)[0]))
 
 
 def _left_walk(gens, degree: int, cap: int) -> tuple:
     """Breadth-first walk of ``<gens>`` from the identity by left products ``g * a``.
 
+    The walk composes image tuples, not permutations: ``(g * x).images ==
+    itemgetter(*g.images)(x.images)``, so each generator's product is one
+    ``operator.itemgetter``, built once, and each composition one C call.
+    The generators must be distinct non-identities, as
+    :func:`_dedup_generators` leaves them, so any generator has degree at
+    least 2 and its itemgetter returns a tuple, never a single image.
+
     Each level is walked generator by generator, and for each generator over
-    the level in walk order, so every element is multiplied once by every
-    generator: ``|G| * len(gens)`` products.  Returns ``(els, place, maps,
-    blocks)``: the elements in walk order, ``place[x]`` the walk place of x,
-    ``maps[j][w]`` the place of ``gens[j] * els[w]``, and the spanning tree
-    of the walk as blocks ``(j, parents)``, each holding at consecutive places
-    the new children ``gens[j] * a`` of the parents at the places listed.
+    the level in walk order, so every element is composed once with every
+    generator: ``|G| * len(gens)`` compositions.  Returns ``(els, place,
+    maps, blocks)``: the elements' image tuples in walk order, ``place[x]``
+    the walk place of image tuple x, ``maps[j][w]`` the place of ``gens[j] *
+    els[w]``, and the spanning tree of the walk as blocks ``(j, parents)``,
+    each holding at consecutive places the new children ``gens[j] * a`` of
+    the parents at the places listed.
     """
-    els = [identity(degree)]
+    els = [tuple(range(degree))]
     place = {els[0]: 0}
     maps = [[] for _ in gens]
     blocks = []
+    prods = [operator.itemgetter(*g.images) for g in gens]
     lo, size = 0, 1
     while lo < size:
         hi = size
-        for j, g in enumerate(gens):
+        for j, prod in enumerate(prods):
             lmap, parents = maps[j], []
-            for a, x in enumerate(els[lo:hi], lo):
-                c = g * x
+            for a, c in enumerate(map(prod, els[lo:hi]), lo):
                 w = place.setdefault(c, size)
                 if w == size:
                     if size >= cap:
@@ -260,26 +270,28 @@ class Group:
     def materialize(self) -> tuple:
         """Build (or return) the element store, sorted lexicographically.
 
-        The store is :func:`_left_walk`'s elements sorted by their image
-        tuples: the order of ``Permutation.__lt__``, at the speed of a tuple
-        sort.  The walk's generator maps and tree are held, with the sort's
-        order to read them by store id, until :meth:`cayley` takes them.
+        The store is :func:`_left_walk`'s image tuples, sorted: the order of
+        ``Permutation.__lt__``, at the speed of a tuple sort.  Each is made a
+        :class:`Permutation` once, after the sort, and ``_index`` maps those
+        permutations to their store ids.  The walk's generator maps and tree
+        are held, with the sort's order to read them by store id, until
+        :meth:`cayley` takes them.
         """
         if self._elements is not None:
             return self._elements
         known = self.order_hint
         if known is not None:
             check_enumerable("group", known)
-        els, index, maps, blocks = _left_walk(self.generators, self.degree, ENUMERATION_CAP)
+        els, place, maps, blocks = _left_walk(self.generators, self.degree, ENUMERATION_CAP)
+        del place  # keyed by image tuples; freed before _index is built
         if known is not None and len(els) != known:
             raise InternalInvariantViolation(
                 f"closure size {len(els)} contradicts declared order {known}"
             )
         # order[x] is the walk place of store id x.
-        order = sorted(range(len(els)), key=[x.images for x in els].__getitem__)
-        self._elements = tuple(map(els.__getitem__, order))
-        index.update(zip(self._elements, range(len(els))))  # places become store ids
-        self._index = index
+        order = sorted(range(len(els)), key=els.__getitem__)
+        self._elements = tuple(map(Permutation._make, map(els.__getitem__, order)))
+        self._index = dict(zip(self._elements, range(len(els))))
         self._walk = (order, maps, blocks)
         return self._elements
 
@@ -433,9 +445,11 @@ class CayleyTable:
     one left map ``x -> id(g * x)`` per generator and the breadth-first
     spanning tree of left multiplications from the identity (a Schreier
     vector), both taken from the walk that built the store
-    (:func:`_left_walk`), so building the table costs list lookups and no
-    permutation product.  A column is built from its tree parent's column when
-    that is held, ``id(x * g * h) == col(h)[col(g)[x]]``, and otherwise
+    (:func:`_left_walk`, which composed image tuples and made each store
+    element a :class:`Permutation` once), so building the table costs list
+    lookups and no permutation product.  A column is built from its tree
+    parent's column when that is held, ``id(x * g * h) ==
+    col(h)[col(g)[x]]``, and otherwise
     :meth:`spread` down the tree from the generator maps, ``id(g * a * s) ==
     lmap_g[id(a * s)]``: a few list lookups per element either way, however
     deep the tree.  A row is read off a column, ``row(s)[x] ==

@@ -253,6 +253,16 @@ def test_conclusions_outside_their_hypotheses_say_no_on_real_groups():
     # A transposition's index 6 has two prime divisors, so B ends at its first clause.
     assert conclusions(baer.report_theorem_b, S4, 2) == {"unique-primes": FAIL}
     assert conclusions(baer.report_theorem_e, S4, 2)["3:central-quotient-shape"] == FAIL
+    # S4 is neither 2- nor 3-Baer.  At p = 2 the q-index prime s = 2 is p, so
+    # "a" holds, and B's p-index primes {2, 3} are not {q}, so "b" does not
+    # apply; at p = 3, q = 2 they are {2} and the q-index primes {2, 3} are not {p}.
+    assert [(c.clause, c.verdict) for c in baer.check_pq_baer(S4, 2, 3).clauses] == [
+        ("hypotheses", NOT_APPLICABLE)
+    ]
+    assert conclusions(baer.check_pq_baer, S4, 2, 3) == {
+        "a:s-in-p-r": PASS, "b:normal-hall-pq": NOT_APPLICABLE
+    }
+    assert conclusions(baer.check_pq_baer, S4, 3, 2) == {"a:s-in-p-r": PASS, "b:normal-hall-pq": FAIL}
     assert conclusions(baer.report_corollary_c, S4)["1:fitting-quotient-abelian"] == FAIL
     assert set(conclusions(baer.check_factor_inheritance, S4).values()) == {FAIL}
 

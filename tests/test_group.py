@@ -10,6 +10,8 @@ from baerlab.errors import CapExceeded
 from baerlab.group import (
     Group,
     Subgroup,
+    _dedup_generators,
+    _left_walk,
     centraliser,
     class_index,
     closure,
@@ -278,7 +280,7 @@ def test_cayley_table_of_quotient_group():
     assert_table_matches_products(Q.group)
 
 
-# -- the store walk: one pass of products, handed to the table -----------------------
+# -- the store walk: one pass of compositions, handed to the table -------------------
 
 
 @pytest.fixture
@@ -319,7 +321,10 @@ def test_only_the_store_walk_multiplies_permutations(build, products):
     assert not G.is_materialized
     products[0] = 0
     G.materialize()
-    assert products[0] == G.order * len(G.generators)
+    # The walk composes image tuples, once per element and generator, and
+    # makes no Permutation product.
+    assert products[0] == 0
+    assert sum(map(len, G._walk[1])) == G.order * len(G.generators)
     products[0] = 0
     G.cayley()
     assert products[0] == 0
@@ -328,6 +333,77 @@ def test_only_the_store_walk_multiplies_permutations(build, products):
         products[0] = 0
         _conjugation_orbit(G, ids)
         assert products[0] == 0
+
+
+def permutation_walk(gens, degree, cap):
+    """Oracle for :func:`_left_walk`: the same walk by ``Permutation`` products,
+    returning permutations where it returns image tuples."""
+    els = [identity(degree)]
+    place = {els[0]: 0}
+    maps = [[] for _ in gens]
+    blocks = []
+    lo, size = 0, 1
+    while lo < size:
+        hi = size
+        for j, g in enumerate(gens):
+            lmap, parents = maps[j], []
+            for a, x in enumerate(els[lo:hi], lo):
+                c = g * x
+                w = place.setdefault(c, size)
+                if w == size:
+                    if size >= cap:
+                        raise CapExceeded("cap", cap=cap, partial=size)
+                    size += 1
+                    els.append(c)
+                    parents.append(a)
+                lmap.append(w)
+            if parents:
+                blocks.append((j, parents))
+        lo = hi
+    return els, place, maps, blocks
+
+
+def assert_walks_agree(gens, degree, cap):
+    gens, _ = _dedup_generators(gens, degree)
+    try:
+        els, place, maps, blocks = permutation_walk(gens, degree, cap)
+    except CapExceeded as want:
+        for walk in (
+            functools.partial(_left_walk, gens, degree, cap),
+            functools.partial(closure, gens, cap, degree=degree),
+        ):
+            with pytest.raises(CapExceeded) as got:
+                walk()
+            assert (got.value.cap, got.value.partial) == (want.cap, want.partial)
+        return
+    walk = _left_walk(gens, degree, cap)
+    assert walk[0] == [x.images for x in els]
+    assert walk[1] == {x.images: w for x, w in place.items()}
+    assert walk[2:] == (maps, blocks)
+    assert sum(map(len, walk[2])) == len(els) * len(gens)
+    assert closure(gens, cap, degree=degree) == els
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_sets(), st.integers(min_value=1, max_value=130))
+def test_left_walk_matches_the_permutation_walk(data, cap):
+    degree, gens = data
+    assert_walks_agree(gens, degree, cap)
+
+
+@pytest.mark.parametrize(
+    "degree, gens",
+    [(0, []), (1, []), (1, [identity(1)]), (2, [identity(2)]), (2, [Permutation([1, 0])])],
+)
+def test_left_walk_at_degrees_below_three(degree, gens):
+    # At degree 1 an itemgetter of one index would return an image, not a
+    # tuple; the identity is the only permutation there and never reaches
+    # the walk.
+    assert_walks_agree(gens, degree, 10)
+    G = Group(degree, gens)
+    assert G.elements == tuple(closure(gens, degree=degree)) == tuple(sorted(G.elements))
+    assert G.order == len(G.cayley()) == 2 ** len(G.generators)
+    assert G.inverse_ids() == list(range(G.order))
 
 
 @settings(max_examples=25, deadline=None)
