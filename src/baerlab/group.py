@@ -627,8 +627,10 @@ class Subgroup:
       (frozensets give O(1) membership and canonical dedup keys);
     * ``factors`` -- one subgroup of each block of ``parent.direct_factors``,
       in block order, for the product-form subgroups of a direct product
-      (order known as the product of factor orders, membership tested
-      blockwise).
+      (membership tested blockwise).
+
+    ``order`` is stored once, at construction: the number of ids, or the
+    product of the factor orders.
 
     :meth:`from_ids` and :meth:`from_factors` enforce this: a subgroup is
     ids of a materialised parent, or blocks of a direct product.  Building a
@@ -646,7 +648,7 @@ class Subgroup:
     neither them nor, through them, the parent alive.
     """
 
-    __slots__ = ("parent", "_ids", "_factors", "_cache", "__weakref__")
+    __slots__ = ("parent", "order", "_ids", "_factors", "_cache", "__weakref__")
 
     def __init__(self, parent, *, ids=None, factors=None):
         if (ids is None) == (factors is None):
@@ -655,6 +657,7 @@ class Subgroup:
         self._ids = ids
         self._factors = factors
         self._cache = {}
+        self.order = len(ids) if ids is not None else math.prod(s.order for s in factors)
 
     # -- constructors ------------------------------------------------------
 
@@ -712,12 +715,6 @@ class Subgroup:
         return cls.from_ids(parent, range(len(parent.elements)))
 
     # -- basic facts ---------------------------------------------------------
-
-    @property
-    def order(self) -> int:
-        if self._ids is not None:
-            return len(self._ids)
-        return math.prod(s.order for s in self._factors)
 
     def __len__(self) -> int:
         return self.order

@@ -718,7 +718,7 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
     A layered closure: every explored subgroup ``H`` yields ``<H, x>`` for
     each prime-power-order element ``x`` outside it.  Every group is
     generated by such elements, so each subgroup tops a chain
-    ``1 < <x1> < <x1, x2> < ...`` whose steps the layering follows.  Two
+    ``1 < <x1> < <x1, x2> < ...`` whose steps the layering follows.  Three
     exact reductions keep the closures few:
 
     * ``<H, x> == <H, x^k>`` whenever ``gcd(k, |x|) == 1``, so only one
@@ -726,7 +726,11 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
     * ``<H^g, x> == <H, x^(g^-1)>^g``, so the children of a conjugate are the
       conjugates of the children.  Each new subgroup enters the result with
       its whole conjugacy class, walked under
-      :meth:`Group.conjugation_maps`, but only the subgroup itself is explored.
+      :meth:`Group.conjugation_maps`, but only the subgroup itself is explored;
+    * ``<H, x^h> == <H, x>`` for ``h`` in ``H``, since ``x^h`` lies in
+      ``<H, x>`` and ``x`` in ``<H, x^h>``, so ``H`` is extended by one cyclic
+      subgroup per ``H``-conjugacy class, the orbit walked under the
+      conjugation by ``H``'s generators read from their table columns.
 
     The found set is then closed under conjugation and holds every child of
     every member, so every chain still climbs inside it and the layering
@@ -741,16 +745,19 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
         )
     G.materialize()
     mul = G.cayley()
+    inv = mul.inv
+    # pp_ids holds one generator per cyclic subgroup of prime-power order,
+    # and cyclic_rep[y] is the one with <y> == <cyclic_rep[y]>.
     pp_ids = []
-    covered = set()
+    cyclic_rep = {}
     for x, o in enumerate(G.element_orders()):
-        if x in covered or o == 1 or not classify_prime_power(o).is_prime_power:
+        if x in cyclic_rep or o == 1 or not classify_prime_power(o).is_prime_power:
             continue
         pp_ids.append(x)
         col, y = mul.col(x), x
         for k in range(1, o):
             if math.gcd(k, o) == 1:
-                covered.add(y)
+                cyclic_rep[y] = x
             y = col[y]
     trivial = Subgroup.trivial(G)
     found = {trivial.ids: trivial}
@@ -760,9 +767,20 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
         new = []
         for H in frontier:
             hids, hgens = H.ids, H.generating_ids()
+            cols = [mul.col(h) for h in hgens]
+            tried = set()
             for x in pp_ids:
-                if x in hids:
+                if x in hids or x in tried:
                     continue
+                # Mark the H-class of <x>: id(h^-1 y h) == c[inv[c[inv[y]]]].
+                tried.add(x)
+                orbit = [x]
+                for y in orbit:
+                    for c in cols:
+                        z = cyclic_rep[c[inv[c[inv[y]]]]]
+                        if z not in tried:
+                            tried.add(z)
+                            orbit.append(z)
                 spent += 1
                 if spent > budget:
                     raise CapExceeded(

@@ -415,6 +415,35 @@ def test_theorem_a_clause_6_floor_on_every_factorisation_of_d8_x_f21():
     assert decided >= 17
 
 
+def test_theorem_a_clause_5_on_a_nontrivial_hall_subgroup():
+    # Clause 5 needs a Sylow intersection that does not centralise O_p(G);
+    # on this group of order 168 the Hall 2'-subgroup it commutes with has
+    # order 21, so the Hall search and the commutation test both run.  The
+    # factorisations are the sweep's: the trivial one and every pair of
+    # proper subgroups with |A||B| = |G||A n B|.
+    G = parse_group_spec("subgroup(product(dihedral(8),frobenius(7,3)); g0, g1, g2, g3)")
+    assert G.order == 168
+    trivial = Factorisation.trivial(G)
+    clause = [c for c in report_theorem_a(trivial, 2).clauses if c.clause.startswith("5:")]
+    assert [(c.clause, c.verdict, c.witness["hall_order"]) for c in clause] == [
+        ("5:sylow-part-centralises-hall", PASS, 21)
+    ]
+    subs = enumerate_subgroups(G)
+    facts = [trivial] + [
+        Factorisation(G, A, B)
+        for i, A in enumerate(subs) if A.order < G.order
+        for B in subs[i:]
+        if B.order < G.order and A.order * B.order == G.order * A.intersection(B).order
+    ]
+    assert len(facts) == 578
+    decided = 0
+    for F in facts:
+        for p in sorted(pi_of(G)):
+            for row in report_rows(report_theorem_a(F, p)):
+                decided += row[2].startswith("5:") and row[3] in (PASS, FAIL)
+    assert decided == 578
+
+
 def subgroup_key(S):
     """S's members as a value that does not keep S alive: store ids once its
     parent is materialised, else the keys of its block factors."""

@@ -1233,11 +1233,15 @@ def test_enumerate_subgroups_matches_layered_closure(spec):
 
 @pytest.mark.parametrize("spec", SWEEP_SPECS)
 def test_enumerate_subgroups_explores_one_subgroup_per_class(spec):
-    # Exploring H costs one closure per cyclic subgroup of prime-power order
-    # outside H.  With one explored subgroup per conjugacy class that sums
-    # to the budget below; exploring a second member of some class exceeds it.
+    # Exploring K costs one closure per K-conjugacy class of cyclic subgroups
+    # of prime-power order outside K.  With one explored subgroup per
+    # conjugacy class of G that sums to the budget below, and every closure
+    # counts: exploring a second member of some class, or closing a second
+    # member of some K-class, exceeds it.
     G = parse_group_spec(spec)
     ids = layered_closure_ids(G)
+    els = G.elements
+    conj = [[G.element_id(x.conjugate(g)) for x in els] for g in els]
     orders = G.element_orders()
     cyclic_pp = [
         K for K in ids
@@ -1248,15 +1252,29 @@ def test_enumerate_subgroups_explores_one_subgroup_per_class(spec):
     for K in ids:
         if K in seen:
             continue
-        budget += sum(not C <= K for C in cyclic_pp)
-        orbit = [K]
-        for L in orbit:
-            for g in G.generators:
-                M = frozenset(G.element_id(G.elements[i].conjugate(g)) for i in L)
-                if M not in orbit:
-                    orbit.append(M)
-        seen.update(orbit)
+        outside = {C for C in cyclic_pp if not C <= K}
+        while outside:
+            C = outside.pop()
+            outside -= {frozenset(conj[k][i] for i in C) for k in K}
+            budget += 1
+        seen.update(frozenset(map(c.__getitem__, K)) for c in conj)
     assert [S.ids for S in enumerate_subgroups(G, budget=budget)] == ids
+    with pytest.raises(CapExceeded):
+        enumerate_subgroups(parse_group_spec(spec), budget=budget - 1)
+
+
+def test_stored_subgroup_order_counts_members():
+    # ``order`` is stored at construction; it must count the members for
+    # id-backed subgroups and for product-form subgroups of a lazy product.
+    for spec in ("symmetric(4)", "semilinear(2,3)"):
+        for S in enumerate_subgroups(parse_group_spec(spec)):
+            assert S.order == len(S.members()) == len(S.ids)
+    G = parse_group_spec("product(symmetric(3),dihedral(8))")
+    blocks = [enumerate_subgroups(f) for f in G.direct_factors]
+    for factors in itertools.product(*blocks):
+        S = Subgroup.from_factors(G, factors)
+        assert S.order == len(S.members())
+    assert not G.is_materialized
 
 
 def test_enumerate_subgroups_reports_partial_count_on_budget():
