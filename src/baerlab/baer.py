@@ -156,7 +156,7 @@ def _kinds(S: Subgroup, p: int, inner: bool) -> dict:
     product-form S folds its blocks' kinds (:func:`_fold_kinds`) whether or
     not G's store is built, so all kinds memoised on S have positions of one
     form.  Otherwise S is one block, read by sorted store id: orders from
-    ``G.element_orders()``, indices from ``G.conjugacy_partition()`` and
+    ``G.element_orders()``, indices from ``G.class_sizes()`` and
     class sizes from :func:`~baerlab.structure.factor_class_sizes`; a
     position is the store id, the identity's, 0, being the least.
     """
@@ -164,12 +164,12 @@ def _kinds(S: Subgroup, p: int, inner: bool) -> dict:
         parts = (_kinds(s, p, inner) for s in S.factors)
         return functools.reduce(_fold_kinds, parts, {(1, 1, True): ((), (), 1)})
     G = S.parent
-    els, orders, classes = G.elements, G.element_orders(), G.conjugacy_partition()
+    els, orders, index = G.elements, G.element_orders(), G.class_sizes()
     sizes = factor_class_sizes(S) if inner else None
     kinds = {}
     for i in sorted(S.ids_in_store()):
         if is_p_number(orders[i], p):
-            key = (len(classes[G.class_of_id(i)]), sizes[i] if inner else 1, orders[i] == 1)
+            key = (index[i], sizes[i] if inner else 1, orders[i] == 1)
             first, x, n = kinds.get(key, (i, els[i], 0))
             kinds[key] = (first, x, n + 1)
     return kinds
@@ -768,18 +768,14 @@ def check_lemma_bk(report: TheoremReport, G: Group) -> None:
     G.materialize()
     els = G.elements
     orders = G.element_orders()
-    classes = G.conjugacy_partition()
+    index = G.class_sizes()
     mul = G.cayley()
-
-    def index(i: int) -> int:
-        return len(classes[G.class_of_id(i)])
-
     for p in sorted(pi_of(G)):
         rows = []
         for i, o in enumerate(orders):
             if o == 1 or not is_p_number(o, p):
                 continue
-            idx = index(i)
+            idx = index[i]
             if idx == 1:
                 continue
             c = classify_prime_power(idx)
@@ -790,7 +786,7 @@ def check_lemma_bk(report: TheoremReport, G: Group) -> None:
             for j, iy, py in rows[ai + 1 :]:
                 if px == py:
                     continue
-                ixy = index(mul.col(j)[i])
+                ixy = index[mul.col(j)[i]]
                 if not classify_prime_power(ixy).is_prime_power:
                     continue
                 pairs += 1

@@ -225,7 +225,6 @@ class Group:
         self._index: dict | None = None
         self._walk: tuple | None = None
         self._cayley: CayleyTable | None = None
-        self._conj_maps: list | None = None
         self._cache: dict = {}
         # The canonical subgroups (Subgroup.from_ids, from_factors), held
         # weakly so that a group and its subgroups are freed by reference
@@ -377,18 +376,33 @@ class Group:
         self.materialize()
         return [self._index[g] for g in self.generators]
 
-    def conjugation_maps(self) -> list:
-        """Per generator ``g``, the id map ``cmap[x] == id(g**-1 * x * g)``.
+    def conjugation_orbit(self, x: int, gen_ids) -> list:
+        """The orbit of store id ``x`` under conjugation by the store ids
+        ``gen_ids``, breadth first from x.  A step reads held columns,
+        ``id(s**-1 * y * s) == c[inv[c[inv[y]]]]`` for ``c = col(s)``, and no
+        row or full-length map, so a small orbit costs only its own size."""
+        mul = self.cayley()
+        inv = mul.inv
+        cols = list(map(mul.col, gen_ids))
+        orbit, seen = [x], {x}
+        for y in orbit:
+            for c in cols:
+                z = c[inv[c[inv[y]]]]
+                if z not in seen:
+                    seen.add(z)
+                    orbit.append(z)
+        return orbit
 
-        Built once per group from the table, ``row(g**-1)[col(g)[x]]``; the
-        maps come in generator order.
-        """
-        if self._conj_maps is None:
-            mul, inv = self.cayley(), self.inverse_ids()
-            self._conj_maps = [
-                list(map(mul.row(inv[g]).__getitem__, mul.col(g))) for g in self.generator_ids()
-            ]
-        return self._conj_maps
+    @memo
+    def conjugation_maps(self) -> list:
+        """Per generator ``g``, the id map ``cmap[x] == id(g**-1 * x * g)``, in
+        generator order: :meth:`conjugation_orbit`'s step over all of G."""
+        mul = self.cayley()
+        inv = mul.inv
+        return [
+            list(map(c.__getitem__, map(inv.__getitem__, map(c.__getitem__, inv))))
+            for c in map(mul.col, self.generator_ids())
+        ]
 
     # -- element facts, cached --------------------------------------------
 
@@ -403,7 +417,7 @@ class Group:
     @memo
     def conjugacy_partition(self) -> list:
         """All conjugacy classes as sorted id tuples, by ascending least member;
-        class i holds the ids that :meth:`class_of_id` maps to i."""
+        class i holds the ids that :meth:`_class_ids` maps to i."""
         classes = []
         for x, cid in enumerate(self._class_ids()):
             if cid == len(classes):
@@ -414,8 +428,9 @@ class Group:
     @memo
     def _class_ids(self) -> list:
         """Per store id, the index of its conjugacy class.  Each class is the
-        orbit of its least id under the :meth:`conjugation_maps`, so no
-        permutation is conjugated once the maps exist."""
+        orbit of its least id under the full-length :meth:`conjugation_maps`:
+        the partition reads every map at every id, which a list lookup does
+        faster than :meth:`conjugation_orbit`'s column steps."""
         maps = self.conjugation_maps()
         class_ids = [-1] * len(self.materialize())
         cid = 0
@@ -433,8 +448,11 @@ class Group:
             cid += 1
         return class_ids
 
-    def class_of_id(self, eid: int) -> int:
-        return self._class_ids()[eid]
+    @memo
+    def class_sizes(self) -> list:
+        """Per store id, the size of its conjugacy class, ``|G : C_G(x)|``."""
+        sizes = list(map(len, self.conjugacy_partition()))
+        return list(map(sizes.__getitem__, self._class_ids()))
 
 
 class CayleyTable:
@@ -550,14 +568,14 @@ def class_index(G: Group, x: Permutation) -> int:
 
     Two routes.  While G is an unmaterialised direct product the class size
     is the product of the block class sizes.  Otherwise it is read from G's
-    :meth:`~Group.conjugacy_partition`, which materialises G (raising
+    :meth:`~Group.class_sizes`, which materialises G (raising
     :class:`CapExceeded` past the enumeration cap).
     """
     if G.blocks is not None:
         return math.prod(
             class_index(f, col[0]) for f, col in zip(G.blocks, G.split_all([x]))
         )
-    return len(G.conjugacy_partition()[G.class_of_id(G.element_id(x))])
+    return G.class_sizes()[G.element_id(x)]
 
 
 def centraliser(G: Group, S) -> "Subgroup":

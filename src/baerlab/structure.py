@@ -80,10 +80,8 @@ def is_abelian(obj, over: Subgroup | None = None) -> bool:
     their commutators lie in M.
 
     An unmaterialised product answers block by block when obj and M are
-    product-form.  Otherwise, for a subgroup of a materialised parent and no
-    M the pairs are compared on the table (``col(b)[a] == col(a)[b]`` over
-    the generating ids), and in every other case generator permutations are
-    composed.  Memoised on the group or subgroup per M.
+    product-form.  Otherwise generator permutations are composed, each
+    unordered pair once.  Memoised on the group or subgroup per M.
     """
     if over is not None and over.order == obj.order:
         return True  # obj/M is trivial, and no generating set is needed
@@ -94,14 +92,11 @@ def is_abelian(obj, over: Subgroup | None = None) -> bool:
         parts = _blockwise(obj, is_abelian, over)
     if parts is not None:
         return all(parts)
-    if subgroup and over is None and obj.parent.is_materialized:
-        mul = obj.parent.cayley()
-        gens = obj.generating_ids()
-        return all(mul.col(b)[a] == mul.col(a)[b] for a in gens for b in gens)
-    gens = obj.generating_set() if subgroup else obj.generators
+    # [b, a] is [a, b]^-1, so each unordered pair is compared once.
+    pairs = itertools.combinations(obj.generating_set() if subgroup else obj.generators, 2)
     if over is None:
-        return all(a * b == b * a for a in gens for b in gens)
-    return all(a.inverse() * b.inverse() * a * b in over for a in gens for b in gens)
+        return all(a * b == b * a for a, b in pairs)
+    return all(a.inverse() * b.inverse() * a * b in over for a, b in pairs)
 
 
 @memo
@@ -258,29 +253,19 @@ def factor_class_sizes(S: Subgroup) -> dict:
     """``{id: |S : C_S(x)|}`` over the store ids x of S's members, the class
     sizes in S; memoised on S.
 
-    A subgroup of full order is G, whose conjugacy partition gives them.
-    Otherwise the classes of S are orbits under ``S.generating_ids()`` on G's
-    table, ``id(s^-1 x s) = row(s^-1)[col(s)[x]]``, each walked once.
+    A subgroup of full order is G, whose :meth:`~Group.class_sizes` give
+    them.  Otherwise the classes of S are the :meth:`Group.conjugation_orbit`
+    walks under ``S.generating_ids()``, each walked once.
     """
     G = S.parent
-    size = {}
     if S.order == G.order:
-        for cls in G.conjugacy_partition():
-            size.update(dict.fromkeys(cls, len(cls)))
-        return size
-    mul, inv = G.cayley(), G.inverse_ids()
-    gens = [(mul.row(inv[s]), mul.col(s)) for s in S.generating_ids()]
+        return dict(enumerate(G.class_sizes()))
+    size = {}
+    gens = S.generating_ids()
     for x in S.ids_in_store():
-        if x in size:
-            continue
-        orbit, seen = [x], {x}
-        for y in orbit:
-            for left, col in gens:
-                z = left[col[y]]
-                if z not in seen:
-                    seen.add(z)
-                    orbit.append(z)
-        size.update(dict.fromkeys(orbit, len(orbit)))
+        if x not in size:
+            orbit = G.conjugation_orbit(x, gens)
+            size.update(dict.fromkeys(orbit, len(orbit)))
     return size
 
 
@@ -729,8 +714,8 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
       :meth:`Group.conjugation_maps`, but only the subgroup itself is explored;
     * ``<H, x^h> == <H, x>`` for ``h`` in ``H``, since ``x^h`` lies in
       ``<H, x>`` and ``x`` in ``<H, x^h>``, so ``H`` is extended by one cyclic
-      subgroup per ``H``-conjugacy class, the orbit walked under the
-      conjugation by ``H``'s generators read from their table columns.
+      subgroup per ``H``-conjugacy class: the cyclic subgroups of
+      ``G.conjugation_orbit(x, H.generating_ids())`` are marked tried.
 
     The found set is then closed under conjugation and holds every child of
     every member, so every chain still climbs inside it and the layering
@@ -745,7 +730,6 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
         )
     G.materialize()
     mul = G.cayley()
-    inv = mul.inv
     # pp_ids holds one generator per cyclic subgroup of prime-power order,
     # and cyclic_rep[y] is the one with <y> == <cyclic_rep[y]>.
     pp_ids = []
@@ -767,20 +751,11 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
         new = []
         for H in frontier:
             hids, hgens = H.ids, H.generating_ids()
-            cols = [mul.col(h) for h in hgens]
             tried = set()
             for x in pp_ids:
                 if x in hids or x in tried:
                     continue
-                # Mark the H-class of <x>: id(h^-1 y h) == c[inv[c[inv[y]]]].
-                tried.add(x)
-                orbit = [x]
-                for y in orbit:
-                    for c in cols:
-                        z = cyclic_rep[c[inv[c[inv[y]]]]]
-                        if z not in tried:
-                            tried.add(z)
-                            orbit.append(z)
+                tried.update(map(cyclic_rep.__getitem__, G.conjugation_orbit(x, hgens)))
                 spent += 1
                 if spent > budget:
                     raise CapExceeded(

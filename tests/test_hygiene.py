@@ -17,14 +17,17 @@ an ``__init__`` gives a new owner (``Factorisation``'s, in ``structure.py``).
 Only ``group.py`` reads a group's id tables (its Cayley table, inverse ids
 and conjugation maps); every other module asks for them through the
 ``Group`` methods that build them, so how a table is built or held can
-change in one place.
+change in one place.  Nor does any other module call a table's ``.row(``
+or read its ``.inv``, so no module composes "the id of s^-1 y s" from table
+columns itself.
 
 The paper layer reads facts about a subgroup as a group of its own in its
 parent's id space; no module views a subgroup as a ``Group`` of its own.
 
-Conjugation goes through ``Group.conjugation_maps``: no module but
-``group.py`` and ``perm.py`` calls a ``.conjugate`` method, so no route
-conjugates permutations one by one behind the id maps.
+Conjugation goes through ``Group.conjugation_maps`` (all of G, per
+generator) and ``Group.conjugation_orbit`` (one orbit, under any store
+ids): no module but ``group.py`` and ``perm.py`` calls a ``.conjugate``
+method, so no route conjugates permutations one by one behind the id maps.
 
 Every function and method of every module of the package has a reader
 elsewhere in the package, so no code is kept alive by the tests alone; the
@@ -249,6 +252,35 @@ def test_table_read_detector():
     assert table_reads(source) == [(2, "_cayley"), (4, "_conj_maps")]
 
 
+def table_compositions(source: str) -> list:
+    """(line, what) for every ``.row(...)`` call and every read of an ``.inv``
+    attribute."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "row":
+            out.append((node.lineno, ".row("))
+        elif isinstance(node, ast.Attribute) and node.attr == "inv":
+            out.append((node.lineno, ".inv"))
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SOURCE.glob("*.py")) if p.name != "group.py"], ids=lambda p: p.name
+)
+def test_table_compositions_stay_in_group_module(path):
+    assert table_compositions(path.read_text()) == []
+
+
+def test_table_composition_detector():
+    source = (
+        "def f(G, mul, x, s):\n"
+        "    inv = mul.inv\n"
+        "    orbit = G.conjugation_orbit(x, [s])\n"
+        "    return mul.row(s)[x], mul.col(s)[inv[x]], G.inverse_ids(), row(s), mul.row\n"
+    )
+    assert table_compositions(source) == [(2, ".inv"), (4, ".row(")]
+
+
 def as_group_calls(source: str) -> list:
     """Lines of every ``.as_group()`` call."""
     return sorted(
@@ -432,6 +464,8 @@ ENTRY_POINTS = frozenset({
     "subgroup_from_words",
     # what a TheoremReport offers a reader: its JSON form
     "TheoremReport.to_json_dict",
+    # read by the benchmark battery and its tracer
+    "Group.is_materialized",
 })
 
 # The verifier's public entry points with no caller in the package: the

@@ -851,20 +851,20 @@ def test_normal_pi_cores_are_nilpotent_iff_inside_fitting(G):
 
 def test_factor_class_sizes_of_a_full_order_subgroup_read_the_partition(monkeypatch):
     # Work-count guard: a subgroup of full order is G, so its class sizes are
-    # read from G's conjugacy partition and no orbit is walked on the table;
-    # the walk of a proper subgroup reads G's inverse ids.
+    # read from G's class sizes and no orbit is walked; the classes of a
+    # proper subgroup are orbits walked on G.
     G = semilinear(2, 3)
     G.conjugacy_partition()
     P = sylow(G, 2)
     P.generating_ids()
     walks = []
-    inverse_ids = Group.inverse_ids
+    conjugation_orbit = Group.conjugation_orbit
 
-    def counted(self):
+    def counted(self, x, gen_ids):
         walks.append(self)
-        return inverse_ids(self)
+        return conjugation_orbit(self, x, gen_ids)
 
-    monkeypatch.setattr(Group, "inverse_ids", counted)
+    monkeypatch.setattr(Group, "conjugation_orbit", counted)
     S = Subgroup.full(G)
     assert factor_class_sizes(S) == {
         G.element_id(x): brute_class_size(G, x) for x in G.elements
@@ -873,7 +873,7 @@ def test_factor_class_sizes_of_a_full_order_subgroup_read_the_partition(monkeypa
     assert factor_class_sizes(P) == {
         G.element_id(x): brute_class_size_in(P, x) for x in P.members()
     }
-    assert walks == [G]
+    assert walks and all(H is G for H in walks)
 
 
 # -- conjugation orbits against the all-elements loop -----------------------------------
@@ -944,6 +944,33 @@ def test_conjugation_labels_match_permutation_conjugation(G):
         assert [Q.ids for Q in hall_conjugates(G, H)] == expected
 
 
+def brute_conjugation_orbit(x, gens):
+    """The closure of ``{x}`` under ``y -> y.conjugate(g)`` for g in ``gens``."""
+    orbit = [x]
+    seen = {x}
+    for y in orbit:
+        for g in gens:
+            z = y.conjugate(g)
+            if z not in seen:
+                seen.add(z)
+                orbit.append(z)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "G", [symmetric(4), frobenius(7, 3), semilinear(2, 3), order_480()], ids=repr
+)
+def test_conjugation_orbit_matches_permutation_conjugation(G):
+    els = G.elements
+    for gen_ids in (G.generator_ids(), sylow(G, 2).generating_ids(), []):
+        gens = [els[s] for s in gen_ids]
+        for x in range(len(els)):
+            orbit = G.conjugation_orbit(x, gen_ids)
+            assert orbit[0] == x
+            assert len(set(orbit)) == len(orbit)
+            assert {els[y] for y in orbit} == brute_conjugation_orbit(els[x], gens)
+
+
 @pytest.mark.parametrize("G, count", [(symmetric(5), 5), (frobenius(11, 10), 11)], ids=repr)
 def test_orbit_cases_include_a_non_sylow_hall_subgroup(G, count):
     [H] = [H for H in orbit_cases(G) if len(prime_divisors(H.order)) > 1 and not is_normal(G, H)]
@@ -971,8 +998,8 @@ def brute_partition(G):
 def test_conjugacy_partition_matches_brute_force_classes(G):
     classes = G.conjugacy_partition()
     assert classes == brute_partition(G)
-    for cid, cls in enumerate(classes):
-        assert all(G.class_of_id(x) == cid for x in cls)
+    for cls in classes:
+        assert all(G.class_sizes()[x] == len(cls) for x in cls)
 
 
 def test_conjugacy_partition_past_the_table_gate_has_cycle_type_sizes():
@@ -1101,12 +1128,30 @@ def test_find_prefactorised_sylow_trivial_factorisation():
 # -- subgroup enumeration ---------------------------------------------------------------
 
 
+def conjugacy_class_count(G, subgroups):
+    """The number of conjugacy classes of G that ``subgroups`` fall into,
+    each class read as :func:`hall_conjugates`; every conjugate must be listed."""
+    seen, classes = set(), 0
+    for H in subgroups:
+        if H not in seen:
+            classes += 1
+            seen.update(hall_conjugates(G, H))
+    assert seen == set(subgroups)
+    return classes
+
+
 def test_enumerate_subgroups_counts():
     assert len(enumerate_subgroups(cyclic(1))) == 1
     assert len(enumerate_subgroups(symmetric(3))) == 6
     assert len(enumerate_subgroups(dihedral(10))) == 8
-    assert len(enumerate_subgroups(symmetric(4))) == 30
-    assert len(enumerate_subgroups(symmetric(5))) == 156
+    # Subgroups and their conjugacy classes: OEIS A005432 and A000638.
+    for G, count, classes, max_order in (
+        (symmetric(4), 30, 11, 200),
+        (symmetric(5), 156, 19, 200),
+        (symmetric(6), 1455, 56, 720),
+    ):
+        subs = enumerate_subgroups(G, max_order=max_order)
+        assert (len(subs), conjugacy_class_count(G, subs)) == (count, classes)
 
 
 def layered_closure_ids(G):
