@@ -158,15 +158,25 @@ def _kinds(S: Subgroup, p: int, inner: bool) -> dict:
     form.  Otherwise S is one block, read by sorted store id: orders from
     ``G.element_orders()``, indices from ``G.class_sizes()`` and
     class sizes from :func:`~baerlab.structure.factor_class_sizes`; a
-    position is the store id, the identity's, 0, being the least.
+    position is the store id, the identity's, 0, being the least.  An S of
+    full order is G, so it is read one conjugacy class at a time: order,
+    index and class size are class functions, and the classes come by
+    ascending least member, so the kinds arrive in the same order.
     """
     if S.factors is not None:
         parts = (_kinds(s, p, inner) for s in S.factors)
         return functools.reduce(_fold_kinds, parts, {(1, 1, True): ((), (), 1)})
     G = S.parent
-    els, orders, index = G.elements, G.element_orders(), G.class_sizes()
-    sizes = factor_class_sizes(S) if inner else None
+    els, orders = G.elements, G.element_orders()
     kinds = {}
+    if S.order == G.order:
+        for cls in G.conjugacy_partition():
+            if is_p_number(orders[cls[0]], p):
+                key = (len(cls), len(cls) if inner else 1, orders[cls[0]] == 1)
+                first, x, n = kinds.get(key, (cls[0], els[cls[0]], 0))
+                kinds[key] = (first, x, n + len(cls))
+        return kinds
+    index, sizes = G.class_sizes(), (factor_class_sizes(S) if inner else None)
     for i in sorted(S.ids_in_store()):
         if is_p_number(orders[i], p):
             key = (index[i], sizes[i] if inner else 1, orders[i] == 1)

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import CapExceeded, InternalInvariantViolation
-from .group import Group, Subgroup, centraliser, memo
+from .group import Group, Subgroup, centraliser, memo, take
 from .numth import (
     classify_prime_power,
     is_p_number,
@@ -186,14 +186,14 @@ def _conjugation_orbit(G: Group, ids) -> tuple:
     act = [[] for _ in maps]  # act[j][i]: the index of orbit[i]^(g_j)
     for L in orbit:
         for cmap, images in zip(maps, act):
-            M = frozenset(map(cmap.__getitem__, L))
+            M = frozenset(take(cmap, L))
             if M not in where:
                 where[M] = len(orbit)
                 orbit.append(M)
             images.append(where[M])
     # Each act[j] permutes the orbit; sorting by it gives its inverse.
     back = [sorted(range(len(orbit)), key=images.__getitem__) for images in act]
-    return orbit, list(map(G.cayley().spread(0, back).__getitem__, G.inverse_ids()))
+    return orbit, take(G.cayley().spread(0, back), G.inverse_ids())
 
 
 def _normaliser_ids(G: Group, H: frozenset) -> list:
@@ -410,7 +410,7 @@ def quotient_group(G: Group, N: Subgroup) -> Quotient:
     coset_of, reps = [-1] * len(mul), []
     for e in range(len(mul)):
         if coset_of[e] < 0:  # e is the least id of N e, whose ids are col(e)[n]
-            for x in map(mul.col(e).__getitem__, kernel):
+            for x in take(mul.col(e), kernel):
                 coset_of[x] = len(reps)
             reps.append(e)
     cols = map(mul.col, G.generator_ids())
@@ -755,7 +755,7 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
             for x in pp_ids:
                 if x in hids or x in tried:
                     continue
-                tried.update(map(cyclic_rep.__getitem__, G.conjugation_orbit(x, hgens)))
+                tried.update(take(cyclic_rep, G.conjugation_orbit(x, hgens)))
                 spent += 1
                 if spent > budget:
                     raise CapExceeded(
@@ -771,7 +771,7 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
                 orbit = [K]
                 for L in orbit:
                     for cmap in G.conjugation_maps():
-                        M = frozenset(map(cmap.__getitem__, L))
+                        M = frozenset(take(cmap, L))
                         if M not in found:
                             found[M] = Subgroup.from_ids(G, M)
                             orbit.append(M)

@@ -670,6 +670,18 @@ def test_every_output_on_lazy_products_is_pinned():
     )
 
 
+def test_every_output_near_the_top_of_the_cell_budget_is_pinned():
+    # Order 2,160: the whole table, 2,160**2 cells, still fits the budget,
+    # so every column asked for is composed from held tree parents.
+    G = parse_group_spec("subgroup(product(symmetric(6),cyclic(3)); g0, g1, g2)")
+    G.materialize()
+    assert G.order == 2160 and G.order**2 <= CAYLEY_CELL_BUDGET
+    lines = output_lines(Factorisation.trivial(G)) + group_output_lines(G)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "26fa9897c4fc99fa4b7ba68eba0e30217c527b701e2b998f2cdf519cf1a6c140"
+    )
+
+
 def test_kinds_memoised_before_a_product_is_materialised_still_fold():
     # The kinds of a product-form factor are folded from its blocks whether
     # or not G's store is built, so those memoised while G is lazy and those

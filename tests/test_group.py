@@ -280,6 +280,44 @@ def test_cayley_table_of_quotient_group():
     assert_table_matches_products(Q.group)
 
 
+def test_cayley_column_at_the_bottom_of_a_deep_tree():
+    # The tree of a cyclic group is one path, here of depth 1,199, deeper
+    # than Python's default recursion limit: the column of its deepest
+    # element is built by a loop up the path and back down.
+    from baerlab.constructions import cyclic
+
+    G = cyclic(1200)
+    (g,) = G.generators
+    els = G.elements
+    s = G.element_id(g.inverse())  # g**1199, the last element the walk reaches
+    assert G.cayley().col(s) == [G.element_id(x * els[s]) for x in els]
+
+
+@pytest.mark.parametrize(
+    "spec", ["subgroup(semilinear(2,4); g0, g1, g2^2)", "symmetric(5)", "semilinear(2,3)"]
+)
+def test_every_column_of_a_table_within_budget_takes_at_most_one_spread(spec, monkeypatch):
+    # Within the cell budget every column not of a generator is composed
+    # from its tree parent's, which is built first if it is not held; so
+    # asking for all columns spreads at most one generator's column beyond
+    # those the table built for its inverse ids.
+    G = parse_group_spec(spec)
+    mul = G.cayley()
+    spreads = [0]
+    spread = group_module.CayleyTable.spread
+
+    def counted(self, seed, maps):
+        spreads[0] += 1
+        return spread(self, seed, maps)
+
+    monkeypatch.setattr(group_module.CayleyTable, "spread", counted)
+    cols = [mul.col(s) for s in range(len(mul))]
+    assert spreads[0] <= 1
+    els = G.elements
+    for s in range(0, len(mul), 5):
+        assert cols[s] == [G.element_id(x * els[s]) for x in els]
+
+
 # -- the store walk: one pass of compositions, handed to the table -------------------
 
 
@@ -432,6 +470,27 @@ def test_centraliser_matches_permutation_scan(data, draw):
         S = picks + [draw.draw(st.sampled_from(outside))]
         with pytest.raises(ValueError, match="not an element"):
             centraliser(G, S)
+
+
+@pytest.mark.parametrize(
+    "spec", ["symmetric(4)", "semilinear(2,3)", "subgroup(semilinear(2,4); g0, g1, g2^2)"]
+)
+def test_centraliser_of_several_elements_matches_permutation_scan(spec):
+    # Past the first element the table tests only the ids still kept: every
+    # Sylow subgroup, and seeded random sets of two and three elements.
+    import random
+
+    from baerlab.structure import pi_of, sylow_conjugates
+
+    G = parse_group_spec(spec)
+    els = G.elements
+    rng = random.Random(spec)
+    sets = [P.generating_set() for p in sorted(pi_of(G)) for P in sylow_conjugates(G, p)]
+    sets += [rng.sample(els, k) for k in (2, 3) for _ in range(10)]
+    assert any(len(S) > 1 for S in sets[:-20])
+    for S in sets:
+        expected = {i for i, g in enumerate(els) if all(g * s == s * g for s in S)}
+        assert centraliser(G, S).ids_in_store() == expected
 
 
 # -- canonical id-backed subgroups ------------------------------------------------

@@ -21,6 +21,11 @@ change in one place.  Nor does any other module call a table's ``.row(``
 or read its ``.inv``, so no module composes "the id of s^-1 y s" from table
 columns itself.
 
+Lists of ids are composed with ``group.take``, one ``operator.itemgetter``
+call: no code but ``take`` itself maps an ``X.__getitem__`` over ids, which
+costs about twice as much.  A ``key=X.__getitem__`` of a sort is no
+composition and is not affected.
+
 The paper layer reads facts about a subgroup as a group of its own in its
 parent's id space; no module views a subgroup as a ``Group`` of its own.
 
@@ -279,6 +284,43 @@ def test_table_composition_detector():
         "    return mul.row(s)[x], mul.col(s)[inv[x]], G.inverse_ids(), row(s), mul.row\n"
     )
     assert table_compositions(source) == [(2, ".inv"), (4, ".row(")]
+
+
+def getitem_maps(source: str) -> list:
+    """Lines of every ``map(X.__getitem__, ...)`` call outside the body of ``take``."""
+    tree = ast.parse(source)
+    inside = {
+        line
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "take"
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "map" and node.args
+        and isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "__getitem__"
+        and node.lineno not in inside
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_id_lists_are_composed_with_take(path):
+    assert getitem_maps(path.read_text()) == []
+
+
+def test_getitem_map_detector():
+    source = (
+        "def take(seq, ids):\n"
+        "    return list(map(seq.__getitem__, ids))\n"
+        "def f(col, inv, ids, d):\n"
+        "    a = take(col, ids)\n"
+        "    b = list(map(col.__getitem__, map(inv.__getitem__, ids)))\n"
+        "    c = sorted(ids, key=col.__getitem__)\n"
+        "    return set(map(d.get, ids)), map(len, ids), (map(d.__getitem__, ids))\n"
+    )
+    assert getitem_maps(source) == [5, 5, 7]
 
 
 def as_group_calls(source: str) -> list:

@@ -1215,6 +1215,36 @@ def test_element_orders_match_permutation_orders(spec):
     assert G.element_orders() == [p.order() for p in G.elements]
 
 
+def kinds_by_store_id(S, p, inner):
+    """``baer._kinds`` of an id-backed S read element by element, by sorted
+    store id, as it reads every factor short of full order."""
+    G = S.parent
+    els, orders, index = G.elements, G.element_orders(), G.class_sizes()
+    sizes = factor_class_sizes(S) if inner else None
+    kinds = {}
+    for i in sorted(S.ids_in_store()):
+        if is_p_number(orders[i], p):
+            key = (index[i], sizes[i] if inner else 1, orders[i] == 1)
+            first, x, n = kinds.get(key, (i, els[i], 0))
+            kinds[key] = (first, x, n + 1)
+    return kinds
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS)
+def test_kinds_of_a_full_order_factor_read_by_class_match_the_element_reading(spec):
+    # Same keys in the same insertion order, first positions, members and counts.
+    from baerlab.baer import _kinds
+
+    G = parse_group_spec(spec)
+    G.materialize()
+    full = Subgroup.full(G)
+    for p in pi_of(G):
+        for inner in (False, True):
+            assert list(_kinds(full, p, inner).items()) == list(
+                kinds_by_store_id(full, p, inner).items()
+            )
+
+
 @pytest.mark.parametrize("spec", SWEEP_SPECS)
 def test_o_pi_matches_the_lattice_for_every_prime_set(spec):
     G = parse_group_spec(spec)
