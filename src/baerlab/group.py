@@ -360,9 +360,6 @@ class Group:
             self._cayley = CayleyTable(self)
         return self._cayley
 
-    def inverse_ids(self) -> list:
-        return self.cayley().inv
-
     def closure_from_gen_ids(self, gen_ids, prefix=None) -> frozenset:
         """``<gen_ids>`` as store ids by Dimino's closure: each generator s not
         yet in ``H`` grows it to ``<H, s>`` by whole right cosets, ``H r t`` being
@@ -415,6 +412,38 @@ class Group:
         mul = self.cayley()
         inv = mul.inv
         return [list(take(c, take(inv, take(c, inv)))) for c in map(mul.col, self.generator_ids())]
+
+    def conjugates(self, ids) -> tuple:
+        """``(orbit, act)``: the conjugates of the id set ``ids`` as frozensets,
+        ``ids`` first, and ``act[j][i]`` the index in ``orbit`` of ``orbit[i]``
+        conjugated by the j-th generator.  The orbit grows breadth first by
+        images under :meth:`conjugation_maps`, so it costs ``|G : N_G(H)|`` set
+        images per generator."""
+        maps = self.conjugation_maps()
+        orbit = [frozenset(ids)]
+        where = {orbit[0]: 0}
+        act = [[] for _ in maps]
+        for L in orbit:
+            for cmap, images in zip(maps, act):
+                M = frozenset(take(cmap, L))
+                if M not in where:
+                    where[M] = len(orbit)
+                    orbit.append(M)
+                images.append(where[M])
+        return orbit, act
+
+    def conjugation_labels(self, act) -> tuple:
+        """Per store id g, the index of ``H^g`` in the orbit of :meth:`conjugates`
+        whose action table is ``act``; ``N_G(H)`` is the ids labelled 0.
+
+        No walk of G but a :meth:`CayleyTable.spread` down the table's tree of
+        left products: ``H^((s a)^-1) = (H^(a^-1))^(s^-1)``, so the label of
+        ``x**-1`` spreads by the inverse action of each generator on the orbit,
+        and is read back through the inverse ids."""
+        mul = self.cayley()
+        # Each act[j] permutes the orbit; sorting by it gives its inverse.
+        back = [sorted(range(len(images)), key=images.__getitem__) for images in act]
+        return take(mul.spread(0, back), mul.inv)
 
     # -- element facts, cached --------------------------------------------
 
@@ -470,9 +499,9 @@ class Group:
 class CayleyTable:
     """The multiplication of a materialised group on store ids, filled on demand.
 
-    ``col(s)[x] == id(x * s)`` is the right column of ``s``, ``row(s)[x] ==
-    id(s * x)`` its left row and ``inv[x] == id(x**-1)``.  The table keeps
-    one left map ``x -> id(g * x)`` per generator and the breadth-first
+    ``col(s)[x] == id(x * s)`` is the right column of ``s`` and ``inv[x] ==
+    id(x**-1)``; there are no rows.  The table keeps one left map ``x ->
+    id(g * x)`` per generator and the breadth-first
     spanning tree of left multiplications from the identity (a Schreier
     vector), both taken from the walk that built the store
     (:func:`_left_walk`, which composed image tuples and made each store
@@ -484,8 +513,10 @@ class CayleyTable:
     held; while the whole table fits the budget :meth:`col` builds a parent
     that is not, and past it such a column is :meth:`spread` down the tree
     from the generator maps, ``id(g * a * s) == lmap_g[id(a * s)]``, as a
-    generator's column always is.  A row is read off a column, ``row(s)[x]
-    == inv[col(s**-1)[inv[x]]]``.
+    generator's column always is.  A left product is read off a column,
+    ``id(s * x) == inv[col(s**-1)[inv[x]]]``.  Only this module spreads or
+    reads the inverses; the other modules ask :class:`Group` for columns,
+    conjugates and labels.
 
     There is deliberately no ``__getitem__``: a ``mul[a][b]`` read of an
     all-rows table fails instead of reading a transpose.
@@ -551,11 +582,6 @@ class CayleyTable:
             self._cells += len(cells)
         return cells
 
-    def row(self, s: int) -> list:
-        """``[id(s * x) for x in G]``."""
-        inv = self.inv
-        return list(take(inv, take(self.col(inv[s]), inv)))
-
 
 def conjugacy_class(G: Group, x: Permutation, cap: int = DEFAULT_CLASS_ORBIT_CAP) -> list:
     """Orbit of ``x`` under conjugation by the generators of ``G``.
@@ -608,8 +634,9 @@ def centraliser(G: Group, S) -> "Subgroup":
     blockwise, which is exact because commutation in a product is
     componentwise.  Otherwise ``G`` is materialised and its table decides
     commutation: the first element ``s`` keeps the ids ``g`` with
-    ``col(s)[g] == row(s)[g]``, and each later one tests only the ids kept,
-    reading ``id(s * g)`` through :func:`take` with no full row.  Every
+    ``id(g * s) == id(s * g)``, its left products read off a column as
+    ``inv[col(s**-1)[inv[g]]]`` in two :func:`take` calls over all of G, and
+    each later one tests only the ids kept.  Every
     element of ``S`` must lie in ``G``: one that mixes blocks raises
     ValueError, as in :func:`class_index`, and any other non-member raises
     it through :meth:`Group.element_id`.
@@ -637,8 +664,10 @@ def _centraliser(G: Group, gens) -> "Subgroup":
             G, [centraliser(f, col) for f, col in zip(G.blocks, G.split_all(gens))]
         )
     first, *rest = [G.element_id(s) for s in gens]
-    mul, inv, eq = G.cayley(), G.inverse_ids(), operator.eq
-    ids = list(itertools.compress(range(len(mul)), map(eq, mul.col(first), mul.row(first))))
+    mul, eq = G.cayley(), operator.eq
+    inv = mul.inv
+    row = take(inv, take(mul.col(inv[first]), inv))
+    ids = list(itertools.compress(range(len(mul)), map(eq, mul.col(first), row)))
     for s in rest:
         sx = take(inv, take(mul.col(inv[s]), take(inv, ids)))
         ids = list(itertools.compress(ids, map(eq, take(mul.col(s), ids), sx)))

@@ -21,7 +21,10 @@ normality, prefactorised Sylow subgroups) recurse into the factors through
 included, works on G's store ids and its Cayley table, but for ``baer``'s
 p-power index profile: a product-form subgroup folds its blocks' index kinds
 and class sizes even once G is materialised, and only an id-backed one reads
-:func:`factor_class_sizes`.
+:func:`factor_class_sizes`.  On the id route a subgroup's conjugates and
+normaliser come from :meth:`Group.conjugates` and
+:meth:`Group.conjugation_labels`: this module spreads nothing down the
+table's tree and reads no inverse ids.
 
 A fact about a factor group G/M, M normal, is a relative core in G's own id
 space, as in Huppert's upper pi-series (*Endliche Gruppen I*, VI):
@@ -153,53 +156,17 @@ def sylow(G: Group, p: int) -> Subgroup:
     gens = [seed]
     H = G.closure_from_gen_ids(gens)
     while len(H) < pk:
-        norm = _normaliser_ids(G, H)
-        grow = None
-        for y in sorted(norm):
-            if y not in H and orders[y] > 1 and is_p_number(orders[y], p):
-                grow = y
+        # N_G(H) is the ids labelled 0, scanned in ascending order.
+        for y, i in enumerate(G.conjugation_labels(G.conjugates(H)[1])):
+            if i == 0 and y not in H and orders[y] > 1 and is_p_number(orders[y], p):
                 break
-        if grow is None:
+        else:
             raise InternalInvariantViolation(
                 f"Sylow extension stalled at order {len(H)} < {pk}"
             )
-        gens.append(grow)
+        gens.append(y)
         H = G.closure_from_gen_ids(gens, H)
     return Subgroup.from_ids(G, H)
-
-
-def _conjugation_orbit(G: Group, ids) -> tuple:
-    """``(orbit, label)``: the conjugates of the id set ``ids``, and per element g
-    the index in ``orbit`` of ``ids^g``.
-
-    ``orbit`` starts at ``ids`` and grows by images under
-    :meth:`Group.conjugation_maps`, so it costs ``|G : N_G(H)|`` set images.
-    The labels are no walk of G but a
-    :meth:`~baerlab.group.CayleyTable.spread` down the table's tree of left
-    products: ``H^((s a)^-1) = (H^(a^-1))^(s^-1)``, so the label of ``x**-1``
-    spreads by the inverse action of each generator on the orbit, and is read
-    back through the inverse ids.
-    """
-    maps = G.conjugation_maps()
-    orbit = [frozenset(ids)]
-    where = {orbit[0]: 0}
-    act = [[] for _ in maps]  # act[j][i]: the index of orbit[i]^(g_j)
-    for L in orbit:
-        for cmap, images in zip(maps, act):
-            M = frozenset(take(cmap, L))
-            if M not in where:
-                where[M] = len(orbit)
-                orbit.append(M)
-            images.append(where[M])
-    # Each act[j] permutes the orbit; sorting by it gives its inverse.
-    back = [sorted(range(len(orbit)), key=images.__getitem__) for images in act]
-    return orbit, take(G.cayley().spread(0, back), G.inverse_ids())
-
-
-def _normaliser_ids(G: Group, H: frozenset) -> list:
-    """``N_G(H)`` as ascending store ids: the elements whose conjugation label is 0."""
-    _, label = _conjugation_orbit(G, H)
-    return [g for g, i in enumerate(label) if i == 0]
 
 
 @memo
@@ -570,9 +537,9 @@ def hall_conjugates(G: Group, H: Subgroup) -> list:
     On an unmaterialised product with ``H`` product-form over its blocks,
     every conjugate is the product of block conjugates, so the list is the
     product of the blocks' lists, in ``itertools.product`` order.
-    Otherwise the conjugates are the points of :func:`_conjugation_orbit`,
-    in first-appearance store order: ``H^g`` for ``g`` in store order, each
-    conjugate where it first appears.
+    Otherwise the conjugates are the orbit of :meth:`Group.conjugates`, listed
+    by :meth:`Group.conjugation_labels` in first-appearance store order:
+    ``H^g`` for ``g`` in store order, each conjugate where it first appears.
     """
     if H.parent is not G:
         raise ValueError("subgroup does not belong to this group")
@@ -580,8 +547,8 @@ def hall_conjugates(G: Group, H: Subgroup) -> list:
         return [Subgroup.from_factors(G, c) for c in itertools.product(*parts)]
     if H.is_trivial():
         return [H]
-    orbit, label = _conjugation_orbit(G, H.ids_in_store())
-    return [Subgroup.from_ids(G, orbit[i]) for i in dict.fromkeys(label)]
+    orbit, act = G.conjugates(H.ids_in_store())
+    return [Subgroup.from_ids(G, orbit[i]) for i in dict.fromkeys(G.conjugation_labels(act))]
 
 
 # -- decomposability and the upper p-series -------------------------------------------
@@ -668,15 +635,16 @@ def normal_closure(G: Group, S) -> Subgroup:
     return Subgroup.from_ids(G, ids)
 
 
+@memo(owner="S")
 def is_normal(G: Group, S: Subgroup) -> bool:
     """Whether the subgroup ``S`` of ``G`` is normal: generators conjugate
-    generators into S.
+    generators into S.  Memoised on S, so a repeated call costs one lookup.
 
     On an unmaterialised product the answer is blockwise, which is exact:
     ``S_1 x ... x S_r`` is normal in ``G_1 x ... x G_r`` iff every ``S_i``
     is normal in ``G_i``.  Otherwise the conjugates are read from
-    :meth:`Group.conjugation_maps` and tested against S's store ids, and the
-    answer is memoised on S.  A subgroup of another group raises ValueError.
+    :meth:`Group.conjugation_maps` and tested against S's store ids.  A
+    subgroup of another group raises ValueError.
     """
     if S.parent is not G:
         raise ValueError("subgroup does not belong to this group")
@@ -684,11 +652,6 @@ def is_normal(G: Group, S: Subgroup) -> bool:
         return True
     if (parts := _blockwise(G, is_normal, S)) is not None:
         return all(parts)
-    return _is_normal_on_table(G, S)
-
-
-@memo(owner="S")
-def _is_normal_on_table(G: Group, S: Subgroup) -> bool:
     ids = S.ids_in_store()
     return all(cmap[s] in ids for cmap in G.conjugation_maps() for s in S.generating_ids())
 
@@ -710,8 +673,8 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
       generator of each cyclic subgroup of prime-power order is tried;
     * ``<H^g, x> == <H, x^(g^-1)>^g``, so the children of a conjugate are the
       conjugates of the children.  Each new subgroup enters the result with
-      its whole conjugacy class, walked under
-      :meth:`Group.conjugation_maps`, but only the subgroup itself is explored;
+      its whole conjugacy class, the orbit of :meth:`Group.conjugates`, but
+      only the subgroup itself is explored;
     * ``<H, x^h> == <H, x>`` for ``h`` in ``H``, since ``x^h`` lies in
       ``<H, x>`` and ``x`` in ``<H, x^h>``, so ``H`` is extended by one cyclic
       subgroup per ``H``-conjugacy class: the cyclic subgroups of
@@ -766,15 +729,9 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
                 K = G.closure_from_gen_ids(hgens + [x], hids)
                 if K in found:
                     continue
-                found[K] = S = Subgroup.from_ids(G, K)
-                new.append(S)
-                orbit = [K]
-                for L in orbit:
-                    for cmap in G.conjugation_maps():
-                        M = frozenset(take(cmap, L))
-                        if M not in found:
-                            found[M] = Subgroup.from_ids(G, M)
-                            orbit.append(M)
+                new.append(Subgroup.from_ids(G, K))
+                for M in G.conjugates(K)[0]:
+                    found[M] = Subgroup.from_ids(G, M)
         frontier = new
     for S in found.values():
         S.generating_ids()

@@ -17,9 +17,12 @@ an ``__init__`` gives a new owner (``Factorisation``'s, in ``structure.py``).
 Only ``group.py`` reads a group's id tables (its Cayley table, inverse ids
 and conjugation maps); every other module asks for them through the
 ``Group`` methods that build them, so how a table is built or held can
-change in one place.  Nor does any other module call a table's ``.row(``
-or read its ``.inv``, so no module composes "the id of s^-1 y s" from table
-columns itself.
+change in one place.  Nor does any other module call a ``.row(`` or read a
+table's ``.inv``, so no module composes "the id of s^-1 y s" from table
+columns itself.  Nor does it call a ``.spread(`` or name ``inverse_ids``:
+the table's tree and its inverse ids are read only in ``group.py``, and a
+subgroup's conjugates and normaliser come from ``Group.conjugates`` and
+``Group.conjugation_labels``.
 
 Lists of ids are composed with ``group.take``, one ``operator.itemgetter``
 call: no code but ``take`` itself maps an ``X.__getitem__`` over ids, which
@@ -30,13 +33,17 @@ The paper layer reads facts about a subgroup as a group of its own in its
 parent's id space; no module views a subgroup as a ``Group`` of its own.
 
 Conjugation goes through ``Group.conjugation_maps`` (all of G, per
-generator) and ``Group.conjugation_orbit`` (one orbit, under any store
-ids): no module but ``group.py`` and ``perm.py`` calls a ``.conjugate``
+generator), ``Group.conjugation_orbit`` (one orbit, under any store ids)
+and ``Group.conjugates`` (one orbit of id sets, under G): no module but
+``group.py`` and ``perm.py`` calls a ``.conjugate``
 method, so no route conjugates permutations one by one behind the id maps.
 
 Every function and method of every module of the package has a reader
 elsewhere in the package, so no code is kept alive by the tests alone; the
 named entry points are exempt.
+
+The benchmark's tracer wraps engine functions by name, so every name it
+wraps must resolve in the package; the tracer is only imported for this.
 
 No module reads the process environment, so no setting can change the
 engine's behaviour outside its arguments and constants.
@@ -48,11 +55,14 @@ form.
 """
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "baerlab"
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -284,6 +294,54 @@ def test_table_composition_detector():
         "    return mul.row(s)[x], mul.col(s)[inv[x]], G.inverse_ids(), row(s), mul.row\n"
     )
     assert table_compositions(source) == [(2, ".inv"), (4, ".row(")]
+
+
+def tree_reads(source: str) -> list:
+    """(line, what) for every ``.spread(...)`` call and every use of the name
+    ``inverse_ids``, bare or as an attribute."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "spread":
+            out.append((node.lineno, ".spread("))
+        elif getattr(node, "attr", getattr(node, "id", None)) == "inverse_ids":
+            out.append((node.lineno, "inverse_ids"))
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SOURCE.glob("*.py")) if p.name != "group.py"], ids=lambda p: p.name
+)
+def test_table_tree_stays_in_group_module(path):
+    assert tree_reads(path.read_text()) == []
+
+
+def test_tree_read_detector():
+    source = (
+        "def f(G, mul, act):\n"
+        "    labels = mul.spread(0, act)\n"
+        "    inv = G.inverse_ids()\n"
+        "    spread, ok = mul.spread, G.conjugation_labels(act)\n"
+        "    return take(labels, inverse_ids(G)), spread(0, act)\n"
+    )
+    assert tree_reads(source) == [(2, ".spread("), (3, "inverse_ids"), (5, "inverse_ids")]
+
+
+def test_traced_layers_resolve_in_the_package(monkeypatch):
+    """Every ``(module, attribute)`` the benchmark's tracer wraps is a function
+    of the package, looked up as the tracer looks it up, so deleting or
+    renaming a wrapped name fails here and not only in a traced run.  The
+    tracer is only imported, and no bytecode is written beside it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for name, module, attr in tracer.LAYERS:
+        home = importlib.import_module(f"baerlab.{module}")
+        owner, _, leaf = attr.rpartition(".")
+        if not callable(vars(getattr(home, owner) if owner else home).get(leaf)):
+            missing.append(name)
+    assert tracer.LAYERS and missing == []
 
 
 def getitem_maps(source: str) -> list:

@@ -89,17 +89,18 @@ def test_center_componentwise_matches_plain():
     assert members_set(center(GA)) == members_set(center(GB))
 
 
+def sympy_group(gens):
+    """The sympy permutation group generated by ``gens``; skips without sympy."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    return combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g.images)) for g in gens]
+    )
+
+
 @pytest.mark.parametrize(
     "G", [symmetric(4), dihedral(10), frobenius(7, 3), semilinear(2, 3)], ids=repr
 )
 def test_centraliser_orders_match_sympy(G):
-    combinatorics = pytest.importorskip("sympy.combinatorics")
-
-    def sympy_group(gens):
-        return combinatorics.PermutationGroup(
-            [combinatorics.Permutation(list(g.images)) for g in gens]
-        )
-
     SG = sympy_group(G.generators)
     for cls in G.conjugacy_partition():
         x = G.elements[cls[0]]
@@ -108,6 +109,30 @@ def test_centraliser_orders_match_sympy(G):
         P = sylow(G, p)
         assert centraliser(G, P).order == SG.centralizer(sympy_group(P.generating_set())).order()
     assert center(G).order == SG.center().order()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "symmetric(4)", "frobenius(7,3)", "semilinear(2,3)", "semilinear(3,2)", "dihedral(12)",
+        "product(symmetric(4),cyclic(3))", "wreath(symmetric(3),symmetric(3),natural)",
+        "subgroup(product(dihedral(8),frobenius(7,3)); g0, g1, g2, g3)",
+    ],
+)
+def test_characteristic_subgroups_and_invariants_match_sympy(spec):
+    # The centre, derived subgroup and exponent are run by no benchmark
+    # workload, so sympy is their oracle.  The normal closure comes last: it
+    # materialises G, so a direct product answers the others blockwise.
+    G = parse_group_spec(spec)
+    SG = sympy_group(G.generators)
+    assert center(G).order == SG.center().order()
+    assert derived_subgroup(G).order == SG.derived_subgroup().order()
+    assert is_nilpotent(G) == SG.is_nilpotent
+    assert exponent(G) == math.lcm(*(x.order() for x in SG.elements))
+    for p in pi_of(G):
+        assert sylow(G, p).order == SG.sylow_subgroup(p).order()
+    g0 = G.generators[0]
+    assert normal_closure(G, [g0]).order == SG.normal_closure(sympy_group([g0])).order()
 
 
 def test_derived_subgroup_sym3():
@@ -903,6 +928,11 @@ def brute_normaliser_ids(G, H):
     return [i for i, g in enumerate(G.elements) if {x.conjugate(g) for x in members} == members]
 
 
+def normaliser_ids(G, ids):
+    """``N_G(H)`` as ascending store ids: those labelled 0, as ``sylow`` reads it."""
+    return [g for g, i in enumerate(G.conjugation_labels(G.conjugates(ids)[1])) if i == 0]
+
+
 def orbit_cases(G):
     """Every Sylow subgroup, a non-Sylow Hall subgroup where one is found, a
     normal subgroup and the trivial subgroup of G."""
@@ -917,29 +947,33 @@ def orbit_cases(G):
 
 @pytest.mark.parametrize("G", orbit_groups(), ids=repr)
 def test_conjugates_and_normalisers_match_the_all_elements_loop(G):
-    from baerlab.structure import _normaliser_ids
-
     for p in pi_of(G):
         expected = brute_conjugates(G, sylow(G, p))
         assert [frozenset(Q.members()) for Q in sylow_conjugates(G, p)] == expected
     for H in orbit_cases(G):
         assert [frozenset(Q.members()) for Q in hall_conjugates(G, H)] == brute_conjugates(G, H)
-        assert _normaliser_ids(G, H.ids) == brute_normaliser_ids(G, H)
+        assert normaliser_ids(G, H.ids) == brute_normaliser_ids(G, H)
     N = derived_subgroup(G)
     assert 1 < N.order < G.order and len(hall_conjugates(G, N)) == 1
 
 
 @pytest.mark.parametrize("G", [symmetric(4), frobenius(7, 3), semilinear(2, 3)], ids=repr)
 def test_conjugation_labels_match_permutation_conjugation(G):
-    from baerlab.structure import _conjugation_orbit, _normaliser_ids
-
-    idx = {x: i for i, x in enumerate(G.elements)}
+    els = G.elements
+    idx = {x: i for i, x in enumerate(els)}
     for p in pi_of(G):
         H = sylow(G, p)
-        orbit, label = _conjugation_orbit(G, H.ids)
-        for g, x in enumerate(G.elements):
+        orbit, act = G.conjugates(H.ids)
+        assert orbit[0] == H.ids and len(set(orbit)) == len(orbit)
+        assert len(act) == len(G.generators)
+        for j, s in enumerate(G.generators):
+            assert len(act[j]) == len(orbit)
+            for i, L in enumerate(orbit):
+                assert orbit[act[j][i]] == {idx[els[h].conjugate(s)] for h in L}
+        label = G.conjugation_labels(act)
+        for g, x in enumerate(els):
             assert orbit[label[g]] == {idx[h.conjugate(x)] for h in H.members()}
-        assert _normaliser_ids(G, H.ids) == brute_normaliser_ids(G, H)
+        assert normaliser_ids(G, H.ids) == brute_normaliser_ids(G, H)
         expected = [frozenset(map(idx.__getitem__, Q)) for Q in brute_conjugates(G, H)]
         assert [Q.ids for Q in hall_conjugates(G, H)] == expected
 
@@ -1149,6 +1183,8 @@ def test_enumerate_subgroups_counts():
         (symmetric(4), 30, 11, 200),
         (symmetric(5), 156, 19, 200),
         (symmetric(6), 1455, 56, 720),
+        # Not symmetric: the class walk of Group.conjugates on semilinear(2,4).
+        (semilinear(2, 4), 990, 44, 960),
     ):
         subs = enumerate_subgroups(G, max_order=max_order)
         assert (len(subs), conjugacy_class_count(G, subs)) == (count, classes)
