@@ -18,8 +18,11 @@ canonically sorted so reports are byte-reproducible.
 
 Facts read from one factor are memoised on that subgroup by
 :func:`~baerlab.group.memo`, so every factorisation with the same side
-shares them; a factorisation only combines them, and its own p-Baer and Baer
-verdicts are memoised on it.
+shares them: its index profiles, statuses and primes, and its meets with G's
+Sylow subgroups (:func:`~baerlab.structure.sylow_meets`), which give the
+Sylow intersections of :func:`~baerlab.structure.find_prefactorised_sylow`.
+A factorisation only combines them and intersects no subgroups; its own
+verdicts, unique primes and prefactorised Sylow subgroup are memoised on it.
 Facts about a factor as a group of its own (its Sylow subgroups and class
 sizes, for Theorems A, D and F and Corollary C) are read in the parent's id
 space by :func:`~baerlab.structure.factor_sylows` and
@@ -246,18 +249,30 @@ def _side_profile(S: Subgroup, p: int | None = None) -> dict:
     return {idx: _member(x) for idx, x in first.items()}
 
 
+@memo
+def _side_status(S: Subgroup, p: int | None, locus: str) -> tuple:
+    """``(failing witness or None, witnesses by index)`` of a side S at ``locus``;
+    memoised on S per prime and locus.  The first index of S's
+    :func:`_side_profile` that is no prime power fails."""
+    witnesses = []
+    for idx, x in _side_profile(S, p).items():
+        c = classify_prime_power(idx)
+        if not c.is_prime_power:
+            return IndexWitness(x, locus, idx, c), None
+        witnesses.append(IndexWitness(x, locus, idx, c))
+    witnesses.sort(key=lambda w: w.index)
+    return None, witnesses
+
+
 def _status(F: Factorisation, p, subs) -> BaerStatus:
-    """Combine the side profiles of the ``(locus, S)`` pairs ``subs``: the first
-    index that is no prime power, in A's profile order and then B's, is the
-    first failing member; else one witness per (locus, index), sorted."""
+    """Combine the :func:`_side_status` of the ``(locus, S)`` pairs ``subs``, A's
+    first: the first failing witness, else every witness, sorted by (locus, index)."""
     witnesses = []
     for locus, S in subs:
-        for idx, x in _side_profile(S, p).items():
-            c = classify_prime_power(idx)
-            if not c.is_prime_power:
-                return BaerStatus(F, p, False, None, witnesses=[IndexWitness(x, locus, idx, c)])
-            witnesses.append(IndexWitness(x, locus, idx, c))
-    witnesses.sort(key=lambda w: (w.locus, w.index))
+        bad, found = _side_status(S, p, locus)
+        if bad is not None:
+            return BaerStatus(F, p, False, None, witnesses=[bad])
+        witnesses += found
     return BaerStatus(F, p, True, None, witnesses=witnesses)
 
 
@@ -268,15 +283,16 @@ def is_p_baer(F: Factorisation, p: int, via: str = "union") -> BaerStatus:
     ``via="union"`` scans every p-element of A u B; ``via="sylow"`` scans only
     the two Sylow intersections of a prefactorised Sylow p-subgroup, which is
     an equivalent test because Sylow subgroups are conjugate.  The two routes
-    must agree; the sweep asserts that.  Both combine the :func:`_side_profile`
+    must agree; the sweep asserts that.  Both combine the :func:`_side_status`
     of each side, A and B or their Sylow intersections (p-groups, whose
-    nontrivial members are all p-elements); the status is memoised on F.
+    nontrivial members are all p-elements, read from
+    :func:`~baerlab.structure.find_prefactorised_sylow`); the status is
+    memoised on F.
     """
     if via == "union":
         subs = F.factors()
     elif via == "sylow":
-        P = find_prefactorised_sylow(F, p)
-        subs = [(locus, P.intersection(sub)) for locus, sub in F.factors()]
+        subs = zip(("A", "B"), find_prefactorised_sylow(F, p)[1:])
     else:
         raise ValueError(f"unknown route {via!r}")
     return _status(F, p, subs)
@@ -303,21 +319,24 @@ def is_baer(F: Factorisation) -> BaerStatus:
 # -- unique index primes -----------------------------------------------------------
 
 
-def _index_primes(S: Subgroup, p: int) -> set:
-    """The primes dividing the indices of the noncentral p-elements of S."""
-    return {q for idx in _side_profile(S, p) for q in prime_divisors(idx)}
+@memo
+def _index_primes(S: Subgroup, p: int) -> frozenset:
+    """The primes dividing the indices of the noncentral p-elements of S;
+    memoised on S per prime."""
+    return frozenset(q for idx in _side_profile(S, p) for q in prime_divisors(idx))
 
 
+@memo
 def unique_primes(F: Factorisation, p: int) -> UniquePrimes | None:
     """The unique primes q (A side) and r (B side) dividing the nontrivial
     indices of p-elements, or None when one side's indices have two prime
-    divisors, which a p-Baer factorisation rules out."""
+    divisors, which a p-Baer factorisation rules out; memoised on F."""
     out = {}
     for locus, sub in F.factors():
         primes = _index_primes(sub, p)
         if len(primes) > 1:
             return None
-        out[locus] = primes.pop() if primes else None
+        out[locus] = next(iter(primes), None)
     return UniquePrimes(p, out["A"], out["B"])
 
 
@@ -446,7 +465,7 @@ def report_theorem_a(report: TheoremReport, F: Factorisation, p: int) -> None:
     Clauses 1 and 3 are read in G.
     """
     G = F.group
-    P = find_prefactorised_sylow(F, p)
+    P, PA, PB = find_prefactorised_sylow(F, p)
     Op = o_p(G, p)
     C = centraliser(G, Op)
     report.check("1:central-quotient-p-decomposable", is_p_decomposable(G, p, over=C),
@@ -467,8 +486,7 @@ def report_theorem_a(report: TheoremReport, F: Factorisation, p: int) -> None:
     report.check("4:sylow-abelian-iff-core-abelian", is_abelian(P) == is_abelian(Op),
                  {"sylow_abelian": is_abelian(P), "core_abelian": is_abelian(Op)})
 
-    applicable = [(locus, PX) for locus, sub in F.factors()
-                  if not (PX := P.intersection(sub)).subset_of(C)]
+    applicable = [(locus, PX) for locus, PX in (("A", PA), ("B", PB)) if not PX.subset_of(C)]
     if not applicable:
         report.add("5:sylow-part-centralises-hall", NOT_APPLICABLE,
                    "both Sylow intersections centralise the p-core")
@@ -532,13 +550,13 @@ def report_theorem_b(report: TheoremReport, F: Factorisation, p: int) -> None:
     q_eff = up.q if up.q is not None else (up.r if up.r is not None else p)
     r_eff = up.r if up.r is not None else (up.q if up.q is not None else p)
 
-    P = find_prefactorised_sylow(F, p)
+    P = find_prefactorised_sylow(F, p)[0]
     # F(G) is nilpotent, so its {q,r}-complement is the product of the cores
     # O_s(G), s in pi(F(G)) - {q, r}: each is the Sylow s-subgroup of F(G).
     cores = [o_p(G, s) for s in prime_divisors(fitting(G).order) if s not in (q_eff, r_eff)]
     CP = centraliser(G, P)
     report.check("centralises-fitting-complement",
-                 all(b in CP for core in cores for b in core.generating_set()),
+                 all(core.subset_of(CP) for core in cores),
                  {"complement_order": math.prod(core.order for core in cores)})
 
     K = P
@@ -649,10 +667,11 @@ def report_theorem_e(report: TheoremReport, F: Factorisation, p: int) -> None:
                  {"quotient_order": quotient_order, "complement_order": complement_order})
 
 
+@memo
 def _central_quotient(G: Group, p: int) -> tuple:
     """``(shape, |G : C|, |N : C|)`` for ``C = C_G(O_p(G))`` and N the relative
     p'-core over C: shape is whether G/C is p-decomposable with the abelian
-    p-complement N/C, read in G as relative cores."""
+    p-complement N/C, read in G as relative cores; memoised on G per prime."""
     C = centraliser(G, o_p(G, p))
     N = o_pi(G, set(pi_of(G)) - {p}, over=C)
     shape = is_p_decomposable(G, p, over=C) and is_abelian(N, over=C)
@@ -774,23 +793,19 @@ def check_lemma_bk(report: TheoremReport, G: Group) -> None:
     primes and ``i(xy)`` a prime power: their normal closure lies in
     ``O_p(G)``, ``i(xy)`` is the maximum of the two and a p-power, and the
     Sylow p-subgroup is non-abelian.  Exhaustive pair scan on store ids:
-    indices are class sizes read by id, and ``xy`` is ``col(y)[x]``."""
+    indices are class sizes read by id, and ``xy`` is ``col(y)[x]``.  The
+    rows ``(id, index, index prime)`` are read a conjugacy class at a time,
+    as order and index are class functions, and scanned by id."""
     G.materialize()
     els = G.elements
     orders = G.element_orders()
     index = G.class_sizes()
     mul = G.cayley()
+    classes = [(cls, c.prime) for cls in G.conjugacy_partition()
+               if len(cls) > 1 and (c := classify_prime_power(len(cls))).is_prime_power]
     for p in sorted(pi_of(G)):
-        rows = []
-        for i, o in enumerate(orders):
-            if o == 1 or not is_p_number(o, p):
-                continue
-            idx = index[i]
-            if idx == 1:
-                continue
-            c = classify_prime_power(idx)
-            if c.is_prime_power:
-                rows.append((i, idx, c.prime))
+        rows = sorted((i, len(cls), q) for cls, q in classes
+                      if is_p_number(orders[cls[0]], p) for i in cls)
         pairs, bad = 0, None
         for ai, (i, ix, px) in enumerate(rows):
             for j, iy, py in rows[ai + 1 :]:
@@ -859,6 +874,14 @@ def check_pq_baer(report: TheoremReport, F: Factorisation, p: int, q: int) -> No
         report.add("b:normal-hall-pq", NOT_APPLICABLE, "q differs from r")
 
 
+@memo
+def _side_indices_p_numbers(S: Subgroup, p: int, scope: str) -> bool:
+    """Whether every index of S's :func:`_side_profile` over the scope's
+    elements (p-elements, or every prime-power-order element) is a p-number;
+    memoised on S per prime and scope."""
+    return all(is_p_number(idx, p) for idx in _side_profile(S, p if scope == "p-elements" else None))
+
+
 @_check("p-index-decomposition")
 def check_p_index_decomposition(report: TheoremReport, F: Factorisation, p: int,
                                 scope: str = "p-elements") -> None:
@@ -873,12 +896,12 @@ def check_p_index_decomposition(report: TheoremReport, F: Factorisation, p: int,
     """
     G = F.group
     if scope == "p-elements":
-        lhs = all(is_p_number(idx, p) for _l, sub in F.factors() for idx in _side_profile(sub, p))
+        lhs = all(_side_indices_p_numbers(sub, p, scope) for _l, sub in F.factors())
         rhs = is_p_decomposable(G, p)
         report.check("biconditional-p-elements", lhs == rhs,
                      {"all_indices_p_numbers": lhs, "p_decomposable": rhs})
     elif scope == "all prime power":
-        lhs = all(is_p_number(idx, p) for _l, sub in F.factors() for idx in _side_profile(sub))
+        lhs = all(_side_indices_p_numbers(sub, p, scope) for _l, sub in F.factors())
         rhs = is_p_decomposable(G, p) and is_abelian(o_p_prime(G, p))
         report.check("biconditional-prime-power", lhs == rhs,
                      {"all_indices_p_numbers": lhs, "decomposed_with_abelian_complement": rhs})

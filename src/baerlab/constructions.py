@@ -202,9 +202,8 @@ def direct_product(factors) -> Group:
     degree = sum(f.degree for f in factors)
     degrees = [f.degree for f in factors]
     gens = [embed_block(degrees, i, g) for i, f in enumerate(factors) for g in f.generators]
-    order = math.prod(f.order for f in factors)
     name = "product(" + ", ".join(f.name for f in factors) + ")"
-    return Group(degree, gens, order_hint=order, direct_factors=factors, name=name)
+    return Group(degree, gens, direct_factors=factors, name=name)
 
 
 def wreath(base: Group, top: Group, action: str = "natural") -> Group:

@@ -223,7 +223,8 @@ class Group:
     ``order_hint`` lets constructors with closed-form orders report the order
     without materialising; it is checked against the actual closure size
     whenever the store is built.  ``direct_factors`` marks groups assembled as
-    direct products acting on consecutive blocks.
+    direct products acting on consecutive blocks, whose hint is set to the
+    product of the block orders; ``order`` is the store's size once built.
     """
 
     def __init__(self, degree, generators, *, order_hint=None, direct_factors=None, name=None):
@@ -235,6 +236,7 @@ class Group:
         if self.direct_factors is not None:
             if sum(f.degree for f in self.direct_factors) != degree:
                 raise ValueError("direct factor degrees do not sum to the product degree")
+            self.order_hint = math.prod(f.order for f in self.direct_factors)
         self.name = name if name is not None else f"group(degree={degree})"
         self._elements: tuple | None = None
         self._index: dict | None = None
@@ -250,8 +252,6 @@ class Group:
 
     @property
     def order(self) -> int:
-        if self.blocks is not None:
-            return math.prod(f.order for f in self.blocks)
         if self._elements is not None:
             return len(self._elements)
         if self.order_hint is not None:
@@ -884,4 +884,6 @@ class Subgroup:
         return self.order * other.order // inter.order
 
     def subset_of(self, other: "Subgroup") -> bool:
+        if self._ids is not None and other._ids is not None:
+            return self._ids <= other._ids
         return all(g in other for g in self.generating_set())

@@ -4,11 +4,12 @@ Every operation here is a pure function of immutable groups.  Results are
 memoised write-once by :func:`~baerlab.group.memo` on the object they are
 about, keyed by the function and its other arguments, so sweeps never
 recompute per-group structure.  Facts about one subgroup (its generating ids
-and centraliser, whether it is normal or abelian, its own Sylow subgroups and
-class sizes, and the index profiles, centraliser indices and products with
-normal subgroups of ``baer``) are memoised on the subgroup; since subgroups
-are canonical per group, every factorisation of a group that reaches the
-same subgroup shares them, and they are freed with it.
+and centraliser, whether it is normal or abelian, its meets with G's Sylow
+subgroups, its own Sylow subgroups and class sizes, and the index profiles,
+side statuses, index primes, centraliser indices and products with normal
+subgroups of ``baer``) are memoised on the subgroup; since subgroups are
+canonical per group, every factorisation of a group that reaches the same
+subgroup shares them, and they are freed with it.
 
 A subgroup argument of an operation on G belongs to G (``S.parent is G``),
 so it is ids into G's store or one factor per block of ``G.direct_factors``
@@ -186,23 +187,29 @@ def sylow_conjugates(G: Group, p: int) -> list:
 
 
 @memo
+def sylow_meets(S: Subgroup, p: int) -> list:
+    """``[S n Q for Q in sylow_conjugates(S.parent, p)]``, in conjugate order;
+    memoised on S per prime, so every factorisation with side S shares them."""
+    return [S.intersection(Q) for Q in sylow_conjugates(S.parent, p)]
+
+
+@memo
 def factor_sylows(S: Subgroup, p: int) -> list:
     """Syl_p(S) for a subgroup S of G = S.parent; memoised on S per prime.
 
     On an unmaterialised product with S product-form over its blocks, a
     Sylow subgroup of S is a product of block ones, listed in
-    ``itertools.product`` order.  Otherwise these are the intersections
-    ``S n Q`` of order ``|S|_p`` for Q in :func:`sylow_conjugates` of G, in
-    that order, each once.  That is every Sylow subgroup of S: each lies in
-    some Sylow subgroup Q of G, and is then ``S n Q``, the largest
-    p-subgroup of S there.  The first entry is :func:`factor_sylow`.
+    ``itertools.product`` order.  Otherwise these are the meets of
+    :func:`sylow_meets` of order ``|S|_p``, in conjugate order, each once.
+    That is every Sylow subgroup of S: each lies in some Sylow subgroup Q of
+    G, and is then ``S n Q``, the largest p-subgroup of S there.  The first
+    entry is :func:`factor_sylow`.
     """
     G = S.parent
     if (parts := _blockwise(G, lambda _f, s: factor_sylows(s, p), S)) is not None:
         return [Subgroup.from_factors(G, c) for c in itertools.product(*parts)]
     pk = p_part(S.order, p)
-    meets = (S.intersection(Q) for Q in sylow_conjugates(G, p))
-    return list(dict.fromkeys(R for R in meets if R.order == pk))
+    return list(dict.fromkeys(R for R in sylow_meets(S, p) if R.order == pk))
 
 
 @memo
@@ -301,8 +308,9 @@ def _o_pi(G: Group, pi: frozenset, over) -> Subgroup:
     return core
 
 
+@memo
 def o_p_prime(G: Group, p: int) -> Subgroup:
-    """O_{p'}(G): the largest normal subgroup of order prime to p."""
+    """O_{p'}(G): the largest normal subgroup of order prime to p; memoised on G per prime."""
     return o_pi(G, set(pi_of(G)) - {p})
 
 
@@ -407,6 +415,7 @@ class Factorisation:
         self.group = group
         self.a = a
         self.b = b
+        self._sides = (("A", a), ("B", b))
         self._cache: dict = {}
 
     @classmethod
@@ -414,8 +423,9 @@ class Factorisation:
         S = Subgroup.full(G)
         return cls(G, S, S)
 
-    def factors(self):
-        return (("A", self.a), ("B", self.b))
+    def factors(self) -> tuple:
+        """``(("A", a), ("B", b))``, built once."""
+        return self._sides
 
     def is_trivial(self) -> bool:
         return self.a.order == self.group.order and self.b.order == self.group.order
@@ -425,12 +435,15 @@ class Factorisation:
 
 
 @memo
-def find_prefactorised_sylow(F: Factorisation, p: int) -> Subgroup:
-    """A Sylow p-subgroup with ``P = (P n A)(P n B)`` and Sylow intersections.
+def find_prefactorised_sylow(F: Factorisation, p: int) -> tuple:
+    """``(P, P n A, P n B)`` for a Sylow p-subgroup with ``P = (P n A)(P n B)``
+    and Sylow intersections; memoised on F.
 
-    Searches the conjugates of the deterministic Sylow subgroup in store
-    order; such a conjugate always exists, so exhausting the search is an
-    internal red alert, never a silent failure.
+    P is the first conjugate of the deterministic Sylow subgroup, in store
+    order, whose meets with A and B (:func:`sylow_meets`, memoised on each
+    side) have the sides' p-parts and multiply to P; an unmaterialised
+    product answers block by block.  Such a conjugate always exists, so
+    exhausting the search is an internal red alert, never a silent failure.
     """
     G = F.group
     pa = p_part(F.a.order, p)
@@ -439,19 +452,11 @@ def find_prefactorised_sylow(F: Factorisation, p: int) -> Subgroup:
         G, lambda f, a, b: find_prefactorised_sylow(Factorisation(f, a, b), p), F.a, F.b
     )
     if parts is not None:
-        return Subgroup.from_factors(G, parts)
-    for P in sylow_conjugates(G, p):
-        ia = P.intersection(F.a)
-        if ia.order != pa:
-            continue
-        ib = P.intersection(F.b)
-        if ib.order != pb:
-            continue
-        if ia.product_order(ib) == P.order:
-            return P
-    raise InternalInvariantViolation(
-        f"no prefactorised Sylow {p}-subgroup found in {G.name}"
-    )
+        return tuple(Subgroup.from_factors(G, c) for c in zip(*parts))
+    for Q, QA, QB in zip(sylow_conjugates(G, p), sylow_meets(F.a, p), sylow_meets(F.b, p)):
+        if QA.order == pa and QB.order == pb and QA.product_order(QB) == Q.order:
+            return Q, QA, QB
+    raise InternalInvariantViolation(f"no prefactorised Sylow {p}-subgroup found in {G.name}")
 
 
 # -- Hall subgroups -----------------------------------------------------------------

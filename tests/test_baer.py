@@ -23,12 +23,14 @@ from baerlab.errors import (
     InternalInvariantViolation,
 )
 from baerlab.group import Group, Subgroup, centraliser, memo
-from baerlab.perm import Permutation, parse_cycles
+from baerlab.numth import classify_prime_power, is_p_number, p_part
+from baerlab.perm import Permutation, format_cycles, parse_cycles
 from baerlab.reporting import FAIL, NOT_APPLICABLE, PASS, SKIPPED, TheoremReport
 from baerlab.structure import (
     Factorisation,
     enumerate_subgroups,
     factor_sylow,
+    find_prefactorised_sylow,
     hall,
     hall_conjugates,
     is_abelian,
@@ -37,8 +39,10 @@ from baerlab.structure import (
     pi_of,
     sylow,
     sylow_conjugates,
+    sylow_meets,
     upper_p_series,
 )
+from test_structure import SWEEP_SPECS
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -641,6 +645,7 @@ def group_output_lines(G) -> list:
 
 
 @pytest.mark.parametrize("spec, digest", [
+    ("semilinear(2,3)", "568e315432d36bb11fad7cd0a4f33df33647e5c1b4570dc600f9cfe0711188b6"),
     ("dihedral(12)", "63b360ca440d9f4688b9deaa02ace3d36512b498aa43cc8ab097bea3f52f27ee"),
     ("symmetric(4)", "6f3891c74fb067da9ee217ebf95ec5003938d1b21939762a93e4387d16d7dbc1"),
     ("frobenius(7,3)", "dac380ede25eaa21b2ae7612135347a8977ac346fec90457edefd31d223a9f80"),
@@ -682,6 +687,148 @@ def test_every_output_near_the_top_of_the_cell_budget_is_pinned():
     )
 
 
+# -- prefactorised Sylow subgroups from the side memos ----------------------------------
+
+
+def first_prefactorised_sylow(F, p) -> tuple:
+    """``(P, P n A, P n B)`` for the first P of ``sylow_conjugates(G, p)`` whose
+    meets with A and B, taken here, have the sides' p-parts and multiply to P."""
+    pa, pb = p_part(F.a.order, p), p_part(F.b.order, p)
+    for P in sylow_conjugates(F.group, p):
+        ia, ib = P.intersection(F.a), P.intersection(F.b)
+        if ia.order == pa and ib.order == pb and ia.product_order(ib) == P.order:
+            return P, ia, ib
+    raise AssertionError(f"no prefactorised Sylow {p}-subgroup")
+
+
+def status_rows_of(subs, p) -> tuple:
+    """``(holds, [(locus, element, index)])`` over the ``(locus, S)`` pairs: the
+    first index of a side profile that is no prime power, in A's profile order
+    and then B's, fails; otherwise one row per (locus, index), sorted."""
+    rows = []
+    for locus, S in subs:
+        for idx, x in baer._side_profile(S, p).items():
+            if not classify_prime_power(idx).is_prime_power:
+                return False, [(locus, x, idx)]
+            rows.append((locus, x, idx))
+    return True, sorted(rows, key=lambda row: (row[0], row[2]))
+
+
+def assert_prefactorised_sylows_match_the_first_match_loop(F):
+    for p in sorted(pi_of(F.group)):
+        P, PA, PB = find_prefactorised_sylow(F, p)
+        assert (P, PA, PB) == first_prefactorised_sylow(F, p), p
+        status = baer.is_p_baer(F, p, "sylow")
+        rows = [(w.locus, w.element, w.index) for w in status.witnesses]
+        assert (status.is_p_baer, rows) == status_rows_of([("A", PA), ("B", PB)], p), p
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS)
+def test_prefactorised_sylow_and_its_meets_match_the_first_match_loop(spec):
+    # The engine reads both sides' meets with G's Sylow subgroups from their
+    # memos; the loop above intersects per factorisation, as the search did
+    # before the memos.  P, both meets and the witnesses of the sylow route
+    # must be the same on every factorisation.
+    G = parse_group_spec(spec)
+    subs = enumerate_subgroups(G)
+    for i, j in factorisation_pairs(G):
+        assert_prefactorised_sylows_match_the_first_match_loop(Factorisation(G, subs[i], subs[j]))
+
+
+def test_prefactorised_sylow_of_a_lazy_product_matches_the_first_match_loop():
+    # The engine answers block by block; the loop scans the product's own
+    # Sylow conjugates, which come in itertools.product order, so its first
+    # match is the product of the blocks' first matches.
+    for left, right in PRODUCT_CASES:
+        F = block_halves_factorisation(left, right)
+        assert_prefactorised_sylows_match_the_first_match_loop(F)
+        assert not F.group.is_materialized
+
+
+def test_sylow_meets_are_taken_once_per_side(monkeypatch):
+    # Work-count guard: every check on the 302 factorisations of
+    # semilinear(2,3), and its group checks, read each side's meets with G's
+    # Sylow subgroups from the side's memo (structure.sylow_meets).  That is
+    # 4,757 calls to Subgroup.intersection, down from 12,457 when each
+    # factorisation intersected its own sides with the Sylow conjugates.
+    G = semilinear(2, 3)
+    subs = enumerate_subgroups(G)
+    factorisations = [Factorisation(G, subs[i], subs[j]) for i, j in factorisation_pairs(G)]
+    assert len(factorisations) == 302
+    calls = []
+    intersection = Subgroup.intersection
+
+    def counted(self, other):
+        calls.append(None)
+        return intersection(self, other)
+
+    monkeypatch.setattr(Subgroup, "intersection", counted)
+    for F in factorisations:
+        factorisation_rows(F)
+    group_rows(G)
+    assert len(calls) == 4757
+
+
+# -- Berkovich-Kazarin, a conjugacy class at a time ------------------------------------
+
+
+def lemma_bk_by_elements(G) -> list:
+    """``(clause, verdict, witness)`` of ``check_lemma_bk`` with its rows read
+    element by element in id order: every noncentral p-element of
+    prime-power index, with that index and its prime."""
+    els, orders, index, mul = G.elements, G.element_orders(), G.class_sizes(), G.cayley()
+    out = []
+    for p in sorted(pi_of(G)):
+        rows = []
+        for i, o in enumerate(orders):
+            c = classify_prime_power(index[i])
+            if o > 1 and is_p_number(o, p) and index[i] > 1 and c.is_prime_power:
+                rows.append((i, index[i], c.prime))
+        pairs, bad = 0, None
+        for ai, (i, ix, px) in enumerate(rows):
+            for j, iy, py in rows[ai + 1 :]:
+                ixy = index[mul.col(j)[i]]
+                if px == py or not classify_prime_power(ixy).is_prime_power:
+                    continue
+                pairs += 1
+                x, y = els[i], els[j]
+                conclusion = (
+                    baer.normal_closure(G, [x, y]).subset_of(o_p(G, p))
+                    and ixy == max(ix, iy)
+                    and is_p_number(ixy, p)
+                    and not is_abelian(sylow(G, p))
+                )
+                if not conclusion and bad is None:
+                    bad = {"x": format_cycles(x), "y": format_cycles(y),
+                           "ix": ix, "iy": iy, "ixy": ixy}
+        out.append((f"p={p}", PASS if bad is None else FAIL, bad or {"qualifying_pairs": pairs}))
+    return out
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS + (
+    "subgroup(semilinear(2,4); g0, g1, g2^2)", "wreath(dihedral(8),cyclic(3),natural)"
+))
+def test_lemma_bk_rows_read_by_class_match_the_element_loop(spec, monkeypatch):
+    # Order and index are class functions, so check_lemma_bk reads its rows a
+    # conjugacy class at a time.  D8 wr C3 (order 1,536) has 144 qualifying
+    # pairs at p = 2, which both scans must close in the same order.  A
+    # normal closure that is all of G then fails every qualifying pair, so
+    # the witness is the first in pair order.
+    G = parse_group_spec(spec)
+    G.materialize()
+    pairs = []
+    closure = baer.normal_closure
+    monkeypatch.setattr(baer, "normal_closure", lambda H, gens: pairs.append(gens) or closure(H, gens))
+
+    def clauses():
+        return [(c.clause, c.verdict, c.witness) for c in baer.check_lemma_bk(G).clauses]
+
+    assert clauses() == lemma_bk_by_elements(G)
+    assert pairs[: len(pairs) // 2] == pairs[len(pairs) // 2 :]
+    monkeypatch.setattr(baer, "normal_closure", lambda H, _gens: Subgroup.full(H))
+    assert clauses() == lemma_bk_by_elements(G)
+
+
 def test_kinds_memoised_before_a_product_is_materialised_still_fold():
     # The kinds of a product-form factor are folded from its blocks whether
     # or not G's store is built, so those memoised while G is lazy and those
@@ -711,6 +858,12 @@ def test_memos_are_freed_with_their_owner():
         assert factor_sylow(S, 2).order == 4
         assert centraliser(G, S).order == 1
         assert is_normal(G, S)
+        # A4's 2-elements are the double transpositions, of index 3 in S4,
+        # and it meets each of the three Sylow 2-subgroups of S4 in V4.
+        assert [Q.order for Q in sylow_meets(S, 2)] == [4, 4, 4]
+        assert [w.index for w in baer._side_status(S, 2, "A")[1]] == [3]
+        assert baer._index_primes(S, 2) == {3}
+        assert not baer._side_indices_p_numbers(S, 2, "p-elements")
         alive = weakref.ref(S)
         del S
         assert alive() is None

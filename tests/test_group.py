@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from baerlab import group as group_module
-from baerlab.constructions import parse_group_spec
+from baerlab.constructions import direct_product, parse_group_spec
 from baerlab.errors import CapExceeded
 from baerlab.group import (
     Group,
@@ -138,6 +138,19 @@ def test_order_hint_checked():
     G = Group(3, [parse_cycles("(0 1 2)")], order_hint=5)
     with pytest.raises(InternalInvariantViolation):
         G.materialize()
+
+
+def test_a_product_reads_its_order_without_its_blocks(monkeypatch):
+    # A lazy product's order is its blocks' product, computed once when it is
+    # built: a read neither recurses into the blocks nor builds the store.
+    G = direct_product([parse_group_spec("symmetric(3)"), parse_group_spec("dihedral(10)")])
+    reads = []
+    order = Group.order
+    monkeypatch.setattr(Group, "order", property(lambda self: reads.append(self) or order.fget(self)))
+    assert G.order == 60
+    assert reads == [G] and not G.is_materialized
+    G.materialize()
+    assert G.order == len(G.elements) == 60
 
 
 def test_materialize_refuses_past_cap():

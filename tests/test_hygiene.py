@@ -38,6 +38,11 @@ and ``Group.conjugates`` (one orbit of id sets, under G): no module but
 ``group.py`` and ``perm.py`` calls a ``.conjugate``
 method, so no route conjugates permutations one by one behind the id maps.
 
+``baer.py`` makes no ``.intersection(`` call: a factorisation's Sylow
+intersections are read from the meets memoised on each side
+(``structure.sylow_meets``, through ``find_prefactorised_sylow``), so no
+check body rebuilds a side's meets per factorisation.
+
 Every function and method of every module of the package has a reader
 elsewhere in the package, so no code is kept alive by the tests alone; the
 named entry points are exempt.
@@ -439,6 +444,32 @@ def test_conjugate_call_detector():
         "    return [s.conjugate(g) in S for s in S.generating_set()], conjugate(g)\n"
     )
     assert conjugate_calls(source) == [3, 5]
+
+
+def intersection_calls(source: str) -> list:
+    """Lines of every ``.intersection(...)`` call."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "intersection"
+    )
+
+
+def test_checks_read_sylow_meets_from_the_side_memos():
+    assert intersection_calls((SOURCE / "baer.py").read_text()) == []
+
+
+def test_intersection_call_detector():
+    source = (
+        "def f(F, p):\n"
+        "    P, PA, PB = find_prefactorised_sylow(F, p)\n"
+        "    meets = [P.intersection(sub) for _locus, sub in F.factors()]\n"
+        "    meet = P.intersection\n"
+        "    return meets, meet(F.b), sylow_meets(F.a, p), F.a.intersection(\n"
+        "        F.b)\n"
+    )
+    assert intersection_calls(source) == [3, 5]
 
 
 ENVIRONMENT_READERS = frozenset({"environ", "getenv"})

@@ -746,7 +746,7 @@ def test_index_profiles_from_store_ids_match_brute_force(G):
             union = brute_status([row for row in rows if is_p_number(row[1].order(), p)])
             got = is_p_baer(F, p, via="union")
             assert (got.is_p_baer, status_rows(got)) == union
-            P = find_prefactorised_sylow(F, p)
+            P = find_prefactorised_sylow(F, p)[0]
             sylow_rows = [
                 (locus, x, brute_class_size(G, x))
                 for locus, sub in F.factors()
@@ -1124,11 +1124,12 @@ def test_find_prefactorised_sylow_direct_product():
     A = Subgroup.from_factors(G, [Subgroup.full(G.direct_factors[0]), Subgroup.trivial(G.direct_factors[1])])
     B = Subgroup.from_factors(G, [Subgroup.trivial(G.direct_factors[0]), Subgroup.full(G.direct_factors[1])])
     F = Factorisation(G, A, B)
-    P = find_prefactorised_sylow(F, 2)
+    P, PA, PB = find_prefactorised_sylow(F, 2)
     assert P.order == 4
-    assert P.intersection(A).order == 2
-    assert P.intersection(B).order == 2
-    assert P.intersection(A).product_order(P.intersection(B)) == P.order
+    assert (PA, PB) == (P.intersection(A), P.intersection(B))
+    assert PA.order == 2
+    assert PB.order == 2
+    assert PA.product_order(PB) == P.order
 
 
 def test_find_prefactorised_sylow_nontrivial_search():
@@ -1145,18 +1146,20 @@ def test_find_prefactorised_sylow_nontrivial_search():
     B = Subgroup.from_generators(G, bgens)
     assert (A.order, B.order) == (2, 30)
     F = Factorisation(G, A, B)
-    P = find_prefactorised_sylow(F, 2)
+    P, PA, PB = find_prefactorised_sylow(F, 2)
     assert P.order == 4
-    assert P.intersection(A).order == 2
-    assert P.intersection(B).order == 2
-    assert P.intersection(A).product_order(P.intersection(B)) == P.order
+    assert (PA, PB) == (P.intersection(A), P.intersection(B))
+    assert PA.order == 2
+    assert PB.order == 2
+    assert PA.product_order(PB) == P.order
 
 
 def test_find_prefactorised_sylow_trivial_factorisation():
     G = symmetric(4)
     F = Factorisation.trivial(G)
-    P = find_prefactorised_sylow(F, 2)
+    P, PA, PB = find_prefactorised_sylow(F, 2)
     assert P.order == 8
+    assert PA is PB is P
 
 
 # -- subgroup enumeration ---------------------------------------------------------------
