@@ -53,8 +53,14 @@ def memo(fn=None, *, owner=None):
     * Key: ``fn`` when it takes no other argument, else ``(fn, *others)``,
       the other arguments in parameter order with defaults filled in; so
       ``f(F, p)``, ``f(F, p, "union")`` and ``f(F, p, via="union")`` share one
-      entry.  The owner is left out, so no memo keeps its owner alive.  The
+      entry.  The owner is left out, so no key keeps its owner alive.  The
       other arguments must be hashable.
+    * Lifetime: a value may hold its owner.  A group's memoised subgroups
+      hold it as their parent, and ``factor_sylows(S, p)`` of a p-subgroup S
+      is ``[S]``.  Such an owner sits in a reference cycle, which the cyclic
+      collector frees, not reference counting.  Values are left as they are:
+      storing them without the owner would cost every reader a lookup, and a
+      group's subgroups hold their parent regardless.
     * Write-once: a stored value, None included, is returned as it is, and a
       call that raises stores nothing.
 

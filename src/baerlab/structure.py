@@ -170,12 +170,11 @@ def sylow(G: Group, p: int) -> Subgroup:
     return Subgroup.from_ids(G, H)
 
 
-@memo
 def sylow_conjugates(G: Group, p: int) -> list:
     """All distinct conjugates of sylow(G, p): ``hall_conjugates(G, sylow(G, p))``.
 
-    Memoised per group and prime; the route and the order are those of
-    :func:`hall_conjugates`, so the first entry is sylow(G, p).
+    Memoised per group and prime through both; the route and the order are
+    those of :func:`hall_conjugates`, so the first entry is sylow(G, p).
     """
     return hall_conjugates(G, sylow(G, p))
 
@@ -269,10 +268,11 @@ def o_pi(G: Group, pi, over: Subgroup | None = None) -> Subgroup:
 
     One normal K with K/M a pi-group grows from M: a class of pi-elements
     outside K lies in N iff the normal closure of K's generating ids and its
-    representative is a pi-group modulo M (:func:`_normal_closure_ids`).
-    That reaches all of N, which M and its pi-elements generate: the
-    pi'-part of an x in N lies in M.  Memoised on G per M (a trivial M is
-    none) and the primes in pi dividing |G : M|."""
+    representative is a pi-group modulo M (:func:`_normal_closure_ids`);
+    for a trivial M, one product of non-pi order proves first that it is not
+    (:func:`_non_pi_product`).  That reaches all of N, which M and its
+    pi-elements generate: the pi'-part of an x in N lies in M.  Memoised on
+    G per M (a trivial M is none) and the primes in pi dividing |G : M|."""
     over = None if over is None or over.is_trivial() else over
     index = G.order if over is None else G.order // over.order
     return _o_pi(G, frozenset(p for p in pi if index % p == 0), over)
@@ -297,6 +297,8 @@ def _o_pi(G: Group, pi: frozenset, over) -> Subgroup:
         rep = cls[0]
         if rep in K or not is_pi_number(orders[rep], pi):
             continue
+        if _non_pi_product(G, rep, gens, pi, M.order):
+            continue
         closed, closed_gens = _normal_closure_ids(G, gens + [rep], pi, M.order)
         if is_pi_number(len(closed) // M.order, pi):
             K, gens = closed, closed_gens
@@ -306,6 +308,42 @@ def _o_pi(G: Group, pi: frozenset, over) -> Subgroup:
     if not is_normal(G, core):
         raise InternalInvariantViolation("pi-core is not normal")
     return core
+
+
+# Conjugates of the representative that the certificate multiplies in.  On
+# the trivial batteries of quotient-wall's three groups, whose o_pi ran 43
+# normal closures without it, a walk of 4 left 23, 12 left 13 and 24 no
+# fewer; 12 took symmetric(9)'s from 33 to 13 s.  The walk cycles through
+# the generators, as conjugates taken by id are short words moving few points.
+CERTIFICATE_STEPS = 12
+
+
+def _non_pi_product(G: Group, rep: int, gens: list, pi: frozenset, below: int) -> bool:
+    """Whether a product of the store id ``rep``, conjugates of it and the ids
+    ``gens`` has an order that is no pi-number, read only when ``below``, the
+    order of M, is 1.
+
+    Such a product proves that the normal closure of ``gens`` and ``rep`` is
+    no pi-group, at the cost of a few permutation products: every factor
+    lies in that normal closure, and a pi-group holds only pi-elements
+    (Lagrange).  The walk takes ``CERTIFICATE_STEPS`` conjugates, the k-th
+    the last one conjugated by generator k mod r through
+    :meth:`Group.conjugation_maps`, then ``gens``.  Over a nontrivial M it
+    proves nothing: an element of a pi-group modulo M may have pi'-order, its
+    pi'-part lying in M.
+    """
+    if below != 1:
+        return False
+    maps, walk = G.conjugation_maps(), [rep]
+    for k in range(CERTIFICATE_STEPS):
+        walk.append(maps[k % len(maps)][walk[-1]])
+    els = G.elements
+    product = els[rep]
+    for f in walk[1:] + gens:
+        product = product * els[f]
+        if not is_pi_number(product.order(), pi):
+            return True
+    return False
 
 
 @memo
@@ -536,8 +574,10 @@ def _hall(G: Group, pi: frozenset):
     return None
 
 
+@memo
 def hall_conjugates(G: Group, H: Subgroup) -> list:
-    """Distinct conjugates of a subgroup ``H`` of ``G``, ``H`` itself first.
+    """Distinct conjugates of a subgroup ``H`` of ``G``, ``H`` itself first;
+    memoised on G per H, as every (F, p) of G that reads them shares them.
 
     On an unmaterialised product with ``H`` product-form over its blocks,
     every conjugate is the product of block conjugates, so the list is the

@@ -1,0 +1,119 @@
+"""Every outcome CI pins, one row per case, and the runner that checks them.
+
+    ulimit -v 1000000; python3 -B tests/pins.py
+
+Run from the root of a checkout.  A row is ``(name, build, pins)``: ``build()``
+runs the case and returns what it gave, which must match every pin and record
+no failed operation or output check; the runner exits 1 if any row does not.
+"""
+
+import gc
+import json
+import os
+import re
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+# As -B does: importing battery.py writes no bytecode under perfbench/.
+was, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+import battery  # noqa: E402
+from baerlab import constructions, structure  # noqa: E402
+sys.dont_write_bytecode = was
+
+
+def workload(name: str, trace: int) -> dict:
+    """A run of ``perfbench/run.py --seed 1 --seconds 1``, read from its report."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", name,
+           "--seed", "1", "--seconds", "1", "--trace", str(trace)]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    text = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, check=True).stdout
+    clauses = dict(re.findall(r"\b(pass|fail) (\d+)", re.search(r"clauses: .*", text)[0]))
+    return {"digest": re.search(r"outcome digest (\w+) ", text)[1],
+            "clauses_decided": int(clauses["pass"]) + int(clauses["fail"]),
+            "attempted": int(re.search(r"operations: (\d+) attempted", text)[1]),
+            "failures": [] if json.loads(text.splitlines()[-1])["correct"] else ["not correct"]}
+
+
+def run(cases: list) -> dict:
+    """The battery on ``cases``."""
+    out = battery.run_battery(cases)
+    failures = out.check_failures() + ([f"{out.failed} operations failed"] if out.failed else [])
+    return {"digest": out.digest(), "clauses_decided": out.clauses_decided,
+            "attempted": out.attempted, "failures": failures}
+
+
+def trivial(spec: str) -> dict:
+    """The battery on the trivial factorisation G = G G of a materialised spec."""
+    return run([battery._trivial_case(spec)])
+
+
+def lazy(spec: str) -> dict:
+    """The battery on the trivial factorisation of a product that must stay lazy."""
+    G = constructions.parse_group_spec(spec)
+    got = run([battery.Case(spec, G, [("trivial", structure.Factorisation.trivial(G))], True)])
+    return {**got, "materialised": G.is_materialized}
+
+
+def sweep(specs: list) -> dict:
+    """The battery on every factorisation of each spec, as the subgroup sweep builds them."""
+    cases = battery.setup("subgroup-sweep", 1, specs)
+    return {**run(cases), "factorisations": sum(len(c.factorisations) for c in cases)}
+
+
+def lattice(spec: str) -> dict:
+    """The subgroups of a spec, and their conjugacy classes read as hall_conjugates."""
+    G = constructions.parse_group_spec(spec)
+    subs = structure.enumerate_subgroups(G, max_order=G.order)
+    seen, classes = set(), 0
+    for H in subs:
+        if H not in seen:
+            classes += 1
+            seen.update(structure.hall_conjugates(G, H))
+    failures = [] if seen == set(subs) else ["a conjugate lies outside the lattice"]
+    return {"subgroups": len(subs), "classes": classes, "failures": failures}
+
+
+ROWS = [
+    *((f"{w} trace {t}", lambda w=w, t=t: workload(w, t),
+       {"digest": d, "clauses_decided": c, "attempted": a})
+      for w, d, c, a in (("subgroup-sweep", "10cd322943b56ba5", 14849, 18042),
+                         ("quotient-wall", "35b5ee830c0fb75a", 69, 105),
+                         ("direct-products", "77408b56ee475268", 191, 193))
+      for t in (0, 1)),
+    ("semilinear(2,7)", lambda: trivial("semilinear(2,7)"),
+     {"digest": "08d242726cd56bb7", "clauses_decided": 22, "attempted": 35}),
+    ("S7 x C2", lambda: trivial("subgroup(product(symmetric(7),cyclic(2)); g0, g1, g2)"),
+     {"digest": "b4a8e3969662647f", "clauses_decided": 18, "attempted": 48}),
+    ("symmetric(8)", lambda: trivial("symmetric(8)"),
+     {"digest": "6553a456d55a2f03", "clauses_decided": 18, "attempted": 48}),
+    ("symmetric(9)", lambda: trivial("symmetric(9)"),
+     {"digest": "d1304b36fd05630e", "clauses_decided": 18, "attempted": 48}),
+    ("S7 x S7 lazy", lambda: lazy("product(symmetric(7),symmetric(7))"),
+     {"digest": "8a75d36276913218", "clauses_decided": 9, "attempted": 44, "materialised": False}),
+    ("sweep smoke", lambda: sweep(["symmetric(5)", "semilinear(3,2)"]),
+     {"digest": "417a2d07a0caf943", "clauses_decided": 10132, "attempted": 22235,
+      "factorisations": 893}),
+    ("symmetric(7) lattice", lambda: lattice("symmetric(7)"), {"subgroups": 11300, "classes": 96}),
+]
+
+
+def main(rows=ROWS) -> int:
+    bad = False
+    for name, build, pins in rows:
+        t0 = time.perf_counter()
+        got = build()
+        lines = got["failures"] + [f"{key} is {got.get(key)!r}, pinned {want!r}"
+                                   for key, want in pins.items() if got.get(key) != want]
+        print(f"{name}: {'MISMATCH' if lines else 'ok'} in {time.perf_counter() - t0:.1f} s, {got}",
+              *lines, sep="\n  ", flush=True)
+        bad |= bool(lines)
+        gc.collect()
+    return int(bad)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -419,7 +420,7 @@ def test_theorem_a_clause_6_floor_on_every_factorisation_of_d8_x_f21():
     assert decided >= 17
 
 
-def test_theorem_a_clause_5_on_a_nontrivial_hall_subgroup():
+def test_theorem_a_clause_5_on_a_nontrivial_hall_subgroup(monkeypatch):
     # Clause 5 needs a Sylow intersection that does not centralise O_p(G);
     # on this group of order 168 the Hall 2'-subgroup it commutes with has
     # order 21, so the Hall search and the commutation test both run.  The
@@ -428,10 +429,6 @@ def test_theorem_a_clause_5_on_a_nontrivial_hall_subgroup():
     G = parse_group_spec("subgroup(product(dihedral(8),frobenius(7,3)); g0, g1, g2, g3)")
     assert G.order == 168
     trivial = Factorisation.trivial(G)
-    clause = [c for c in report_theorem_a(trivial, 2).clauses if c.clause.startswith("5:")]
-    assert [(c.clause, c.verdict, c.witness["hall_order"]) for c in clause] == [
-        ("5:sylow-part-centralises-hall", PASS, 21)
-    ]
     subs = enumerate_subgroups(G)
     facts = [trivial] + [
         Factorisation(G, A, B)
@@ -440,12 +437,28 @@ def test_theorem_a_clause_5_on_a_nontrivial_hall_subgroup():
         if B.order < G.order and A.order * B.order == G.order * A.intersection(B).order
     ]
     assert len(facts) == 578
+    # Work-count guard: the reports walk each subgroup's conjugates once, as
+    # hall_conjugates is memoised on G per H.  Rebuilt per (F, p), the Hall
+    # 2'-subgroup's were walked 579 times, 583 walks in all; now 5.
+    walks = Counter()
+    conjugates = Group.conjugates
+
+    def counted(self, ids):
+        walks[self, frozenset(ids)] += 1
+        return conjugates(self, ids)
+
+    monkeypatch.setattr(Group, "conjugates", counted)
+    clause = [c for c in report_theorem_a(trivial, 2).clauses if c.clause.startswith("5:")]
+    assert [(c.clause, c.verdict, c.witness["hall_order"]) for c in clause] == [
+        ("5:sylow-part-centralises-hall", PASS, 21)
+    ]
     decided = 0
     for F in facts:
         for p in sorted(pi_of(G)):
             for row in report_rows(report_theorem_a(F, p)):
                 decided += row[2].startswith("5:") and row[3] in (PASS, FAIL)
     assert decided == 578
+    assert list(walks.values()) == [1] * 5
 
 
 def subgroup_key(S):
@@ -847,7 +860,7 @@ def test_kinds_memoised_before_a_product_is_materialised_still_fold():
 
 def test_memos_are_freed_with_their_owner():
     # Facts memoised on S live in S and are keyed without it, so reference
-    # counting alone frees S once the caller drops it.
+    # counting alone frees S once the caller drops it, while no value holds S.
     G = symmetric(4)
     a, b = parse_cycles("(0 1 2)", 4), parse_cycles("(0 1)(2 3)", 4)
     S = Subgroup.from_ids(G, G.closure_from_gen_ids([G.element_id(a), G.element_id(b)]))
@@ -866,6 +879,17 @@ def test_memos_are_freed_with_their_owner():
         assert not baer._side_indices_p_numbers(S, 2, "p-elements")
         alive = weakref.ref(S)
         del S
+        assert alive() is None
+        # A p-subgroup is its own Sylow subgroup and its own meet with the
+        # Sylow subgroup of G above it, so its memos make a cycle that only
+        # the cyclic collector frees.
+        P = Subgroup.from_ids(G, G.closure_from_gen_ids([G.element_id(parse_cycles("(0 1)", 4))]))
+        assert structure.factor_sylows(P, 2) == [P]
+        assert P in sylow_meets(P, 2)
+        alive = weakref.ref(P)
+        del P
+        assert alive() is not None
+        gc.collect()
         assert alive() is None
     finally:
         gc.enable()

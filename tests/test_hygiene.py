@@ -53,6 +53,10 @@ wraps must resolve in the package; the tracer is only imported for this.
 No module reads the process environment, so no setting can change the
 engine's behaviour outside its arguments and constants.
 
+``pyproject.toml`` declares no console script whose target does not import
+and no package data that does not exist, so an installed package has no
+command that fails on import.
+
 Every paper check has one shape: each public ``report_*`` and ``check_*`` of
 ``baer.py`` is decorated with ``_check``, and no code but ``_check`` builds a
 ``TheoremReport``, so no check decides its own hypotheses, cap or verdict
@@ -347,6 +351,43 @@ def test_traced_layers_resolve_in_the_package(monkeypatch):
         if not callable(vars(getattr(home, owner) if owner else home).get(leaf)):
             missing.append(name)
     assert tracer.LAYERS and missing == []
+
+
+def undelivered_declarations(config: dict, root: Path) -> list:
+    """Each ``[project.scripts]`` target of a parsed ``pyproject.toml`` that does
+    not import, and each package-data pattern that matches no file under
+    ``root``, the directory the packages are found in."""
+    out = []
+    for target in config["project"].get("scripts", {}).values():
+        module, _, attr = target.partition(":")
+        try:
+            found = callable(getattr(importlib.import_module(module), attr, None))
+        except ImportError:
+            found = False
+        if not found:
+            out.append(target)
+    for package, patterns in config["tool"]["setuptools"].get("package-data", {}).items():
+        out += [f"{package}/{g}" for g in patterns if not list((root / package).glob(g))]
+    return out
+
+
+def test_pyproject_declares_only_what_exists():
+    """An installed console script imports its target, and declared package
+    data ships, so ``pip install`` gives no command that fails on import."""
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((SOURCE.parent.parent / "pyproject.toml").read_text())
+    assert undelivered_declarations(config, SOURCE.parent) == []
+
+
+def test_undelivered_declaration_detector():
+    config = {
+        "project": {"scripts": {"baerlab": "baerlab.cli:main", "spec": "baerlab:parse_group_spec",
+                                "ok": "baerlab.constructions:parse_group_spec"}},
+        "tool": {"setuptools": {"package-data": {"baerlab": ["report_schema.json", "*.py"]}}},
+    }
+    assert undelivered_declarations(config, SOURCE.parent) == [
+        "baerlab.cli:main", "baerlab:parse_group_spec", "baerlab/report_schema.json"
+    ]
 
 
 def getitem_maps(source: str) -> list:

@@ -1,0 +1,34 @@
+"""The pin table of ``pins.py``: its runner reports every missed pin, and the
+rows that take under a second here pass in tier-1 too."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import pins
+
+ROWS = {name: (name, build, want) for name, build, want in pins.ROWS}
+FAST_ROWS = ("sweep smoke", "S7 x S7 lazy", "S7 x C2")
+
+
+@pytest.mark.parametrize("name", FAST_ROWS)
+def test_fast_rows_hold_and_every_changed_pin_is_reported(name, capsys):
+    _name, build, want = ROWS[name]
+    got = build()
+    assert pins.main([(name, lambda: got, want)]) == 0
+    for key, value in want.items():
+        assert pins.main([(name, lambda: got, {**want, key: f"not {value}"})]) == 1, key
+    assert pins.main([(name, lambda: {**got, "failures": ["planted"]}, want)]) == 1
+    assert capsys.readouterr().out.count("MISMATCH") == len(want) + 1
+
+
+def test_a_planted_wrong_digest_fails_the_runner(capsys):
+    name, build, want = ROWS["S7 x S7 lazy"]
+    assert pins.main([(name, build, {**want, "digest": "0" * 16})]) == 1
+    assert "digest is '8a75d36276913218', pinned '0000000000000000'" in capsys.readouterr().out
+
+
+def test_the_workflow_holds_no_pin():
+    workflow = Path(pins.ROOT, ".github", "workflows", "tier1.yml").read_text()
+    assert re.findall(r"\b[0-9a-f]{16}\b|\(\d", workflow) == []

@@ -238,23 +238,35 @@ def test_o_p_prime_semilinear_2_4():
 def test_o_p_prime_grows_one_core_from_few_generators(monkeypatch):
     # Work-count guard: O_{p'} grows one normal core by normal closures of
     # its few generating ids plus one class representative, each extended
-    # from the subgroup it already holds.  Closing over every member of every
-    # qualifying class took 33, 102 and 116 closures here, on generator lists
-    # of up to 159 ids.
-    sizes = []
-    close = Group.closure_from_gen_ids
+    # from the subgroup it already holds, and skips the closure where a
+    # product of the representative's conjugates has order divisible by p.
+    # Closing over every member of every qualifying class took 33, 102 and
+    # 116 closures here, on generator lists of up to 159 ids; without the
+    # certificate it took 8, 14 and 21 closures on lists of up to 2, 5 and 5.
+    sizes, proofs = [], []
+    close, certify = Group.closure_from_gen_ids, structure._non_pi_product
 
     def counted(self, gen_ids, prefix=None):
         sizes.append(len(gen_ids))
         return close(self, gen_ids, prefix)
 
+    def counted_proof(*args):
+        proofs.append(certify(*args))
+        return proofs[-1]
+
     monkeypatch.setattr(Group, "closure_from_gen_ids", counted)
-    for p, order, calls, longest in [(2, 1, 8, 2), (3, 160, 14, 5), (5, 48, 21, 5)]:
+    monkeypatch.setattr(structure, "_non_pi_product", counted_proof)
+    for p, order, walks, proved, calls, longest in [
+        (2, 1, 4, 4, 0, 0), (3, 160, 5, 4, 6, 3), (5, 48, 8, 7, 6, 3)
+    ]:
         G = semilinear(2, 4)
         G.materialize()
         sizes.clear()
+        proofs.clear()
         assert o_p_prime(G, p).order == order
-        assert (len(sizes), max(sizes)) == (calls, longest)
+        assert (len(proofs), sum(proofs), len(sizes), max(sizes, default=0)) == (
+            walks, proved, calls, longest
+        )
 
 
 def test_o_p_prime_reaches_order_24192():
@@ -1315,6 +1327,31 @@ def test_relative_cores_match_the_reference_quotient(spec):
         for H in (H for H in subgroups if M.ids <= H.ids):
             H_mod_M = Subgroup.from_members(Q.group, {image[x] for x in H.ids})
             assert is_abelian(H, over=M) == is_abelian(H_mod_M), (M.order, H.order)
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS + ("symmetric(8)",))
+def test_o_pi_is_the_same_without_the_certificate(spec, monkeypatch):
+    # The certificate only skips normal closures that would not be pi-groups.
+    def cores():
+        G = parse_group_spec(spec)
+        primes = pi_of(G)
+        return [members_set(o_pi(G, pi)) for k in range(len(primes) + 1)
+                for pi in itertools.combinations(primes, k)]
+
+    ours = cores()
+    monkeypatch.setattr(structure, "_non_pi_product", lambda *_args: False)
+    assert cores() == ours
+
+
+def test_a_certificate_over_a_nontrivial_m_fails_the_relative_core_oracle(monkeypatch):
+    # Planted fault: the certificate read over M != 1.  In C12 over M = C2,
+    # an element of order 6 lies in N with N/M = O_3(C12/M), its 2-part in M,
+    # yet its order is no 3-number, so the mutant loses it from N.
+    certify = structure._non_pi_product
+    monkeypatch.setattr(structure, "_non_pi_product",
+                        lambda G, rep, gens, pi, _below: certify(G, rep, gens, pi, 1))
+    with pytest.raises(AssertionError):
+        test_relative_cores_match_the_reference_quotient("cyclic(12)")
 
 
 @pytest.mark.parametrize("spec", SWEEP_SPECS)
