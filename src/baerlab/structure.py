@@ -224,15 +224,11 @@ def factor_sylow(S: Subgroup, p: int) -> Subgroup:
 @memo
 def factor_class_sizes(S: Subgroup) -> dict:
     """``{id: |S : C_S(x)|}`` over the store ids x of S's members, the class
-    sizes in S; memoised on S.
-
-    A subgroup of full order is G, whose :meth:`~Group.class_sizes` give
-    them.  Otherwise the classes of S are the :meth:`Group.conjugation_orbit`
-    walks under ``S.generating_ids()``, each walked once.
+    sizes in S; memoised on S.  The classes of S are the
+    :meth:`Group.conjugation_orbit` walks under ``S.generating_ids()``, each
+    walked once.
     """
     G = S.parent
-    if S.order == G.order:
-        return dict(enumerate(G.class_sizes()))
     size = {}
     gens = S.generating_ids()
     for x in S.ids_in_store():
@@ -360,32 +356,27 @@ def fitting(G: Group) -> Subgroup:
     """F(G), the product of the p-cores over all primes dividing the order."""
     if (parts := _blockwise(G, fitting)) is not None:
         return Subgroup.from_factors(G, parts)
-    parts = [o_p(G, p) for p in pi_of(G)]
-    parts = [S for S in parts if not S.is_trivial()]
-    if not parts:
-        return Subgroup.trivial(G)
-    if len(parts) == 1:
-        return parts[0]
-    ids = G.closure_from_gen_ids([i for S in parts for i in S.generating_ids()])
-    expected = math.prod(S.order for S in parts)
-    if len(ids) != expected:
-        raise InternalInvariantViolation("p-cores did not multiply to a direct product")
-    return Subgroup.from_ids(G, ids)
+    return _fitting_over(G, Subgroup.trivial(G))
 
 
 @memo
 def fitting2(G: Group) -> Subgroup:
-    """Second Fitting term, the N with ``N/F(G) = F(G/F(G))``: F(G/F(G)) is the
-    direct product of its p-cores, so N is the product of the relative cores
-    ``o_pi(G, {p}, over=F(G))``."""
+    """Second Fitting term, the N with ``N/F(G) = F(G/F(G))``."""
     if (parts := _blockwise(G, fitting2)) is not None:
         return Subgroup.from_factors(G, parts)
-    F = fitting(G)
-    if F.order == G.order:
-        return Subgroup.full(G)
-    cores = [o_pi(G, {p}, over=F) for p in prime_divisors(G.order // F.order)]
+    return _fitting_over(G, fitting(G))
+
+
+def _fitting_over(G: Group, M: Subgroup) -> Subgroup:
+    """The N with ``N/M = F(G/M)``, for M normal in G: F(G/M) is the direct
+    product of its p-cores, so N is the product of the relative cores
+    ``o_pi(G, {p}, over=M)`` larger than M, M itself when there is none."""
+    cores = [o_pi(G, {p}, over=M) for p in prime_divisors(G.order // M.order)]
+    cores = [N for N in cores if N.order > M.order]
+    if len(cores) <= 1:
+        return cores[0] if cores else M
     ids = G.closure_from_gen_ids([i for N in cores for i in N.generating_ids()])
-    if len(ids) * F.order ** (len(cores) - 1) != math.prod(N.order for N in cores):
+    if len(ids) * M.order ** (len(cores) - 1) != math.prod(N.order for N in cores):
         raise InternalInvariantViolation("relative p-cores did not multiply to a direct product")
     return Subgroup.from_ids(G, ids)
 

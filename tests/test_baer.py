@@ -211,6 +211,25 @@ def test_theorem_f_fails_when_centralisers_are_wrong(monkeypatch):
     assert report.clauses[0].verdict == FAIL
 
 
+def test_wielandt_fails_when_the_p_core_is_wrong(monkeypatch):
+    # Negative control: with O_p(G) answered as 1, the reflections of D8, of
+    # order and index 2, lie outside it; the least of the first class is the
+    # witness.
+    monkeypatch.setattr(baer, "o_p", lambda G, p: Subgroup.trivial(G))
+    [clause] = baer.check_wielandt(dihedral(8)).clauses
+    assert (clause.clause, clause.verdict) == ("p=2", FAIL)
+    assert clause.witness == {"element": "(1 3)", "index": 2}
+
+
+def test_camina_camina_fails_when_the_second_fitting_term_is_wrong(monkeypatch):
+    # Negative control: with F2(S3) answered as 1, the transpositions, of
+    # index 3, lie outside it.
+    monkeypatch.setattr(baer, "fitting2", lambda G: Subgroup.trivial(G))
+    [clause] = baer.check_camina_camina(symmetric(3)).clauses
+    assert (clause.clause, clause.verdict) == ("prime-power-index-in-F2", FAIL)
+    assert clause.witness == {"element": "(1 2)", "index": 3}
+
+
 def test_a_spent_hall_budget_skips_theorem_a(monkeypatch):
     # At p = 2 clause 5 searches for a Hall {3,7}-subgroup of this materialised
     # group of order 168; a spent budget skips the report, it does not fail it.
@@ -915,3 +934,15 @@ def test_a_raise_stores_nothing_and_a_stored_none_is_a_hit(monkeypatch):
     assert baer.baer_decomposition(G) is None
     assert baer.baer_decomposition(G) is None
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec, partition, orders", [
+    ("cyclic(12)", [[2], [3]], [4, 3]),
+    ("product(symmetric(3),cyclic(5))", [[2, 3], [5]], [6, 5]),
+    ("product(dihedral(8),cyclic(3))", [[2], [3]], [8, 3]),
+])
+def test_baer_decomposition_into_several_factors(spec, partition, orders):
+    # Two factors or more, so the factors are checked to commute pairwise.
+    decomposition = baer.baer_decomposition(parse_group_spec(spec))
+    assert decomposition.prime_partition == partition
+    assert [S.order for S in decomposition.factors] == orders

@@ -1,77 +1,46 @@
 """Hygiene of the package source, checked with the standard ``ast``.
 
-A module may import a name only if it reads it or re-exports it through
-``__all__``.  ``from __future__`` imports are compiler directives and exempt.
+Most rules keep a token to some modules, so that a backing, table or route
+is reached through one module and can change in that one place.  Each is a
+row of ``RULES``: its tokens, the modules where they are allowed and the
+reason.  One detector, :func:`token_uses`, finds the tokens, and one test
+checks every module a rule covers; a new rule is a row and a detector case.
 
-Only ``group.py`` touches the backing attributes of ``Subgroup``; every other
-module goes through its public methods, so a backing can change in one place.
-Likewise only ``group.py`` calls the ``Subgroup`` constructor or reads a
-group's pool of canonical subgroups, so no id-backed subgroup bypasses
-``Subgroup.from_ids``.
+The rules of other shapes have detectors of their own:
 
-Only ``group.py`` reads or writes a memo: every write-once fact goes through
-its ``memo`` decorator, so no module keys, fills or reads an owner's
-``_cache`` by hand.  The one exception is the empty ``self._cache = {}`` that
-an ``__init__`` gives a new owner (``Factorisation``'s, in ``structure.py``).
-
-Only ``group.py`` reads a group's id tables (its Cayley table, inverse ids
-and conjugation maps); every other module asks for them through the
-``Group`` methods that build them, so how a table is built or held can
-change in one place.  Nor does any other module call a ``.row(`` or read a
-table's ``.inv``, so no module composes "the id of s^-1 y s" from table
-columns itself.  Nor does it call a ``.spread(`` or name ``inverse_ids``:
-the table's tree and its inverse ids are read only in ``group.py``, and a
-subgroup's conjugates and normaliser come from ``Group.conjugates`` and
-``Group.conjugation_labels``.
-
-Lists of ids are composed with ``group.take``, one ``operator.itemgetter``
-call: no code but ``take`` itself maps an ``X.__getitem__`` over ids, which
-costs about twice as much.  A ``key=X.__getitem__`` of a sort is no
-composition and is not affected.
-
-The paper layer reads facts about a subgroup as a group of its own in its
-parent's id space; no module views a subgroup as a ``Group`` of its own.
-
-Conjugation goes through ``Group.conjugation_maps`` (all of G, per
-generator), ``Group.conjugation_orbit`` (one orbit, under any store ids)
-and ``Group.conjugates`` (one orbit of id sets, under G): no module but
-``group.py`` and ``perm.py`` calls a ``.conjugate``
-method, so no route conjugates permutations one by one behind the id maps.
-
-``baer.py`` makes no ``.intersection(`` call: a factorisation's Sylow
-intersections are read from the meets memoised on each side
-(``structure.sylow_meets``, through ``find_prefactorised_sylow``), so no
-check body rebuilds a side's meets per factorisation.
-
-Every function and method of every module of the package has a reader
-elsewhere in the package, so no code is kept alive by the tests alone; the
-named entry points are exempt.
-
-The benchmark's tracer wraps engine functions by name, so every name it
-wraps must resolve in the package; the tracer is only imported for this.
-
-No module reads the process environment, so no setting can change the
-engine's behaviour outside its arguments and constants.
-
-``pyproject.toml`` declares no console script whose target does not import
-and no package data that does not exist, so an installed package has no
-command that fails on import.
-
-Every paper check has one shape: each public ``report_*`` and ``check_*`` of
-``baer.py`` is decorated with ``_check``, and no code but ``_check`` builds a
-``TheoremReport``, so no check decides its own hypotheses, cap or verdict
-form.
+* a module imports a name only to read it or re-export it through
+  ``__all__`` (``from __future__`` imports are exempt);
+* every write-once fact goes through ``group.memo``: no module but
+  ``group.py`` touches an owner's ``_cache``, except the empty
+  ``self._cache = {}`` that an ``__init__`` gives a new owner;
+* lists of ids are composed with ``group.take``, one ``operator.itemgetter``
+  call: no code but ``take`` maps an ``X.__getitem__`` over ids, which costs
+  about twice as much (a sort's ``key=X.__getitem__`` is no composition);
+* every function and method has a reader in the package, the named entry
+  points aside, so no code is kept alive by the tests alone;
+* every name the benchmark's tracer wraps resolves in the package;
+* no module reads the process environment, so a run depends on its
+  arguments and constants alone;
+* ``pyproject.toml`` declares no console script that does not import, no
+  package data that does not exist and no ``test`` extra no test imports;
+* every paper check has one shape: each public ``report_*`` and ``check_*``
+  of ``baer.py`` is decorated with ``_check``, and no code but ``_check``
+  builds a ``TheoremReport``.
 """
 
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "baerlab"
+TESTS = Path(__file__).resolve().parent
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+MODULES = sorted(SOURCE.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -123,7 +92,7 @@ def unused_imports(source: str) -> list:
     )
 
 
-@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -140,67 +109,152 @@ def test_unused_import_detector():
     assert unused_imports(source) == [(2, "os"), (3, "Group")]
 
 
-SUBGROUP_BACKINGS = frozenset({"_ids", "_factors"})
+class Rule(NamedTuple):
+    tokens: tuple  # in the forms of token_uses
+    allowed: frozenset  # the modules where they may appear
+    reason: str
 
 
-def backing_reads(source: str) -> list:
-    """(line, attribute) for every access to a ``Subgroup`` backing attribute."""
+GROUP_MODULE = frozenset({"group.py"})
+
+RULES = {
+    "subgroup-backings": Rule(
+        ("._ids", "._factors"), GROUP_MODULE,
+        "other modules read a Subgroup through its public methods"),
+    "subgroup-pool": Rule(
+        ("Subgroup(", "._subgroups"), GROUP_MODULE,
+        "no id-backed subgroup bypasses Subgroup.from_ids and its pool of canonical subgroups"),
+    "group-tables": Rule(
+        ("._cayley", "._inverse_ids", "._conj_maps"), GROUP_MODULE,
+        "other modules ask the Group methods that build a group's id tables for them"),
+    "table-compositions": Rule(
+        (".row(", ".inv"), GROUP_MODULE,
+        "no module but group.py composes 'the id of s^-1 y s' from table columns"),
+    "table-tree": Rule(
+        (".spread(", "inverse_ids"), GROUP_MODULE,
+        "conjugates and normalisers come from Group.conjugates and Group.conjugation_labels"),
+    "subgroup-views": Rule(
+        (".as_group(",), frozenset(),
+        "no subgroup becomes a Group of its own: its facts are read in its parent's id space"),
+    "conjugation": Rule(
+        (".conjugate(",), frozenset({"group.py", "perm.py"}),
+        "conjugation goes through the id maps of Group.conjugation_maps and its kin"),
+    "sylow-meets": Rule(
+        (".intersection(",), frozenset(p.name for p in MODULES) - {"baer.py"},
+        "checks read Sylow meets from the side memos, through find_prefactorised_sylow"),
+}
+
+
+def spellings(node) -> tuple:
+    """The token forms that name ``node`` (see :func:`token_uses`)."""
+    if isinstance(node, ast.Call):
+        return tuple(f"{s}(" for s in spellings(node.func))
+    if isinstance(node, ast.Attribute):
+        return f".{node.attr}", node.attr
+    if isinstance(node, ast.Name):
+        return (node.id,)
+    return ()
+
+
+def token_uses(source: str, tokens) -> list:
+    """(line, token) for every use of one of ``tokens`` in ``source``.
+
+    A token has one of four forms: ``.name(`` is a call of an attribute
+    ``name``; ``name(`` is any call of ``name``, bare or as an attribute;
+    ``.name`` is an attribute ``name``; ``name`` is a bare name or an
+    attribute.  Strings, such as ``getattr(x, 'name')``, are no uses.
+    """
     return sorted(
-        (node.lineno, node.attr)
+        (node.lineno, token)
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute) and node.attr in SUBGROUP_BACKINGS
+        for token in tokens
+        if token in spellings(node)
     )
 
 
 @pytest.mark.parametrize(
-    "path", [p for p in sorted(SOURCE.glob("*.py")) if p.name != "group.py"], ids=lambda p: p.name
+    "rule, path",
+    [(name, p) for name, rule in RULES.items() for p in MODULES if p.name not in rule.allowed],
+    ids=lambda v: getattr(v, "name", v),
 )
-def test_subgroup_backings_stay_in_group_module(path):
-    assert backing_reads(path.read_text()) == []
+def test_tokens_stay_in_their_modules(rule, path):
+    assert token_uses(path.read_text(), RULES[rule].tokens) == [], RULES[rule].reason
 
 
-def test_backing_read_detector():
-    source = (
+# A snippet per rule, with the uses the detector must find in it.
+TOKEN_CASES = {
+    "subgroup-backings": (
         "def f(S, G):\n"
         "    if S._ids or S.factors:\n"
         "        return G._cache, getattr(S, 'ids')\n"
-        "    return [s for s in S._factors]\n"
-    )
-    assert backing_reads(source) == [(2, "_ids"), (4, "_factors")]
-
-
-def pool_bypasses(source: str) -> list:
-    """(line, what) for every direct ``Subgroup(...)`` call and read of the pool."""
-    out = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "Subgroup":
-                out.append((node.lineno, "Subgroup(...)"))
-        elif isinstance(node, ast.Attribute) and node.attr == "_subgroups":
-            out.append((node.lineno, "_subgroups"))
-    return sorted(out)
-
-
-@pytest.mark.parametrize(
-    "path", [p for p in sorted(SOURCE.glob("*.py")) if p.name != "group.py"], ids=lambda p: p.name
-)
-def test_subgroup_pool_stays_in_group_module(path):
-    assert pool_bypasses(path.read_text()) == []
-
-
-def test_pool_bypass_detector():
-    source = (
+        "    return [s for s in S._factors]\n",
+        [(2, "._ids"), (4, "._factors")],
+    ),
+    "subgroup-pool": (
         "def f(G, ids):\n"
         "    S = Subgroup.from_ids(G, ids)\n"
         "    T = Subgroup(G, ids=frozenset(ids))\n"
         "    U = group.Subgroup(G, whole=True)\n"
-        "    return G._subgroups.get(ids), isinstance(S, Subgroup)\n"
-    )
-    assert pool_bypasses(source) == [
-        (3, "Subgroup(...)"), (4, "Subgroup(...)"), (5, "_subgroups")
-    ]
+        "    return G._subgroups.get(ids), isinstance(S, Subgroup)\n",
+        [(3, "Subgroup("), (4, "Subgroup("), (5, "._subgroups")],
+    ),
+    "group-tables": (
+        "def f(G, x, g):\n"
+        "    mul = G.cayley() if G._cayley is None else G.cayley()\n"
+        "    maps = G.conjugation_maps()\n"
+        "    return mul[x][g], G._conj_maps[0][x], getattr(G, '_inverse_ids')\n",
+        [(2, "._cayley"), (4, "._conj_maps")],
+    ),
+    "table-compositions": (
+        "def f(G, mul, x, s):\n"
+        "    inv = mul.inv\n"
+        "    orbit = G.conjugation_orbit(x, [s])\n"
+        "    return mul.row(s)[x], mul.col(s)[inv[x]], G.inverse_ids(), row(s), mul.row\n",
+        [(2, ".inv"), (4, ".row(")],
+    ),
+    "table-tree": (
+        "def f(G, mul, act):\n"
+        "    labels = mul.spread(0, act)\n"
+        "    inv = G.inverse_ids()\n"
+        "    spread, ok = mul.spread, G.conjugation_labels(act)\n"
+        "    return take(labels, inverse_ids(G)), spread(0, act)\n",
+        [(2, ".spread("), (3, "inverse_ids"), (5, "inverse_ids")],
+    ),
+    "subgroup-views": (
+        "def f(S):\n"
+        "    def build():\n"
+        "        return S.as_group()\n"
+        "    return build, S.as_group\n"
+        "V = [S.as_group() for S in ()]\n"
+        "class C:\n"
+        "    def g(self, S):\n"
+        "        return (lambda: S.as_group())()\n",
+        [(3, ".as_group("), (5, ".as_group("), (8, ".as_group(")],
+    ),
+    "conjugation": (
+        "def f(G, S, x, g):\n"
+        "    maps = G.conjugation_maps()\n"
+        "    y = x.conjugate(g)\n"
+        "    conjugate = S.conjugate\n"
+        "    return [s.conjugate(g) in S for s in S.generating_set()], conjugate(g)\n",
+        [(3, ".conjugate("), (5, ".conjugate(")],
+    ),
+    "sylow-meets": (
+        "def f(F, p):\n"
+        "    P, PA, PB = find_prefactorised_sylow(F, p)\n"
+        "    meets = [P.intersection(sub) for _locus, sub in F.factors()]\n"
+        "    meet = P.intersection\n"
+        "    return meets, meet(F.b), sylow_meets(F.a, p), F.a.intersection(\n"
+        "        F.b)\n",
+        [(3, ".intersection("), (5, ".intersection(")],
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_token_use_detector(rule):
+    source, expected = TOKEN_CASES[rule]
+    assert token_uses(source, RULES[rule].tokens) == expected
 
 
 EMPTY_MEMO = frozenset({"self._cache = {}", "self._cache: dict = {}"})
@@ -224,9 +278,7 @@ def memo_accesses(source: str) -> list:
     )
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in sorted(SOURCE.glob("*.py")) if p.name != "group.py"], ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "group.py"], ids=lambda p: p.name)
 def test_memos_stay_behind_the_decorator(path):
     assert memo_accesses(path.read_text()) == []
 
@@ -247,94 +299,6 @@ def test_memo_access_detector():
     assert memo_accesses(source) == [4, 6, 8, 9]
 
 
-GROUP_TABLES = frozenset({"_cayley", "_inverse_ids", "_conj_maps"})
-
-
-def table_reads(source: str) -> list:
-    """(line, attribute) for every access to a group's private id tables."""
-    return sorted(
-        (node.lineno, node.attr)
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute) and node.attr in GROUP_TABLES
-    )
-
-
-@pytest.mark.parametrize(
-    "path", [p for p in sorted(SOURCE.glob("*.py")) if p.name != "group.py"], ids=lambda p: p.name
-)
-def test_group_tables_stay_in_group_module(path):
-    assert table_reads(path.read_text()) == []
-
-
-def test_table_read_detector():
-    source = (
-        "def f(G, x, g):\n"
-        "    mul = G.cayley() if G._cayley is None else G.cayley()\n"
-        "    maps = G.conjugation_maps()\n"
-        "    return mul[x][g], G._conj_maps[0][x], getattr(G, '_inverse_ids')\n"
-    )
-    assert table_reads(source) == [(2, "_cayley"), (4, "_conj_maps")]
-
-
-def table_compositions(source: str) -> list:
-    """(line, what) for every ``.row(...)`` call and every read of an ``.inv``
-    attribute."""
-    out = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "row":
-            out.append((node.lineno, ".row("))
-        elif isinstance(node, ast.Attribute) and node.attr == "inv":
-            out.append((node.lineno, ".inv"))
-    return sorted(out)
-
-
-@pytest.mark.parametrize(
-    "path", [p for p in sorted(SOURCE.glob("*.py")) if p.name != "group.py"], ids=lambda p: p.name
-)
-def test_table_compositions_stay_in_group_module(path):
-    assert table_compositions(path.read_text()) == []
-
-
-def test_table_composition_detector():
-    source = (
-        "def f(G, mul, x, s):\n"
-        "    inv = mul.inv\n"
-        "    orbit = G.conjugation_orbit(x, [s])\n"
-        "    return mul.row(s)[x], mul.col(s)[inv[x]], G.inverse_ids(), row(s), mul.row\n"
-    )
-    assert table_compositions(source) == [(2, ".inv"), (4, ".row(")]
-
-
-def tree_reads(source: str) -> list:
-    """(line, what) for every ``.spread(...)`` call and every use of the name
-    ``inverse_ids``, bare or as an attribute."""
-    out = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "spread":
-            out.append((node.lineno, ".spread("))
-        elif getattr(node, "attr", getattr(node, "id", None)) == "inverse_ids":
-            out.append((node.lineno, "inverse_ids"))
-    return sorted(out)
-
-
-@pytest.mark.parametrize(
-    "path", [p for p in sorted(SOURCE.glob("*.py")) if p.name != "group.py"], ids=lambda p: p.name
-)
-def test_table_tree_stays_in_group_module(path):
-    assert tree_reads(path.read_text()) == []
-
-
-def test_tree_read_detector():
-    source = (
-        "def f(G, mul, act):\n"
-        "    labels = mul.spread(0, act)\n"
-        "    inv = G.inverse_ids()\n"
-        "    spread, ok = mul.spread, G.conjugation_labels(act)\n"
-        "    return take(labels, inverse_ids(G)), spread(0, act)\n"
-    )
-    assert tree_reads(source) == [(2, ".spread("), (3, "inverse_ids"), (5, "inverse_ids")]
-
-
 def test_traced_layers_resolve_in_the_package(monkeypatch):
     """Every ``(module, attribute)`` the benchmark's tracer wraps is a function
     of the package, looked up as the tracer looks it up, so deleting or
@@ -353,10 +317,25 @@ def test_traced_layers_resolve_in_the_package(monkeypatch):
     assert tracer.LAYERS and missing == []
 
 
-def undelivered_declarations(config: dict, root: Path) -> list:
+def imported_modules(source: str) -> set:
+    """Top-level modules that ``source`` imports, by a statement or by
+    ``pytest.importorskip``."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Call) and ".importorskip(" in spellings(node):
+            out.add(node.args[0].value.split(".")[0])
+    return out
+
+
+def undelivered_declarations(config: dict, root: Path, tests: Path) -> list:
     """Each ``[project.scripts]`` target of a parsed ``pyproject.toml`` that does
-    not import, and each package-data pattern that matches no file under
-    ``root``, the directory the packages are found in."""
+    not import, each package-data pattern that matches no file under
+    ``root``, the directory the packages are found in, and each requirement
+    of the ``test`` extra that no file under ``tests`` imports."""
     out = []
     for target in config["project"].get("scripts", {}).values():
         module, _, attr = target.partition(":")
@@ -368,25 +347,31 @@ def undelivered_declarations(config: dict, root: Path) -> list:
             out.append(target)
     for package, patterns in config["tool"]["setuptools"].get("package-data", {}).items():
         out += [f"{package}/{g}" for g in patterns if not list((root / package).glob(g))]
+    imported = set().union(*(imported_modules(p.read_text()) for p in tests.rglob("*.py")))
+    for requirement in config["project"].get("optional-dependencies", {}).get("test", []):
+        if re.match(r"[\w.-]+", requirement).group().lower().replace("-", "_") not in imported:
+            out.append(f"test: {requirement}")
     return out
 
 
 def test_pyproject_declares_only_what_exists():
-    """An installed console script imports its target, and declared package
-    data ships, so ``pip install`` gives no command that fails on import."""
+    """An installed console script imports its target, declared package
+    data ships and the ``test`` extra installs only what the tests import."""
     tomllib = pytest.importorskip("tomllib")
     config = tomllib.loads((SOURCE.parent.parent / "pyproject.toml").read_text())
-    assert undelivered_declarations(config, SOURCE.parent) == []
+    assert undelivered_declarations(config, SOURCE.parent, TESTS) == []
 
 
 def test_undelivered_declaration_detector():
     config = {
         "project": {"scripts": {"baerlab": "baerlab.cli:main", "spec": "baerlab:parse_group_spec",
-                                "ok": "baerlab.constructions:parse_group_spec"}},
+                                "ok": "baerlab.constructions:parse_group_spec"},
+                    "optional-dependencies": {"test": ["pytest>=7", "jsonschema", "sympy"]}},
         "tool": {"setuptools": {"package-data": {"baerlab": ["report_schema.json", "*.py"]}}},
     }
-    assert undelivered_declarations(config, SOURCE.parent) == [
-        "baerlab.cli:main", "baerlab:parse_group_spec", "baerlab/report_schema.json"
+    assert undelivered_declarations(config, SOURCE.parent, TESTS) == [
+        "baerlab.cli:main", "baerlab:parse_group_spec", "baerlab/report_schema.json",
+        "test: jsonschema",
     ]
 
 
@@ -409,7 +394,7 @@ def getitem_maps(source: str) -> list:
     )
 
 
-@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_id_lists_are_composed_with_take(path):
     assert getitem_maps(path.read_text()) == []
 
@@ -425,92 +410,6 @@ def test_getitem_map_detector():
         "    return set(map(d.get, ids)), map(len, ids), (map(d.__getitem__, ids))\n"
     )
     assert getitem_maps(source) == [5, 5, 7]
-
-
-def as_group_calls(source: str) -> list:
-    """Lines of every ``.as_group()`` call."""
-    return sorted(
-        node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "as_group"
-    )
-
-
-@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
-def test_subgroup_views_only_past_the_gate(path):
-    """No subgroup becomes a ``Group`` of its own, within the gate or past it."""
-    assert as_group_calls(path.read_text()) == []
-
-
-def test_as_group_call_detector():
-    source = (
-        "def f(S):\n"
-        "    def build():\n"
-        "        return S.as_group()\n"
-        "    return build, S.as_group\n"
-        "V = [S.as_group() for S in ()]\n"
-        "class C:\n"
-        "    def g(self, S):\n"
-        "        return (lambda: S.as_group())()\n"
-    )
-    assert as_group_calls(source) == [3, 5, 8]
-
-
-def conjugate_calls(source: str) -> list:
-    """Lines of every ``.conjugate(...)`` call."""
-    return sorted(
-        node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "conjugate"
-    )
-
-
-@pytest.mark.parametrize(
-    "path",
-    [p for p in sorted(SOURCE.glob("*.py")) if p.name not in ("group.py", "perm.py")],
-    ids=lambda p: p.name,
-)
-def test_conjugation_goes_through_the_id_maps(path):
-    assert conjugate_calls(path.read_text()) == []
-
-
-def test_conjugate_call_detector():
-    source = (
-        "def f(G, S, x, g):\n"
-        "    maps = G.conjugation_maps()\n"
-        "    y = x.conjugate(g)\n"
-        "    conjugate = S.conjugate\n"
-        "    return [s.conjugate(g) in S for s in S.generating_set()], conjugate(g)\n"
-    )
-    assert conjugate_calls(source) == [3, 5]
-
-
-def intersection_calls(source: str) -> list:
-    """Lines of every ``.intersection(...)`` call."""
-    return sorted(
-        node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "intersection"
-    )
-
-
-def test_checks_read_sylow_meets_from_the_side_memos():
-    assert intersection_calls((SOURCE / "baer.py").read_text()) == []
-
-
-def test_intersection_call_detector():
-    source = (
-        "def f(F, p):\n"
-        "    P, PA, PB = find_prefactorised_sylow(F, p)\n"
-        "    meets = [P.intersection(sub) for _locus, sub in F.factors()]\n"
-        "    meet = P.intersection\n"
-        "    return meets, meet(F.b), sylow_meets(F.a, p), F.a.intersection(\n"
-        "        F.b)\n"
-    )
-    assert intersection_calls(source) == [3, 5]
 
 
 ENVIRONMENT_READERS = frozenset({"environ", "getenv"})
@@ -534,7 +433,7 @@ def environment_reads(source: str) -> list:
     return sorted(out)
 
 
-@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_environment_knobs(path):
     """Engine behaviour is fixed by its arguments and constants, never by the
     environment, so a run is reproducible from its inputs alone."""
@@ -593,7 +492,7 @@ def test_every_paper_check_is_decorated_with_check():
     assert undecorated_checks((SOURCE / "baer.py").read_text()) == []
 
 
-@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_reports_are_built_only_by_the_check_decorator(path):
     assert report_builds(path.read_text()) == []
 
@@ -698,10 +597,10 @@ def definitions_without_a_reader(source: str, others, exempt=frozenset()) -> lis
 
 
 @pytest.mark.parametrize(
-    "path", sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
 )
 def test_engine_definitions_have_a_source_caller(path):
-    others = [p.read_text() for p in sorted(SOURCE.glob("*.py")) if p != path]
+    others = [p.read_text() for p in MODULES if p != path]
     exempt = exported_names(ast.parse((SOURCE / "__init__.py").read_text())) | ENTRY_POINTS
     exempt |= VERIFIER_ENTRY_POINTS
     assert definitions_without_a_reader(path.read_text(), others, exempt) == []

@@ -16,7 +16,7 @@ from baerlab.constructions import (
     subgroup_from_words,
     symmetric,
 )
-from baerlab.errors import CAYLEY_CELL_BUDGET, CapExceeded
+from baerlab.errors import CAYLEY_CELL_BUDGET, CapExceeded, InternalInvariantViolation
 from baerlab.group import (
     Group,
     Subgroup,
@@ -304,6 +304,17 @@ def test_fitting_semilinear():
 def test_fitting_of_nilpotent_is_whole():
     G = cyclic(12)
     assert fitting(G).order == 12
+
+
+def test_fitting_raises_when_its_cores_do_not_multiply(monkeypatch):
+    # Negative control: planted cores <(0 1)> and <(1 2 3)> of S4 generate
+    # all of S4, of order 24 and not 2 * 3, so they are no direct product.
+    G = symmetric(4)
+    gens = {2: "(0 1)", 3: "(1 2 3)"}
+    cores = {p: Subgroup.from_generators(G, [parse_cycles(g, 4)]) for p, g in gens.items()}
+    monkeypatch.setattr(structure, "o_pi", lambda G, pi, over=None: cores[min(pi)])
+    with pytest.raises(InternalInvariantViolation, match="did not multiply"):
+        fitting(G)
 
 
 # -- quotients ----------------------------------------------------------------------
@@ -886,10 +897,9 @@ def test_normal_pi_cores_are_nilpotent_iff_inside_fitting(G):
             assert Os.subset_of(fitting(G)) == is_nilpotent(as_group(Os))
 
 
-def test_factor_class_sizes_of_a_full_order_subgroup_read_the_partition(monkeypatch):
-    # Work-count guard: a subgroup of full order is G, so its class sizes are
-    # read from G's class sizes and no orbit is walked; the classes of a
-    # proper subgroup are orbits walked on G.
+def test_factor_class_sizes_are_orbits_walked_on_the_parent(monkeypatch):
+    # The classes of a subgroup, of full order or proper, are orbits walked
+    # on G under the subgroup's generating ids.
     G = semilinear(2, 3)
     G.conjugacy_partition()
     P = sylow(G, 2)
@@ -906,7 +916,6 @@ def test_factor_class_sizes_of_a_full_order_subgroup_read_the_partition(monkeypa
     assert factor_class_sizes(S) == {
         G.element_id(x): brute_class_size(G, x) for x in G.elements
     }
-    assert walks == []
     assert factor_class_sizes(P) == {
         G.element_id(x): brute_class_size_in(P, x) for x in P.members()
     }
