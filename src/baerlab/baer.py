@@ -44,6 +44,7 @@ pairs, and the witnesses are the ones a member-by-member scan finds.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -60,7 +61,6 @@ from .perm import Permutation, format_cycles
 from .reporting import NOT_APPLICABLE, SKIPPED, TheoremReport
 from .structure import (
     Factorisation,
-    _blockwise,
     factor_class_sizes,
     factor_sylow,
     factor_sylows,
@@ -78,6 +78,7 @@ from .structure import (
     o_p_prime,
     o_pi,
     pi_of,
+    product_with_normal,
     sylow,
     upper_p_series,
 )
@@ -441,8 +442,7 @@ def check_theorem_f_equivalence(report: TheoremReport, F: Factorisation) -> None
     pred2 = all(d["prime_power"] for d in details)
     report.check("equivalence", pred1 == pred2, {"definition_predicate": pred1,
                  "centraliser_predicate": pred2, "centraliser_indices": details})
-    # An unmaterialised product answers blockwise; building its store here
-    # would take it off the blockwise route for every later check.
+    # Small groups only: the clause centralises every Sylow subgroup of each side.
     if F.group.order <= 500:
         report.check("choice-independence",
                      all(_side_choice_independent(sub) for _locus, sub in F.factors()))
@@ -472,8 +472,8 @@ def report_theorem_a(report: TheoremReport, F: Factorisation, p: int) -> None:
                  {"quotient_order": G.order // C.order})
 
     Fit = fitting(G)
-    pf = _product_with_normal(G, P, Fit)
-    popp = _product_with_normal(G, P, o_p_prime(G, p))
+    pf = product_with_normal(G, P, Fit)
+    popp = product_with_normal(G, P, o_p_prime(G, p))
     series = upper_p_series(G, p)
     report.check(
         "2:sylow-core-products-normal-p-soluble",
@@ -509,27 +509,6 @@ def report_theorem_a(report: TheoremReport, F: Factorisation, p: int) -> None:
         report.check("6:nonabelian-factor-sylows-force-decomposition", is_p_decomposable(G, p))
 
 
-@memo(owner="S")
-def _product_with_normal(G: Group, S: Subgroup, N: Subgroup) -> Subgroup:
-    """``S N`` for subgroups S and N of G with N normal; memoised on S, keyed
-    by G and N.
-
-    When G is an unmaterialised direct product, ``S N`` is the product of
-    the blockwise ``S_i N_i`` (each ``N_i`` is normal in its block), so only
-    the small blocks are closed and the result stays product-form.
-    Otherwise S N is the closure of both generating sets on G's table
-    (``G.closure_from_gen_ids``).  Either way the result's order is checked
-    against ``|S| |N| / |S n N|``, the size of the set S N.
-    """
-    if (parts := _blockwise(G, _product_with_normal, S, N)) is not None:
-        K = Subgroup.from_factors(G, parts)
-    else:
-        K = Subgroup.from_ids(G, G.closure_from_gen_ids(S.generating_ids() + N.generating_ids()))
-    if K.order != S.product_order(N):
-        raise InternalInvariantViolation("product with a normal subgroup is not its closure")
-    return K
-
-
 @_check("B", _p_baer)
 def report_theorem_b(report: TheoremReport, F: Factorisation, p: int) -> None:
     """Index-prime structure of a p-Baer factorisation.
@@ -561,7 +540,7 @@ def report_theorem_b(report: TheoremReport, F: Factorisation, p: int) -> None:
 
     K = P
     for s in sorted({q_eff, r_eff}):
-        K = _product_with_normal(G, K, o_p(G, s))
+        K = product_with_normal(G, K, o_p(G, s))
     report.check("sylow-core-product-normal", is_normal(G, K), {"product_order": K.order})
 
     if not present:
@@ -681,46 +660,30 @@ def _central_quotient(G: Group, p: int) -> tuple:
 # -- coprime direct decompositions ------------------------------------------------------
 
 
-def _set_partitions(items):
-    items = list(items)
-    if not items:
-        yield []
-        return
-    head, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[head] + part[i]] + part[i + 1 :]
-        yield [[head]] + part
-
-
-def _partition_is_coprime_split(G: Group, blocks) -> bool:
-    return math.prod(o_pi(G, set(b)).order for b in blocks) == G.order
-
-
 @memo
 def baer_decomposition(G: Group):
     """Finest coprime partition of the primes with ``G`` the direct product of
     the corresponding cores, for groups in which every prime-power-order
     element has prime-power index; None when the index condition fails.
 
-    Each non-prime-power-order factor must touch exactly two primes and have
+    A prime set B splits G when ``|O_B(G)| |O_B'(G)| = |G|``.  Splitting sets
+    are closed under intersection and complement, so the finest partition is
+    their atoms: the block of p holds the primes in every splitting set that
+    holds p.  The atoms' cores must multiply to |G|, and each
+    non-prime-power-order factor must touch exactly two primes and have
     abelian Sylow subgroups; a violation is an internal red alert.  The
     answer, None included, is memoised on G.
     """
     if not is_baer(Factorisation.trivial(G)).is_baer:
         return None
-    primes = list(pi_of(G))
-    best = None
-    for part in _set_partitions(primes):
-        if _partition_is_coprime_split(G, part):
-            if best is None or len(part) > len(best):
-                best = part
-            elif len(part) == len(best) and part != best:
-                raise InternalInvariantViolation("two distinct finest coprime partitions")
-    if best is None:
-        raise InternalInvariantViolation("no coprime partition despite the index condition")
-    blocks = sorted([tuple(sorted(b)) for b in best])
+    primes = frozenset(pi_of(G))
+    sets = (frozenset(B) for r in range(1, len(primes)) for B in itertools.combinations(primes, r))
+    splitting = [B for B in sets if o_pi(G, B).order * o_pi(G, primes - B).order == G.order]
+    blocks = sorted({tuple(q for q in sorted(primes) if all(q in B for B in splitting if p in B))
+                     for p in primes})
     factors = [o_pi(G, set(b)) for b in blocks]
+    if math.prod(S.order for S in factors) != G.order:
+        raise InternalInvariantViolation("atoms do not split G into a direct product")
     for block, S in zip(blocks, factors):
         shape_ok = classify_prime_power(S.order).is_prime_power or (
             len(prime_divisors(S.order)) == 2

@@ -824,10 +824,6 @@ class Subgroup:
         """The per-block subgroups of a product-form subgroup, or None."""
         return self._factors
 
-    def factor_parents(self):
-        """``parent.direct_factors`` for a product-form subgroup, else None."""
-        return None if self._factors is None else self.parent.direct_factors
-
     # -- membership and elements ----------------------------------------------
 
     def __contains__(self, p) -> bool:

@@ -5,9 +5,9 @@ memoised write-once by :func:`~baerlab.group.memo` on the object they are
 about, keyed by the function and its other arguments, so sweeps never
 recompute per-group structure.  Facts about one subgroup (its generating ids
 and centraliser, whether it is normal or abelian, its meets with G's Sylow
-subgroups, its own Sylow subgroups and class sizes, and the index profiles,
-side statuses, index primes, centraliser indices and products with normal
-subgroups of ``baer``) are memoised on the subgroup; since subgroups are
+subgroups, its own Sylow subgroups and class sizes, its products with normal
+subgroups, and ``baer``'s index profiles, side statuses, index primes and
+centraliser indices) are memoised on the subgroup; since subgroups are
 canonical per group, every factorisation of a group that reaches the same
 subgroup shares them, and they are freed with it.
 
@@ -15,15 +15,18 @@ A subgroup argument of an operation on G belongs to G (``S.parent is G``),
 so it is ids into G's store or one factor per block of ``G.direct_factors``
 (see :class:`Subgroup`), and each operation has two routes.  While G is an
 unmaterialised direct product (:attr:`Group.blocks`), the operations that
-distribute over products (centre, derived subgroup, Sylow and Hall subgroups
-and their conjugates, cores and relative cores, Fitting terms, exponent,
-normality, prefactorised Sylow subgroups) recurse into the factors through
-:func:`_blockwise`.  Every other call, a materialised product
-included, works on G's store ids and its Cayley table, but for ``baer``'s
-p-power index profile: a product-form subgroup folds its blocks' index kinds
-and class sizes even once G is materialised, and only an id-backed one reads
-:func:`factor_class_sizes`.  On the id route a subgroup's conjugates and
-normaliser come from :meth:`Group.conjugates` and
+distribute over products (abelianness, derived subgroup, exponent, Sylow and
+Hall subgroups and their conjugates, a subgroup's Sylow subgroups, cores and
+relative cores, products with normal subgroups, normality, prefactorised
+Sylow subgroups) recurse into the factors through :func:`_blockwise`.
+Derived facts reach the blocks through these: the centre is a centraliser,
+the Fitting terms fold relative cores with :func:`product_with_normal`, and
+p-decomposability compares relative cores' orders.  Every other call, a
+materialised product included, works on G's store ids and its Cayley table,
+but for ``baer``'s p-power index profile: a product-form subgroup folds its
+blocks' index kinds and class sizes even once G is materialised, and only an
+id-backed one reads :func:`factor_class_sizes`.  On the id route a
+subgroup's conjugates and normaliser come from :meth:`Group.conjugates` and
 :meth:`Group.conjugation_labels`: this module spreads nothing down the
 table's tree and reads no inverse ids.
 
@@ -37,6 +40,7 @@ reference.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -63,12 +67,12 @@ def _blockwise(G: Group, op, *subs):
     """Per-block results ``[op(G_i, S_i, ...)]``, or None for the whole-group route.
 
     The one dispatch for direct products: the blocks are used when G is an
-    unmaterialised product (``G.blocks``) and every subgroup in ``subs`` is
-    product-form over those same blocks.  A None in ``subs`` stands for no
+    unmaterialised product (``G.blocks``) and every subgroup of G in ``subs``
+    is product-form, over those blocks.  A None in ``subs`` stands for no
     subgroup and is passed as None to every block.
     """
     blocks = G.blocks
-    if blocks is None or any(S is not None and S.factor_parents() != blocks for S in subs):
+    if blocks is None or any(S is not None and S.factors is None for S in subs):
         return None
     columns = (itertools.repeat(None) if S is None else S.factors for S in subs)
     return [op(*args) for args in zip(blocks, *columns)]
@@ -112,8 +116,7 @@ def exponent(G: Group) -> int:
 
 @memo
 def center(G: Group) -> Subgroup:
-    if (parts := _blockwise(G, center)) is not None:
-        return Subgroup.from_factors(G, parts)
+    """Z(G), the centraliser of G's generators, blockwise on a product."""
     return centraliser(G, G.generators)
 
 
@@ -354,31 +357,49 @@ def o_p_prime(G: Group, p: int) -> Subgroup:
 @memo
 def fitting(G: Group) -> Subgroup:
     """F(G), the product of the p-cores over all primes dividing the order."""
-    if (parts := _blockwise(G, fitting)) is not None:
-        return Subgroup.from_factors(G, parts)
     return _fitting_over(G, Subgroup.trivial(G))
 
 
 @memo
 def fitting2(G: Group) -> Subgroup:
     """Second Fitting term, the N with ``N/F(G) = F(G/F(G))``."""
-    if (parts := _blockwise(G, fitting2)) is not None:
-        return Subgroup.from_factors(G, parts)
     return _fitting_over(G, fitting(G))
 
 
 def _fitting_over(G: Group, M: Subgroup) -> Subgroup:
     """The N with ``N/M = F(G/M)``, for M normal in G: F(G/M) is the direct
     product of its p-cores, so N is the product of the relative cores
-    ``o_pi(G, {p}, over=M)`` larger than M, M itself when there is none."""
+    ``o_pi(G, {p}, over=M)`` larger than M, M itself when there is none,
+    folded by :func:`product_with_normal`."""
     cores = [o_pi(G, {p}, over=M) for p in prime_divisors(G.order // M.order)]
     cores = [N for N in cores if N.order > M.order]
-    if len(cores) <= 1:
-        return cores[0] if cores else M
-    ids = G.closure_from_gen_ids([i for N in cores for i in N.generating_ids()])
-    if len(ids) * M.order ** (len(cores) - 1) != math.prod(N.order for N in cores):
+    if not cores:
+        return M
+    N = functools.reduce(lambda K, core: product_with_normal(G, K, core), cores)
+    if N.order * M.order ** (len(cores) - 1) != math.prod(core.order for core in cores):
         raise InternalInvariantViolation("relative p-cores did not multiply to a direct product")
-    return Subgroup.from_ids(G, ids)
+    return N
+
+
+@memo(owner="S")
+def product_with_normal(G: Group, S: Subgroup, N: Subgroup) -> Subgroup:
+    """``S N`` for subgroups S and N of G with N normal; memoised on S, keyed
+    by G and N.
+
+    When G is an unmaterialised direct product, ``S N`` is the product of
+    the blockwise ``S_i N_i`` (each ``N_i`` is normal in its block), so only
+    the small blocks are closed and the result stays product-form.
+    Otherwise S N is the closure of both generating sets on G's table
+    (``G.closure_from_gen_ids``).  Either way the result's order is checked
+    against ``|S| |N| / |S n N|``, the size of the set S N.
+    """
+    if (parts := _blockwise(G, product_with_normal, S, N)) is not None:
+        K = Subgroup.from_factors(G, parts)
+    else:
+        K = Subgroup.from_ids(G, G.closure_from_gen_ids(S.generating_ids() + N.generating_ids()))
+    if K.order != S.product_order(N):
+        raise InternalInvariantViolation("product with a normal subgroup is not its closure")
+    return K
 
 
 # -- the reference quotient --------------------------------------------------------
@@ -594,11 +615,8 @@ def hall_conjugates(G: Group, H: Subgroup) -> list:
 def is_p_decomposable(G: Group, p: int, over: Subgroup | None = None) -> bool:
     """Whether ``G = O_p(G) x O_{p'}(G)``, or with ``over=M``, a normal subgroup,
     whether G/M is p-decomposable: the relative cores N_p and N_p' of
-    :func:`o_pi` meet in M, so it is ``|N_p| |N_p'| = |G| |M|``.  An
-    unmaterialised product is p-decomposable modulo a product-form M iff every
-    block is.  Memoised on G per prime and M."""
-    if (parts := _blockwise(G, lambda f, m: is_p_decomposable(f, p, m), over)) is not None:
-        return all(parts)
+    :func:`o_pi` (blockwise on a product) meet in M, so it is
+    ``|N_p| |N_p'| = |G| |M|``.  Memoised on G per prime and M."""
     m = 1 if over is None else over.order
     return o_pi(G, {p}, over).order * o_pi(G, set(pi_of(G)) - {p}, over).order == G.order * m
 

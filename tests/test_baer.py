@@ -138,6 +138,23 @@ def test_theorem_f_keeps_a_small_product_lazy():
     assert not F.group.is_materialized
 
 
+@pytest.mark.parametrize("left, right", [
+    ("symmetric(4)", "frobenius(5,4)"), ("symmetric(3)", "dihedral(10)"),
+    ("dihedral(8)", "symmetric(3)"),
+])
+def test_theorem_f_choice_independence_keeps_products_lazy(left, right):
+    # Orders 480, 60 and 48 are within Theorem F's bound, so the clause lists
+    # every Sylow subgroup of each side and takes its centraliser; both come
+    # block by block, on G = A x B and on G = G G alike.
+    halves = block_halves_factorisation([parse_group_spec(left)], [parse_group_spec(right)])
+    for F in (halves, Factorisation.trivial(halves.group)):
+        report = check_theorem_f_equivalence(F)
+        assert [(c.clause, c.verdict) for c in report.clauses] == [
+            ("equivalence", "pass"), ("choice-independence", "pass")
+        ]
+    assert not halves.group.is_materialized
+
+
 def test_every_check_keeps_a_small_trivial_product_lazy():
     # On the trivial factorisation G = G G, Theorem F's choice-independence
     # clause walks the Sylow conjugates of G itself; they come block by
@@ -508,7 +525,7 @@ def test_side_facts_are_built_once_per_subgroup(monkeypatch):
     G = dihedral(12)
     subs = enumerate_subgroups(G)
     profiled, products, closures = [], [], []
-    product_with_normal = baer._product_with_normal
+    product_with_normal = structure.product_with_normal
     closure = Group.closure_from_gen_ids
 
     def product(H, S, N):
@@ -525,7 +542,7 @@ def test_side_facts_are_built_once_per_subgroup(monkeypatch):
         return closure(self, gen_ids, prefix)
 
     counted_kinds(monkeypatch, lambda S, p, inner: profiled.append((S, p, inner)))
-    monkeypatch.setattr(baer, "_product_with_normal", product)
+    monkeypatch.setattr(baer, "product_with_normal", product)
     monkeypatch.setattr(Group, "closure_from_gen_ids", close)
     pairs = factorisation_pairs(G)
     for i, j in pairs:
@@ -940,9 +957,29 @@ def test_a_raise_stores_nothing_and_a_stored_none_is_a_hit(monkeypatch):
     ("cyclic(12)", [[2], [3]], [4, 3]),
     ("product(symmetric(3),cyclic(5))", [[2, 3], [5]], [6, 5]),
     ("product(dihedral(8),cyclic(3))", [[2], [3]], [8, 3]),
+    # Three primes or more: partitions coarser than the finest split G too.
+    ("cyclic(30)", [[2], [3], [5]], [2, 3, 5]),
+    ("product(frobenius(7,3),cyclic(5),cyclic(2))", [[2], [3, 7], [5]], [2, 21, 5]),
+    ("product(frobenius(5,4),frobenius(7,3),cyclic(11))", [[2, 5], [3, 7], [11]], [20, 21, 11]),
 ])
 def test_baer_decomposition_into_several_factors(spec, partition, orders):
     # Two factors or more, so the factors are checked to commute pairwise.
-    decomposition = baer.baer_decomposition(parse_group_spec(spec))
+    G = parse_group_spec(spec)
+    decomposition = baer.baer_decomposition(G)
     assert decomposition.prime_partition == partition
     assert [S.order for S in decomposition.factors] == orders
+    assert G.direct_factors is None or not G.is_materialized
+
+
+def test_baer_decomposition_raises_when_its_atoms_do_not_split(monkeypatch):
+    # Negative control: with O_5 planted as trivial, {5} and {2, 3} no longer
+    # split cyclic(30), but {2}, {3} and their complements still do, so the
+    # atoms are {2}, {3}, {5} and their cores multiply to 6, not 30.
+    G = cyclic(30)
+    o_pi = baer.o_pi
+    monkeypatch.setattr(
+        baer, "o_pi", lambda H, pi, over=None:
+            Subgroup.trivial(H) if set(pi) == {5} else o_pi(H, pi, over)
+    )
+    with pytest.raises(InternalInvariantViolation, match="atoms do not split"):
+        baer.baer_decomposition(G)

@@ -52,6 +52,7 @@ from baerlab.structure import (
     o_p_prime,
     o_pi,
     pi_of,
+    product_with_normal,
     quotient_group,
     sylow,
     sylow_conjugates,
@@ -117,6 +118,7 @@ def test_centraliser_orders_match_sympy(G):
         "symmetric(4)", "frobenius(7,3)", "semilinear(2,3)", "semilinear(3,2)", "dihedral(12)",
         "product(symmetric(4),cyclic(3))", "wreath(symmetric(3),symmetric(3),natural)",
         "subgroup(product(dihedral(8),frobenius(7,3)); g0, g1, g2, g3)",
+        "symmetric(5)", "product(symmetric(5),cyclic(3))",
     ],
 )
 def test_characteristic_subgroups_and_invariants_match_sympy(spec):
@@ -128,6 +130,8 @@ def test_characteristic_subgroups_and_invariants_match_sympy(spec):
     assert center(G).order == SG.center().order()
     assert derived_subgroup(G).order == SG.derived_subgroup().order()
     assert is_nilpotent(G) == SG.is_nilpotent
+    # G is soluble iff it is p-soluble for every prime p.
+    assert all(upper_p_series(G, p).is_p_soluble for p in pi_of(G)) == SG.is_solvable
     assert exponent(G) == math.lcm(*(x.order() for x in SG.elements))
     for p in pi_of(G):
         assert sylow(G, p).order == SG.sylow_subgroup(p).order()
@@ -307,14 +311,22 @@ def test_fitting_of_nilpotent_is_whole():
 
 
 def test_fitting_raises_when_its_cores_do_not_multiply(monkeypatch):
-    # Negative control: planted cores <(0 1)> and <(1 2 3)> of S4 generate
-    # all of S4, of order 24 and not 2 * 3, so they are no direct product.
-    G = symmetric(4)
-    gens = {2: "(0 1)", 3: "(1 2 3)"}
-    cores = {p: Subgroup.from_generators(G, [parse_cycles(g, 4)]) for p, g in gens.items()}
-    monkeypatch.setattr(structure, "o_pi", lambda G, pi, over=None: cores[min(pi)])
-    with pytest.raises(InternalInvariantViolation, match="did not multiply"):
-        fitting(G)
+    # Negative controls on S4.  Planted cores <(0 1)> and <(1 2 3)> are not
+    # normal: they generate all of S4, of order 24 and not 2 * 3, which the
+    # check of product_with_normal catches first.  Planted normal cores V4 and
+    # A4 pass that check but meet in V4, so their product A4 is no direct
+    # product of orders 4 and 12.
+    cases = [
+        ({2: ["(0 1)"], 3: ["(1 2 3)"]}, "not its closure"),
+        ({2: ["(0 1)(2 3)", "(0 2)(1 3)"], 3: ["(0 1 2)", "(0 1)(2 3)"]}, "did not multiply"),
+    ]
+    for gens, message in cases:
+        G = symmetric(4)
+        cores = {p: Subgroup.from_generators(G, [parse_cycles(g, 4) for g in gs])
+                 for p, gs in gens.items()}
+        monkeypatch.setattr(structure, "o_pi", lambda G, pi, over=None: cores[min(pi)])
+        with pytest.raises(InternalInvariantViolation, match=message):
+            fitting(G)
 
 
 # -- quotients ----------------------------------------------------------------------
@@ -480,14 +492,12 @@ def test_p_sylow_times_odd_core_not_normal_in_sym3_x_d10():
 
 
 def test_product_with_normal_by_blocks_matches_closure():
-    from baerlab.baer import _product_with_normal
-
     G = sym3_x_d10()
     for p in pi_of(G):
         P = sylow(G, p)
         for N in (fitting(G), o_p_prime(G, p)):
-            K = _product_with_normal(G, P, N)
-            assert K.factor_parents() == G.direct_factors
+            K = product_with_normal(G, P, N)
+            assert K.factors is not None
             closed = Subgroup.from_generators(
                 G, list(P.generating_set()) + list(N.generating_set())
             )
@@ -689,11 +699,9 @@ def test_is_normal_rejects_a_subgroup_of_another_group():
 
 @pytest.mark.parametrize("G", table_groups(), ids=repr)
 def test_product_with_normal_on_the_table_matches_set_product(G):
-    from baerlab.baer import _product_with_normal
-
     for N in normal_subgroups(G):
         for S in enumerate_subgroups(G)[::7]:
-            K = _product_with_normal(G, S, N)
+            K = product_with_normal(G, S, N)
             assert members_set(K) == {s * n for s in S.members() for n in N.members()}
 
 
