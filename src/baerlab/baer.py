@@ -321,9 +321,10 @@ def is_baer(F: Factorisation) -> BaerStatus:
 
 
 @memo
-def _index_primes(S: Subgroup, p: int) -> frozenset:
-    """The primes dividing the indices of the noncentral p-elements of S;
-    memoised on S per prime."""
+def _index_primes(S: Subgroup, p: int | None = None) -> frozenset:
+    """The primes dividing the indices of the noncentral p-elements of S
+    (every prime-power-order member for ``p=None``, as in
+    :func:`_side_profile`); memoised on S per prime."""
     return frozenset(q for idx in _side_profile(S, p) for q in prime_divisors(idx))
 
 
@@ -526,20 +527,19 @@ def report_theorem_b(report: TheoremReport, F: Factorisation, p: int) -> None:
         return
     G = F.group
     present = [x for x in (up.q, up.r) if x is not None]
-    q_eff = up.q if up.q is not None else (up.r if up.r is not None else p)
-    r_eff = up.r if up.r is not None else (up.q if up.q is not None else p)
+    qr = set(present) or {p}
 
     P = find_prefactorised_sylow(F, p)[0]
     # F(G) is nilpotent, so its {q,r}-complement is the product of the cores
     # O_s(G), s in pi(F(G)) - {q, r}: each is the Sylow s-subgroup of F(G).
-    cores = [o_p(G, s) for s in prime_divisors(fitting(G).order) if s not in (q_eff, r_eff)]
+    cores = [o_p(G, s) for s in prime_divisors(fitting(G).order) if s not in qr]
     CP = centraliser(G, P)
     report.check("centralises-fitting-complement",
                  all(core.subset_of(CP) for core in cores),
                  {"complement_order": math.prod(core.order for core in cores)})
 
     K = P
-    for s in sorted({q_eff, r_eff}):
+    for s in sorted(qr):
         K = product_with_normal(G, K, o_p(G, s))
     report.check("sylow-core-product-normal", is_normal(G, K), {"product_order": K.order})
 
@@ -837,14 +837,6 @@ def check_pq_baer(report: TheoremReport, F: Factorisation, p: int, q: int) -> No
         report.add("b:normal-hall-pq", NOT_APPLICABLE, "q differs from r")
 
 
-@memo
-def _side_indices_p_numbers(S: Subgroup, p: int, scope: str) -> bool:
-    """Whether every index of S's :func:`_side_profile` over the scope's
-    elements (p-elements, or every prime-power-order element) is a p-number;
-    memoised on S per prime and scope."""
-    return all(is_p_number(idx, p) for idx in _side_profile(S, p if scope == "p-elements" else None))
-
-
 @_check("p-index-decomposition")
 def check_p_index_decomposition(report: TheoremReport, F: Factorisation, p: int,
                                 scope: str = "p-elements") -> None:
@@ -857,21 +849,21 @@ def check_p_index_decomposition(report: TheoremReport, F: Factorisation, p: int,
     ``C_G(O_p(G))`` is p-decomposable with abelian p-complement, read in G
     (:func:`_central_quotient`).
     """
+    if scope not in ("p-elements", "all prime power"):
+        raise ValueError(f"unknown scope {scope!r}")
     G = F.group
-    if scope == "p-elements":
-        lhs = all(_side_indices_p_numbers(sub, p, scope) for _l, sub in F.factors())
+    prime = p if scope == "p-elements" else None
+    lhs = all(_index_primes(sub, prime) <= {p} for _l, sub in F.factors())
+    if prime is not None:
         rhs = is_p_decomposable(G, p)
         report.check("biconditional-p-elements", lhs == rhs,
                      {"all_indices_p_numbers": lhs, "p_decomposable": rhs})
-    elif scope == "all prime power":
-        lhs = all(_side_indices_p_numbers(sub, p, scope) for _l, sub in F.factors())
-        rhs = is_p_decomposable(G, p) and is_abelian(o_p_prime(G, p))
-        report.check("biconditional-prime-power", lhs == rhs,
-                     {"all_indices_p_numbers": lhs, "decomposed_with_abelian_complement": rhs})
-        if is_baer(F).is_baer:
-            ok, quotient_order, _ = _central_quotient(G, p)
-            report.check("baer-central-quotient", ok, {"quotient_order": quotient_order})
-        else:
-            report.add("baer-central-quotient", NOT_APPLICABLE, "not a Baer factorisation")
+        return
+    rhs = is_p_decomposable(G, p) and is_abelian(o_p_prime(G, p))
+    report.check("biconditional-prime-power", lhs == rhs,
+                 {"all_indices_p_numbers": lhs, "decomposed_with_abelian_complement": rhs})
+    if is_baer(F).is_baer:
+        ok, quotient_order, _ = _central_quotient(G, p)
+        report.check("baer-central-quotient", ok, {"quotient_order": quotient_order})
     else:
-        raise ValueError(f"unknown scope {scope!r}")
+        report.add("baer-central-quotient", NOT_APPLICABLE, "not a Baer factorisation")

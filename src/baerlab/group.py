@@ -9,7 +9,8 @@ group, a materialised product included, takes the whole-group route.  The
 blockwise route keeps very large direct products (orders in the millions
 and beyond) desk-computable.  :func:`split_blocks` and :func:`join_blocks`
 are the one codec between a product's permutations and its block
-permutations.
+permutations.  A class size is a centraliser's index (:func:`class_index`),
+so it takes no product branch of its own.
 
 A :class:`Subgroup` of G is ids into G's materialised store, or one factor
 per block of ``G.direct_factors``; its constructors enforce this.  So every
@@ -619,18 +620,9 @@ def conjugacy_class(G: Group, x: Permutation, cap: int = DEFAULT_CLASS_ORBIT_CAP
 
 
 def class_index(G: Group, x: Permutation) -> int:
-    """``|G : C_G(x)|``, the conjugacy class size of ``x`` in ``G``.
-
-    Two routes.  While G is an unmaterialised direct product the class size
-    is the product of the block class sizes.  Otherwise it is read from G's
-    :meth:`~Group.class_sizes`, which materialises G (raising
-    :class:`CapExceeded` past the enumeration cap).
-    """
-    if G.blocks is not None:
-        return math.prod(
-            class_index(f, col[0]) for f, col in zip(G.blocks, G.split_all([x]))
-        )
-    return G.class_sizes()[G.element_id(x)]
+    """``|G : C_G(x)|``, the conjugacy class size of ``x`` in ``G``, read off
+    :func:`centraliser`, whose routes and errors it shares."""
+    return G.order // centraliser(G, [x]).order
 
 
 def centraliser(G: Group, S) -> "Subgroup":
@@ -644,8 +636,8 @@ def centraliser(G: Group, S) -> "Subgroup":
     ``inv[col(s**-1)[inv[g]]]`` in two :func:`take` calls over all of G, and
     each later one tests only the ids kept.  Every
     element of ``S`` must lie in ``G``: one that mixes blocks raises
-    ValueError, as in :func:`class_index`, and any other non-member raises
-    it through :meth:`Group.element_id`.
+    ValueError, and any other non-member raises it through
+    :meth:`Group.element_id`.
 
     For a :class:`Subgroup` the answer is memoised on ``S``, keyed by ``G``,
     since the elements of a subgroup of another group on the same points may

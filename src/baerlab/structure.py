@@ -16,17 +16,19 @@ so it is ids into G's store or one factor per block of ``G.direct_factors``
 (see :class:`Subgroup`), and each operation has two routes.  While G is an
 unmaterialised direct product (:attr:`Group.blocks`), the operations that
 distribute over products (abelianness, derived subgroup, exponent, Sylow and
-Hall subgroups and their conjugates, a subgroup's Sylow subgroups, cores and
-relative cores, products with normal subgroups, normality, prefactorised
-Sylow subgroups) recurse into the factors through :func:`_blockwise`.
-Derived facts reach the blocks through these: the centre is a centraliser,
-the Fitting terms fold relative cores with :func:`product_with_normal`, and
-p-decomposability compares relative cores' orders.  Every other call, a
-materialised product included, works on G's store ids and its Cayley table,
-but for ``baer``'s p-power index profile: a product-form subgroup folds its
-blocks' index kinds and class sizes even once G is materialised, and only an
-id-backed one reads :func:`factor_class_sizes`.  On the id route a
-subgroup's conjugates and normaliser come from :meth:`Group.conjugates` and
+Hall subgroups and their conjugates, a subgroup's first Sylow subgroup,
+cores and relative cores, products with normal subgroups, normality,
+prefactorised Sylow subgroups) recurse into the factors through
+:func:`_blockwise`.  Derived facts reach the blocks through these: the
+centre is a centraliser, a subgroup's Sylow subgroups are its Sylow meets
+of full p-part, the Fitting terms fold relative cores with
+:func:`product_with_normal`, and p-decomposability compares relative cores'
+orders.  Every other call, a materialised product included, works on G's
+store ids and its Cayley table, but for ``baer``'s p-power index profile: a
+product-form subgroup folds its blocks' index kinds and class sizes even
+once G is materialised, and only an id-backed one reads
+:func:`factor_class_sizes`.  On the id route a subgroup's conjugates and
+normaliser come from :meth:`Group.conjugates` and
 :meth:`Group.conjugation_labels`: this module spreads nothing down the
 table's tree and reads no inverse ids.
 
@@ -199,17 +201,14 @@ def sylow_meets(S: Subgroup, p: int) -> list:
 def factor_sylows(S: Subgroup, p: int) -> list:
     """Syl_p(S) for a subgroup S of G = S.parent; memoised on S per prime.
 
-    On an unmaterialised product with S product-form over its blocks, a
-    Sylow subgroup of S is a product of block ones, listed in
-    ``itertools.product`` order.  Otherwise these are the meets of
-    :func:`sylow_meets` of order ``|S|_p``, in conjugate order, each once.
-    That is every Sylow subgroup of S: each lies in some Sylow subgroup Q of
-    G, and is then ``S n Q``, the largest p-subgroup of S there.  The first
-    entry is :func:`factor_sylow`.
+    These are the meets of :func:`sylow_meets` of order ``|S|_p``, in
+    conjugate order, each once.  That is every Sylow subgroup of S: each
+    lies in some Sylow subgroup Q of G, and is then ``S n Q``, the largest
+    p-subgroup of S there.  On an unmaterialised product with S product-form
+    the meets are product-form too, and their first appearances come in the
+    ``itertools.product`` order of the blocks' lists.  The first entry is
+    :func:`factor_sylow`.
     """
-    G = S.parent
-    if (parts := _blockwise(G, lambda _f, s: factor_sylows(s, p), S)) is not None:
-        return [Subgroup.from_factors(G, c) for c in itertools.product(*parts)]
     pk = p_part(S.order, p)
     return list(dict.fromkeys(R for R in sylow_meets(S, p) if R.order == pk))
 
@@ -679,10 +678,9 @@ def _normal_closure_ids(G: Group, seed, pi=None, below: int = 1) -> tuple:
     return K, gens
 
 
-def normal_closure(G: Group, S) -> Subgroup:
-    """Smallest normal subgroup of ``G`` containing ``S`` (iterable or Subgroup)."""
-    gens = list(S.generating_set()) if isinstance(S, Subgroup) else list(S)
-    gens = [g for g in gens if not g.is_identity()]
+def normal_closure(G: Group, elements) -> Subgroup:
+    """Smallest normal subgroup of ``G`` containing the given elements."""
+    gens = [g for g in elements if not g.is_identity()]
     if not gens:
         return Subgroup.trivial(G)
     ids, _ = _normal_closure_ids(G, [G.element_id(g) for g in gens])

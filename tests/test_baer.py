@@ -127,6 +127,14 @@ def test_cap_witness_and_invariant_violations(monkeypatch):
         report_theorem_a(F, 3)
 
 
+def test_an_unknown_scope_raises_before_any_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(baer, "_index_primes", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="unknown scope 'p-groups'"):
+        baer.check_p_index_decomposition(Factorisation.trivial(symmetric(3)), 2, "p-groups")
+    assert calls == []
+
+
 def test_theorem_f_keeps_a_small_product_lazy():
     # Order 60 is under Theorem F's bound for the choice-independence
     # clause; the blockwise centraliser decides it without building G's store.
@@ -724,6 +732,21 @@ def test_every_output_on_lazy_products_is_pinned():
     )
 
 
+def test_index_primes_of_p_elements_in_the_prime_power_scope_fail_the_lazy_golden_output(monkeypatch):
+    # Planted fault: _index_primes reads the check's p for None, so the "all
+    # prime power" scope of check_p_index_decomposition sees the p-elements
+    # only.  The two scopes' left sides then differ only where p splits G, as
+    # 3 does in C3 x F(7,2) x F(11,5) x C5; no prime splits semilinear(2,3),
+    # so its golden output cannot see the fault.
+    index_primes, check = baer._index_primes, baer.check_p_index_decomposition
+    prime = []
+    monkeypatch.setattr(baer, "check_p_index_decomposition",
+                        lambda F, p, scope: prime.append(p) or check(F, p, scope))
+    monkeypatch.setattr(baer, "_index_primes", lambda S, p=None: index_primes(S, p or prime[-1]))
+    with pytest.raises(AssertionError):
+        test_every_output_on_lazy_products_is_pinned()
+
+
 def test_every_output_near_the_top_of_the_cell_budget_is_pinned():
     # Order 2,160: the whole table, 2,160**2 cells, still fits the budget,
     # so every column asked for is composed from held tree parents.
@@ -912,7 +935,7 @@ def test_memos_are_freed_with_their_owner():
         assert [Q.order for Q in sylow_meets(S, 2)] == [4, 4, 4]
         assert [w.index for w in baer._side_status(S, 2, "A")[1]] == [3]
         assert baer._index_primes(S, 2) == {3}
-        assert not baer._side_indices_p_numbers(S, 2, "p-elements")
+        assert not baer._index_primes(S, 2) <= {2}
         alive = weakref.ref(S)
         del S
         assert alive() is None

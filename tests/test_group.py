@@ -18,6 +18,7 @@ from baerlab.group import (
     conjugacy_class,
 )
 from baerlab.perm import Permutation, identity, parse_cycles
+from test_structure import table_groups
 
 
 def sym3():
@@ -117,10 +118,27 @@ def test_blockwise_routes_reject_elements_mixing_product_blocks():
     assert not G.is_materialized
 
 
-def test_class_index_times_centraliser_is_order():
-    G = sym3()
+def assert_class_sizes_times_centraliser_is_order(G):
+    # The class partition the verifier reads against the centralisers that
+    # class_index is read off: |x^G| |C_G(x)| = |G| for every element x.
+    sizes = G.class_sizes()
     for x in G.elements:
-        assert class_index(G, x) * centraliser(G, [x]).order == G.order
+        assert sizes[G.element_id(x)] * centraliser(G, [x]).order == G.order
+        assert class_index(G, x) == sizes[G.element_id(x)]
+
+
+@pytest.mark.parametrize("G", [sym3(), *table_groups()], ids=repr)
+def test_class_sizes_times_centraliser_is_order(G):
+    assert_class_sizes_times_centraliser_is_order(G)
+
+
+def test_a_centraliser_short_of_its_last_id_fails_the_class_size_check(monkeypatch):
+    # Planted fault: the table route of centraliser loses its largest id.
+    whole = group_module._centraliser
+    monkeypatch.setattr(group_module, "_centraliser",
+                        lambda G, gens: Subgroup.from_ids(G, sorted(whole(G, gens).ids)[:-1]))
+    with pytest.raises(AssertionError):
+        assert_class_sizes_times_centraliser_is_order(sym3())
 
 
 def test_element_store_sorted_and_indexed():

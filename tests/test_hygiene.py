@@ -142,6 +142,9 @@ RULES = {
     "sylow-meets": Rule(
         (".intersection(",), frozenset(p.name for p in MODULES) - {"baer.py"},
         "checks read Sylow meets from the side memos, through find_prefactorised_sylow"),
+    "product-dispatch": Rule(
+        (".blocks",), frozenset({"group.py", "structure.py"}),
+        "a direct product is split by group.py's branches and structure._blockwise alone"),
 }
 
 
@@ -247,6 +250,13 @@ TOKEN_CASES = {
         "    return meets, meet(F.b), sylow_meets(F.a, p), F.a.intersection(\n"
         "        F.b)\n",
         [(3, ".intersection("), (5, ".intersection(")],
+    ),
+    "product-dispatch": (
+        "def f(G, S, blocks):\n"
+        "    if G.blocks is not None:\n"
+        "        return [g for g in zip(G.blocks, S.factors)]\n"
+        "    return blocks, G.direct_factors, getattr(G, 'blocks')\n",
+        [(2, ".blocks"), (3, ".blocks")],
     ),
 }
 

@@ -861,6 +861,36 @@ def test_factor_sylows_and_class_sizes_of_a_lazy_product_match_materialised_prod
     assert not lazy.is_materialized
 
 
+LAZY_ORDER_SPECS = [
+    "product(symmetric(4),frobenius(5,4))",
+    "product(symmetric(3),dihedral(10))",
+    "product(dihedral(8),symmetric(3))",
+    "product(cyclic(6),symmetric(3),cyclic(2))",
+]
+
+
+@pytest.mark.parametrize("spec", LAZY_ORDER_SPECS)
+def test_factor_sylows_of_a_lazy_product_come_in_block_product_order(spec):
+    # Syl_p(S) is read from S's meets with G's Sylow subgroups; on a lazy
+    # product those are product-form, and their first appearances follow the
+    # itertools.product order of the blocks' lists.
+    G = parse_group_spec(spec)
+    for blocks in itertools.product(*map(enumerate_subgroups, G.direct_factors)):
+        S = Subgroup.from_factors(G, blocks)
+        for p in pi_of(G):
+            lists = [factor_sylows(s, p) for s in blocks]
+            assert factor_sylows(S, p) == [Subgroup.from_factors(G, c) for c in itertools.product(*lists)]
+    assert not G.is_materialized
+
+
+def test_sylow_meets_short_of_their_last_fail_the_lazy_order_check(monkeypatch):
+    # Planted fault: each subgroup's list of Sylow meets loses its last.
+    meets = structure.sylow_meets
+    monkeypatch.setattr(structure, "sylow_meets", lambda S, p: meets(S, p)[:-1])
+    with pytest.raises(AssertionError):
+        test_factor_sylows_of_a_lazy_product_come_in_block_product_order(LAZY_ORDER_SPECS[0])
+
+
 def test_factor_sylows_and_class_sizes_past_the_gate_match_brute_force():
     # An all-rows table of symmetric(7) would pass the cell budget, so S is
     # read on columns of G's table; Syl_p(S) is the S-conjugacy class of any
