@@ -7,10 +7,15 @@ it is handled block by block exactly while it carries ``direct_factors`` and
 its store is not built, which :attr:`Group.blocks` reports; every other
 group, a materialised product included, takes the whole-group route.  The
 blockwise route keeps very large direct products (orders in the millions
-and beyond) desk-computable.  :func:`split_blocks` and :func:`join_blocks`
+and beyond) desk-computable.  Product-form subgroups answer block by block:
+the trivial and full subgroups, intersections, subset tests and subgroup
+centralisers are their blocks' own, so no permutation of the product is
+built or taken apart for them.  :func:`split_blocks` and :func:`join_blocks`
 are the one codec between a product's permutations and its block
-permutations.  A class size is a centraliser's index (:func:`class_index`),
-so it takes no product branch of its own.
+permutations; it serves elements only: membership, member lists, generating
+sets, element centralisers and the verifier's witnesses.  A class size is a
+centraliser's index (:func:`class_index`), so it takes no product branch of
+its own.
 
 A :class:`Subgroup` of G is ids into G's materialised store, or one factor
 per block of ``G.direct_factors``; its constructors enforce this.  So every
@@ -630,7 +635,9 @@ def centraliser(G: Group, S) -> "Subgroup":
 
     Two routes.  On an unmaterialised direct product this is computed
     blockwise, which is exact because commutation in a product is
-    componentwise.  Otherwise ``G`` is materialised and its table decides
+    componentwise: a product-form subgroup of ``G`` gives the product of its
+    blocks' centralisers, ``C(S1 x S2) = C(S1) x C(S2)``, and only elements
+    are split into blocks.  Otherwise ``G`` is materialised and its table decides
     commutation: the first element ``s`` keeps the ids ``g`` with
     ``id(g * s) == id(s * g)``, its left products read off a column as
     ``inv[col(s**-1)[inv[g]]]`` in two :func:`take` calls over all of G, and
@@ -650,6 +657,8 @@ def centraliser(G: Group, S) -> "Subgroup":
 
 @memo(owner="S")
 def _subgroup_centraliser(G: Group, S: "Subgroup") -> "Subgroup":
+    if S.parent is G and G.blocks is not None:
+        return Subgroup.from_factors(G, map(centraliser, G.blocks, S.factors))
     return _centraliser(G, S.generating_set())
 
 
@@ -776,12 +785,17 @@ class Subgroup:
 
     @classmethod
     def trivial(cls, parent: Group) -> "Subgroup":
-        return cls.from_members(parent, [parent.identity()])
+        """Its blocks' trivial subgroups on an unmaterialised product, as
+        :meth:`full` takes their full ones, else store id 0, the identity."""
+        if parent.blocks is not None:
+            return cls.from_factors(parent, map(cls.trivial, parent.blocks))
+        parent.materialize()
+        return cls.from_ids(parent, (0,))
 
     @classmethod
     def full(cls, parent: Group) -> "Subgroup":
         if parent.blocks is not None:
-            return cls.from_factors(parent, [cls.full(f) for f in parent.blocks])
+            return cls.from_factors(parent, map(cls.full, parent.blocks))
         return cls.from_ids(parent, range(len(parent.elements)))
 
     # -- basic facts ---------------------------------------------------------
@@ -878,6 +892,12 @@ class Subgroup:
         return self.order * other.order // inter.order
 
     def subset_of(self, other: "Subgroup") -> bool:
-        if self._ids is not None and other._ids is not None:
-            return self._ids <= other._ids
+        """``self <= other``: by ids, or block by block for two product-form
+        subgroups (``S1 x S2 <= T1 x T2`` iff each ``Si <= Ti``), within one
+        parent; otherwise, across parents too, by each generator's membership."""
+        if self.parent is other.parent:
+            if self._ids is not None and other._ids is not None:
+                return self._ids <= other._ids
+            if self._factors is not None and other._factors is not None:
+                return all(map(Subgroup.subset_of, self._factors, other._factors))
         return all(g in other for g in self.generating_set())

@@ -94,6 +94,8 @@ ROWS = [
      {"digest": "d1304b36fd05630e", "clauses_decided": 18, "attempted": 48}),
     ("S7 x S7 lazy", lambda: lazy("product(symmetric(7),symmetric(7))"),
      {"digest": "8a75d36276913218", "clauses_decided": 9, "attempted": 44, "materialised": False}),
+    ("S3 x C5 lazy", lambda: lazy("product(symmetric(3),cyclic(5))"),
+     {"digest": "3667e5c6ff2c36b1", "clauses_decided": 50, "attempted": 31, "materialised": False}),
     ("sweep smoke", lambda: sweep(["symmetric(5)", "semilinear(3,2)"]),
      {"digest": "417a2d07a0caf943", "clauses_decided": 10132, "attempted": 22235,
       "factorisations": 893}),

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from baerlab import baer, structure
+from baerlab import baer, group as group_module, structure
 from baerlab.baer import check_theorem_f_equivalence, report_theorem_a
 from baerlab.constructions import (
     cyclic,
@@ -224,6 +224,28 @@ def test_lazy_product_profiles_and_normality_order_and_conjugate_only_block_perm
             is_normal(G, S)
     assert calls == {"order": 0, "conjugate": 0}
     assert not G.is_materialized
+
+
+def test_lazy_product_checks_split_no_permutation_and_join_only_witness_members(monkeypatch):
+    # Work-count guard: product-form subgroups answer block by block (trivial
+    # subgroups, subset tests, subgroup centralisers), so no check on G = A x B
+    # splits a permutation of G into blocks, and the only ones joined from
+    # blocks are the witness members of baer._member, which imports
+    # join_blocks by name.
+    F = block_halves_factorisation([symmetric(4), dihedral(10)], [frobenius(7, 3), symmetric(3)])
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args: calls.update([(module.__name__, name)]) or fn(*args))
+
+    counted(group_module, "split_blocks")
+    counted(group_module, "join_blocks")
+    counted(baer, "join_blocks")
+    factorisation_rows(F)
+    assert set(calls) == {("baerlab.baer", "join_blocks")}
+    assert not F.group.is_materialized
 
 
 def test_theorem_f_fails_when_centralisers_are_wrong(monkeypatch):
@@ -745,6 +767,32 @@ def test_index_primes_of_p_elements_in_the_prime_power_scope_fail_the_lazy_golde
     monkeypatch.setattr(baer, "_index_primes", lambda S, p=None: index_primes(S, p or prime[-1]))
     with pytest.raises(AssertionError):
         test_every_output_on_lazy_products_is_pinned()
+
+
+def failed_clauses(F) -> list:
+    """``(theorem, prime, clause)`` for every failed clause in the output of F."""
+    reports = [json.loads(line) for line in output_lines(F)]
+    return [(r["theorem"], r["prime"], c["clause"]) for r in reports if isinstance(r, dict)
+            for c in r.get("clauses", []) if c["verdict"] == FAIL]
+
+
+def test_index_primes_of_p_elements_in_the_prime_power_scope_fail_where_p_splits_g(monkeypatch):
+    # Planted fault, as above, on the trivial factorisation of S3 x C5: 5
+    # splits G, and its complement S3 is nonabelian, so the "all prime power"
+    # scope's left side is false at p = 5 while the p-elements' is true.
+    # Only that biconditional fails; every other clause still passes.
+    def trivial():
+        return Factorisation.trivial(parse_group_spec("product(symmetric(3),cyclic(5))"))
+
+    assert failed_clauses(trivial()) == []
+    index_primes, check = baer._index_primes, baer.check_p_index_decomposition
+    prime = []
+    monkeypatch.setattr(baer, "check_p_index_decomposition",
+                        lambda F, p, scope: prime.append(p) or check(F, p, scope))
+    monkeypatch.setattr(baer, "_index_primes", lambda S, p=None: index_primes(S, p or prime[-1]))
+    F = trivial()
+    assert failed_clauses(F) == [("p-index-decomposition", 5, "biconditional-prime-power")]
+    assert not F.group.is_materialized
 
 
 def test_every_output_near_the_top_of_the_cell_budget_is_pinned():

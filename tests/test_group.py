@@ -628,6 +628,22 @@ def test_mixed_backings_intersect_on_store_ids():
     assert meet.order == 2
 
 
+def test_subset_of_across_parents_tests_members_not_store_ids():
+    # The same three permutations are ids 0-2 of cyclic(3) and other ids of
+    # symmetric(3), and ids {0, 1} of symmetric(3) are {(), (1 2)}; comparing
+    # raw ids across the two stores answers both questions wrongly.
+    from baerlab.constructions import cyclic, symmetric
+
+    C3, S3 = cyclic(3), symmetric(3)
+    rotations = Subgroup.full(C3)
+    in_s3 = Subgroup.from_members(S3, rotations.members())
+    assert rotations.subset_of(in_s3) and in_s3.subset_of(rotations)
+    swap = Subgroup.from_generators(S3, [parse_cycles("(1 2)", 3)])
+    assert swap.ids == {0, 1} and rotations.ids == {0, 1, 2}
+    assert not swap.subset_of(rotations)
+    assert swap.subset_of(Subgroup.full(S3)) and not rotations.subset_of(swap)
+
+
 def test_membership_agrees_across_backings_for_any_degree():
     # Product-form, id-backed and Group membership answer alike, also for a
     # permutation of another degree, which belongs to none of them.

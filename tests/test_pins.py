@@ -9,7 +9,7 @@ import pytest
 import pins
 
 ROWS = {name: (name, build, want) for name, build, want in pins.ROWS}
-FAST_ROWS = ("sweep smoke", "S7 x S7 lazy", "S7 x C2")
+FAST_ROWS = ("sweep smoke", "S7 x S7 lazy", "S3 x C5 lazy", "S7 x C2")
 
 
 @pytest.mark.parametrize("name", FAST_ROWS)

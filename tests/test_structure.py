@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from baerlab import structure
+from baerlab import group as group_module, structure
 from baerlab.constructions import (
     cyclic,
     dihedral,
@@ -569,31 +569,52 @@ def side_facts(G, subgroups):
     ]
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        "product(symmetric(3),dihedral(10))",
-        "product(symmetric(4),cyclic(3))",
-        "product(symmetric(3),cyclic(4),dihedral(10))",
-    ],
-    ids=["sym3_x_d10", "sym4_x_c3", "sym3_x_c4_x_d10"],
-)
+def subgroup_answers(G, subgroups):
+    """G's centraliser of each subgroup as a member set, the ``subset_of``
+    matrix of the subgroups, and the member sets of G's trivial and full
+    subgroups."""
+    return {
+        "centralisers": [frozenset(centraliser(G, S).members()) for S in subgroups],
+        "subset_of": [[S.subset_of(T) for T in subgroups] for S in subgroups],
+        "trivial_full": [frozenset(Subgroup.trivial(G).members()),
+                         frozenset(Subgroup.full(G).members())],
+    }
+
+
+def lazy_and_materialised_copies(spec):
+    """A lazy and a materialised copy of a product spec, each with its
+    product-form subgroups; the materialised copy's are id-backed."""
+    lazy = parse_group_spec(spec)
+    whole = parse_group_spec(spec)
+    whole.materialize()
+    whole_subs = [Subgroup.from_members(whole, S.members()) for S in product_form_subgroups(whole)]
+    assert all(S.factors is None for S in whole_subs)
+    return lazy, product_form_subgroups(lazy), whole, whole_subs
+
+
+LAZY_PRODUCT_SPECS = {
+    "sym3_x_d10": "product(symmetric(3),dihedral(10))",
+    "sym4_x_c3": "product(symmetric(4),cyclic(3))",
+    "sym3_x_c4_x_d10": "product(symmetric(3),cyclic(4),dihedral(10))",
+}
+
+
+@pytest.mark.parametrize("spec", LAZY_PRODUCT_SPECS.values(), ids=LAZY_PRODUCT_SPECS.keys())
 def test_lazy_product_profiles_normality_and_sylow_conjugates_match_materialised_product(
     spec,
 ):
     # The lazy copy folds index profiles and Theorem D from its blocks' kinds
-    # and reads normality and Sylow conjugates from its blocks; the
+    # and reads normality, Sylow conjugates, subgroup centralisers, subset
+    # tests and its trivial and full subgroups from its blocks; the
     # materialised copy reads them from its own store and table, store id by
     # store id, on id-backed copies of the same subgroups (a product-form
     # subgroup folds whether or not G is materialised).  Blockwise the
     # conjugates come in product order, so they are compared as sets.
-    lazy = parse_group_spec(spec)
-    whole = parse_group_spec(spec)
-    whole.materialize()
-
-    lazy_subs = product_form_subgroups(lazy)
-    whole_subs = [Subgroup.from_members(whole, S.members()) for S in product_form_subgroups(whole)]
-    assert all(S.factors is None for S in whole_subs)
+    lazy, lazy_subs, whole, whole_subs = lazy_and_materialised_copies(spec)
+    answers = subgroup_answers(lazy, lazy_subs)
+    assert answers == subgroup_answers(whole, whole_subs)
+    assert {False, True} <= {x for row in answers["subset_of"] for x in row}
+    assert Subgroup.trivial(lazy).factors is not None and Subgroup.full(lazy).factors is not None
     facts = side_facts(lazy, lazy_subs)
     assert facts == side_facts(whole, whole_subs)
     assert {side[1] is None for _profiles, side in facts} == {True, False}
@@ -609,6 +630,25 @@ def test_lazy_product_profiles_normality_and_sylow_conjugates_match_materialised
         whole_sets = [frozenset(Q.members()) for Q in sylow_conjugates(whole, p)]
         assert len(set(lazy_sets)) == len(lazy_sets) == len(whole_sets)
         assert set(lazy_sets) == set(whole_sets)
+    assert not lazy.is_materialized
+
+
+def test_a_blockwise_centraliser_with_its_whole_last_block_fails_the_lazy_oracle(monkeypatch):
+    # Planted fault: a product-form subgroup's centraliser on a lazy product
+    # takes all of its last block.  Only the centralisers tell the copies apart.
+    right = group_module._subgroup_centraliser
+
+    def planted(G, S):
+        C = right(G, S)
+        if S.parent is not G or G.blocks is None:
+            return C
+        return Subgroup.from_factors(G, [*C.factors[:-1], Subgroup.full(G.blocks[-1])])
+
+    monkeypatch.setattr(group_module, "_subgroup_centraliser", planted)
+    spec = LAZY_PRODUCT_SPECS["sym3_x_d10"]
+    lazy, lazy_subs, whole, whole_subs = lazy_and_materialised_copies(spec)
+    answers, oracle = subgroup_answers(lazy, lazy_subs), subgroup_answers(whole, whole_subs)
+    assert [key for key in answers if answers[key] != oracle[key]] == ["centralisers"]
     assert not lazy.is_materialized
 
 
