@@ -10,7 +10,7 @@ worked examples and on swept corpora of small factorised groups.
 
 from .errors import CapExceeded, InternalInvariantViolation
 from .numth import PrimePower, classify_prime_power
-from .perm import Permutation, compose, element_order, format_cycles, identity, is_p_element, parse_cycles
+from .perm import Permutation, format_cycles, identity, parse_cycles
 from .group import Group, Subgroup, centraliser, class_index, closure, conjugacy_class
 
 __version__ = "0.1.0"
@@ -21,11 +21,8 @@ __all__ = [
     "PrimePower",
     "classify_prime_power",
     "Permutation",
-    "compose",
-    "element_order",
     "format_cycles",
     "identity",
-    "is_p_element",
     "parse_cycles",
     "Group",
     "Subgroup",

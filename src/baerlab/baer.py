@@ -61,6 +61,7 @@ from .perm import Permutation, format_cycles
 from .reporting import NOT_APPLICABLE, SKIPPED, TheoremReport
 from .structure import (
     Factorisation,
+    central_quotient,
     factor_class_sizes,
     factor_sylow,
     factor_sylows,
@@ -75,7 +76,6 @@ from .structure import (
     is_nilpotent,
     normal_closure,
     o_p,
-    o_p_prime,
     o_pi,
     pi_of,
     product_with_normal,
@@ -474,7 +474,7 @@ def report_theorem_a(report: TheoremReport, F: Factorisation, p: int) -> None:
 
     Fit = fitting(G)
     pf = product_with_normal(G, P, Fit)
-    popp = product_with_normal(G, P, o_p_prime(G, p))
+    popp = product_with_normal(G, P, o_pi(G, set(pi_of(G)) - {p}))
     series = upper_p_series(G, p)
     report.check(
         "2:sylow-core-products-normal-p-soluble",
@@ -628,7 +628,7 @@ def report_theorem_e(report: TheoremReport, F: Factorisation, p: int) -> None:
     """Centraliser index of a Sylow subgroup in a Baer factorisation: at most
     two primes divide ``|G : C_G(P)|`` (avoiding p when P is abelian), and the
     quotient by ``C_G(O_p(G))`` is p-decomposable with an abelian p-complement
-    touched by at most two primes, read in G (:func:`_central_quotient`)."""
+    touched by at most two primes, read in G (:func:`central_quotient`)."""
     G = F.group
     P = sylow(G, p)
     idx = G.order // centraliser(G, P).order
@@ -641,20 +641,9 @@ def report_theorem_e(report: TheoremReport, F: Factorisation, p: int) -> None:
         report.check("1:nonabelian-sylow-index", len(primes - {p}) <= 1, witness)
         report.add("2:abelian-sylow-index", NOT_APPLICABLE, "Sylow p-subgroup is not abelian")
 
-    ok, quotient_order, complement_order = _central_quotient(G, p)
+    ok, quotient_order, complement_order = central_quotient(G, p)
     report.check("3:central-quotient-shape", ok and len(prime_divisors(complement_order)) <= 2,
                  {"quotient_order": quotient_order, "complement_order": complement_order})
-
-
-@memo
-def _central_quotient(G: Group, p: int) -> tuple:
-    """``(shape, |G : C|, |N : C|)`` for ``C = C_G(O_p(G))`` and N the relative
-    p'-core over C: shape is whether G/C is p-decomposable with the abelian
-    p-complement N/C, read in G as relative cores; memoised on G per prime."""
-    C = centraliser(G, o_p(G, p))
-    N = o_pi(G, set(pi_of(G)) - {p}, over=C)
-    shape = is_p_decomposable(G, p, over=C) and is_abelian(N, over=C)
-    return shape, G.order // C.order, N.order // C.order
 
 
 # -- coprime direct decompositions ------------------------------------------------------
@@ -847,7 +836,7 @@ def check_p_index_decomposition(report: TheoremReport, F: Factorisation, p: int,
     of A u B has p-number index iff ``G = O_p x O_{p'}`` with ``O_{p'}``
     abelian; on Baer factorisations additionally the quotient by
     ``C_G(O_p(G))`` is p-decomposable with abelian p-complement, read in G
-    (:func:`_central_quotient`).
+    (:func:`central_quotient`).
     """
     if scope not in ("p-elements", "all prime power"):
         raise ValueError(f"unknown scope {scope!r}")
@@ -859,11 +848,11 @@ def check_p_index_decomposition(report: TheoremReport, F: Factorisation, p: int,
         report.check("biconditional-p-elements", lhs == rhs,
                      {"all_indices_p_numbers": lhs, "p_decomposable": rhs})
         return
-    rhs = is_p_decomposable(G, p) and is_abelian(o_p_prime(G, p))
+    rhs = is_p_decomposable(G, p) and is_abelian(o_pi(G, set(pi_of(G)) - {p}))
     report.check("biconditional-prime-power", lhs == rhs,
                  {"all_indices_p_numbers": lhs, "decomposed_with_abelian_complement": rhs})
     if is_baer(F).is_baer:
-        ok, quotient_order, _ = _central_quotient(G, p)
+        ok, quotient_order, _ = central_quotient(G, p)
         report.check("baer-central-quotient", ok, {"quotient_order": quotient_order})
     else:
         report.add("baer-central-quotient", NOT_APPLICABLE, "not a Baer factorisation")

@@ -135,7 +135,7 @@ def closure(generators, cap: int = ENUMERATION_CAP, *, degree: int | None = None
     The order is :func:`_left_walk`'s, deterministic given the generator
     order, identity first; each walked image tuple is made a
     :class:`Permutation` once, here.  Exceeding ``cap`` elements raises
-    :class:`CapExceeded` (callers must then fall back to orbit methods).
+    :class:`CapExceeded`, which a ``baer`` check reports as ``skipped``.
     """
     gens, degree = _dedup_generators(generators, degree)
     if degree is None:

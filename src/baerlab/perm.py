@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 import re
 
-from .numth import is_p_number
-
 
 class Permutation:
     """A bijection of ``{0..degree-1}`` stored as its tuple of images.
@@ -115,21 +113,6 @@ class Permutation:
 
 def identity(degree: int) -> Permutation:
     return Permutation._make(tuple(range(degree)))
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Composition applying ``p`` first: maps ``i`` to ``q(p(i))``."""
-    return p * q
-
-
-def element_order(x: Permutation) -> int:
-    """Least ``k >= 1`` with ``x ** k`` the identity (lcm of cycle lengths)."""
-    return x.order()
-
-
-def is_p_element(x: Permutation, p: int) -> bool:
-    """True iff the order of ``x`` is a power of ``p`` (1 qualifies)."""
-    return is_p_number(x.order(), p)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

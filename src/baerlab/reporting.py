@@ -1,4 +1,4 @@
-"""Structured pass/fail verdicts with witnesses, shared by checks and the CLI."""
+"""Structured pass/fail verdicts with witnesses, as the ``baer`` checks return them."""
 
 from __future__ import annotations
 

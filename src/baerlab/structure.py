@@ -15,12 +15,11 @@ A subgroup argument of an operation on G belongs to G (``S.parent is G``),
 so it is ids into G's store or one factor per block of ``G.direct_factors``
 (see :class:`Subgroup`), and each operation has two routes.  While G is an
 unmaterialised direct product (:attr:`Group.blocks`), the operations that
-distribute over products (abelianness, derived subgroup, exponent, Sylow and
-Hall subgroups and their conjugates, a subgroup's first Sylow subgroup,
-cores and relative cores, products with normal subgroups, normality,
-prefactorised Sylow subgroups) recurse into the factors through
-:func:`_blockwise`.  Derived facts reach the blocks through these: the
-centre is a centraliser, a subgroup's Sylow subgroups are its Sylow meets
+distribute over products (abelianness, Sylow and Hall subgroups and their
+conjugates, a subgroup's first Sylow subgroup, cores and relative cores,
+products with normal subgroups, normality, prefactorised Sylow subgroups)
+recurse into the factors through :func:`_blockwise`.  Derived facts reach
+the blocks through these: a subgroup's Sylow subgroups are its Sylow meets
 of full p-part, the Fitting terms fold relative cores with
 :func:`product_with_normal`, and p-decomposability compares relative cores'
 orders.  Every other call, a materialised product included, works on G's
@@ -35,9 +34,9 @@ table's tree and reads no inverse ids.
 A fact about a factor group G/M, M normal, is a relative core in G's own id
 space, as in Huppert's upper pi-series (*Endliche Gruppen I*, VI):
 ``o_pi(G, pi, over=M)`` is the N with ``N/M = O_pi(G/M)``, and
-:func:`is_p_decomposable` and :func:`is_abelian` take the same ``over``.  No
-Group is built per factor group; :func:`quotient_group` is only the tests'
-reference.
+:func:`is_p_decomposable` and :func:`is_abelian` take the same ``over``, as
+:func:`central_quotient` reads G/C_G(O_p(G)).  No Group is built per factor
+group; :func:`quotient_group` is only the tests' reference.
 """
 
 from __future__ import annotations
@@ -107,30 +106,6 @@ def is_abelian(obj, over: Subgroup | None = None) -> bool:
     if over is None:
         return all(a * b == b * a for a, b in pairs)
     return all(a.inverse() * b.inverse() * a * b in over for a, b in pairs)
-
-
-@memo
-def exponent(G: Group) -> int:
-    if (parts := _blockwise(G, exponent)) is not None:
-        return math.lcm(*parts)
-    return math.lcm(*(o for o in G.element_orders()))
-
-
-@memo
-def center(G: Group) -> Subgroup:
-    """Z(G), the centraliser of G's generators, blockwise on a product."""
-    return centraliser(G, G.generators)
-
-
-@memo
-def derived_subgroup(G: Group) -> Subgroup:
-    if (parts := _blockwise(G, derived_subgroup)) is not None:
-        return Subgroup.from_factors(G, parts)
-    gens = G.generators
-    comms = [
-        a.inverse() * b.inverse() * a * b for a in gens for b in gens if a != b
-    ]
-    return normal_closure(G, comms)
 
 
 def is_nilpotent(G: Group) -> bool:
@@ -342,12 +317,6 @@ def _non_pi_product(G: Group, rep: int, gens: list, pi: frozenset, below: int) -
         if not is_pi_number(product.order(), pi):
             return True
     return False
-
-
-@memo
-def o_p_prime(G: Group, p: int) -> Subgroup:
-    """O_{p'}(G): the largest normal subgroup of order prime to p; memoised on G per prime."""
-    return o_pi(G, set(pi_of(G)) - {p})
 
 
 # -- Fitting series ---------------------------------------------------------------
@@ -618,6 +587,17 @@ def is_p_decomposable(G: Group, p: int, over: Subgroup | None = None) -> bool:
     ``|N_p| |N_p'| = |G| |M|``.  Memoised on G per prime and M."""
     m = 1 if over is None else over.order
     return o_pi(G, {p}, over).order * o_pi(G, set(pi_of(G)) - {p}, over).order == G.order * m
+
+
+@memo
+def central_quotient(G: Group, p: int) -> tuple:
+    """``(shape, |G : C|, |N : C|)`` for ``C = C_G(O_p(G))`` and N the relative
+    p'-core over C: shape is whether G/C is p-decomposable with the abelian
+    p-complement N/C, read in G as relative cores; memoised on G per prime."""
+    C = centraliser(G, o_p(G, p))
+    N = o_pi(G, set(pi_of(G)) - {p}, over=C)
+    shape = is_p_decomposable(G, p, over=C) and is_abelian(N, over=C)
+    return shape, G.order // C.order, N.order // C.order
 
 
 @dataclass

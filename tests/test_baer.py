@@ -15,6 +15,7 @@ from baerlab.constructions import (
     frobenius,
     parse_group_spec,
     semilinear,
+    subgroup_from_words,
     symmetric,
 )
 from baerlab.errors import (
@@ -344,6 +345,36 @@ def test_conclusions_outside_their_hypotheses_say_no_on_real_groups():
     assert conclusions(baer.report_theorem_e, SL, 2)["3:central-quotient-shape"] == FAIL
     assert conclusions(baer.report_corollary_c, SL)["1:fitting-quotient-abelian"] == FAIL
     assert set(conclusions(baer.check_factor_inheritance, SL).values()) == {FAIL}
+
+
+@pytest.mark.parametrize("materialised", [False, True], ids=["lazy", "materialised"])
+def test_theorem_e_meets_its_two_prime_bounds_on_a_live_baer_factorisation(materialised):
+    """Clauses 2 and 3 of Theorem E at their bound of two primes.
+
+    Clause 3 sees two primes only where G = G·G is not p-Baer.  Let
+    C = C_G(O_p(G)) and N/C = O_p'(G/C), which the clause asserts is abelian.
+    An x in O_p(G) of prime-power index |G : C_G(x)| has |N : C_N(x)| a power
+    of one prime q, so C_N(x)/C holds the q'-part of N/C.  If N/C had two
+    primes and every x in O_p(G) qualified, O_p(G) would be the union of its
+    subgroups centralised by N/C's two prime parts.  No group is the union of
+    two proper subgroups, so one part would centralise O_p(G) and lie in C.
+    So the witness is a Baer F = AB whose G is not 7-Baer.
+    """
+    G = parse_group_spec("product(frobenius(7,3),dihedral(14))")
+    if materialised:
+        G.materialize()
+    F = Factorisation(G, subgroup_from_words(G, ["g0", "g1", "g3"]),
+                      subgroup_from_words(G, ["g1", "g2", "g3"]))
+    assert (G.order, F.a.order, F.b.order) == (294, 42, 42)
+    assert baer.is_baer(F).is_baer
+    assert not baer.is_p_baer(Factorisation.trivial(G), 7).is_p_baer
+    rows = {c.clause: (c.verdict, c.witness) for c in baer.report_theorem_e(F, 7).clauses}
+    assert rows["2:abelian-sylow-index"] == (PASS, {"index": 6, "primes": [2, 3]})
+    # Two primes divide the complement, so a one-prime bound would fail here.
+    assert rows["3:central-quotient-shape"] == (
+        PASS, {"quotient_order": 6, "complement_order": 6}
+    )
+    assert G.is_materialized == materialised
 
 
 # -- the whole paper layer on every factorisation of small groups ---------------------

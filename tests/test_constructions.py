@@ -22,7 +22,6 @@ from baerlab.constructions import (
 )
 from baerlab.errors import CapExceeded
 from baerlab.group import Subgroup, class_index
-from baerlab.perm import element_order
 
 
 def exponent(G):
@@ -130,7 +129,7 @@ def test_large_direct_product_index_without_enumeration():
     G = direct_product([A, B])
     assert G.order == 2310**2 == 5336100
     x = G.generators[1]  # a generator of the [C7]C2 part of A
-    assert element_order(x) == 7
+    assert x.order() == 7
     assert class_index(G, x) == 2
     assert not G.is_materialized
 

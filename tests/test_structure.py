@@ -31,10 +31,7 @@ from baerlab.numth import (
 from baerlab.perm import Permutation, parse_cycles
 from baerlab.structure import (
     Factorisation,
-    center,
-    derived_subgroup,
     enumerate_subgroups,
-    exponent,
     factor_class_sizes,
     factor_sylow,
     factor_sylows,
@@ -49,7 +46,6 @@ from baerlab.structure import (
     is_nilpotent,
     normal_closure,
     o_p,
-    o_p_prime,
     o_pi,
     pi_of,
     product_with_normal,
@@ -68,6 +64,22 @@ def members_set(S):
     return set(S.members())
 
 
+def centre(G):
+    """Z(G), the centraliser of G's generators."""
+    return centraliser(G, G.generators)
+
+
+def derived(G):
+    """G', the normal closure of the generators' commutators; materialises G."""
+    gens = G.generators
+    return normal_closure(G, [a.inverse() * b.inverse() * a * b for a in gens for b in gens])
+
+
+def p_prime_core(G, p):
+    """O_{p'}(G), the pi-core for the primes of |G| other than p."""
+    return o_pi(G, set(pi_of(G)) - {p})
+
+
 def normal_subgroups(G):
     return [N for N in enumerate_subgroups(G) if is_normal(G, N)]
 
@@ -81,13 +93,13 @@ def as_group(S):
 
 
 def test_center_sym3_trivial():
-    assert center(symmetric(3)).order == 1
+    assert centre(symmetric(3)).order == 1
 
 
 def test_center_componentwise_matches_plain():
     GA = sym3_x_d10()
     GB = Group(8, GA.generators)  # same group, no product annotation
-    assert members_set(center(GA)) == members_set(center(GB))
+    assert members_set(centre(GA)) == members_set(centre(GB))
 
 
 def sympy_group(gens):
@@ -109,7 +121,7 @@ def test_centraliser_orders_match_sympy(G):
     for p in pi_of(G):
         P = sylow(G, p)
         assert centraliser(G, P).order == SG.centralizer(sympy_group(P.generating_set())).order()
-    assert center(G).order == SG.center().order()
+    assert centre(G).order == SG.center().order()
 
 
 @pytest.mark.parametrize(
@@ -122,26 +134,25 @@ def test_centraliser_orders_match_sympy(G):
     ],
 )
 def test_characteristic_subgroups_and_invariants_match_sympy(spec):
-    # The centre, derived subgroup and exponent are run by no benchmark
-    # workload, so sympy is their oracle.  The normal closure comes last: it
-    # materialises G, so a direct product answers the others blockwise.
+    # The centre and derived subgroup are run by no benchmark workload, so
+    # sympy is their oracle.  The normal closures come last: they
+    # materialise G, so a direct product answers the others blockwise.
     G = parse_group_spec(spec)
     SG = sympy_group(G.generators)
-    assert center(G).order == SG.center().order()
-    assert derived_subgroup(G).order == SG.derived_subgroup().order()
+    assert centre(G).order == SG.center().order()
     assert is_nilpotent(G) == SG.is_nilpotent
     # G is soluble iff it is p-soluble for every prime p.
     assert all(upper_p_series(G, p).is_p_soluble for p in pi_of(G)) == SG.is_solvable
-    assert exponent(G) == math.lcm(*(x.order() for x in SG.elements))
     for p in pi_of(G):
         assert sylow(G, p).order == SG.sylow_subgroup(p).order()
+    assert derived(G).order == SG.derived_subgroup().order()
     g0 = G.generators[0]
     assert normal_closure(G, [g0]).order == SG.normal_closure(sympy_group([g0])).order()
 
 
 def test_derived_subgroup_sym3():
     G = symmetric(3)
-    D = derived_subgroup(G)
+    D = derived(G)
     # Oracle: closure of all commutators, elementwise.
     comms = {a.inverse() * b.inverse() * a * b for a in G.elements for b in G.elements}
     brute = set(closure(comms, 100, degree=3))
@@ -177,7 +188,7 @@ def test_sylow_semilinear_is_translation_subgroup():
     T = subgroup_from_words(G, ["g0", "g1^-1*g0*g1", "g1^-2*g0*g1^2"])
     assert members_set(P) == members_set(T)
     assert is_abelian(P)
-    assert exponent(as_group(P)) == 2
+    assert math.lcm(*(x.order() for x in P.members())) == 2
 
 
 def test_sylow_conjugates_share_order():
@@ -207,8 +218,8 @@ def test_o_p_examples():
 
 def test_o_pi_examples():
     assert o_pi(symmetric(3), {3}).order == 3
-    assert o_p_prime(symmetric(3), 2).order == 3
-    assert o_p_prime(dihedral(10), 2).order == 5
+    assert p_prime_core(symmetric(3), 2).order == 3
+    assert p_prime_core(dihedral(10), 2).order == 5
     G = frobenius(7, 3)
     assert members_set(o_pi(G, pi_of(G))) == set(G.elements)
 
@@ -234,7 +245,7 @@ def test_o_p_prime_semilinear_2_4():
     # Closing over one representative per class gives a non-normal subgroup
     # of order 12 here.
     G = semilinear(2, 4)
-    core = o_p_prime(G, 5)
+    core = p_prime_core(G, 5)
     assert core.order == 48
     assert is_normal(G, core)
 
@@ -267,7 +278,7 @@ def test_o_p_prime_grows_one_core_from_few_generators(monkeypatch):
         G.materialize()
         sizes.clear()
         proofs.clear()
-        assert o_p_prime(G, p).order == order
+        assert p_prime_core(G, p).order == order
         assert (len(proofs), sum(proofs), len(sizes), max(sizes, default=0)) == (
             walks, proved, calls, longest
         )
@@ -278,7 +289,7 @@ def test_o_p_prime_reaches_order_24192():
     # class whose normal closure is a p'-group.
     G = semilinear(2, 6)
     assert G.order == 24192
-    assert [o_p_prime(G, p).order for p in (2, 3, 7)] == [1, 448, 1152]
+    assert [p_prime_core(G, p).order for p in (2, 3, 7)] == [1, 448, 1152]
 
 
 def test_cores_componentwise_match_plain():
@@ -286,7 +297,7 @@ def test_cores_componentwise_match_plain():
     GB = Group(8, GA.generators)
     for p in (2, 3, 5):
         assert members_set(o_p(GA, p)) == members_set(o_p(GB, p))
-        assert members_set(o_p_prime(GA, p)) == members_set(o_p_prime(GB, p))
+        assert members_set(p_prime_core(GA, p)) == members_set(p_prime_core(GB, p))
     assert members_set(fitting(GA)) == members_set(fitting(GB))
     assert members_set(fitting2(GA)) == members_set(fitting2(GB))
 
@@ -340,7 +351,7 @@ def test_quotient_by_whole_group():
 
 def test_quotient_sym3_by_c3():
     G = symmetric(3)
-    Q = quotient_group(G, o_p_prime(G, 2))
+    Q = quotient_group(G, p_prime_core(G, 2))
     assert Q.group.order == 2
 
 
@@ -425,7 +436,7 @@ def test_is_p_decomposable():
 def test_p_decomposable_unique_commuting_factorisation():
     G = direct_product([elem_abelian(2, 2), cyclic(3)])
     assert is_p_decomposable(G, 2)
-    P, Pp = o_p(G, 2), o_p_prime(G, 2)
+    P, Pp = o_p(G, 2), p_prime_core(G, 2)
     for g in G.elements:
         o = g.order()
         two = g ** (o // p_part(o, 2) * pow(o // p_part(o, 2), -1, p_part(o, 2))) if p_part(o, 2) > 1 else G.identity()
@@ -495,7 +506,7 @@ def test_product_with_normal_by_blocks_matches_closure():
     G = sym3_x_d10()
     for p in pi_of(G):
         P = sylow(G, p)
-        for N in (fitting(G), o_p_prime(G, p)):
+        for N in (fitting(G), p_prime_core(G, p)):
             K = product_with_normal(G, P, N)
             assert K.factors is not None
             closed = Subgroup.from_generators(
@@ -530,7 +541,7 @@ def test_lazy_product_blocks_match_materialised_product(factors):
         return {
             "unique": [
                 members_set(S)
-                for S in [center(G), derived_subgroup(G), fitting(G), fitting2(G)]
+                for S in [centre(G), fitting(G), fitting2(G)]
                 + [o_p(G, p) for p in primes]
                 + [o_pi(G, pi) for pi in pis]
                 + [o_pi(G, pi, over=fitting(G)) for pi in pis]
@@ -539,7 +550,6 @@ def test_lazy_product_blocks_match_materialised_product(factors):
             ],
             "sylow": [sylow(G, p).order for p in primes],
             "hall": [None if H is None else H.order for H in halls],
-            "exponent": exponent(G),
             "central_quotient_p_decomposable": [
                 is_p_decomposable(G, p, over=centraliser(G, o_p(G, p))) for p in primes
             ],
@@ -1041,7 +1051,7 @@ def orbit_cases(G):
         if H is not None and H.order < G.order:
             cases.append(H)
             break
-    return cases + [derived_subgroup(G), Subgroup.trivial(G)]
+    return cases + [derived(G), Subgroup.trivial(G)]
 
 
 @pytest.mark.parametrize("G", orbit_groups(), ids=repr)
@@ -1052,7 +1062,7 @@ def test_conjugates_and_normalisers_match_the_all_elements_loop(G):
     for H in orbit_cases(G):
         assert [frozenset(Q.members()) for Q in hall_conjugates(G, H)] == brute_conjugates(G, H)
         assert normaliser_ids(G, H.ids) == brute_normaliser_ids(G, H)
-    N = derived_subgroup(G)
+    N = derived(G)
     assert 1 < N.order < G.order and len(hall_conjugates(G, N)) == 1
 
 
@@ -1564,7 +1574,7 @@ def test_lattice_invariants():
         for S in enumerate_subgroups(G):
             assert G.order % S.order == 0  # Lagrange
         for name, S in [
-            ("center", center(G)),
+            ("centre", centre(G)),
             ("fitting", fitting(G)),
             ("fitting2", fitting2(G)),
         ] + [(f"o_{p}", o_p(G, p)) for p in pi_of(G)]:
