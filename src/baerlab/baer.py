@@ -154,22 +154,21 @@ def _kinds(S: Subgroup, p: int, inner: bool) -> dict:
     on S per prime and ``inner``.
 
     A kind's key is ``(index in S.parent, class size in S, is the identity)``,
-    with class size 1 unless ``inner``, and its value ``(position, member,
-    count)``: the least position in member order of S of a member of that
-    kind, that member, and how many members are of that kind.  A
-    product-form S folds its blocks' kinds (:func:`_fold_kinds`) whether or
-    not G's store is built, so all kinds memoised on S have positions of one
-    form.  Otherwise S is one block, read by sorted store id: orders from
-    ``G.element_orders()``, indices from ``G.class_sizes()`` and
-    class sizes from :func:`~baerlab.structure.factor_class_sizes`; a
-    position is the store id, the identity's, 0, being the least.  An S of
-    full order is G, so it is read one conjugacy class at a time: order,
-    index and class size are class functions, and the classes come by
-    ascending least member, so the kinds arrive in the same order.
+    with class size 1 unless ``inner``, and its value ``(member, count)``: the
+    least member of S of that kind and how many members are of that kind.
+    Kinds are in the order of their least members.  A product-form S folds
+    its blocks' kinds (:func:`_fold_kinds`) whether or not G's store is
+    built, so all kinds memoised on S have members of one form.  Otherwise S
+    is one block, read by sorted store id, which is member order: orders
+    from ``G.element_orders()``, indices from ``G.class_sizes()`` and class
+    sizes from :func:`~baerlab.structure.factor_class_sizes`.  An S of full
+    order is G, so it is read one conjugacy class at a time: order, index
+    and class size are class functions, and the classes come by ascending
+    least member, so the kinds arrive in the same order.
     """
     if S.factors is not None:
         parts = (_kinds(s, p, inner) for s in S.factors)
-        return functools.reduce(_fold_kinds, parts, {(1, 1, True): ((), (), 1)})
+        return functools.reduce(_fold_kinds, parts, {(1, 1, True): ((), 1)})
     G = S.parent
     els, orders = G.elements, G.element_orders()
     kinds = {}
@@ -177,38 +176,34 @@ def _kinds(S: Subgroup, p: int, inner: bool) -> dict:
         for cls in G.conjugacy_partition():
             if is_p_number(orders[cls[0]], p):
                 key = (len(cls), len(cls) if inner else 1, orders[cls[0]] == 1)
-                first, x, n = kinds.get(key, (cls[0], els[cls[0]], 0))
-                kinds[key] = (first, x, n + len(cls))
+                x, n = kinds.get(key, (els[cls[0]], 0))
+                kinds[key] = (x, n + len(cls))
         return kinds
     index, sizes = G.class_sizes(), (factor_class_sizes(S) if inner else None)
     for i in sorted(S.ids_in_store()):
         if is_p_number(orders[i], p):
             key = (index[i], sizes[i] if inner else 1, orders[i] == 1)
-            first, x, n = kinds.get(key, (i, els[i], 0))
-            kinds[key] = (first, x, n + 1)
+            x, n = kinds.get(key, (els[i], 0))
+            kinds[key] = (x, n + 1)
     return kinds
 
 
 def _fold_kinds(left: dict, block: dict) -> dict:
     """The kinds of ``L x S_i`` from those of L and of the next block S_i.
 
-    Indices and class sizes multiply and counts add over equal keys.
-    Positions and members are tuples of block positions and block members;
-    block members are sorted, so the lexicographic order of positions is
-    member order.  Both dicts are in position order, so the pairs arrive in
-    lexicographic position order and the first pair to reach a key holds the
-    kind's first member.  Members are joined into permutations only when
-    read (:func:`_member`).
+    Indices and class sizes multiply and counts add over equal keys.  Members
+    are tuples of block members, whose lexicographic order is the order of
+    the joined permutations (:meth:`Subgroup.members`).  Both dicts are in
+    member order, so the pairs arrive in lexicographic order and the first
+    pair to reach a key holds the kind's least member.  Members are joined
+    into permutations only when read (:func:`_member`).
     """
     out = {}
-    for (idx, inner, one), (first, x, n) in left.items():
-        for (b_idx, b_inner, b_one), (b_first, y, m) in block.items():
+    for (idx, inner, one), (x, n) in left.items():
+        for (b_idx, b_inner, b_one), (y, m) in block.items():
             key = (idx * b_idx, inner * b_inner, one and b_one)
-            old = out.get(key)
-            if old is None:
-                out[key] = (first + (b_first,), x + (y,), n * m)
-            else:
-                out[key] = (old[0], old[1], old[2] + n * m)
+            least, count = out.get(key, (x + (y,), 0))
+            out[key] = (least, count + n * m)
     return out
 
 
@@ -218,20 +213,21 @@ def _member(x) -> Permutation:
 
 
 def _folded_kinds(S: Subgroup, primes, inner: bool) -> list:
-    """``(position, member, index, class size in S, count)`` for the kinds of the
-    nontrivial p-elements of S over ``primes`` (:func:`_kinds`), by first
-    position.
+    """``(member, index, class size in S, count)`` for the kinds of the
+    nontrivial p-elements of S over ``primes`` (:func:`_kinds`), by least
+    member.
 
     A nontrivial prime-power-order member is a p-element for one p only, so
-    the kinds of different primes never share a member.
+    the kinds of different primes never share a member, and rows sort by
+    member alone.
     """
     rows = [
-        (first, x, idx, in_s, n)
+        (x, idx, in_s, n)
         for p in primes
-        for (idx, in_s, one), (first, x, n) in _kinds(S, p, inner).items()
+        for (idx, in_s, one), (x, n) in _kinds(S, p, inner).items()
         if not one
     ]
-    rows.sort()  # positions are distinct, so rows sort by position
+    rows.sort()
     return rows
 
 
@@ -245,7 +241,7 @@ def _side_profile(S: Subgroup, p: int | None = None) -> dict:
     """
     first = {}
     primes = prime_divisors(S.order) if p is None else [p]
-    for _first, x, idx, _inner, _n in _folded_kinds(S, primes, False):
+    for x, idx, _inner, _n in _folded_kinds(S, primes, False):
         first.setdefault(idx, x)
     return {idx: _member(x) for idx, x in first.items()}
 
@@ -600,7 +596,7 @@ def _side_inheritance(S: Subgroup) -> tuple:
     its members and only the first failing member being joined.
     """
     checked, bad, baer_group = 0, None, True
-    for _first, x, idx, inner, n in _folded_kinds(S, prime_divisors(S.order), True):
+    for x, idx, inner, n in _folded_kinds(S, prime_divisors(S.order), True):
         checked += n
         c = classify_prime_power(inner)
         baer_group = baer_group and c.is_prime_power

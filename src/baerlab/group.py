@@ -10,7 +10,7 @@ blockwise route keeps very large direct products (orders in the millions
 and beyond) desk-computable.  Product-form subgroups answer block by block:
 the trivial and full subgroups, intersections, subset tests and subgroup
 centralisers are their blocks' own, so no permutation of the product is
-built or taken apart for them.  :func:`split_blocks` and :func:`join_blocks`
+built or taken apart for them.  :meth:`Group.split` and :func:`join_blocks`
 are the one codec between a product's permutations and its block
 permutations; it serves elements only: membership, member lists, generating
 sets, element centralisers and the verifier's witnesses.  A class size is a
@@ -196,26 +196,8 @@ def _left_walk(gens, degree: int, cap: int) -> tuple:
 # -- the block codec of direct products -----------------------------------------
 
 
-def split_blocks(p: Permutation, degrees):
-    """Restrictions of ``p`` to consecutive blocks of the given degrees.
-
-    None when ``p`` maps a point out of its block, so it lies in no product
-    of groups acting on those blocks.
-    """
-    parts = []
-    lo = 0
-    for d in degrees:
-        hi = lo + d
-        imgs = p.images[lo:hi]
-        if min(imgs) < lo or max(imgs) >= hi:
-            return None
-        parts.append(Permutation._make(tuple([v - lo for v in imgs])))
-        lo = hi
-    return parts
-
-
 def join_blocks(parts) -> Permutation:
-    """Inverse of :func:`split_blocks`: ``parts[i]`` acts on block ``i``."""
+    """Inverse of :meth:`Group.split`: ``parts[i]`` acts on block ``i``."""
     images = []
     for part in parts:
         off = len(images)
@@ -285,9 +267,6 @@ class Group:
         """
         return self.direct_factors if self._elements is None else None
 
-    def identity(self) -> Permutation:
-        return identity(self.degree)
-
     def __repr__(self) -> str:
         return f"Group({self.name!r})"
 
@@ -336,8 +315,10 @@ class Group:
         if not isinstance(p, Permutation) or p.degree != self.degree:
             return False
         if self.blocks is not None:
-            parts = self.split(p)
-            return parts is not None and all(q in f for q, f in zip(parts, self.blocks))
+            try:
+                return all(map(Group.__contains__, self.blocks, self.split(p)))
+            except ValueError:
+                return False
         self.materialize()
         return p in self._index
 
@@ -346,23 +327,19 @@ class Group:
 
     # -- direct-product blocks ----------------------------------------------
 
-    def split(self, p: Permutation):
-        """Restrictions of ``p`` to the direct factors, or None if it mixes blocks."""
-        return split_blocks(p, [f.degree for f in self.direct_factors])
-
-    def split_all(self, elements) -> list:
-        """Per direct factor, the restrictions of ``elements`` to its block.
-
-        Raises ValueError for an element that mixes blocks, which is no
-        element of the product.
-        """
-        rows = [self.split(x) for x in elements]
-        if None in rows:
-            raise ValueError("element does not respect the direct-product blocks")
-        return list(zip(*rows))
-
-    def embed_factor_element(self, i: int, p: Permutation) -> Permutation:
-        return embed_block([f.degree for f in self.direct_factors], i, p)
+    def split(self, p: Permutation) -> list:
+        """The restrictions of ``p`` to the blocks of the direct factors; ValueError
+        when ``p`` maps a point out of its block, so it is no element of the product."""
+        parts = []
+        lo = 0
+        for f in self.direct_factors:
+            hi = lo + f.degree
+            imgs = p.images[lo:hi]
+            if min(imgs) < lo or max(imgs) >= hi:
+                raise ValueError("element does not respect the direct-product blocks")
+            parts.append(Permutation._make(tuple([v - lo for v in imgs])))
+            lo = hi
+        return parts
 
     # -- id-level machinery (materialised groups) ---------------------------
 
@@ -668,7 +645,7 @@ def _centraliser(G: Group, gens) -> "Subgroup":
         return Subgroup.full(G)
     if G.blocks is not None:
         return Subgroup.from_factors(
-            G, [centraliser(f, col) for f, col in zip(G.blocks, G.split_all(gens))]
+            G, [centraliser(f, col) for f, col in zip(G.blocks, zip(*map(G.split, gens)))]
         )
     first, *rest = [G.element_id(s) for s in gens]
     mul, eq = G.cayley(), operator.eq
@@ -760,9 +737,7 @@ class Subgroup:
         """
         members = set(members)
         if parent.blocks is not None:
-            factors = [
-                cls.from_members(f, col) for f, col in zip(parent.blocks, parent.split_all(members))
-            ]
+            factors = list(map(cls.from_members, parent.blocks, zip(*map(parent.split, members))))
             if math.prod(s.order for s in factors) == len(members):
                 return cls.from_factors(parent, factors)
         return cls.from_ids(parent, map(parent.element_id, members))
@@ -835,32 +810,31 @@ class Subgroup:
     def __contains__(self, p) -> bool:
         if not isinstance(p, Permutation) or p.degree != self.parent.degree:
             return False
-        if self._ids is not None:
-            try:
+        try:
+            if self._ids is not None:
                 return self.parent.element_id(p) in self._ids
-            except ValueError:
-                return False
-        parts = self.parent.split(p)
-        return parts is not None and all(q in s for q, s in zip(parts, self._factors))
+            return all(map(Subgroup.__contains__, self._factors, self.parent.split(p)))
+        except ValueError:
+            return False
 
     def members(self) -> tuple:
-        """All elements, sorted lexicographically."""
+        """All elements, sorted lexicographically.  Each block shifts its points by
+        a constant offset, so tuples of block members sort as their joins do, and
+        the product of the blocks' sorted members is in order."""
         if self._ids is not None:
             els = self.parent.elements
             return tuple(els[i] for i in sorted(self._ids))
         check_enumerable("subgroup", self.order)
         blocks = [s.members() for s in self._factors]
-        return tuple(sorted(map(join_blocks, itertools.product(*blocks))))
+        return tuple(map(join_blocks, itertools.product(*blocks)))
 
     @memo
     def generating_set(self) -> tuple:
         """A small, deterministic generating set."""
         if self._factors is not None:
-            return tuple(
-                self.parent.embed_factor_element(i, g)
-                for i, s in enumerate(self._factors)
-                for g in s.generating_set()
-            )
+            degrees = [s.parent.degree for s in self._factors]
+            return tuple(embed_block(degrees, i, g)
+                         for i, s in enumerate(self._factors) for g in s.generating_set())
         els = self.parent.elements
         return tuple(els[i] for i in self.generating_ids())
 

@@ -445,9 +445,6 @@ class Factorisation:
         """``(("A", a), ("B", b))``, built once."""
         return self._sides
 
-    def is_trivial(self) -> bool:
-        return self.a.order == self.group.order and self.b.order == self.group.order
-
     def __repr__(self) -> str:
         return f"Factorisation(|G|={self.group.order}, |A|={self.a.order}, |B|={self.b.order})"
 

@@ -232,16 +232,16 @@ def test_lazy_product_checks_split_no_permutation_and_join_only_witness_members(
     # subgroups, subset tests, subgroup centralisers), so no check on G = A x B
     # splits a permutation of G into blocks, and the only ones joined from
     # blocks are the witness members of baer._member, which imports
-    # join_blocks by name.
+    # join_blocks by name.  Group.split is the one splitter.
     F = block_halves_factorisation([symmetric(4), dihedral(10)], [frobenius(7, 3), symmetric(3)])
     calls = Counter()
 
-    def counted(module, name):
-        fn = getattr(module, name)
-        monkeypatch.setattr(module, name,
-                            lambda *args: calls.update([(module.__name__, name)]) or fn(*args))
+    def counted(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args: calls.update([(owner.__name__, name)]) or fn(*args))
 
-    counted(group_module, "split_blocks")
+    counted(Group, "split")
     counted(group_module, "join_blocks")
     counted(baer, "join_blocks")
     factorisation_rows(F)
@@ -983,7 +983,7 @@ def test_lemma_bk_rows_read_by_class_match_the_element_loop(spec, monkeypatch):
 def test_kinds_memoised_before_a_product_is_materialised_still_fold():
     # The kinds of a product-form factor are folded from its blocks whether
     # or not G's store is built, so those memoised while G is lazy and those
-    # built after it is materialised have positions of one form, and every
+    # built after it is materialised have members of one form, and every
     # output matches a copy that stays lazy.
     F = block_halves_factorisation([symmetric(3)], [dihedral(10)])
     lazy = block_halves_factorisation([symmetric(3)], [dihedral(10)])

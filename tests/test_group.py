@@ -16,6 +16,7 @@ from baerlab.group import (
     class_index,
     closure,
     conjugacy_class,
+    embed_block,
 )
 from baerlab.perm import Permutation, identity, parse_cycles
 from test_structure import table_groups
@@ -105,17 +106,24 @@ def test_centraliser_examples():
     assert set(cent.members()) == set(brute_centraliser(G, [c3]))
 
 
-def test_blockwise_routes_reject_elements_mixing_product_blocks():
+@pytest.mark.parametrize("nested", [False, True], ids=["flat", "nested"])
+def test_blockwise_routes_reject_elements_mixing_product_blocks(nested):
     # (2 3) swaps a point of the symmetric(3) block with one of the cyclic(2)
-    # block, so it is no element of the product.
+    # block, so it is no element of the product.  Nested, those are the
+    # blocks of the first block: Group.split of the inner product rejects it.
     from baerlab.constructions import cyclic, direct_product, symmetric
 
     G = direct_product([symmetric(3), cyclic(2)])
-    x = parse_cycles("(2 3)", 5)
+    if nested:
+        G = direct_product([G, cyclic(2)])
+    x = parse_cycles("(2 3)", G.degree)
     for query in (class_index, lambda G, x: centraliser(G, [x])):
         with pytest.raises(ValueError, match="direct-product blocks"):
             query(G, x)
-    assert not G.is_materialized
+    assert x not in G
+    assert x not in Subgroup.full(G)
+    products = [G, G.direct_factors[0]] if nested else [G]
+    assert not any(H.is_materialized for H in products)
 
 
 def assert_class_sizes_times_centraliser_is_order(G):
@@ -551,8 +559,8 @@ def lazy_sym3_squared():
 
 def test_block_form_members_of_a_lazy_product_are_factor_backed():
     G = lazy_sym3_squared()
-    gens = [G.embed_factor_element(0, parse_cycles("(0 1 2)")),
-            G.embed_factor_element(1, parse_cycles("(0 1)", 3))]
+    gens = [embed_block([3, 3], 0, parse_cycles("(0 1 2)")),
+            embed_block([3, 3], 1, parse_cycles("(0 1)", 3))]
     members = closure(gens, degree=6)
     for S in (Subgroup.from_members(G, members), Subgroup.from_generators(G, gens)):
         assert [s.order for s in S.factors] == [3, 2]

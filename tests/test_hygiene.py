@@ -17,12 +17,14 @@ The rules of other shapes have detectors of their own:
   call: no code but ``take`` maps an ``X.__getitem__`` over ids, which costs
   about twice as much (a sort's ``key=X.__getitem__`` is no composition);
 * every function and method has a reader in the package, the named entry
-  points aside, so no code is kept alive by the tests alone;
+  points aside, so no code is kept alive by the tests alone; readers are
+  matched by bare name, so the names defined more than once are pinned;
 * every name the benchmark's tracer wraps resolves in the package;
 * no module reads the process environment, so a run depends on its
   arguments and constants alone;
 * ``pyproject.toml`` declares no console script that does not import, no
-  package data that does not exist and no ``test`` extra no test imports;
+  package data that does not exist and no ``test`` extra no test imports,
+  and the CI workflow installs exactly that extra;
 * every paper check has one shape: each public ``report_*`` and ``check_*``
   of ``baer.py`` is decorated with ``_check``, and no code but ``_check``
   builds a ``TheoremReport``.
@@ -40,6 +42,7 @@ import pytest
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "baerlab"
 TESTS = Path(__file__).resolve().parent
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
 MODULES = sorted(SOURCE.glob("*.py"))
 
 
@@ -385,6 +388,34 @@ def test_undelivered_declaration_detector():
     ]
 
 
+def installed_packages(workflow: str, step: str) -> list:
+    """The packages that the ``pip install`` of the workflow step named ``step``
+    installs, in order; the step's ``run`` is one line."""
+    command = re.search(rf"- name: {re.escape(step)}\n\s+run: (.*)", workflow).group(1)
+    words = command.split()
+    return words[words.index("install") + 1:]
+
+
+def test_ci_installs_exactly_the_test_extra():
+    """The tier-1 workflow installs the ``test`` extra of ``pyproject.toml``
+    and nothing else, so the two lists cannot drift apart."""
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((SOURCE.parent.parent / "pyproject.toml").read_text())
+    installed = installed_packages(WORKFLOW.read_text(), "Install test dependencies")
+    assert installed == config["project"]["optional-dependencies"]["test"]
+
+
+def test_installed_package_detector():
+    workflow = (
+        "      - name: Install test dependencies\n"
+        "        run: python -m pip install pytest sympy\n"
+        "      - name: Install docs\n"
+        "        run: pip install -q sphinx\n"
+    )
+    assert installed_packages(workflow, "Install test dependencies") == ["pytest", "sympy"]
+    assert installed_packages(workflow, "Install docs") == ["-q", "sphinx"]
+
+
 def getitem_maps(source: str) -> list:
     """Lines of every ``map(X.__getitem__, ...)`` call outside the body of ``take``."""
     tree = ast.parse(source)
@@ -607,6 +638,44 @@ def definitions_without_a_reader(source: str, others, exempt=frozenset()) -> lis
         if name not in elsewhere and all(n != name or line in inside for n, line in own):
             out.append((node.lineno, qualified))
     return out
+
+
+# The bare names with more than one definition in the package, each with
+# the readers of its definitions.  A definition whose name another one shares
+# is read whenever the other is, as far as the reader test can tell, so each
+# shared name needs its reason here; a new one fails until it is added.
+SHARED_NAMES = {
+    "add": "_GF.add builds the semilinear generators; TheoremReport.add records a clause",
+    "factors": "Subgroup.factors drives the block routes; Factorisation.factors the side loops",
+    "order": "Group.order and Permutation.order, read throughout",
+    "take": "group.take composes ids; _SpecReader.take reads a spec's next token",
+    "to_json_dict": "the JSON forms of IndexWitness and TheoremReport, both entry points",
+    "trivial": "Subgroup.trivial and Factorisation.trivial, read in structure.py and baer.py",
+}
+
+
+def shared_names(sources) -> dict:
+    """Bare name -> qualified names, for each name that :func:`definitions`
+    finds more than once across ``sources``; dunder methods are skipped."""
+    found = {}
+    for source in sources:
+        for qualified, node in definitions(ast.parse(source)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                found.setdefault(node.name, []).append(qualified)
+    return {name: where for name, where in found.items() if len(where) > 1}
+
+
+def test_shared_names_are_pinned():
+    assert sorted(shared_names(p.read_text() for p in MODULES)) == sorted(SHARED_NAMES)
+
+
+def test_shared_name_detector():
+    sources = [
+        "def identity(n):\n    pass\nclass C:\n    def __init__(self):\n        pass\n",
+        "class G:\n    def identity(self):\n        pass\n    def __init__(self):\n        pass\n",
+        "def f():\n    def identity():\n        pass\n",
+    ]
+    assert shared_names(sources) == {"identity": ["identity", "G.identity"]}
 
 
 @pytest.mark.parametrize(

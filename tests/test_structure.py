@@ -24,11 +24,12 @@ from baerlab.group import (
     centraliser,
     class_index,
     closure,
+    embed_block,
 )
 from baerlab.numth import (
     classify_prime_power, is_p_number, is_pi_number, p_part, pi_part, prime_divisors
 )
-from baerlab.perm import Permutation, parse_cycles
+from baerlab.perm import Permutation, identity, parse_cycles
 from baerlab.structure import (
     Factorisation,
     enumerate_subgroups,
@@ -439,7 +440,7 @@ def test_p_decomposable_unique_commuting_factorisation():
     P, Pp = o_p(G, 2), p_prime_core(G, 2)
     for g in G.elements:
         o = g.order()
-        two = g ** (o // p_part(o, 2) * pow(o // p_part(o, 2), -1, p_part(o, 2))) if p_part(o, 2) > 1 else G.identity()
+        two = g ** (o // p_part(o, 2) * pow(o // p_part(o, 2), -1, p_part(o, 2))) if p_part(o, 2) > 1 else identity(G.degree)
         rest = g * two.inverse()
         assert two in P and rest in Pp
         assert two * rest == rest * two == g
@@ -474,7 +475,7 @@ def test_upper_p_series_terms_are_normal_and_increasing():
 
 def test_normal_closure_examples():
     G = symmetric(3)
-    assert normal_closure(G, [G.identity()]).order == 1
+    assert normal_closure(G, [identity(G.degree)]).order == 1
     t = G.generators[0]
     assert normal_closure(G, [t]).order == 6
 
@@ -671,16 +672,47 @@ def test_nested_lazy_product_profiles_match_flat_materialised_product():
     nested = parse_group_spec("product(product(symmetric(3),cyclic(4)),dihedral(10))")
     flat = parse_group_spec("product(symmetric(3),cyclic(4),dihedral(10))")
     flat.materialize()
-    inner, outer = nested.direct_factors
-    per_block = [enumerate_subgroups(f) for f in (*inner.direct_factors, outer)]
-    nested_subs = [
-        Subgroup.from_factors(nested, [Subgroup.from_factors(inner, [a, b]), c])
-        for a, b, c in itertools.product(*per_block)
-    ]
+    nested_subs = nested_product_form_subgroups(nested)
     flat_subs = [Subgroup.from_members(flat, S.members()) for S in product_form_subgroups(flat)]
     assert all(S.factors is None for S in flat_subs)
     assert side_facts(nested, nested_subs) == side_facts(flat, flat_subs)
-    assert not nested.is_materialized and not inner.is_materialized
+    assert not nested.is_materialized and not nested.direct_factors[0].is_materialized
+
+
+def nested_product_form_subgroups(G):
+    """For ``G = (X x Y) x Z``, every ``(S x T) x U`` of subgroups from
+    :func:`enumerate_subgroups` of X, Y and Z, in ``itertools.product`` order."""
+    inner, outer = G.direct_factors
+    per_block = [enumerate_subgroups(f) for f in (*inner.direct_factors, outer)]
+    return [
+        Subgroup.from_factors(G, [Subgroup.from_factors(inner, [a, b]), c])
+        for a, b, c in itertools.product(*per_block)
+    ]
+
+
+NESTED_PRODUCT_SPEC = "product(product(symmetric(3),cyclic(2)),dihedral(10))"
+
+
+@pytest.mark.parametrize(
+    "spec", [*LAZY_PRODUCT_SPECS.values(), NESTED_PRODUCT_SPEC], ids=[*LAZY_PRODUCT_SPECS, "nested"]
+)
+def test_product_form_members_are_sorted_as_on_a_materialised_copy(spec):
+    # A product-form subgroup lists the product of its blocks' sorted members
+    # and sorts nothing: each block shifts its points by a constant offset, so
+    # tuples of block members sort as their joins do, and baer._kinds relies
+    # on the same order.  The materialised copy closes the same generators and
+    # lists its members by store id.
+    lazy = parse_group_spec(spec)
+    whole = parse_group_spec(spec)
+    whole.materialize()
+    nested = spec == NESTED_PRODUCT_SPEC
+    subs = nested_product_form_subgroups(lazy) if nested else product_form_subgroups(lazy)
+    for S in subs:
+        members = S.members()
+        assert list(members) == sorted(members)
+        assert members == Subgroup.from_generators(whole, S.generating_set()).members()
+    assert Subgroup.full(lazy) in subs and len(Subgroup.full(lazy).members()) == lazy.order
+    assert not lazy.is_materialized and not (nested and lazy.direct_factors[0].is_materialized)
 
 
 def test_index_profile_of_a_lazy_product_past_the_enumeration_cap_is_folded():
@@ -695,7 +727,7 @@ def test_index_profile_of_a_lazy_product_past_the_enumeration_cap_is_folded():
     assert G.order > ENUMERATION_CAP
     status = is_p_baer(Factorisation.trivial(G), 2)
     assert status.is_p_baer
-    first = G.embed_factor_element(2, G.direct_factors[2].generators[0] ** 25)
+    first = embed_block([200] * 3, 2, G.direct_factors[2].generators[0] ** 25)
     assert [(w.locus, w.element, w.index) for w in status.witnesses] == [
         ("A", first, 1), ("B", first, 1)
     ]
@@ -817,11 +849,11 @@ def test_index_profiles_from_store_ids_match_brute_force(G):
                     continue
                 for inner in (False, True):
                     kinds = _kinds(sub, p, inner)
-                    assert {key: (_member(x), n) for key, (_pos, x, n) in kinds.items()} == (
+                    assert {key: (_member(x), n) for key, (x, n) in kinds.items()} == (
                         brute_kinds(sub, p, inner)
                     )
-                    by_position = [_member(x) for _pos, x, _n in sorted(kinds.values())]
-                    assert by_position == sorted(by_position)
+                    in_order = [_member(x) for x, _n in kinds.values()]
+                    assert in_order == sorted(in_order)
         per_prime, failing = {}, []
         for p in pi_of(G):
             union = brute_status([row for row in rows if is_p_number(row[1].order(), p)])
@@ -852,7 +884,7 @@ def test_index_profile_oracle_sees_a_failing_witness():
     from baerlab.baer import is_baer, is_p_baer
 
     F = some_factorisations(symmetric(4))[0]
-    assert F.is_trivial()
+    assert F.a.order == F.b.order == F.group.order
     status = is_p_baer(F, 2)
     assert not status.is_p_baer
     assert [(w.locus, w.index, w.element.is_identity()) for w in status.witnesses] == [("A", 6, False)]
@@ -893,7 +925,7 @@ def test_factor_sylows_and_class_sizes_of_a_lazy_product_match_materialised_prod
     from baerlab.baer import _kinds, _member
 
     def kinds(S, p):
-        return {key: (_member(x), n) for key, (_pos, x, n) in _kinds(S, p, True).items()}
+        return {key: (_member(x), n) for key, (x, n) in _kinds(S, p, True).items()}
 
     lazy, whole = sym3_x_d10(), sym3_x_d10()
     whole.materialize()
@@ -1225,7 +1257,7 @@ def test_factorisation_validation():
     with pytest.raises(ValueError):
         Factorisation(G, C3, C3)
     triv = Factorisation.trivial(G)
-    assert triv.is_trivial()
+    assert triv.a.order == triv.b.order == G.order
 
 
 def test_find_prefactorised_sylow_direct_product():
@@ -1248,10 +1280,11 @@ def test_find_prefactorised_sylow_nontrivial_search():
     G.materialize()
     d10 = G.direct_factors[1]
     refl = next(x for x in d10.elements if x.order() == 2)
-    A = Subgroup.from_generators(G, [G.embed_factor_element(1, refl)])
+    degrees = [f.degree for f in G.direct_factors]
+    A = Subgroup.from_generators(G, [embed_block(degrees, 1, refl)])
     rot5 = next(x for x in d10.elements if x.order() == 5)
-    bgens = [G.embed_factor_element(0, g) for g in G.direct_factors[0].generators]
-    bgens.append(G.embed_factor_element(1, rot5))
+    bgens = [embed_block(degrees, 0, g) for g in G.direct_factors[0].generators]
+    bgens.append(embed_block(degrees, 1, rot5))
     B = Subgroup.from_generators(G, bgens)
     assert (A.order, B.order) == (2, 30)
     F = Factorisation(G, A, B)
@@ -1373,14 +1406,14 @@ def kinds_by_store_id(S, p, inner):
     for i in sorted(S.ids_in_store()):
         if is_p_number(orders[i], p):
             key = (index[i], sizes[i] if inner else 1, orders[i] == 1)
-            first, x, n = kinds.get(key, (i, els[i], 0))
-            kinds[key] = (first, x, n + 1)
+            x, n = kinds.get(key, (els[i], 0))
+            kinds[key] = (x, n + 1)
     return kinds
 
 
 @pytest.mark.parametrize("spec", SWEEP_SPECS)
 def test_kinds_of_a_full_order_factor_read_by_class_match_the_element_reading(spec):
-    # Same keys in the same insertion order, first positions, members and counts.
+    # Same keys in the same insertion order, least members and counts.
     from baerlab.baer import _kinds
 
     G = parse_group_spec(spec)
@@ -1542,7 +1575,7 @@ def test_enumerate_subgroups_against_powerset_filter():
                 continue
             for combo in itertools.combinations(range(len(els)), r):
                 subset = {els[i] for i in combo}
-                if G.identity() not in subset:
+                if identity(G.degree) not in subset:
                     continue
                 if all(a * b in subset for a in subset for b in subset):
                     brute.add(frozenset(subset))
