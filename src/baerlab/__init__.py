@@ -9,7 +9,6 @@ worked examples and on swept corpora of small factorised groups.
 """
 
 from .errors import CapExceeded, InternalInvariantViolation
-from .numth import PrimePower, classify_prime_power
 from .perm import Permutation, format_cycles, identity, parse_cycles
 from .group import Group, Subgroup, centraliser, class_index, closure, conjugacy_class
 
@@ -18,8 +17,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapExceeded",
     "InternalInvariantViolation",
-    "PrimePower",
-    "classify_prime_power",
     "Permutation",
     "format_cycles",
     "identity",

@@ -50,13 +50,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceeded, InternalInvariantViolation
 from .group import Group, Subgroup, centraliser, join_blocks, memo
-from .numth import (
-    PrimePower,
-    classify_prime_power,
-    is_p_number,
-    pi_part,
-    prime_divisors,
-)
+from .numth import is_p_number, is_prime_power, pi_part, prime_divisors
 from .perm import Permutation, format_cycles
 from .reporting import NOT_APPLICABLE, SKIPPED, TheoremReport
 from .structure import (
@@ -92,14 +86,14 @@ class IndexWitness:
     element: Permutation
     locus: str
     index: int
-    classification: PrimePower
+    prime_power: bool
 
     def to_json_dict(self) -> dict:
         return {
             "element": format_cycles(self.element),
             "locus": self.locus,
             "index": self.index,
-            "prime_power": self.classification.is_prime_power,
+            "prime_power": self.prime_power,
         }
 
 
@@ -253,10 +247,9 @@ def _side_status(S: Subgroup, p: int | None, locus: str) -> tuple:
     :func:`_side_profile` that is no prime power fails."""
     witnesses = []
     for idx, x in _side_profile(S, p).items():
-        c = classify_prime_power(idx)
-        if not c.is_prime_power:
-            return IndexWitness(x, locus, idx, c), None
-        witnesses.append(IndexWitness(x, locus, idx, c))
+        if not is_prime_power(idx):
+            return IndexWitness(x, locus, idx, False), None
+        witnesses.append(IndexWitness(x, locus, idx, True))
     witnesses.sort(key=lambda w: w.index)
     return None, witnesses
 
@@ -404,7 +397,7 @@ def _side_centraliser_indices(S: Subgroup) -> list:
     does not depend on the choice of S_p: ``C_G(S_p^s) = C_G(S_p)^s``."""
     G = S.parent
     indices = [(p, G.order // centraliser(G, factor_sylow(S, p)).order) for p in sorted(pi_of(G))]
-    return [(p, idx, classify_prime_power(idx).is_prime_power) for p, idx in indices]
+    return [(p, idx, is_prime_power(idx)) for p, idx in indices]
 
 
 @memo
@@ -598,9 +591,8 @@ def _side_inheritance(S: Subgroup) -> tuple:
     checked, bad, baer_group = 0, None, True
     for x, idx, inner, n in _folded_kinds(S, prime_divisors(S.order), True):
         checked += n
-        c = classify_prime_power(inner)
-        baer_group = baer_group and c.is_prime_power
-        ok = inner == 1 if idx == 1 else c.compatible_with(classify_prime_power(idx).prime)
+        baer_group = baer_group and is_prime_power(inner)
+        ok = inner == 1 or is_prime_power(idx) and prime_divisors(inner) == prime_divisors(idx)
         if not ok and bad is None:
             bad = {"element": format_cycles(_member(x)), "outer_index": idx, "inner_index": inner}
     return checked, bad, baer_group
@@ -670,7 +662,7 @@ def baer_decomposition(G: Group):
     if math.prod(S.order for S in factors) != G.order:
         raise InternalInvariantViolation("atoms do not split G into a direct product")
     for block, S in zip(blocks, factors):
-        shape_ok = classify_prime_power(S.order).is_prime_power or (
+        shape_ok = is_prime_power(S.order) or (
             len(prime_divisors(S.order)) == 2
             and all(is_abelian(factor_sylow(S, q)) for q in block)
         )
@@ -728,9 +720,7 @@ def check_camina_camina(report: TheoremReport, G: Group) -> None:
     checked a conjugacy class at a time as in :func:`check_wielandt`."""
     G.materialize()
     F2 = fitting2(G)
-    checked, bad = _first_class_outside(
-        G, F2.ids_in_store(), lambda cls: classify_prime_power(len(cls)).is_prime_power
-    )
+    checked, bad = _first_class_outside(G, F2.ids_in_store(), lambda cls: is_prime_power(len(cls)))
     report.check("prime-power-index-in-F2", bad is None,
                  bad or {"elements_checked": checked, "F2_order": F2.order})
 
@@ -749,8 +739,8 @@ def check_lemma_bk(report: TheoremReport, G: Group) -> None:
     orders = G.element_orders()
     index = G.class_sizes()
     mul = G.cayley()
-    classes = [(cls, c.prime) for cls in G.conjugacy_partition()
-               if len(cls) > 1 and (c := classify_prime_power(len(cls))).is_prime_power]
+    classes = [(cls, prime_divisors(len(cls))[0]) for cls in G.conjugacy_partition()
+               if len(cls) > 1 and is_prime_power(len(cls))]
     for p in sorted(pi_of(G)):
         rows = sorted((i, len(cls), q) for cls, q in classes
                       if is_p_number(orders[cls[0]], p) for i in cls)
@@ -760,7 +750,7 @@ def check_lemma_bk(report: TheoremReport, G: Group) -> None:
                 if px == py:
                     continue
                 ixy = index[mul.col(j)[i]]
-                if not classify_prime_power(ixy).is_prime_power:
+                if not is_prime_power(ixy):
                     continue
                 pairs += 1
                 x, y = els[i], els[j]

@@ -73,8 +73,8 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(i == v for i, v in enumerate(self.images))
 
-    def cycles(self, include_fixed: bool = False) -> list:
-        """Disjoint cycles, each starting at its minimal point, sorted by start."""
+    def cycles(self) -> list:
+        """Disjoint cycles of length > 1, each from its minimal point, sorted by start."""
         out = []
         seen = [False] * self.degree
         for start in range(self.degree):
@@ -85,12 +85,12 @@ class Permutation:
                 seen[cur] = True
                 cyc.append(cur)
                 cur = self.images[cur]
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(cyc)
         return out
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles(include_fixed=True)))
+        return math.lcm(*map(len, self.cycles()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images

@@ -48,14 +48,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceeded, InternalInvariantViolation
 from .group import Group, Subgroup, centraliser, memo, take
-from .numth import (
-    classify_prime_power,
-    is_p_number,
-    is_pi_number,
-    p_part,
-    pi_part,
-    prime_divisors,
-)
+from .numth import is_p_number, is_pi_number, is_prime_power, p_part, pi_part, prime_divisors
 from .perm import Permutation
 
 
@@ -484,14 +477,15 @@ HALL_BUDGET = 50_000
 def hall(G: Group, pi):
     """A Hall pi-subgroup of G, or ``None`` when G has none.
 
-    Strategy: seed with the conjugates of a Sylow subgroup for the heaviest
-    prime in pi and adjoin pi-elements whose closure stays a pi-group,
-    backtracking on dead ends.  A Hall pi-subgroup contains one of those
-    Sylow subgroups and is reached from it one element at a time, so a
-    search that ends without one proves that there is none.  A search that
-    needs more than ``HALL_BUDGET`` closures raises :class:`CapExceeded` with
-    the closures tried.  Memoised, None included, per group and set of the
-    primes in pi dividing |G|.
+    Strategy: seed with ``P = sylow(G, p0)`` for the heaviest prime p0 in pi
+    and adjoin pi-elements whose closure stays a pi-group, backtracking on
+    dead ends.  One seed is enough: a Sylow p0-subgroup of a Hall
+    pi-subgroup H is one of G, so some conjugate of H contains P, and it is
+    reached from P one element at a time.  A search that ends without one
+    thus proves that there is none.  A search that needs more than
+    ``HALL_BUDGET`` closures raises :class:`CapExceeded` with the closures
+    tried.  Memoised, None included, per group and set of the primes in pi
+    dividing |G|.
     """
     return _hall(G, frozenset(p for p in pi if G.order % p == 0))
 
@@ -541,14 +535,8 @@ def _hall(G: Group, pi: frozenset):
                 return r
         return None
 
-    for P in sylow_conjugates(G, p0):
-        if P.ids in visited:
-            continue
-        visited.add(P.ids)
-        r = extend(P.ids)
-        if r is not None:
-            return Subgroup.from_ids(G, r)
-    return None
+    r = extend(sylow(G, p0).ids)
+    return None if r is None else Subgroup.from_ids(G, r)
 
 
 @memo
@@ -727,7 +715,7 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
     pp_ids = []
     cyclic_rep = {}
     for x, o in enumerate(G.element_orders()):
-        if x in cyclic_rep or o == 1 or not classify_prime_power(o).is_prime_power:
+        if x in cyclic_rep or o == 1 or not is_prime_power(o):
             continue
         pp_ids.append(x)
         col, y = mul.col(x), x

@@ -25,7 +25,7 @@ from baerlab.errors import (
     InternalInvariantViolation,
 )
 from baerlab.group import Group, Subgroup, centraliser, memo
-from baerlab.numth import classify_prime_power, is_p_number, p_part
+from baerlab.numth import is_p_number, is_prime_power, p_part, prime_divisors
 from baerlab.perm import Permutation, format_cycles, parse_cycles
 from baerlab.reporting import FAIL, NOT_APPLICABLE, PASS, SKIPPED, TheoremReport
 from baerlab.structure import (
@@ -347,6 +347,25 @@ def test_conclusions_outside_their_hypotheses_say_no_on_real_groups():
     assert set(conclusions(baer.check_factor_inheritance, SL).values()) == {FAIL}
 
 
+def test_theorem_d_lets_a_central_member_of_non_prime_power_index_through():
+    # S4 = <(0 1)> A4 is not Baer: the transposition has index 6 in S4.  Its
+    # index in A is 1, which passes whatever the index in G, so off the
+    # hypothesis Theorem D's first clause still holds: a member whose index in
+    # G is no prime power passes exactly when it is central in its factor.
+    G = symmetric(4)
+    A = Subgroup.from_generators(G, [parse_cycles("(0 1)", 4)])
+    B = Subgroup.from_generators(G, [parse_cycles("(0 1 2)", 4), parse_cycles("(0 1)(2 3)", 4)])
+    F = Factorisation(G, A, B)
+    assert (A.order, B.order, A.product_order(B)) == (2, 12, 24)
+    assert not baer.is_baer(F).is_baer
+    report = TheoremReport("D")
+    baer.check_factor_inheritance.__wrapped__(report, F)
+    assert [(c.clause, c.verdict, c.witness) for c in report.clauses] == [
+        ("1:index-prime-inherited", PASS, {"elements_checked": 12}),
+        ("2:factors-are-baer-groups", PASS, None),
+    ]
+
+
 @pytest.mark.parametrize("materialised", [False, True], ids=["lazy", "materialised"])
 def test_theorem_e_meets_its_two_prime_bounds_on_a_live_baer_factorisation(materialised):
     """Clauses 2 and 3 of Theorem E at their bound of two primes.
@@ -478,7 +497,7 @@ def test_reports_and_index_witnesses_survive_json():
         back = json.loads(json.dumps(w.to_json_dict()))
         assert parse_cycles(back["element"], G.degree) == w.element
         assert (back["locus"], back["index"], back["prime_power"]) == (
-            w.locus, w.index, w.classification.is_prime_power
+            w.locus, w.index, w.prime_power
         )
 
 
@@ -859,7 +878,7 @@ def status_rows_of(subs, p) -> tuple:
     rows = []
     for locus, S in subs:
         for idx, x in baer._side_profile(S, p).items():
-            if not classify_prime_power(idx).is_prime_power:
+            if not is_prime_power(idx):
                 return False, [(locus, x, idx)]
             rows.append((locus, x, idx))
     return True, sorted(rows, key=lambda row: (row[0], row[2]))
@@ -932,14 +951,13 @@ def lemma_bk_by_elements(G) -> list:
     for p in sorted(pi_of(G)):
         rows = []
         for i, o in enumerate(orders):
-            c = classify_prime_power(index[i])
-            if o > 1 and is_p_number(o, p) and index[i] > 1 and c.is_prime_power:
-                rows.append((i, index[i], c.prime))
+            if o > 1 and is_p_number(o, p) and index[i] > 1 and is_prime_power(index[i]):
+                rows.append((i, index[i], prime_divisors(index[i])[0]))
         pairs, bad = 0, None
         for ai, (i, ix, px) in enumerate(rows):
             for j, iy, py in rows[ai + 1 :]:
                 ixy = index[mul.col(j)[i]]
-                if px == py or not classify_prime_power(ixy).is_prime_power:
+                if px == py or not is_prime_power(ixy):
                     continue
                 pairs += 1
                 x, y = els[i], els[j]

@@ -148,6 +148,10 @@ RULES = {
     "product-dispatch": Rule(
         (".blocks",), frozenset({"group.py", "structure.py"}),
         "a direct product is split by group.py's branches and structure._blockwise alone"),
+    "process-caches": Rule(
+        ("lru_cache", "cache"), frozenset({"numth.py"}),
+        "group facts are memoised on their owner by group.memo and freed with it; a "
+        "process-wide cache would keep every group alive, so only number facts share one"),
 }
 
 
@@ -260,6 +264,15 @@ TOKEN_CASES = {
         "        return [g for g in zip(G.blocks, S.factors)]\n"
         "    return blocks, G.direct_factors, getattr(G, 'blocks')\n",
         [(2, ".blocks"), (3, ".blocks")],
+    ),
+    "process-caches": (
+        "@functools.lru_cache(maxsize=None)\n"
+        "def f(G):\n"
+        "    return G._cache, getattr(f, 'cache_info')\n"
+        "@functools.cache\n"
+        "def g(n):\n"
+        "    return lru_cache(None)(f), memo(f)\n",
+        [(1, "lru_cache"), (4, "cache"), (6, "lru_cache")],
     ),
 }
 

@@ -1,44 +1,50 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from baerlab.numth import (
-    classify_prime_power,
     is_p_number,
     is_pi_number,
     is_prime,
+    is_prime_power,
     p_part,
     pi_part,
     prime_divisors,
-    prime_factorization,
 )
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
 
 
 def test_one_is_a_power_of_every_prime():
-    c = classify_prime_power(1)
-    assert c.is_prime_power
-    assert c.is_one
-    assert c.exponent == 0
-    for p in SMALL_PRIMES:
-        assert c.compatible_with(p)
+    assert prime_divisors(1) == ()
+    assert is_prime_power(1)
 
 
-def test_prime_power_classification():
-    c = classify_prime_power(49)
-    assert (c.is_prime_power, c.prime, c.exponent) == (True, 7, 2)
-    assert not classify_prime_power(15).is_prime_power
-    assert classify_prime_power(1024).prime == 2
+def test_prime_power_test():
+    assert prime_divisors(49) == (7,)
+    assert is_prime_power(49)
+    assert not is_prime_power(15)
+    assert prime_divisors(1024) == (2,)
     with pytest.raises(ValueError):
-        classify_prime_power(0)
+        is_prime_power(0)
+    with pytest.raises(ValueError):
+        prime_divisors(0)
 
 
-def test_factorization():
-    assert prime_factorization(360) == {2: 3, 3: 2, 5: 1}
+def test_prime_divisors():
+    assert prime_divisors(360) == (2, 3, 5)
     assert prime_divisors(5336100) == (2, 3, 5, 7, 11)
-    assert prime_factorization(1) == {}
     # Smooth huge integers factor fine.
-    assert prime_factorization(7**168 * 168) == {2: 3, 3: 1, 7: 169}
+    assert prime_divisors(7**168 * 168) == (2, 3, 7)
+
+
+def test_prime_divisors_match_sympy():
+    primefactors = pytest.importorskip("sympy").primefactors
+    for n in range(1, 20_001):
+        expected = tuple(primefactors(n))
+        assert prime_divisors(n) == expected, n
+        assert is_prime_power(n) == (len(expected) <= 1), n
 
 
 def test_parts():
@@ -59,18 +65,16 @@ def test_is_prime():
 
 @given(st.sampled_from(SMALL_PRIMES), st.integers(min_value=1, max_value=12))
 def test_prime_powers_roundtrip(p, k):
-    c = classify_prime_power(p**k)
-    assert (c.is_prime_power, c.prime, c.exponent) == (True, p, k)
-    assert c.compatible_with(p)
+    assert prime_divisors(p**k) == (p,)
+    assert is_prime_power(p**k)
     for q in SMALL_PRIMES:
         if q != p:
-            assert not c.compatible_with(q)
+            assert not is_prime_power(p**k * q)
 
 
 @given(st.integers(min_value=1, max_value=100_000))
-def test_factorization_reconstructs(n):
-    product = 1
-    for p, k in prime_factorization(n).items():
-        assert is_prime(p)
-        product *= p**k
-    assert product == n
+def test_prime_divisors_reconstruct(n):
+    primes = prime_divisors(n)
+    assert list(primes) == sorted(set(primes))
+    assert all(is_prime(p) for p in primes)
+    assert math.prod(p_part(n, p) for p in primes) == n
