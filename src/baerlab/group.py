@@ -402,24 +402,28 @@ class Group:
         inv = mul.inv
         return [list(take(c, take(inv, take(c, inv)))) for c in map(mul.col, self.generator_ids())]
 
-    def conjugates(self, ids) -> tuple:
-        """``(orbit, act)``: the conjugates of the id set ``ids`` as frozensets,
-        ``ids`` first, and ``act[j][i]`` the index in ``orbit`` of ``orbit[i]``
-        conjugated by the j-th generator.  The orbit grows breadth first by
-        images under :meth:`conjugation_maps`, so it costs ``|G : N_G(H)|`` set
-        images per generator."""
+    def conjugates(self, ids, gen_ids) -> tuple:
+        """``(orbit, act, gens)``: the conjugates of the subgroup H with store
+        ids ``ids`` as frozensets, ``ids`` first; ``act[j][i]`` the index in
+        ``orbit`` of ``orbit[i]`` conjugated by the j-th generator; and
+        ``gens[i]`` generating ``orbit[i]``, ``gen_ids`` (which generate
+        ``ids``) first.  The orbit grows breadth first by images under
+        :meth:`conjugation_maps`, so it costs ``|G : N_G(H)|`` set images per
+        generator; a conjugate first reached from L by generator j's map is
+        generated by that map's images of ``gens(L)``."""
         maps = self.conjugation_maps()
-        orbit = [frozenset(ids)]
+        orbit, gens = [frozenset(ids)], [list(gen_ids)]
         where = {orbit[0]: 0}
         act = [[] for _ in maps]
-        for L in orbit:
+        for L, lgens in zip(orbit, gens):
             for cmap, images in zip(maps, act):
                 M = frozenset(take(cmap, L))
                 if M not in where:
                     where[M] = len(orbit)
                     orbit.append(M)
+                    gens.append(list(take(cmap, lgens)))
                 images.append(where[M])
-        return orbit, act
+        return orbit, act, gens
 
     def conjugation_labels(self, act) -> tuple:
         """Per store id g, the index of ``H^g`` in the orbit of :meth:`conjugates`
@@ -704,7 +708,7 @@ class Subgroup:
     neither them nor, through them, the parent alive.
     """
 
-    __slots__ = ("parent", "order", "_ids", "_factors", "_cache", "__weakref__")
+    __slots__ = ("parent", "order", "_ids", "_factors", "_gen_ids", "_cache", "__weakref__")
 
     def __init__(self, parent, *, ids=None, factors=None):
         if (ids is None) == (factors is None):
@@ -712,18 +716,22 @@ class Subgroup:
         self.parent = parent
         self._ids = ids
         self._factors = factors
+        self._gen_ids = None  # set once; see generating_ids
         self._cache = {}
         self.order = len(ids) if ids is not None else math.prod(s.order for s in factors)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_ids(cls, parent: Group, ids) -> "Subgroup":
-        """The canonical subgroup of ``parent`` with these member ids."""
+    def from_ids(cls, parent: Group, ids, gen_ids=None) -> "Subgroup":
+        """The canonical subgroup of ``parent`` with these member ids; given
+        ``gen_ids`` that generate it, its :meth:`generating_ids` unless set."""
         ids = frozenset(ids)
         S = parent._subgroups.get(ids)
         if S is None:
             S = parent._subgroups[ids] = cls(parent, ids=ids)
+        if gen_ids is not None and S._gen_ids is None:
+            S._gen_ids = list(gen_ids)
         return S
 
     @classmethod
@@ -765,7 +773,7 @@ class Subgroup:
         if parent.blocks is not None:
             return cls.from_factors(parent, map(cls.trivial, parent.blocks))
         parent.materialize()
-        return cls.from_ids(parent, (0,))
+        return cls.from_ids(parent, (0,), ())
 
     @classmethod
     def full(cls, parent: Group) -> "Subgroup":
@@ -830,7 +838,8 @@ class Subgroup:
 
     @memo
     def generating_set(self) -> tuple:
-        """A small, deterministic generating set."""
+        """A small generating set: the members at :meth:`generating_ids`, or
+        the blocks' own generating sets embedded."""
         if self._factors is not None:
             degrees = [s.parent.degree for s in self._factors]
             return tuple(embed_block(degrees, i, g)
@@ -838,15 +847,23 @@ class Subgroup:
         els = self.parent.elements
         return tuple(els[i] for i in self.generating_ids())
 
-    @memo
     def generating_ids(self) -> list:
-        """A small, deterministic generating set as parent store ids.
+        """Generating ids in the parent store, each outside the subgroup the
+        ones before it generate, so at most Omega(|S|) of them.
 
-        Materialises the parent; for an id-backed subgroup these are the
-        ids of :meth:`generating_set`.  Callers must not mutate the list: it
-        is the memo shared by every user of this canonical subgroup.
+        A route that builds the subgroup from generators gives them through
+        :meth:`from_ids`: the trivial subgroup's empty list, the Sylow
+        and Hall searches', ``hgens + [x]`` in ``enumerate_subgroups``, and
+        for a conjugate its orbit parent's mapped by :meth:`Group.conjugates`.
+        Any other subgroup (the full one, a meet, centraliser or core) gets
+        the greedy :func:`_small_generating_ids` when first asked.  Set once,
+        so they follow the first route that reached the subgroup; every
+        reader depends only on the subgroup they generate.  Materialises the
+        parent.  Callers must not mutate the list: every user shares it.
         """
-        return _small_generating_ids(self.parent, self.ids_in_store())
+        if self._gen_ids is None:
+            self._gen_ids = _small_generating_ids(self.parent, self.ids_in_store())
+        return self._gen_ids
 
     # -- set algebra ---------------------------------------------------------
 

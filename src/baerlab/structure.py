@@ -3,11 +3,12 @@
 Every operation here is a pure function of immutable groups.  Results are
 memoised write-once by :func:`~baerlab.group.memo` on the object they are
 about, keyed by the function and its other arguments, so sweeps never
-recompute per-group structure.  Facts about one subgroup (its generating ids
-and centraliser, whether it is normal or abelian, its meets with G's Sylow
-subgroups, its own Sylow subgroups and class sizes, its products with normal
-subgroups, and ``baer``'s index profiles, side statuses, index primes and
-centraliser indices) are memoised on the subgroup; since subgroups are
+recompute per-group structure.  Facts about one subgroup (its centraliser,
+whether it is normal or abelian, its meets with G's Sylow subgroups, its own
+Sylow subgroups and class sizes, its products with normal subgroups, and
+``baer``'s index profiles, side statuses, index primes and centraliser
+indices) are memoised on the subgroup, which also holds its generating ids
+(:meth:`Subgroup.generating_ids`); since subgroups are
 canonical per group, every factorisation of a group that reaches the same
 subgroup shares them, and they are freed with it.
 
@@ -114,7 +115,7 @@ def sylow(G: Group, p: int) -> Subgroup:
 
     Greedy extension: seed with the first maximal-order p-element of the
     store, then repeatedly adjoin the first p-element of the normaliser that
-    enlarges the current subgroup.
+    enlarges the current subgroup; the ids adjoined generate it.
     """
     pk = p_part(G.order, p)
     if pk == 1:
@@ -131,7 +132,7 @@ def sylow(G: Group, p: int) -> Subgroup:
     H = G.closure_from_gen_ids(gens)
     while len(H) < pk:
         # N_G(H) is the ids labelled 0, scanned in ascending order.
-        for y, i in enumerate(G.conjugation_labels(G.conjugates(H)[1])):
+        for y, i in enumerate(G.conjugation_labels(G.conjugates(H, gens)[1])):
             if i == 0 and y not in H and orders[y] > 1 and is_p_number(orders[y], p):
                 break
         else:
@@ -140,7 +141,7 @@ def sylow(G: Group, p: int) -> Subgroup:
             )
         gens.append(y)
         H = G.closure_from_gen_ids(gens, H)
-    return Subgroup.from_ids(G, H)
+    return Subgroup.from_ids(G, H, gens)
 
 
 def sylow_conjugates(G: Group, p: int) -> list:
@@ -510,11 +511,10 @@ def _hall(G: Group, pi: frozenset):
     spent = 0
     visited = set()
 
-    def extend(H: frozenset):
+    def extend(H: frozenset, hgens: list):
         nonlocal spent
         if len(H) == target:
-            return H
-        hgens = Subgroup.from_ids(G, H).generating_ids()
+            return Subgroup.from_ids(G, H, hgens)
         for x in candidates:
             if x in H:
                 continue
@@ -524,19 +524,20 @@ def _hall(G: Group, pi: frozenset):
                     cap=HALL_BUDGET, partial=spent,
                 )
             spent += 1
-            K = G.closure_from_gen_ids(hgens + [x], H)
+            kgens = hgens + [x]
+            K = G.closure_from_gen_ids(kgens, H)
             if K in visited:
                 continue
             visited.add(K)
             if target % len(K) or not is_pi_number(len(K), pi):
                 continue
-            r = extend(K)
+            r = extend(K, kgens)
             if r is not None:
                 return r
         return None
 
-    r = extend(sylow(G, p0).ids)
-    return None if r is None else Subgroup.from_ids(G, r)
+    P = sylow(G, p0)
+    return extend(P.ids, P.generating_ids())
 
 
 @memo
@@ -550,6 +551,8 @@ def hall_conjugates(G: Group, H: Subgroup) -> list:
     Otherwise the conjugates are the orbit of :meth:`Group.conjugates`, listed
     by :meth:`Group.conjugation_labels` in first-appearance store order:
     ``H^g`` for ``g`` in store order, each conjugate where it first appears.
+    Each conjugate gets generating ids mapped down the orbit from
+    ``H.generating_ids()``, so none searches for its own.
     """
     if H.parent is not G:
         raise ValueError("subgroup does not belong to this group")
@@ -557,8 +560,9 @@ def hall_conjugates(G: Group, H: Subgroup) -> list:
         return [Subgroup.from_factors(G, c) for c in itertools.product(*parts)]
     if H.is_trivial():
         return [H]
-    orbit, act = G.conjugates(H.ids_in_store())
-    return [Subgroup.from_ids(G, orbit[i]) for i in dict.fromkeys(G.conjugation_labels(act))]
+    orbit, act, gens = G.conjugates(H.ids_in_store(), H.generating_ids())
+    first = dict.fromkeys(G.conjugation_labels(act))
+    return [Subgroup.from_ids(G, orbit[i], gens[i]) for i in first]
 
 
 # -- decomposability and the upper p-series -------------------------------------------
@@ -700,8 +704,10 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
     The found set is then closed under conjugation and holds every child of
     every member, so every chain still climbs inside it and the layering
     stays complete.  ``budget`` bounds the closures attempted; a spent
-    budget reports the subgroups found so far as ``partial``.  Every result
-    carries its memoised :meth:`Subgroup.generating_ids`.
+    budget reports the subgroups found so far as ``partial``.  Each result
+    keeps the generators it was built from as :meth:`Subgroup.generating_ids`
+    (unless an earlier route set them): ``hgens + [x]`` for a closed
+    ``<H, x>``, its orbit parent's conjugated for the rest of its class.
     """
     if G.order > max_order:
         raise CapExceeded(
@@ -743,14 +749,14 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 200) -
                         cap=budget,
                         partial=len(found),
                     )
-                K = G.closure_from_gen_ids(hgens + [x], hids)
+                kgens = hgens + [x]
+                K = G.closure_from_gen_ids(kgens, hids)
                 if K in found:
                     continue
-                new.append(Subgroup.from_ids(G, K))
-                for M in G.conjugates(K)[0]:
-                    found[M] = Subgroup.from_ids(G, M)
+                orbit, _act, gens = G.conjugates(K, kgens)
+                for M, mgens in zip(orbit, gens):
+                    found[M] = Subgroup.from_ids(G, M, mgens)
+                new.append(found[K])
         frontier = new
-    for S in found.values():
-        S.generating_ids()
     return sorted(found.values(), key=lambda S: (S.order, tuple(sorted(S.ids))))
 

@@ -32,10 +32,12 @@ def workload(name: str, trace: int) -> dict:
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     text = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, check=True).stdout
     clauses = dict(re.findall(r"\b(pass|fail) (\d+)", re.search(r"clauses: .*", text)[0]))
+    summary = json.loads(text.splitlines()[-1])
     return {"digest": re.search(r"outcome digest (\w+) ", text)[1],
             "clauses_decided": int(clauses["pass"]) + int(clauses["fail"]),
             "attempted": int(re.search(r"operations: (\d+) attempted", text)[1]),
-            "failures": [] if json.loads(text.splitlines()[-1])["correct"] else ["not correct"]}
+            "failures": ([] if summary["correct"] else ["not correct"])
+                        + ([f"{summary['failed']} operations failed"] if summary["failed"] else [])}
 
 
 def run(cases: list) -> dict:
@@ -65,15 +67,18 @@ def sweep(specs: list) -> dict:
 
 
 def lattice(spec: str) -> dict:
-    """The subgroups of a spec, and their conjugacy classes read as hall_conjugates."""
+    """The subgroups of a spec, each closed from the generating ids it carries,
+    and their conjugacy classes read as hall_conjugates."""
     G = constructions.parse_group_spec(spec)
     subs = structure.enumerate_subgroups(G, max_order=G.order)
+    carried = all(G.closure_from_gen_ids(S.generating_ids()) == S.ids for S in subs)
+    failures = [] if carried else ["a subgroup's generating ids close to another set"]
     seen, classes = set(), 0
     for H in subs:
         if H not in seen:
             classes += 1
             seen.update(structure.hall_conjugates(G, H))
-    failures = [] if seen == set(subs) else ["a conjugate lies outside the lattice"]
+    failures += [] if seen == set(subs) else ["a conjugate lies outside the lattice"]
     return {"subgroups": len(subs), "classes": classes, "failures": failures}
 
 

@@ -559,9 +559,9 @@ def test_theorem_a_clause_5_on_a_nontrivial_hall_subgroup(monkeypatch):
     walks = Counter()
     conjugates = Group.conjugates
 
-    def counted(self, ids):
+    def counted(self, ids, gen_ids):
         walks[self, frozenset(ids)] += 1
-        return conjugates(self, ids)
+        return conjugates(self, ids, gen_ids)
 
     monkeypatch.setattr(Group, "conjugates", counted)
     clause = [c for c in report_theorem_a(trivial, 2).clauses if c.clause.startswith("5:")]

@@ -404,9 +404,9 @@ def test_only_the_store_walk_multiplies_permutations(build, products):
     G.cayley()
     assert products[0] == 0
     for p in pi_of(G):
-        ids = sylow(G, p).ids
+        P = sylow(G, p)
         products[0] = 0
-        G.conjugation_labels(G.conjugates(ids)[1])
+        G.conjugation_labels(G.conjugates(P.ids, P.generating_ids())[1])
         assert products[0] == 0
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1045,8 +1046,11 @@ def test_factor_class_sizes_are_orbits_walked_on_the_parent(monkeypatch):
 # -- conjugation orbits against the all-elements loop -----------------------------------
 
 
+ORDER_480 = "subgroup(semilinear(2,4); g0, g1, g2^2)"
+
+
 def order_480():
-    return parse_group_spec("subgroup(semilinear(2,4); g0, g1, g2^2)")
+    return parse_group_spec(ORDER_480)
 
 
 def orbit_groups():
@@ -1069,9 +1073,10 @@ def brute_normaliser_ids(G, H):
     return [i for i, g in enumerate(G.elements) if {x.conjugate(g) for x in members} == members]
 
 
-def normaliser_ids(G, ids):
+def normaliser_ids(G, H):
     """``N_G(H)`` as ascending store ids: those labelled 0, as ``sylow`` reads it."""
-    return [g for g, i in enumerate(G.conjugation_labels(G.conjugates(ids)[1])) if i == 0]
+    labels = G.conjugation_labels(G.conjugates(H.ids, H.generating_ids())[1])
+    return [g for g, i in enumerate(labels) if i == 0]
 
 
 def orbit_cases(G):
@@ -1093,7 +1098,7 @@ def test_conjugates_and_normalisers_match_the_all_elements_loop(G):
         assert [frozenset(Q.members()) for Q in sylow_conjugates(G, p)] == expected
     for H in orbit_cases(G):
         assert [frozenset(Q.members()) for Q in hall_conjugates(G, H)] == brute_conjugates(G, H)
-        assert normaliser_ids(G, H.ids) == brute_normaliser_ids(G, H)
+        assert normaliser_ids(G, H) == brute_normaliser_ids(G, H)
     N = derived(G)
     assert 1 < N.order < G.order and len(hall_conjugates(G, N)) == 1
 
@@ -1104,8 +1109,10 @@ def test_conjugation_labels_match_permutation_conjugation(G):
     idx = {x: i for i, x in enumerate(els)}
     for p in pi_of(G):
         H = sylow(G, p)
-        orbit, act = G.conjugates(H.ids)
+        orbit, act, gens = G.conjugates(H.ids, H.generating_ids())
         assert orbit[0] == H.ids and len(set(orbit)) == len(orbit)
+        assert gens[0] == H.generating_ids()
+        assert [G.closure_from_gen_ids(g) for g in gens] == orbit
         assert len(act) == len(G.generators)
         for j, s in enumerate(G.generators):
             assert len(act[j]) == len(orbit)
@@ -1114,7 +1121,7 @@ def test_conjugation_labels_match_permutation_conjugation(G):
         label = G.conjugation_labels(act)
         for g, x in enumerate(els):
             assert orbit[label[g]] == {idx[h.conjugate(x)] for h in H.members()}
-        assert normaliser_ids(G, H.ids) == brute_normaliser_ids(G, H)
+        assert normaliser_ids(G, H) == brute_normaliser_ids(G, H)
         expected = [frozenset(map(idx.__getitem__, Q)) for Q in brute_conjugates(G, H)]
         assert [Q.ids for Q in hall_conjugates(G, H)] == expected
 
@@ -1507,10 +1514,62 @@ def test_enumerate_subgroups_matches_layered_closure(spec):
     found = {S.ids for S in subs}
     for S in subs:
         assert Subgroup.from_ids(G, S.ids) is S
-        assert S.generating_ids() == _small_generating_ids(G, S.ids)
+        assert_generating_ids_are_a_chain(S)
         for g in G.generators:
             conj = frozenset(G.element_id(G.elements[i].conjugate(g)) for i in S.ids)
             assert conj in found
+
+
+def prime_factor_count(n):
+    """Omega(n), the prime factors of n counted with multiplicity."""
+    count = 0
+    for p in prime_divisors(n):
+        while n % p == 0:
+            n, count = n // p, count + 1
+    return count
+
+
+def assert_generating_ids_are_a_chain(S):
+    """S's generating ids, whichever route gave them, generate S, and there
+    are at most Omega(|S|) of them, one per step of a chain of subgroups."""
+    gens = S.generating_ids()
+    assert S.parent.closure_from_gen_ids(gens) == S.ids
+    assert len(gens) <= prime_factor_count(S.order)
+
+
+@pytest.mark.parametrize("spec", ["symmetric(4)", "semilinear(2,3)", ORDER_480])
+def test_sylow_conjugates_carry_generating_ids(spec):
+    # Each conjugate is given its orbit parent's generating ids, conjugated.
+    G = parse_group_spec(spec)
+    conjugates = [Q for p in pi_of(G) for Q in hall_conjugates(G, sylow(G, p))]
+    assert len(conjugates) > len(pi_of(G))
+    for Q in conjugates:
+        assert_generating_ids_are_a_chain(Q)
+
+
+def test_enumerate_subgroups_carries_generators_and_searches_none(monkeypatch):
+    # Work-count guard: every enumerated subgroup keeps the generators the
+    # walk built it from, so on the 16 groups of the benchmark's sweep no
+    # greedy generating-set search runs (one per subgroup would be 380) and
+    # the only closures are the walk's own (with the searches, 1,310).
+    calls = Counter()
+    close, search = Group.closure_from_gen_ids, group_module._small_generating_ids
+
+    def counted_close(self, gen_ids, prefix=None):
+        calls["closure_from_gen_ids"] += 1
+        return close(self, gen_ids, prefix)
+
+    def counted_search(G, ids):
+        calls["_small_generating_ids"] += 1
+        return search(G, ids)
+
+    monkeypatch.setattr(Group, "closure_from_gen_ids", counted_close)
+    monkeypatch.setattr(group_module, "_small_generating_ids", counted_search)
+    specs = [spec for spec in SWEEP_SPECS if spec != "symmetric(5)"]
+    assert len(specs) == 16
+    subs = [S for spec in specs for S in enumerate_subgroups(parse_group_spec(spec))]
+    assert len(subs) == 380
+    assert calls == {"closure_from_gen_ids": 762}
 
 
 @pytest.mark.parametrize("spec", SWEEP_SPECS)
