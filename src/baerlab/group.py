@@ -13,9 +13,9 @@ centralisers are their blocks' own, so no permutation of the product is
 built or taken apart for them.  :meth:`Group.split` and :func:`join_blocks`
 are the one codec between a product's permutations and its block
 permutations; it serves elements only: membership, member lists, generating
-sets, element centralisers and the verifier's witnesses.  A class size is a
-centraliser's index (:func:`class_index`), so it takes no product branch of
-its own.
+sets, element centralisers and the verifier's witnesses.  The verifier
+reads class sizes off :meth:`Group.class_sizes`; :func:`class_index`, a
+centraliser's index, serves only the tests and the benchmark's tracer.
 
 A :class:`Subgroup` of G is ids into G's materialised store, or one factor
 per block of ``G.direct_factors``; its constructors enforce this.  So every
@@ -157,12 +157,11 @@ def _left_walk(gens, degree: int, cap: int) -> tuple:
 
     Each level is walked generator by generator, and for each generator over
     the level in walk order, so every element is composed once with every
-    generator: ``|G| * len(gens)`` compositions.  Returns ``(els, place,
-    maps, blocks)``: the elements' image tuples in walk order, ``place[x]``
-    the walk place of image tuple x, ``maps[j][w]`` the place of ``gens[j] *
-    els[w]``, and the spanning tree of the walk as blocks ``(j, parents)``,
-    each holding at consecutive places the new children ``gens[j] * a`` of
-    the parents at the places listed.
+    generator: ``|G| * len(gens)`` compositions.  Returns ``(els, maps,
+    blocks)``: the elements' image tuples in walk order, ``maps[j][w]`` the
+    place of ``gens[j] * els[w]``, and the spanning tree of the walk as
+    blocks ``(j, parents)``, each holding at consecutive places the new
+    children ``gens[j] * a`` of the parents at the places listed.
     """
     els = [tuple(range(degree))]
     place = {els[0]: 0}
@@ -190,7 +189,7 @@ def _left_walk(gens, degree: int, cap: int) -> tuple:
             if parents:
                 blocks.append((j, parents))
         lo = hi
-    return els, place, maps, blocks
+    return els, maps, blocks
 
 
 # -- the block codec of direct products -----------------------------------------
@@ -287,8 +286,7 @@ class Group:
         known = self.order_hint
         if known is not None:
             check_enumerable("group", known)
-        els, place, maps, blocks = _left_walk(self.generators, self.degree, ENUMERATION_CAP)
-        del place  # keyed by image tuples; freed before _index is built
+        els, maps, blocks = _left_walk(self.generators, self.degree, ENUMERATION_CAP)
         if known is not None and len(els) != known:
             raise InternalInvariantViolation(
                 f"closure size {len(els)} contradicts declared order {known}"
@@ -853,7 +851,7 @@ class Subgroup:
 
         A route that builds the subgroup from generators gives them through
         :meth:`from_ids`: the trivial subgroup's empty list, the Sylow
-        and Hall searches', ``hgens + [x]`` in ``enumerate_subgroups``, and
+        search's, ``hgens + [x]`` in ``enumerate_subgroups``, and
         for a conjugate its orbit parent's mapped by :meth:`Group.conjugates`.
         Any other subgroup (the full one, a meet, centraliser or core) gets
         the greedy :func:`_small_generating_ids` when first asked.  Set once,

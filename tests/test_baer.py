@@ -278,19 +278,20 @@ def test_camina_camina_fails_when_the_second_fitting_term_is_wrong(monkeypatch):
     assert clause.witness == {"element": "(1 2)", "index": 3}
 
 
-def test_a_spent_hall_budget_skips_theorem_a(monkeypatch):
-    # At p = 2 clause 5 searches for a Hall {3,7}-subgroup of this materialised
-    # group of order 168; a spent budget skips the report, it does not fail it.
+def test_a_hall_pair_past_the_lattice_gate_skips_theorem_a():
+    # At p = 2 clause 5 reads a Hall {3,7}-subgroup of the materialised group
+    # of order 168 from its lattice.  With a C9 factor the group has order
+    # 1,512, past the lattice's order gate, so the report is skipped, not failed.
     spec = "subgroup(product(dihedral(8),frobenius(7,3)); g0, g1, g2, g3)"
-    monkeypatch.setattr(structure, "HALL_BUDGET", 0)
-    report = report_theorem_a(Factorisation.trivial(parse_group_spec(spec)), 2)
-    [clause] = report.clauses
-    assert (clause.clause, clause.verdict) == ("cap", SKIPPED)
-    assert (clause.witness["cap"], clause.witness["partial"]) == (0, 0)
-    monkeypatch.undo()
     report = report_theorem_a(Factorisation.trivial(parse_group_spec(spec)), 2)
     witness = {"sides": ["A", "B"], "hall_order": 21}
     assert report_rows(report)[4] == ("A", 2, "5:sylow-part-centralises-hall", PASS, repr(witness))
+    spec = "subgroup(product(dihedral(8),frobenius(7,3),cyclic(9)); g0, g1, g2, g3, g4)"
+    F = Factorisation.trivial(parse_group_spec(spec))
+    assert F.group.order == 1512 and baer.is_p_baer(F, 2).is_p_baer
+    [clause] = report_theorem_a(F, 2).clauses
+    assert (clause.clause, clause.verdict) == ("cap", SKIPPED)
+    assert (clause.witness["cap"], clause.witness["partial"]) == (1296, None)
 
 
 def conclusions(check, *args) -> dict:
@@ -539,9 +540,9 @@ def test_theorem_a_clause_6_floor_on_every_factorisation_of_d8_x_f21():
 def test_theorem_a_clause_5_on_a_nontrivial_hall_subgroup(monkeypatch):
     # Clause 5 needs a Sylow intersection that does not centralise O_p(G);
     # on this group of order 168 the Hall 2'-subgroup it commutes with has
-    # order 21, so the Hall search and the commutation test both run.  The
-    # factorisations are the sweep's: the trivial one and every pair of
-    # proper subgroups with |A||B| = |G||A n B|.
+    # order 21, so hall reads it from the lattice and the commutation test
+    # runs.  The factorisations are the sweep's: the trivial one and every
+    # pair of proper subgroups with |A||B| = |G||A n B|.
     G = parse_group_spec("subgroup(product(dihedral(8),frobenius(7,3)); g0, g1, g2, g3)")
     assert G.order == 168
     trivial = Factorisation.trivial(G)

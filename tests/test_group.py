@@ -435,13 +435,13 @@ def permutation_walk(gens, degree, cap):
             if parents:
                 blocks.append((j, parents))
         lo = hi
-    return els, place, maps, blocks
+    return els, maps, blocks
 
 
 def assert_walks_agree(gens, degree, cap):
     gens, _ = _dedup_generators(gens, degree)
     try:
-        els, place, maps, blocks = permutation_walk(gens, degree, cap)
+        els, maps, blocks = permutation_walk(gens, degree, cap)
     except CapExceeded as want:
         for walk in (
             functools.partial(_left_walk, gens, degree, cap),
@@ -453,9 +453,8 @@ def assert_walks_agree(gens, degree, cap):
         return
     walk = _left_walk(gens, degree, cap)
     assert walk[0] == [x.images for x in els]
-    assert walk[1] == {x.images: w for x, w in place.items()}
-    assert walk[2:] == (maps, blocks)
-    assert sum(map(len, walk[2])) == len(els) * len(gens)
+    assert walk[1:] == (maps, blocks)
+    assert sum(map(len, walk[1])) == len(els) * len(gens)
     assert closure(gens, cap, degree=degree) == els
 
 

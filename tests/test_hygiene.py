@@ -576,8 +576,6 @@ def test_check_shape_detectors():
 
 # Engine entry points with no caller in the package, each with its reader.
 ENTRY_POINTS = frozenset({
-    # builds the factorisation corpora of the benchmark and the tests
-    "enumerate_subgroups",
     # named by the benchmark tracer's layers; they leave with the benchmark
     # change that drops the tracer's zero-call layers
     "conjugacy_class", "class_index",

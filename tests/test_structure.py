@@ -16,6 +16,7 @@ from baerlab.constructions import (
     semilinear,
     subgroup_from_words,
     symmetric,
+    wreath,
 )
 from baerlab.errors import CAYLEY_CELL_BUDGET, CapExceeded, InternalInvariantViolation
 from baerlab.group import (
@@ -395,32 +396,43 @@ def test_hall_examples():
     assert H is not None and H.order == 21
     assert members_set(hall(S, pi_of(S))) == set(S.elements)
     assert hall(G, {5}).order == 1
+    assert hall(symmetric(5), {2, 3}).order == 24
+    # symmetric(6) (order 720) has no Hall subgroup of order 144, 80 or 45.
+    S6 = symmetric(6)
+    for pi in ({2, 3}, {2, 5}, {3, 5}):
+        assert hall(S6, pi) is None, pi
 
 
-def test_a_spent_hall_budget_is_a_cap_and_none_a_proven_absence(monkeypatch):
-    # symmetric(5) has no Hall {2,5}-subgroup; the search from one Sylow
-    # 5-subgroup proves it in 72 budgeted closures.  One fewer is a cap, never a None.
-    monkeypatch.setattr(structure, "HALL_BUDGET", 3)
-    with pytest.raises(CapExceeded) as exc:
-        hall(symmetric(5), {2, 5})
-    assert (exc.value.cap, exc.value.partial) == (3, 3)
-    monkeypatch.setattr(structure, "HALL_BUDGET", 71)
-    with pytest.raises(CapExceeded) as exc:
-        hall(symmetric(5), {2, 5})
-    assert (exc.value.cap, exc.value.partial) == (71, 71)
-    monkeypatch.setattr(structure, "HALL_BUDGET", 72)
-    assert hall(symmetric(5), {2, 5}) is None
+def test_hall_past_the_lattice_gate_is_a_cap_and_none_a_proven_absence(monkeypatch):
+    # symmetric(5) has no Hall {2,5}- or {3,5}-subgroup, which its complete
+    # lattice proves; the memoised None is returned without a second lattice.
+    G = symmetric(5)
+    assert hall(G, {2, 5}) is None and hall(G, {3, 5}) is None
+    monkeypatch.setattr(structure, "enumerate_subgroups", None)
+    assert hall(G, {2, 5}) is None and hall(G, {3, 5}) is None
     monkeypatch.undo()
-    assert hall(symmetric(5), {2, 5}) is None
+    # symmetric(7) is past the lattice's order gate: a cap, never a None,
+    # raised before its store is built.
+    S7 = symmetric(7)
+    for _ in range(2):
+        with pytest.raises(CapExceeded) as exc:
+            hall(S7, {2, 5})
+        assert exc.value.cap == 1296
+    assert not S7.is_materialized
 
 
-def test_hall_p_prime_in_soluble_groups():
-    for G in [symmetric(3), dihedral(10), symmetric(4), frobenius(11, 5), sym3_x_d10()]:
-        for p in pi_of(G):
-            pi = set(pi_of(G)) - {p}
-            H = hall(G, pi)
-            assert H is not None, (G.name, p)
-            assert H.order == G.order // p_part(G.order, p)
+def test_hall_subgroups_of_soluble_groups_for_every_pi():
+    whole = sym3_x_d10()
+    whole.materialize()
+    groups = [symmetric(3), symmetric(4), dihedral(10), frobenius(11, 5),
+              semilinear(2, 3), order_480(), sym3_x_d10(), whole]
+    for G in groups:
+        primes = pi_of(G)
+        for k in range(1, len(primes) + 1):
+            for pi in itertools.combinations(primes, k):
+                H = hall(G, pi)
+                assert H is not None, (G.name, pi)
+                assert H.order == pi_part(G.order, pi), (G.name, pi)
 
 
 # -- decomposability and p-series --------------------------------------------------------
@@ -1332,14 +1344,18 @@ def test_enumerate_subgroups_counts():
     assert len(enumerate_subgroups(symmetric(3))) == 6
     assert len(enumerate_subgroups(dihedral(10))) == 8
     # Subgroups and their conjugacy classes: OEIS A005432 and A000638.
-    for G, count, classes, max_order in (
-        (symmetric(4), 30, 11, 200),
-        (symmetric(5), 156, 19, 200),
-        (symmetric(6), 1455, 56, 720),
+    for G, count, classes in (
+        (symmetric(4), 30, 11),
+        (symmetric(5), 156, 19),
+        (symmetric(6), 1455, 56),
         # Not symmetric: the class walk of Group.conjugates on semilinear(2,4).
-        (semilinear(2, 4), 990, 44, 960),
+        (semilinear(2, 4), 990, 44),
+        # Orders 576, 1,296 and 480, inside the default order gate.
+        (direct_product([symmetric(4), symmetric(4)]), 2976, 274),
+        (wreath(symmetric(3), symmetric(3), "natural"), 4164, 176),
+        (direct_product([symmetric(4), frobenius(5, 4)]), 912, 112),
     ):
-        subs = enumerate_subgroups(G, max_order=max_order)
+        subs = enumerate_subgroups(G)
         assert (len(subs), conjugacy_class_count(G, subs)) == (count, classes)
 
 
@@ -1660,6 +1676,11 @@ def test_enumerate_subgroups_against_generated_subgroups():
 def test_enumerate_subgroups_respects_bound():
     with pytest.raises(CapExceeded):
         enumerate_subgroups(sym3_x_d10(), max_order=50)
+    S7 = symmetric(7)
+    with pytest.raises(CapExceeded) as exc:
+        enumerate_subgroups(S7)
+    assert exc.value.cap == 1296
+    assert not S7.is_materialized
 
 
 def test_lattice_invariants():
