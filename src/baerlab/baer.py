@@ -16,6 +16,15 @@ means an engine bug, since the conclusions are established facts.  The
 conclusions alone are the check's ``__wrapped__``.  Witness lists are
 canonically sorted so reports are byte-reproducible.
 
+Past its hypotheses, most of Theorems A, B and E speaks of G and a Sylow
+p-subgroup P alone, so those clauses are rows memoised on what they read and
+copied into each report: Theorem A's clauses 1-4 on P, Theorem B's two core
+clauses on P and {q, r}, all of Theorem E on G and p, and the all-prime-power
+right-hand side of :func:`check_p_index_decomposition` on G and p.  A group's
+many factorisations work them out once per Sylow subgroup or prime.  What is
+left per factorisation reads A and B: the hypotheses, the prefactorised Sylow
+subgroup, the unique primes, the left-hand sides and Theorem A's clauses 5-6.
+
 Facts read from one factor are memoised on that subgroup by
 :func:`~baerlab.group.memo`, so every factorisation with the same side
 shares them: its index profiles, statuses and primes, and its meets with G's
@@ -49,10 +58,10 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import CapExceeded, InternalInvariantViolation
-from .group import Group, Subgroup, centraliser, join_blocks, memo
+from .group import Group, Subgroup, centraliser, compiled, join_blocks, memo
 from .numth import is_p_number, is_prime_power, pi_part, prime_divisors
 from .perm import Permutation, format_cycles
-from .reporting import NOT_APPLICABLE, SKIPPED, TheoremReport
+from .reporting import NOT_APPLICABLE, SKIPPED, TheoremReport, row
 from .structure import (
     Factorisation,
     central_quotient,
@@ -81,7 +90,7 @@ from .structure import (
 # -- data types -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndexWitness:
     element: Permutation
     locus: str
@@ -97,7 +106,7 @@ class IndexWitness:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class BaerStatus:
     """Verdict of a p-Baer or Baer test, with index witnesses.
 
@@ -118,7 +127,7 @@ class BaerStatus:
         return self.is_p_baer if self.prime is not None else self.is_baer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UniquePrimes:
     """The index primes of the p-elements on each side of a factorisation.
 
@@ -337,44 +346,48 @@ def unique_primes(F: Factorisation, p: int) -> UniquePrimes | None:
 def _check(theorem: str, hypothesis=None):
     """Give a check its one shape: ``hypothesis => conclusions``.
 
-    The decorated ``conclusions(report, *args)`` records its clauses on the
-    report.  The check is called with ``*args`` and returns a
-    ``TheoremReport(theorem, p)``, p being the argument named ``p`` (None
-    when there is none):
+    The decorated ``conclusions(report, ...)`` records its clauses on the
+    report.  The check takes the conclusions' parameters after ``report``,
+    defaults included, and returns a ``TheoremReport(theorem, p)``, p being
+    the argument named ``p`` (None when there is none):
 
-    * when ``hypothesis(*args)`` returns a reason, the report is one
-      ``hypotheses`` clause, ``not-applicable``;
+    * when ``hypothesis``, called with the same arguments, returns a reason,
+      the report is one ``hypotheses`` clause, ``not-applicable``;
     * when either raises :class:`CapExceeded`, it is one ``cap`` clause,
       ``skipped``, whose witness carries the message, the cap and the
       partial count; any other exception, in particular
       :class:`InternalInvariantViolation`, propagates;
     * otherwise it holds the conclusions' clauses.
 
-    ``__wrapped__`` runs the conclusions whatever the hypotheses.  The
-    position of ``p`` is found once per check, not per call.
+    The check is compiled once from the conclusions' parameter list, as
+    :func:`~baerlab.group.memo` is (:func:`~baerlab.group.compiled`): Python
+    binds each call, the report's prime is the check's own ``p`` parameter,
+    and no ``*args, **kwargs`` are packed or unpacked.  ``__wrapped__`` runs
+    the conclusions whatever the hypotheses.
     """
 
     def decorate(conclusions):
         code = conclusions.__code__
         params = code.co_varnames[1 : code.co_argcount]
-        at = params.index("p") if "p" in params else len(params)
-
-        @functools.wraps(conclusions)
-        def run(*args, **kwargs):
-            report = TheoremReport(theorem, args[at] if at < len(args) else kwargs.get("p"))
-            try:
-                reason = hypothesis and hypothesis(*args, **kwargs)
-                if reason:
-                    report.add("hypotheses", NOT_APPLICABLE, reason)
-                else:
-                    conclusions(report, *args, **kwargs)
-            except CapExceeded as exc:
-                report.clauses = []
-                report.add("cap", SKIPPED,
-                           {"message": str(exc), "cap": exc.cap, "partial": exc.partial})
-            return report
-
-        return run
+        args = ", ".join(params)
+        body = (
+            f"    _report = _TheoremReport(_theorem, {'p' if 'p' in params else 'None'})\n"
+            "    try:\n"
+            f"        _reason = {f'_hypothesis({args})' if hypothesis else 'None'}\n"
+            "        if _reason:\n"
+            "            _report.add('hypotheses', _NOT_APPLICABLE, _reason)\n"
+            "        else:\n"
+            f"            _conclusions(_report, {args})\n"
+            "    except _CapExceeded as _exc:\n"
+            "        _report.clauses = []\n"
+            "        _report.add('cap', _SKIPPED, {'message': str(_exc), 'cap': _exc.cap,\n"
+            "                                      'partial': _exc.partial})\n"
+            "    return _report\n"
+        )
+        scope = {"_TheoremReport": TheoremReport, "_theorem": theorem, "_hypothesis": hypothesis,
+                 "_conclusions": conclusions, "_CapExceeded": CapExceeded,
+                 "_NOT_APPLICABLE": NOT_APPLICABLE, "_SKIPPED": SKIPPED}
+        return compiled(conclusions, params, body, scope)
 
     return decorate
 
@@ -441,6 +454,32 @@ def check_theorem_f_equivalence(report: TheoremReport, F: Factorisation) -> None
 # -- structural consequences of a p-Baer factorisation -----------------------------------
 
 
+@memo
+def _theorem_a_rows(P: Subgroup, p: int) -> tuple:
+    """Theorem A's clauses 1-4 as rows, which read only G = P.parent and its
+    Sylow p-subgroup P; memoised on P per prime."""
+    G = P.parent
+    Op = o_p(G, p)
+    C = centraliser(G, Op)
+    Fit = fitting(G)
+    pf = product_with_normal(G, P, Fit)
+    popp = product_with_normal(G, P, o_pi(G, set(pi_of(G)) - {p}))
+    series = upper_p_series(G, p)
+    return (
+        row("1:central-quotient-p-decomposable", is_p_decomposable(G, p, over=C),
+            {"quotient_order": G.order // C.order}),
+        row("2:sylow-core-products-normal-p-soluble",
+            is_normal(G, pf) and is_normal(G, popp)
+            and series.is_p_soluble and series.p_length <= 1,
+            {"PF_order": pf.order, "POpprime_order": popp.order,
+             "p_length": series.p_length, "p_soluble": series.is_p_soluble}),
+        row("3:sylow-of-fitting-quotient-abelian", is_abelian(P, over=Op),
+            {"quotient_order": G.order // Fit.order}),
+        row("4:sylow-abelian-iff-core-abelian", is_abelian(P) == is_abelian(Op),
+            {"sylow_abelian": is_abelian(P), "core_abelian": is_abelian(Op)}),
+    )
+
+
 @_check("A", _p_baer)
 def report_theorem_a(report: TheoremReport, F: Factorisation, p: int) -> None:
     """Structure forced by a p-Baer factorisation.
@@ -452,30 +491,14 @@ def report_theorem_a(report: TheoremReport, F: Factorisation, p: int) -> None:
     ``O_p(G)`` is; (5) a Sylow intersection not centralising ``O_p(G)``
     centralises every Hall p'-subgroup, which exists as G is p-soluble; (6)
     if both factors have non-abelian Sylow p-subgroups, G is p-decomposable.
-    Clauses 1 and 3 are read in G.
+    Clauses 1 and 3 are read in G; clauses 1-4 are P's rows
+    (:func:`_theorem_a_rows`).
     """
     G = F.group
     P, PA, PB = find_prefactorised_sylow(F, p)
-    Op = o_p(G, p)
-    C = centraliser(G, Op)
-    report.check("1:central-quotient-p-decomposable", is_p_decomposable(G, p, over=C),
-                 {"quotient_order": G.order // C.order})
+    report.extend(_theorem_a_rows(P, p))
 
-    Fit = fitting(G)
-    pf = product_with_normal(G, P, Fit)
-    popp = product_with_normal(G, P, o_pi(G, set(pi_of(G)) - {p}))
-    series = upper_p_series(G, p)
-    report.check(
-        "2:sylow-core-products-normal-p-soluble",
-        is_normal(G, pf) and is_normal(G, popp) and series.is_p_soluble and series.p_length <= 1,
-        {"PF_order": pf.order, "POpprime_order": popp.order,
-         "p_length": series.p_length, "p_soluble": series.is_p_soluble},
-    )
-    report.check("3:sylow-of-fitting-quotient-abelian", is_abelian(P, over=Op),
-                 {"quotient_order": G.order // Fit.order})
-    report.check("4:sylow-abelian-iff-core-abelian", is_abelian(P) == is_abelian(Op),
-                 {"sylow_abelian": is_abelian(P), "core_abelian": is_abelian(Op)})
-
+    C = centraliser(G, o_p(G, p))
     applicable = [(locus, PX) for locus, PX in (("A", PA), ("B", PB)) if not PX.subset_of(C)]
     if not applicable:
         report.add("5:sylow-part-centralises-hall", NOT_APPLICABLE,
@@ -499,6 +522,26 @@ def report_theorem_a(report: TheoremReport, F: Factorisation, p: int) -> None:
         report.check("6:nonabelian-factor-sylows-force-decomposition", is_p_decomposable(G, p))
 
 
+@memo
+def _theorem_b_rows(P: Subgroup, qr: frozenset) -> tuple:
+    """Theorem B's clauses on P and the index primes ``qr`` as rows: P
+    centralises the {q,r}-complement of F(G), and ``P O_q(G) O_r(G)`` is
+    normal, G being P.parent; memoised on P per prime set."""
+    G = P.parent
+    # F(G) is nilpotent, so its {q,r}-complement is the product of the cores
+    # O_s(G), s in pi(F(G)) - {q, r}: each is the Sylow s-subgroup of F(G).
+    cores = [o_p(G, s) for s in prime_divisors(fitting(G).order) if s not in qr]
+    CP = centraliser(G, P)
+    K = P
+    for s in sorted(qr):
+        K = product_with_normal(G, K, o_p(G, s))
+    return (
+        row("centralises-fitting-complement", all(core.subset_of(CP) for core in cores),
+            {"complement_order": math.prod(core.order for core in cores)}),
+        row("sylow-core-product-normal", is_normal(G, K), {"product_order": K.order}),
+    )
+
+
 @_check("B", _p_baer)
 def report_theorem_b(report: TheoremReport, F: Factorisation, p: int) -> None:
     """Index-prime structure of a p-Baer factorisation.
@@ -516,21 +559,8 @@ def report_theorem_b(report: TheoremReport, F: Factorisation, p: int) -> None:
         return
     G = F.group
     present = [x for x in (up.q, up.r) if x is not None]
-    qr = set(present) or {p}
-
     P = find_prefactorised_sylow(F, p)[0]
-    # F(G) is nilpotent, so its {q,r}-complement is the product of the cores
-    # O_s(G), s in pi(F(G)) - {q, r}: each is the Sylow s-subgroup of F(G).
-    cores = [o_p(G, s) for s in prime_divisors(fitting(G).order) if s not in qr]
-    CP = centraliser(G, P)
-    report.check("centralises-fitting-complement",
-                 all(core.subset_of(CP) for core in cores),
-                 {"complement_order": math.prod(core.order for core in cores)})
-
-    K = P
-    for s in sorted(qr):
-        K = product_with_normal(G, K, o_p(G, s))
-    report.check("sylow-core-product-normal", is_normal(G, K), {"product_order": K.order})
+    report.extend(_theorem_b_rows(P, frozenset(present or [p])))
 
     if not present:
         report.add("1:q-equals-r-equals-p", NOT_APPLICABLE, "no noncentral p-element in either factor")
@@ -611,27 +641,33 @@ def check_factor_inheritance(report: TheoremReport, F: Factorisation) -> None:
     report.check("2:factors-are-baer-groups", all(side[2] for _locus, side in sides))
 
 
-@_check("E", _baer)
-def report_theorem_e(report: TheoremReport, F: Factorisation, p: int) -> None:
-    """Centraliser index of a Sylow subgroup in a Baer factorisation: at most
-    two primes divide ``|G : C_G(P)|`` (avoiding p when P is abelian), and the
-    quotient by ``C_G(O_p(G))`` is p-decomposable with an abelian p-complement
-    touched by at most two primes, read in G (:func:`central_quotient`)."""
-    G = F.group
+@memo
+def _theorem_e_rows(G: Group, p: int) -> tuple:
+    """Theorem E's clauses as rows, which read only G and p; memoised on G per prime."""
     P = sylow(G, p)
     idx = G.order // centraliser(G, P).order
     primes = set(prime_divisors(idx))
     witness = {"index": idx, "primes": sorted(primes)}
     if is_abelian(P):
-        report.add("1:nonabelian-sylow-index", NOT_APPLICABLE, "Sylow p-subgroup is abelian")
-        report.check("2:abelian-sylow-index", p not in primes and len(primes) <= 2, witness)
+        sylow_rows = (("1:nonabelian-sylow-index", NOT_APPLICABLE, "Sylow p-subgroup is abelian"),
+                      row("2:abelian-sylow-index", p not in primes and len(primes) <= 2, witness))
     else:
-        report.check("1:nonabelian-sylow-index", len(primes - {p}) <= 1, witness)
-        report.add("2:abelian-sylow-index", NOT_APPLICABLE, "Sylow p-subgroup is not abelian")
-
+        sylow_rows = (row("1:nonabelian-sylow-index", len(primes - {p}) <= 1, witness),
+                      ("2:abelian-sylow-index", NOT_APPLICABLE, "Sylow p-subgroup is not abelian"))
     ok, quotient_order, complement_order = central_quotient(G, p)
-    report.check("3:central-quotient-shape", ok and len(prime_divisors(complement_order)) <= 2,
-                 {"quotient_order": quotient_order, "complement_order": complement_order})
+    return (*sylow_rows,
+            row("3:central-quotient-shape", ok and len(prime_divisors(complement_order)) <= 2,
+                {"quotient_order": quotient_order, "complement_order": complement_order}))
+
+
+@_check("E", _baer)
+def report_theorem_e(report: TheoremReport, F: Factorisation, p: int) -> None:
+    """Centraliser index of a Sylow subgroup in a Baer factorisation: at most
+    two primes divide ``|G : C_G(P)|`` (avoiding p when P is abelian), and the
+    quotient by ``C_G(O_p(G))`` is p-decomposable with an abelian p-complement
+    touched by at most two primes, read in G (:func:`central_quotient`); all
+    G's rows (:func:`_theorem_e_rows`)."""
+    report.extend(_theorem_e_rows(F.group, p))
 
 
 # -- coprime direct decompositions ------------------------------------------------------
@@ -812,6 +848,12 @@ def check_pq_baer(report: TheoremReport, F: Factorisation, p: int, q: int) -> No
         report.add("b:normal-hall-pq", NOT_APPLICABLE, "q differs from r")
 
 
+@memo
+def _decomposed_with_abelian_complement(G: Group, p: int) -> bool:
+    """Whether ``G = O_p(G) x O_{p'}(G)`` with ``O_{p'}(G)`` abelian; memoised on G per prime."""
+    return is_p_decomposable(G, p) and is_abelian(o_pi(G, set(pi_of(G)) - {p}))
+
+
 @_check("p-index-decomposition")
 def check_p_index_decomposition(report: TheoremReport, F: Factorisation, p: int,
                                 scope: str = "p-elements") -> None:
@@ -834,7 +876,7 @@ def check_p_index_decomposition(report: TheoremReport, F: Factorisation, p: int,
         report.check("biconditional-p-elements", lhs == rhs,
                      {"all_indices_p_numbers": lhs, "p_decomposable": rhs})
         return
-    rhs = is_p_decomposable(G, p) and is_abelian(o_pi(G, set(pi_of(G)) - {p}))
+    rhs = _decomposed_with_abelian_complement(G, p)
     report.check("biconditional-prime-power", lhs == rhs,
                  {"all_indices_p_numbers": lhs, "decomposed_with_abelian_complement": rhs})
     if is_baer(F).is_baer:

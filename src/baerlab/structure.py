@@ -419,11 +419,8 @@ class Factorisation:
     def __init__(self, group: Group, a: Subgroup, b: Subgroup):
         if a.parent is not group or b.parent is not group:
             raise ValueError("factors must be subgroups of the factorised group")
-        if a.order * b.order != group.order * a.intersection(b).order:
-            raise ValueError(
-                f"|A|*|B|/|AnB| = {a.order * b.order // a.intersection(b).order} "
-                f"!= |G| = {group.order}: not a factorisation"
-            )
+        if (ab := a.product_order(b)) != group.order:
+            raise ValueError(f"|A|*|B|/|AnB| = {ab} != |G| = {group.order}: not a factorisation")
         self.group = group
         self.a = a
         self.b = b

@@ -8,6 +8,7 @@ no failed operation or output check; the runner exits 1 if any row does not.
 """
 
 import gc
+import hashlib
 import json
 import os
 import re
@@ -15,6 +16,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -46,6 +48,35 @@ def run(cases: list) -> dict:
     failures = out.check_failures() + ([f"{out.failed} operations failed"] if out.failed else [])
     return {"digest": out.digest(), "clauses_decided": out.clauses_decided,
             "attempted": out.attempted, "failures": failures}
+
+
+def answer(result) -> object:
+    """What one battery operation gave, in JSON: a report's clauses (its
+    ``overall`` is a function of their verdicts and is left out), a status's
+    verdict and witnesses, or a decomposition's prime partition."""
+    if isinstance(result, battery.TheoremReport):
+        return {k: v for k, v in result.to_json_dict().items() if k != "overall"}
+    if isinstance(result, battery.baer.BaerStatus):
+        return {"prime": result.prime, "is_p_baer": result.is_p_baer, "is_baer": result.is_baer,
+                "per_prime": result.per_prime,
+                "witnesses": [w.to_json_dict() for w in result.witnesses]}
+    return None if result is None else result.prime_partition
+
+
+def answers(name: str) -> dict:
+    """The battery on a seed-1 workload, in-process, with a digest of the
+    sorted JSON of every operation's answer (:func:`answer`) by where it ran."""
+    texts, call = [], battery.Outcome.call
+
+    def recorded(self, where, theorem, prime, fn, *args):
+        result = call(self, where, theorem, prime, fn, *args)
+        texts.append(json.dumps([where, theorem, prime, answer(result)], sort_keys=True))
+        return result
+
+    with mock.patch.object(battery.Outcome, "call", recorded):
+        got = run(battery.setup(name, 1))
+    texts.sort()
+    return {**got, "answers": hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16]}
 
 
 def trivial(spec: str) -> dict:
@@ -89,6 +120,12 @@ ROWS = [
                          ("quotient-wall", "35b5ee830c0fb75a", 69, 105),
                          ("direct-products", "77408b56ee475268", 191, 193))
       for t in (0, 1)),
+    *((f"{w} answers", lambda w=w: answers(w),
+       {"digest": d, "clauses_decided": c, "attempted": a, "answers": h})
+      for w, d, c, a, h in (
+          ("subgroup-sweep", "10cd322943b56ba5", 14849, 18042, "b34ff14d0849e201"),
+          ("quotient-wall", "35b5ee830c0fb75a", 69, 105, "8c0172b8abe3ce8a"),
+          ("direct-products", "77408b56ee475268", 191, 193, "826a57f6664b9583"))),
     ("semilinear(2,7)", lambda: trivial("semilinear(2,7)"),
      {"digest": "08d242726cd56bb7", "clauses_decided": 22, "attempted": 35}),
     ("S7 x C2", lambda: trivial("subgroup(product(symmetric(7),cyclic(2)); g0, g1, g2)"),

@@ -27,7 +27,7 @@ from baerlab.errors import (
 from baerlab.group import Group, Subgroup, centraliser, memo
 from baerlab.numth import is_p_number, is_prime_power, p_part, prime_divisors
 from baerlab.perm import Permutation, format_cycles, parse_cycles
-from baerlab.reporting import FAIL, NOT_APPLICABLE, PASS, SKIPPED, TheoremReport
+from baerlab.reporting import FAIL, NOT_APPLICABLE, PASS, SKIPPED, ClauseResult, TheoremReport
 from baerlab.structure import (
     Factorisation,
     enumerate_subgroups,
@@ -289,8 +289,9 @@ def test_a_hall_pair_past_the_lattice_gate_skips_theorem_a():
     spec = "subgroup(product(dihedral(8),frobenius(7,3),cyclic(9)); g0, g1, g2, g3, g4)"
     F = Factorisation.trivial(parse_group_spec(spec))
     assert F.group.order == 1512 and baer.is_p_baer(F, 2).is_p_baer
-    [clause] = report_theorem_a(F, 2).clauses
-    assert (clause.clause, clause.verdict) == ("cap", SKIPPED)
+    report = report_theorem_a(F, 2)
+    [clause] = report.clauses
+    assert (clause.clause, clause.verdict, report.overall) == ("cap", SKIPPED, SKIPPED)
     assert (clause.witness["cap"], clause.witness["partial"]) == (1296, None)
 
 
@@ -775,10 +776,10 @@ def group_output_lines(G) -> list:
 
 
 @pytest.mark.parametrize("spec, digest", [
-    ("semilinear(2,3)", "568e315432d36bb11fad7cd0a4f33df33647e5c1b4570dc600f9cfe0711188b6"),
-    ("dihedral(12)", "63b360ca440d9f4688b9deaa02ace3d36512b498aa43cc8ab097bea3f52f27ee"),
-    ("symmetric(4)", "6f3891c74fb067da9ee217ebf95ec5003938d1b21939762a93e4387d16d7dbc1"),
-    ("frobenius(7,3)", "dac380ede25eaa21b2ae7612135347a8977ac346fec90457edefd31d223a9f80"),
+    ("semilinear(2,3)", "c3d005e36cc86c72ad8bd2187166d857ecac857dd6673457654593f2bd0d09a5"),
+    ("dihedral(12)", "33b51a880b2cb950eae4706d2289ef63f1d0f7d4b55ef052415ccb147b0f2c1a"),
+    ("symmetric(4)", "ac69f49b837687848ada30993cf7a0504f051382a6ba94ec4524bb8b2eb6451e"),
+    ("frobenius(7,3)", "a3bf626b2a11c54a252757a2b02397992c903df8d84077857689969fa618209e"),
 ])
 def test_every_output_on_every_factorisation_is_pinned(spec, digest):
     # Golden output: the sha256 of every report, witness and status over
@@ -801,7 +802,7 @@ def test_every_output_on_lazy_products_is_pinned():
         lines += output_lines(F)
         assert not F.group.is_materialized
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "afab19144ff1c285045c92258a1a419f8b4d6d6d6589592f7731f3d2752fd1e1"
+        "88b78a01ab50ad32a6528ca3ba3cef3d4360c8b932bd6d3c3098fecf70412ec6"
     )
 
 
@@ -854,7 +855,7 @@ def test_every_output_near_the_top_of_the_cell_budget_is_pinned():
     assert G.order == 2160 and G.order**2 <= CAYLEY_CELL_BUDGET
     lines = output_lines(Factorisation.trivial(G)) + group_output_lines(G)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "26fa9897c4fc99fa4b7ba68eba0e30217c527b701e2b998f2cdf519cf1a6c140"
+        "6184394f09c9f80058a6f44c7113147b923af24661e063d20552698d96f855ad"
     )
 
 
@@ -920,8 +921,10 @@ def test_sylow_meets_are_taken_once_per_side(monkeypatch):
     # Work-count guard: every check on the 302 factorisations of
     # semilinear(2,3), and its group checks, read each side's meets with G's
     # Sylow subgroups from the side's memo (structure.sylow_meets).  That is
-    # 4,757 calls to Subgroup.intersection, down from 12,457 when each
-    # factorisation intersected its own sides with the Sylow conjugates.
+    # 3,848 calls to Subgroup.intersection, down from 12,457 when each
+    # factorisation intersected its own sides with the Sylow conjugates, and
+    # from 4,757 when Subgroup.product_order, and so the search for a
+    # prefactorised Sylow subgroup, built the meet it counts.
     G = semilinear(2, 3)
     subs = enumerate_subgroups(G)
     factorisations = [Factorisation(G, subs[i], subs[j]) for i, j in factorisation_pairs(G)]
@@ -937,7 +940,7 @@ def test_sylow_meets_are_taken_once_per_side(monkeypatch):
     for F in factorisations:
         factorisation_rows(F)
     group_rows(G)
-    assert len(calls) == 4757
+    assert len(calls) == 3848
 
 
 # -- Berkovich-Kazarin, a conjugacy class at a time ------------------------------------
@@ -1010,6 +1013,144 @@ def test_kinds_memoised_before_a_product_is_materialised_still_fold():
     F.group.materialize()
     assert output_lines(F) == output_lines(lazy)
     assert not lazy.group.is_materialized
+
+
+# -- clause rows shared by the factorisations of one group ---------------------------
+
+
+@pytest.mark.parametrize("verdicts, overall", [
+    ([PASS], PASS),
+    ([PASS, NOT_APPLICABLE], PASS),
+    ([NOT_APPLICABLE], NOT_APPLICABLE),
+    ([NOT_APPLICABLE, NOT_APPLICABLE], NOT_APPLICABLE),
+    ([], NOT_APPLICABLE),
+    ([SKIPPED], SKIPPED),
+    ([PASS, SKIPPED], SKIPPED),
+    ([SKIPPED, FAIL], FAIL),
+    ([PASS, NOT_APPLICABLE, FAIL], FAIL),
+])
+def test_overall_passes_only_when_a_clause_passes_and_none_fails_or_is_skipped(verdicts, overall):
+    report = TheoremReport("X", 2, [ClauseResult(str(i), v) for i, v in enumerate(verdicts)])
+    assert report.overall == overall == report.to_json_dict()["overall"]
+
+
+def test_a_report_off_its_hypotheses_is_not_applicable_overall():
+    # S4 is not 2-Baer: Theorem A's one clause is not-applicable, and so is
+    # the report.  S3 is 3-Baer, and there the report passes.
+    [clause] = report_theorem_a(Factorisation.trivial(symmetric(4)), 2).clauses
+    assert (clause.clause, clause.verdict) == ("hypotheses", NOT_APPLICABLE)
+    assert report_theorem_a(Factorisation.trivial(symmetric(4)), 2).overall == NOT_APPLICABLE
+    assert report_theorem_a(Factorisation.trivial(symmetric(3)), 3).overall == PASS
+
+
+# Clauses where they meet their bounds, each on the factorisation G = AB of a
+# direct product with A and B its two blocks: (check, p, {clause: witness}).
+# A bound tighter by one fails each row.
+BOUND_ROWS = {
+    # D8 x S3 is 2-Baer (the 2-elements have index 1, 2 or 3) of 2-length 1.
+    "A2 at p-length 1": ("product(dihedral(8),symmetric(3))", report_theorem_a, 2, {
+        "2:sylow-core-products-normal-p-soluble":
+            {"PF_order": 48, "POpprime_order": 48, "p_length": 1, "p_soluble": True},
+    }),
+    # The 2-elements of S3 have index 3 and those of D10 index 5.  P acts on
+    # both O_3(G) and O_5(G), and P O_s(G) is normal for neither prime alone,
+    # so both rows need the two primes.
+    "B with q != r": ("product(symmetric(3),dihedral(10))", baer.report_theorem_b, 2, {
+        "unique-primes": {"q": 3, "r": 5},
+        "centralises-fitting-complement": {"complement_order": 1},
+        "sylow-core-product-normal": {"product_order": 60},
+    }),
+    # D8 x S3 = AB is Baer, and P = D8 x C2 is non-abelian with
+    # |G : C_G(P)| = 48 / 4, so one prime besides p.
+    "E1 with one prime besides p": ("product(dihedral(8),symmetric(3))", baer.report_theorem_e, 2, {
+        "1:nonabelian-sylow-index": {"index": 12, "primes": [2, 3]},
+    }),
+}
+
+
+@pytest.mark.parametrize("materialised", [False, True], ids=["lazy", "materialised"])
+@pytest.mark.parametrize("name", BOUND_ROWS)
+def test_clauses_pass_at_their_bounds(name, materialised):
+    spec, check, p, want = BOUND_ROWS[name]
+    G = parse_group_spec(spec)
+    if materialised:
+        G.materialize()
+    F = Factorisation(G, subgroup_from_words(G, ["g0", "g1"]), subgroup_from_words(G, ["g2", "g3"]))
+    assert F.a.order * F.b.order == G.order
+    rows = {c.clause: (c.verdict, c.witness) for c in check(F, p).clauses}
+    assert {clause: rows.get(clause) for clause in want} == {
+        clause: (PASS, witness) for clause, witness in want.items()
+    }
+    assert G.is_materialized == materialised
+
+
+def on_a_fresh_copy(spec, F) -> Factorisation:
+    """F on a newly parsed and materialised copy of its group ``spec``, with
+    the same subgroup ids: no memo is shared with F's group."""
+    G = parse_group_spec(spec)
+    G.materialize()
+    return Factorisation(G, Subgroup.from_ids(G, F.a.ids), Subgroup.from_ids(G, F.b.ids))
+
+
+@pytest.mark.parametrize("spec", ["semilinear(2,3)", "product(symmetric(4),cyclic(3))"])
+def test_shared_rows_give_what_a_fresh_group_gives(spec):
+    # Differential test: the checks of every factorisation, run in turn on
+    # one group so that the rows of G and of its Sylow subgroups are shared,
+    # give the JSON that each factorisation gives alone on a fresh copy.
+    G = parse_group_spec(spec)
+    subs = enumerate_subgroups(G)
+    for i, j in factorisation_pairs(G):
+        F = Factorisation(G, subs[i], subs[j])
+        assert output_lines(F) == output_lines(on_a_fresh_copy(spec, F)), (i, j)
+
+
+def test_reports_that_share_rows_keep_their_own_clauses():
+    # semilinear(2,3), of order 168, has a normal Sylow 2-subgroup P, so its
+    # trivial factorisation and G = P H, for H a Hall {3,7}-subgroup, share
+    # Theorem A's rows at p = 2.
+    G = semilinear(2, 3)
+    trivial = Factorisation.trivial(G)
+    P = find_prefactorised_sylow(trivial, 2)[0]
+    F = Factorisation(G, P, hall(G, {3, 7}))
+    assert find_prefactorised_sylow(F, 2)[0] is P
+    for left, right in ((trivial, F), (F, F)):
+        first, second = report_theorem_a(left, 2), report_theorem_a(right, 2)
+        before = second.to_json_dict()
+        assert first.clauses[0].witness is second.clauses[0].witness
+        first.clauses.append(ClauseResult("planted", FAIL))
+        first.clauses[0].verdict = FAIL
+        assert second.to_json_dict() == before == report_theorem_a(right, 2).to_json_dict()
+        assert first.overall == FAIL and second.overall == PASS
+
+
+@pytest.mark.parametrize("spec, factorisations, decided, distinct", [
+    ("semilinear(2,3)", 302, 302, 1),  # its Sylow 2-subgroup is normal
+    ("product(symmetric(4),cyclic(3))", 356, 356, 4),
+])
+def test_theorem_a_rows_run_once_per_sylow_subgroup(monkeypatch, spec, factorisations, decided,
+                                                    distinct):
+    # Work-count guard: Theorem A on every factorisation and prime works out
+    # its clauses 1-4 once per prefactorised Sylow subgroup P, not once per
+    # factorisation.  Clause 1 is baer's one call of is_p_decomposable with
+    # ``over``, so those calls count the evaluations.
+    G = parse_group_spec(spec)
+    subs = enumerate_subgroups(G)
+    found = [Factorisation(G, subs[i], subs[j]) for i, j in factorisation_pairs(G)]
+    runs = []
+    is_p_decomposable = baer.is_p_decomposable
+
+    def counted(H, p, over=None):
+        if over is not None:
+            runs.append(p)
+        return is_p_decomposable(H, p, over)
+
+    monkeypatch.setattr(baer, "is_p_decomposable", counted)
+    reached = [(F, p) for F in found for p in sorted(pi_of(G))
+               if report_theorem_a(F, p).clauses[0].clause != "hypotheses"]
+    sylows = {(find_prefactorised_sylow(F, p)[0], p) for F, p in reached}
+    assert (len(found), len(reached), len(sylows), len(runs)) == (
+        factorisations, decided, distinct, distinct
+    )
 
 
 # -- the memo contract --------------------------------------------------------------

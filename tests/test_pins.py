@@ -9,7 +9,8 @@ import pytest
 import pins
 
 ROWS = {name: (name, build, want) for name, build, want in pins.ROWS}
-FAST_ROWS = ("sweep smoke", "S7 x S7 lazy", "S3 x C5 lazy", "S7 x C2")
+FAST_ROWS = ("sweep smoke", "S7 x S7 lazy", "S3 x C5 lazy", "S7 x C2", "subgroup-sweep answers",
+             "quotient-wall answers", "direct-products answers")
 
 
 @pytest.mark.parametrize("name", FAST_ROWS)
@@ -27,6 +28,15 @@ def test_a_planted_wrong_digest_fails_the_runner(capsys):
     name, build, want = ROWS["S7 x S7 lazy"]
     assert pins.main([(name, build, {**want, "digest": "0" * 16})]) == 1
     assert "digest is '8a75d36276913218', pinned '0000000000000000'" in capsys.readouterr().out
+
+
+def test_a_changed_witness_moves_the_answers_and_not_the_digest(monkeypatch):
+    # The digest reads verdicts only; the answers read every witness too.
+    name, build, want = ROWS["direct-products answers"]
+    monkeypatch.setattr(pins.battery.baer, "format_cycles", lambda p: "planted")
+    got = build()
+    assert (got["digest"], got["failures"]) == (want["digest"], [])
+    assert got["answers"] != want["answers"]
 
 
 def test_the_workflow_holds_no_pin():
