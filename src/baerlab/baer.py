@@ -71,8 +71,6 @@ from .structure import (
     find_prefactorised_sylow,
     fitting,
     fitting2,
-    hall,
-    hall_conjugates,
     is_abelian,
     is_normal,
     is_p_decomposable,
@@ -116,7 +114,6 @@ class BaerStatus:
     per distinct (locus, index) pair on success.
     """
 
-    factorisation: Factorisation
     prime: int | None
     is_p_baer: bool | None
     is_baer: bool | None
@@ -215,6 +212,11 @@ def _member(x) -> Permutation:
     return x if isinstance(x, Permutation) else join_blocks(map(_member, x))
 
 
+def _count(S: Subgroup, p: int) -> int:
+    """The number of p-elements of S, the identity included, from its kinds (:func:`_kinds`)."""
+    return sum(n for _x, n in _kinds(S, p, False).values())
+
+
 def _folded_kinds(S: Subgroup, primes, inner: bool) -> list:
     """``(member, index, class size in S, count)`` for the kinds of the
     nontrivial p-elements of S over ``primes`` (:func:`_kinds`), by least
@@ -263,16 +265,16 @@ def _side_status(S: Subgroup, p: int | None, locus: str) -> tuple:
     return None, witnesses
 
 
-def _status(F: Factorisation, p, subs) -> BaerStatus:
+def _status(p, subs) -> BaerStatus:
     """Combine the :func:`_side_status` of the ``(locus, S)`` pairs ``subs``, A's
     first: the first failing witness, else every witness, sorted by (locus, index)."""
     witnesses = []
     for locus, S in subs:
         bad, found = _side_status(S, p, locus)
         if bad is not None:
-            return BaerStatus(F, p, False, None, witnesses=[bad])
+            return BaerStatus(p, False, None, witnesses=[bad])
         witnesses += found
-    return BaerStatus(F, p, True, None, witnesses=witnesses)
+    return BaerStatus(p, True, None, witnesses=witnesses)
 
 
 @memo
@@ -294,7 +296,7 @@ def is_p_baer(F: Factorisation, p: int, via: str = "union") -> BaerStatus:
         subs = zip(("A", "B"), find_prefactorised_sylow(F, p)[1:])
     else:
         raise ValueError(f"unknown route {via!r}")
-    return _status(F, p, subs)
+    return _status(p, subs)
 
 
 @memo
@@ -311,8 +313,8 @@ def is_baer(F: Factorisation) -> BaerStatus:
             ok = False
             witnesses.extend(st.witnesses)
     if ok:
-        witnesses = _status(F, None, F.factors()).witnesses
-    return BaerStatus(F, None, None, ok, witnesses=witnesses, per_prime=per_prime)
+        witnesses = _status(None, F.factors()).witnesses
+    return BaerStatus(None, None, ok, witnesses=witnesses, per_prime=per_prime)
 
 
 # -- unique index primes -----------------------------------------------------------
@@ -488,11 +490,14 @@ def report_theorem_a(report: TheoremReport, F: Factorisation, p: int) -> None:
     ``P O_{p'}(G)`` are normal and G is p-soluble of p-length at most 1; (3)
     the Sylow p-subgroup ``P F(G)/F(G)`` of ``G/F(G)``, isomorphic to
     ``P/O_p(G)`` as ``P n F(G) = O_p(G)``, is abelian; (4) P is abelian iff
-    ``O_p(G)`` is; (5) a Sylow intersection not centralising ``O_p(G)``
-    centralises every Hall p'-subgroup, which exists as G is p-soluble; (6)
-    if both factors have non-abelian Sylow p-subgroups, G is p-decomposable.
-    Clauses 1 and 3 are read in G; clauses 1-4 are P's rows
-    (:func:`_theorem_a_rows`).
+    ``O_p(G)`` is; (5) a Sylow intersection PX not centralising ``O_p(G)``
+    centralises every Hall p'-subgroup; (6) if both factors have non-abelian
+    Sylow p-subgroups, G is p-decomposable.  Clauses 1 and 3 are read in G;
+    clauses 1-4 are P's rows (:func:`_theorem_a_rows`).  As G is p-soluble,
+    every p'-element lies in a Hall p'-subgroup (P. Hall; Cunihin), so clause
+    5 builds none: it asks that ``C_G(PX)`` hold every p'-element, the product
+    of its q-parts, that is as many q-elements as G (:func:`_count`) for each
+    prime q != p.  Its ``hall_order`` is |G|_{p'}.
     """
     G = F.group
     P, PA, PB = find_prefactorised_sylow(F, p)
@@ -503,17 +508,13 @@ def report_theorem_a(report: TheoremReport, F: Factorisation, p: int) -> None:
     if not applicable:
         report.add("5:sylow-part-centralises-hall", NOT_APPLICABLE,
                    "both Sylow intersections centralise the p-core")
-    elif (H := hall(G, set(pi_of(G)) - {p})) is None:
-        report.check("5:sylow-part-centralises-hall", False,
-                     "G has no Hall p'-subgroup although it is p-soluble (clause 2)")
     else:
-        hgens = [Hg.generating_set() for Hg in hall_conjugates(G, H)]
-        report.check(
-            "5:sylow-part-centralises-hall",
-            all(a * b == b * a for _locus, PX in applicable for a in PX.generating_set()
-                for gens in hgens for b in gens),
-            {"sides": [locus for locus, _ in applicable], "hall_order": H.order},
-        )
+        whole, primes = Subgroup.full(G), [q for q in prime_divisors(G.order) if q != p]
+        report.check("5:sylow-part-centralises-hall",
+                     all(_count(centraliser(G, PX), q) == _count(whole, q)
+                         for _locus, PX in applicable for q in primes),
+                     {"sides": [locus for locus, _ in applicable],
+                      "hall_order": G.order // pi_part(G.order, {p})})
 
     if is_abelian(factor_sylow(F.a, p)) or is_abelian(factor_sylow(F.b, p)):
         report.add("6:nonabelian-factor-sylows-force-decomposition", NOT_APPLICABLE,

@@ -475,8 +475,7 @@ def hall(G: Group, pi):
     unmaterialised product, the blocks' product are built outright; any
     other is the first subgroup of order |G|_pi in the complete lattice of
     :func:`enumerate_subgroups`, so None proves there is none.  Past the
-    lattice's order gate it raises :class:`CapExceeded` (a ``skipped``
-    report), which no workload, pin or test but that skip's own reaches.
+    lattice's order gate it raises :class:`CapExceeded`; no report reads it.
     Memoised, None included, per group and the primes in pi dividing |G|.
     """
     return _hall(G, frozenset(p for p in pi if G.order % p == 0))
@@ -550,7 +549,6 @@ class UpperPSeries:
     """The upper p-series ``1 <= O_{p'}(G) <= O_{p',p}(G) <= ...``, each term
     the relative core (:func:`o_pi` with ``over``) of its step over the last."""
 
-    prime: int
     terms: list = field(default_factory=list)
     p_length: int = 0
     is_p_soluble: bool = False
@@ -560,7 +558,7 @@ class UpperPSeries:
 def upper_p_series(G: Group, p: int) -> UpperPSeries:
     """Alternating O_{p'} and O_p steps, each read in G as a relative core over
     the last term; two idle steps in a row end a series below G."""
-    series = UpperPSeries(prime=p)
+    series = UpperPSeries()
     current = Subgroup.trivial(G)
     series.terms.append(current)
     others = set(pi_of(G)) - {p}

@@ -7,6 +7,7 @@ runs the case and returns what it gave, which must match every pin and record
 no failed operation or output check; the runner exits 1 if any row does not.
 """
 
+import contextlib
 import gc
 import hashlib
 import json
@@ -23,7 +24,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 # As -B does: importing battery.py writes no bytecode under perfbench/.
 was, sys.dont_write_bytecode = sys.dont_write_bytecode, True
 import battery  # noqa: E402
-from baerlab import constructions, structure  # noqa: E402
+from baerlab import constructions, group, structure  # noqa: E402
 sys.dont_write_bytecode = was
 
 
@@ -63,9 +64,54 @@ def answer(result) -> object:
     return None if result is None else result.prime_partition
 
 
+@contextlib.contextmanager
+def counting():
+    """The engine work done inside the block, as a dict filled on the way:
+    ``take`` calls and the ids they compose, ``Group.closure_from_gen_ids``
+    calls, and the columns a ``CayleyTable`` stores after it is built.  The
+    wrappers live here only, so the engine pays nothing for them."""
+    counts = {"takes": 0, "ids_composed": 0, "closures": 0, "columns": 0}
+    take, closure, cayley = group.take, group.Group.closure_from_gen_ids, group.Group.cayley
+    tables = []
+
+    def counted_take(seq, ids):
+        counts["takes"] += 1
+        counts["ids_composed"] += len(ids)
+        return take(seq, ids)
+
+    def counted_closure(self, gen_ids, prefix=None):
+        counts["closures"] += 1
+        return closure(self, gen_ids, prefix)
+
+    class Columns(dict):
+        def __setitem__(self, key, value):
+            counts["columns"] += 1
+            dict.__setitem__(self, key, value)
+
+    def counted_cayley(self):
+        # Every column is read through Group.cayley, so a table built inside
+        # the block, or before it, counts from its first use here on.
+        mul = cayley(self)
+        if type(mul._cols) is dict:
+            mul._cols = Columns(mul._cols)
+            tables.append(mul)
+        return mul
+
+    with mock.patch.object(group, "take", counted_take), \
+         mock.patch.object(structure, "take", counted_take), \
+         mock.patch.object(group.Group, "closure_from_gen_ids", counted_closure), \
+         mock.patch.object(group.Group, "cayley", counted_cayley):
+        try:
+            yield counts
+        finally:
+            for mul in tables:
+                mul._cols = dict(mul._cols)
+
+
 def answers(name: str) -> dict:
     """The battery on a seed-1 workload, in-process, with a digest of the
-    sorted JSON of every operation's answer (:func:`answer`) by where it ran."""
+    sorted JSON of every operation's answer (:func:`answer`) by where it ran,
+    and the battery's engine work (:func:`counting`, set-up excluded)."""
     texts, call = [], battery.Outcome.call
 
     def recorded(self, where, theorem, prime, fn, *args):
@@ -73,10 +119,11 @@ def answers(name: str) -> dict:
         texts.append(json.dumps([where, theorem, prime, answer(result)], sort_keys=True))
         return result
 
-    with mock.patch.object(battery.Outcome, "call", recorded):
-        got = run(battery.setup(name, 1))
+    cases = battery.setup(name, 1)
+    with mock.patch.object(battery.Outcome, "call", recorded), counting() as counts:
+        got = run(cases)
     texts.sort()
-    return {**got, "answers": hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16]}
+    return {**got, **counts, "answers": hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16]}
 
 
 def trivial(spec: str) -> dict:
@@ -121,11 +168,15 @@ ROWS = [
                          ("direct-products", "77408b56ee475268", 191, 193))
       for t in (0, 1)),
     *((f"{w} answers", lambda w=w: answers(w),
-       {"digest": d, "clauses_decided": c, "attempted": a, "answers": h})
-      for w, d, c, a, h in (
-          ("subgroup-sweep", "10cd322943b56ba5", 14849, 18042, "b34ff14d0849e201"),
-          ("quotient-wall", "35b5ee830c0fb75a", 69, 105, "8c0172b8abe3ce8a"),
-          ("direct-products", "77408b56ee475268", 191, 193, "826a57f6664b9583"))),
+       {"digest": d, "clauses_decided": c, "attempted": a, "answers": h,
+        "takes": t, "ids_composed": i, "closures": k, "columns": n})
+      for w, d, c, a, h, t, i, k, n in (
+          ("subgroup-sweep", "10cd322943b56ba5", 14849, 18042, "b34ff14d0849e201",
+           4360, 61265, 220, 98),
+          ("quotient-wall", "35b5ee830c0fb75a", 69, 105, "8c0172b8abe3ce8a",
+           3286, 224925, 65, 389),
+          ("direct-products", "77408b56ee475268", 191, 193, "826a57f6664b9583",
+           2631, 14243, 141, 27))),
     ("semilinear(2,7)", lambda: trivial("semilinear(2,7)"),
      {"digest": "08d242726cd56bb7", "clauses_decided": 22, "attempted": 35}),
     ("S7 x C2", lambda: trivial("subgroup(product(symmetric(7),cyclic(2)); g0, g1, g2)"),

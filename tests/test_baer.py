@@ -181,9 +181,10 @@ def test_every_check_keeps_a_small_trivial_product_lazy():
 
 
 def test_theorem_a_hall_clause_keeps_a_lazy_product_lazy():
-    # Clause 5 applies at p = 2 and walks the conjugates of a Hall
-    # 2'-subgroup; they come block by block, so G's store is never built,
-    # and they are the conjugates a materialised copy finds.
+    # Clause 5 applies at p = 2 and counts the 3-elements of a centraliser
+    # block by block, so G's store is never built.  The conjugates of a Hall
+    # 2'-subgroup come block by block too, and they are the conjugates a
+    # materialised copy finds.
     F = block_halves_factorisation([dihedral(8)], [cyclic(3)])
     G = F.group
     report = report_theorem_a(F, 2)
@@ -278,10 +279,11 @@ def test_camina_camina_fails_when_the_second_fitting_term_is_wrong(monkeypatch):
     assert clause.witness == {"element": "(1 2)", "index": 3}
 
 
-def test_a_hall_pair_past_the_lattice_gate_skips_theorem_a():
-    # At p = 2 clause 5 reads a Hall {3,7}-subgroup of the materialised group
-    # of order 168 from its lattice.  With a C9 factor the group has order
-    # 1,512, past the lattice's order gate, so the report is skipped, not failed.
+def test_a_hall_pair_past_the_lattice_gate_decides_theorem_a():
+    # At p = 2 clause 5 asks whether C_G(PX) holds every 2'-element, which a
+    # Hall {3,7}-subgroup of order 21 would hold on the group of order 168.
+    # With a C9 factor the group has order 1,512, past the lattice's order
+    # gate; clause 5 builds no Hall subgroup, so the report is still decided.
     spec = "subgroup(product(dihedral(8),frobenius(7,3)); g0, g1, g2, g3)"
     report = report_theorem_a(Factorisation.trivial(parse_group_spec(spec)), 2)
     witness = {"sides": ["A", "B"], "hall_order": 21}
@@ -290,9 +292,11 @@ def test_a_hall_pair_past_the_lattice_gate_skips_theorem_a():
     F = Factorisation.trivial(parse_group_spec(spec))
     assert F.group.order == 1512 and baer.is_p_baer(F, 2).is_p_baer
     report = report_theorem_a(F, 2)
-    [clause] = report.clauses
-    assert (clause.clause, clause.verdict, report.overall) == ("cap", SKIPPED, SKIPPED)
-    assert (clause.witness["cap"], clause.witness["partial"]) == (1296, None)
+    assert [(c.clause.split(":")[0], c.verdict) for c in report.clauses] == [
+        (str(k), PASS) for k in range(1, 7)
+    ]
+    assert report.clauses[4].witness == {"sides": ["A", "B"], "hall_order": 189}
+    assert report.overall == PASS
 
 
 def conclusions(check, *args) -> dict:
@@ -538,26 +542,30 @@ def test_theorem_a_clause_6_floor_on_every_factorisation_of_d8_x_f21():
     assert decided >= 17
 
 
-def test_theorem_a_clause_5_on_a_nontrivial_hall_subgroup(monkeypatch):
-    # Clause 5 needs a Sylow intersection that does not centralise O_p(G);
-    # on this group of order 168 the Hall 2'-subgroup it commutes with has
-    # order 21, so hall reads it from the lattice and the commutation test
-    # runs.  The factorisations are the sweep's: the trivial one and every
-    # pair of proper subgroups with |A||B| = |G||A n B|.
-    G = parse_group_spec("subgroup(product(dihedral(8),frobenius(7,3)); g0, g1, g2, g3)")
-    assert G.order == 168
-    trivial = Factorisation.trivial(G)
+def sweep_factorisations(G) -> list:
+    """The factorisations of G that the subgroup sweep builds: the trivial
+    one and every pair of proper subgroups with |A||B| = |G||A n B|."""
     subs = enumerate_subgroups(G)
-    facts = [trivial] + [
+    return [Factorisation.trivial(G)] + [
         Factorisation(G, A, B)
         for i, A in enumerate(subs) if A.order < G.order
         for B in subs[i:]
         if B.order < G.order and A.order * B.order == G.order * A.intersection(B).order
     ]
+
+
+def test_theorem_a_clause_5_on_a_nontrivial_hall_subgroup(monkeypatch):
+    # Clause 5 needs a Sylow intersection that does not centralise O_p(G);
+    # on this group of order 168 a Hall 2'-subgroup has order 21, and over
+    # the sweep's 578 factorisations the clause is decided 578 times.
+    G = parse_group_spec("subgroup(product(dihedral(8),frobenius(7,3)); g0, g1, g2, g3)")
+    assert G.order == 168
+    facts = sweep_factorisations(G)
     assert len(facts) == 578
     # Work-count guard: the reports walk each subgroup's conjugates once, as
     # hall_conjugates is memoised on G per H.  Rebuilt per (F, p), the Hall
-    # 2'-subgroup's were walked 579 times, 583 walks in all; now 5.
+    # 2'-subgroup's were walked 579 times, 583 walks in all; memoised, 5; and
+    # 4 once clause 5 stopped reading Hall subgroups.
     walks = Counter()
     conjugates = Group.conjugates
 
@@ -566,7 +574,15 @@ def test_theorem_a_clause_5_on_a_nontrivial_hall_subgroup(monkeypatch):
         return conjugates(self, ids, gen_ids)
 
     monkeypatch.setattr(Group, "conjugates", counted)
-    clause = [c for c in report_theorem_a(trivial, 2).clauses if c.clause.startswith("5:")]
+    # Guard: clause 5 builds no Hall subgroup.  Every hall call reaches
+    # structure._hall, and the Hall route walked the conjugates through
+    # baer's own import of hall_conjugates.
+    halls = []
+    hall_memo, hall_conjugates_memo = structure._hall, structure.hall_conjugates
+    monkeypatch.setattr(structure, "_hall", lambda G, pi: halls.append(pi) or hall_memo(G, pi))
+    monkeypatch.setattr(baer, "hall_conjugates", raising=False,
+                        value=lambda G, H: halls.append(H) or hall_conjugates_memo(G, H))
+    clause = [c for c in report_theorem_a(facts[0], 2).clauses if c.clause.startswith("5:")]
     assert [(c.clause, c.verdict, c.witness["hall_order"]) for c in clause] == [
         ("5:sylow-part-centralises-hall", PASS, 21)
     ]
@@ -576,7 +592,75 @@ def test_theorem_a_clause_5_on_a_nontrivial_hall_subgroup(monkeypatch):
             for row in report_rows(report_theorem_a(F, p)):
                 decided += row[2].startswith("5:") and row[3] in (PASS, FAIL)
     assert decided == 578
-    assert list(walks.values()) == [1] * 5
+    assert halls == []
+    assert list(walks.values()) == [1] * 4
+
+
+def clause_5(F, p) -> tuple:
+    """``(verdict, witness)`` of Theorem A's clause 5 on (F, p), whatever the hypotheses."""
+    report = TheoremReport("A", p)
+    report_theorem_a.__wrapped__(report, F, p)
+    [clause] = [c for c in report.clauses if c.clause.startswith("5:")]
+    return clause.verdict, clause.witness
+
+
+def hall_route_clause_5(F, p) -> tuple:
+    """Clause 5 as the verifier once read it, for reference: a Hall
+    p'-subgroup H of G from :func:`hall`, every conjugate of H, and the
+    commutation of each generator of an applicable Sylow intersection with
+    each generator of each conjugate."""
+    G = F.group
+    _P, PA, PB = find_prefactorised_sylow(F, p)
+    C = centraliser(G, o_p(G, p))
+    sides = [(locus, PX) for locus, PX in (("A", PA), ("B", PB)) if not PX.subset_of(C)]
+    if not sides:
+        return NOT_APPLICABLE, "both Sylow intersections centralise the p-core"
+    H = hall(G, set(pi_of(G)) - {p})
+    if H is None:
+        return FAIL, "G has no Hall p'-subgroup although it is p-soluble (clause 2)"
+    gens = [b for Hg in hall_conjugates(G, H) for b in Hg.generating_set()]
+    holds = all(a * b == b * a for _locus, PX in sides for a in PX.generating_set() for b in gens)
+    return PASS if holds else FAIL, {"sides": [locus for locus, _ in sides], "hall_order": H.order}
+
+
+def test_theorem_a_clause_5_gives_the_hall_route_answers():
+    # Differential test: counting the q-elements of C_G(PX) gives the Hall
+    # route's verdict and witness on every (F, p) of these groups, whatever
+    # the hypotheses, and the passes and fails both occur.
+    verdicts = Counter()
+    for spec in ("semilinear(2,3)", "subgroup(product(dihedral(8),frobenius(7,3)); g0, g1, g2, g3)",
+                 "product(dihedral(8),symmetric(3))"):
+        G = parse_group_spec(spec)
+        for F in sweep_factorisations(G):
+            for p in sorted(pi_of(G)):
+                got = clause_5(F, p)
+                assert got == hall_route_clause_5(F, p), (spec, F, p)
+                verdicts[got[0]] += 1
+    assert sum(verdicts.values()) == 4743
+    assert verdicts[PASS] > 0 and verdicts[FAIL] > 0
+
+
+@pytest.mark.parametrize("materialised", [False, True], ids=["lazy", "materialised"])
+@pytest.mark.parametrize("spec, centralised", [
+    ("product(dihedral(8),frobenius(5,4),cyclic(3))", {3: True, 5: False}),
+    ("product(symmetric(4),cyclic(5))", {3: False, 5: True}),
+])
+def test_theorem_a_clause_5_reads_every_prime_besides_p(spec, centralised, materialised):
+    # At p = 2 on the trivial factorisation, P centralises every q-element
+    # for one odd prime q and not for the other.  A clause that read only
+    # the least q, or only the largest, would pass on one of the two groups
+    # where the Hall route fails.
+    G = parse_group_spec(spec)
+    if materialised:
+        G.materialize()
+    F = Factorisation.trivial(G)
+    P = find_prefactorised_sylow(F, 2)[0]
+    gens, members = P.generating_set(), Subgroup.full(G).members()
+    assert {q: all(a * x == x * a for x in members if is_p_number(x.order(), q) for a in gens)
+            for q in centralised} == centralised
+    assert clause_5(F, 2) == hall_route_clause_5(F, 2)
+    assert clause_5(F, 2)[0] == FAIL
+    assert G.is_materialized == materialised
 
 
 def subgroup_key(S):

@@ -128,7 +128,8 @@ RULES = {
         ("Subgroup(", "._subgroups"), GROUP_MODULE,
         "no id-backed subgroup bypasses Subgroup.from_ids and its pool of canonical subgroups"),
     "group-tables": Rule(
-        ("._cayley", "._inverse_ids", "._conj_maps"), GROUP_MODULE,
+        ("._cayley", "._walk", "._index", "._cols", "._lmaps", "._inverse_ids", "._conj_maps"),
+        GROUP_MODULE,
         "other modules ask the Group methods that build a group's id tables for them"),
     "table-compositions": Rule(
         (".row(", ".inv"), GROUP_MODULE,
@@ -212,8 +213,13 @@ TOKEN_CASES = {
         "def f(G, x, g):\n"
         "    mul = G.cayley() if G._cayley is None else G.cayley()\n"
         "    maps = G.conjugation_maps()\n"
-        "    return mul[x][g], G._conj_maps[0][x], getattr(G, '_inverse_ids')\n",
-        [(2, "._cayley"), (4, "._conj_maps")],
+        "    return mul[x][g], G._conj_maps[0][x], getattr(G, '_inverse_ids')\n"
+        "def h(G, mul, x):\n"
+        "    pos, maps, blocks = G._walk or (None, None, None)\n"
+        "    held = mul._cols.get(x), G.element_id(x), getattr(mul, '_lmaps')\n"
+        "    return G._index[x], mul._lmaps[0], mul.col(x)\n",
+        [(2, "._cayley"), (4, "._conj_maps"), (6, "._walk"), (7, "._cols"),
+         (8, "._index"), (8, "._lmaps")],
     ),
     "table-compositions": (
         "def f(G, mul, x, s):\n"
