@@ -690,7 +690,9 @@ class Subgroup:
     Backings, exactly one of which is set:
 
     * ``ids`` -- member ids into the parent's materialised element store
-      (frozensets give O(1) membership and canonical dedup keys);
+      (frozensets give O(1) membership and canonical dedup keys), a plain
+      slot that is None on a product-form subgroup: :meth:`ids_in_store`
+      materialises the parent for those;
     * ``factors`` -- one subgroup of each block of ``parent.direct_factors``,
       in block order, for the product-form subgroups of a direct product
       (membership tested blockwise).
@@ -714,13 +716,13 @@ class Subgroup:
     neither them nor, through them, the parent alive.
     """
 
-    __slots__ = ("parent", "order", "_ids", "_factors", "_gen_ids", "_cache", "__weakref__")
+    __slots__ = ("parent", "order", "ids", "_factors", "_gen_ids", "_cache", "__weakref__")
 
     def __init__(self, parent, *, ids=None, factors=None):
         if (ids is None) == (factors is None):
             raise ValueError("exactly one subgroup backing must be supplied")
         self.parent = parent
-        self._ids = ids
+        self.ids = ids
         self._factors = factors
         self._gen_ids = None  # set once; see generating_ids
         self._cache = {}
@@ -792,16 +794,10 @@ class Subgroup:
     def __len__(self) -> int:
         return self.order
 
-    @property
-    def ids(self) -> frozenset:
-        if self._ids is None:
-            raise ValueError("subgroup is not backed by parent element ids")
-        return self._ids
-
     def ids_in_store(self) -> frozenset:
         """Member ids in the parent store, materialising the parent if needed."""
-        if self._ids is not None:
-            return self._ids
+        if self.ids is not None:
+            return self.ids
         return self._store_ids()
 
     @memo
@@ -825,8 +821,8 @@ class Subgroup:
         if not isinstance(p, Permutation) or p.degree != self.parent.degree:
             return False
         try:
-            if self._ids is not None:
-                return self.parent.element_id(p) in self._ids
+            if self.ids is not None:
+                return self.parent.element_id(p) in self.ids
             return all(map(Subgroup.__contains__, self._factors, self.parent.split(p)))
         except ValueError:
             return False
@@ -835,9 +831,9 @@ class Subgroup:
         """All elements, sorted lexicographically.  Each block shifts its points by
         a constant offset, so tuples of block members sort as their joins do, and
         the product of the blocks' sorted members is in order."""
-        if self._ids is not None:
+        if self.ids is not None:
             els = self.parent.elements
-            return tuple(els[i] for i in sorted(self._ids))
+            return tuple(els[i] for i in sorted(self.ids))
         check_enumerable("subgroup", self.order)
         blocks = [s.members() for s in self._factors]
         return tuple(map(join_blocks, itertools.product(*blocks)))
@@ -898,8 +894,8 @@ class Subgroup:
         subgroups (``S1 x S2 <= T1 x T2`` iff each ``Si <= Ti``), within one
         parent; otherwise, across parents too, by each generator's membership."""
         if self.parent is other.parent:
-            if self._ids is not None and other._ids is not None:
-                return self._ids <= other._ids
+            if self.ids is not None and other.ids is not None:
+                return self.ids <= other.ids
             if self._factors is not None and other._factors is not None:
                 return all(map(Subgroup.subset_of, self._factors, other._factors))
         return all(g in other for g in self.generating_set())

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceeded, InternalInvariantViolation
 from .group import Group, Subgroup, centraliser, memo, take
-from .numth import is_p_number, is_pi_number, is_prime_power, p_part, pi_part, prime_divisors
+from .numth import is_p_number, is_pi_number, is_prime, is_prime_power, p_part, pi_part, prime_divisors
 from .perm import Permutation
 
 
@@ -641,7 +641,7 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 1296) 
     A layered closure: every explored subgroup ``H`` yields ``<H, x>`` for
     each prime-power-order element ``x`` outside it.  Every group is
     generated by such elements, so each subgroup tops a chain
-    ``1 < <x1> < <x1, x2> < ...`` whose steps the layering follows.  Three
+    ``1 < <x1> < <x1, x2> < ...`` whose steps the layering follows.  Four
     exact reductions keep the closures few:
 
     * ``<H, x> == <H, x^k>`` whenever ``gcd(k, |x|) == 1``, so only one
@@ -650,20 +650,25 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 1296) 
       conjugates of the children.  Each new subgroup enters the result with
       its whole conjugacy class, the orbit of :meth:`Group.conjugates`, but
       only the subgroup itself is explored;
-    * ``<H, x^h> == <H, x>`` for ``h`` in ``H``, since ``x^h`` lies in
-      ``<H, x>`` and ``x`` in ``<H, x^h>``, so ``H`` is extended by one cyclic
-      subgroup per ``H``-conjugacy class: the cyclic subgroups of
-      ``G.conjugation_orbit(x, H.generating_ids())`` are marked tried.
+    * ``<H, x^n> == <H, x>^n`` for ``n`` in ``N_G(H)``, so once ``<H, x>``
+      and its class are found, the cyclic subgroups of the orbit of ``x``
+      under a known part of ``N_G(H)`` are marked tried: G when H is normal,
+      else H and the least id of ``N_G(H) - H``, labelled 0 by
+      :meth:`Group.conjugation_labels` of the action table of H's class;
+    * if ``|<H, x> : H|`` is prime, ``<H, y> == <H, x>`` for every ``y`` in
+      ``<H, x>`` outside ``H``, so all of ``<H, x>`` is marked tried.
 
-    The found set is then closed under conjugation and holds every child of
-    every member, so every chain still climbs inside it and the layering
+    A skipped ``x`` would close a subgroup already found, so the found set, its
+    order of discovery and the generators each class keeps do not depend on the
+    last two.  The found set is closed under conjugation and holds every child
+    of every member, so every chain still climbs inside it and the layering
     stays complete.  A group past ``max_order`` raises :class:`CapExceeded`
     unmaterialised, as closures do not bound time (5,000 on S8 took 42 s).
     ``budget`` bounds the closures attempted; a spent budget reports the
-    subgroups found so far as ``partial``.  Each result
-    keeps the generators it was built from as :meth:`Subgroup.generating_ids`
-    (unless an earlier route set them): ``hgens + [x]`` for a closed
-    ``<H, x>``, its orbit parent's conjugated for the rest of its class.
+    subgroups found so far as ``partial``.  Each result keeps the generators it
+    was built from as :meth:`Subgroup.generating_ids` (unless an earlier route
+    set them): ``hgens + [x]`` for a closed ``<H, x>``, its orbit parent's
+    conjugated for the rest of its class.
     """
     if G.order > max_order:
         raise CapExceeded(
@@ -687,17 +692,22 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 1296) 
             y = col[y]
     trivial = Subgroup.trivial(G)
     found = {trivial.ids: trivial}
-    frontier = [trivial]
+    frontier = [(trivial, None)]
     spent = 0
     while frontier:
         new = []
-        for H in frontier:
+        for H, act in frontier:
             hids, hgens = H.ids, H.generating_ids()
+            if act is None or len(act[0]) == 1:  # H is normal
+                orbit_gens = G.generator_ids()
+            else:
+                labels = G.conjugation_labels(act)
+                orbit_gens = hgens + [g for g, i in enumerate(labels) if i == 0 and g not in hids][:1]
             tried = set()
             for x in pp_ids:
                 if x in hids or x in tried:
                     continue
-                tried.update(take(cyclic_rep, G.conjugation_orbit(x, hgens)))
+                tried.update(take(cyclic_rep, G.conjugation_orbit(x, orbit_gens)))
                 spent += 1
                 if spent > budget:
                     raise CapExceeded(
@@ -707,12 +717,14 @@ def enumerate_subgroups(G: Group, budget: int = 400_000, max_order: int = 1296) 
                     )
                 kgens = hgens + [x]
                 K = G.closure_from_gen_ids(kgens, hids)
+                if is_prime(len(K) // len(hids)):
+                    tried.update(K)
                 if K in found:
                     continue
-                orbit, _act, gens = G.conjugates(K, kgens)
+                orbit, kact, gens = G.conjugates(K, kgens)
                 for M, mgens in zip(orbit, gens):
                     found[M] = Subgroup.from_ids(G, M, mgens)
-                new.append(found[K])
+                new.append((found[K], kact))
         frontier = new
     return sorted(found.values(), key=lambda S: (S.order, tuple(sorted(S.ids))))
 

@@ -144,11 +144,20 @@ def sweep(specs: list) -> dict:
     return {**run(cases), "factorisations": sum(len(c.factorisations) for c in cases)}
 
 
+def lattice_digest(subs: list) -> str:
+    """A digest of a subgroup list: each subgroup's sorted ids and carried
+    generating ids, in list order."""
+    rows = [[sorted(S.ids), S.generating_ids()] for S in subs]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+
 def lattice(spec: str) -> dict:
-    """The subgroups of a spec, each closed from the generating ids it carries,
+    """The subgroups of a spec with their digest and the enumeration's engine
+    work (:func:`counting`), each closed from the generating ids it carries,
     and their conjugacy classes read as hall_conjugates."""
     G = constructions.parse_group_spec(spec)
-    subs = structure.enumerate_subgroups(G, max_order=G.order)
+    with counting() as counts:
+        subs = structure.enumerate_subgroups(G, max_order=G.order)
     carried = all(G.closure_from_gen_ids(S.generating_ids()) == S.ids for S in subs)
     failures = [] if carried else ["a subgroup's generating ids close to another set"]
     seen, classes = set(), 0
@@ -157,7 +166,8 @@ def lattice(spec: str) -> dict:
             classes += 1
             seen.update(structure.hall_conjugates(G, H))
     failures += [] if seen == set(subs) else ["a conjugate lies outside the lattice"]
-    return {"subgroups": len(subs), "classes": classes, "failures": failures}
+    return {"subgroups": len(subs), "classes": classes, "digest": lattice_digest(subs), **counts,
+            "failures": failures}
 
 
 ROWS = [
@@ -192,7 +202,8 @@ ROWS = [
     ("sweep smoke", lambda: sweep(["symmetric(5)", "semilinear(3,2)"]),
      {"digest": "417a2d07a0caf943", "clauses_decided": 10132, "attempted": 22235,
       "factorisations": 893}),
-    ("symmetric(7) lattice", lambda: lattice("symmetric(7)"), {"subgroups": 11300, "classes": 96}),
+    ("symmetric(7) lattice", lambda: lattice("symmetric(7)"),
+     {"subgroups": 11300, "classes": 96, "digest": "1f374ae97bee5927", "closures": 8264}),
 ]
 
 

@@ -1,11 +1,13 @@
 """The pin table of ``pins.py``: its runner reports every missed pin, and the
 rows that take under a second here pass in tier-1 too."""
 
+import json
 import re
 from pathlib import Path
 
 import pytest
 
+import bench_record
 import pins
 
 ROWS = {name: (name, build, want) for name, build, want in pins.ROWS}
@@ -42,3 +44,18 @@ def test_a_changed_witness_moves_the_answers_and_not_the_digest(monkeypatch):
 def test_the_workflow_holds_no_pin():
     workflow = Path(pins.ROOT, ".github", "workflows", "tier1.yml").read_text()
     assert re.findall(r"\b[0-9a-f]{16}\b|\(\d", workflow) == []
+
+
+def test_bench_record_writes_each_counted_row_and_its_seconds(tmp_path, capsys):
+    assert [name for name, _build, _want in bench_record.ROWS] == [
+        "subgroup-sweep answers", "quotient-wall answers", "direct-products answers",
+        "symmetric(7) lattice"]
+    name, build, want = ROWS["direct-products answers"]
+    path = tmp_path / "bench.json"
+    assert bench_record.main(path, [(name, build, want)]) == 0
+    row = json.loads(path.read_text())["rows"][name]
+    assert {key: row[key] for key in want} == want
+    assert row["failures"] == [] and row["seconds"] > 0
+    assert bench_record.main(path, [(name, build, {**want, "closures": 0})]) == 1
+    assert json.loads(path.read_text())["rows"][name]["closures"] == want["closures"]
+    assert capsys.readouterr().out.count("MISMATCH") == 1

@@ -29,7 +29,7 @@ from baerlab.group import (
     embed_block,
 )
 from baerlab.numth import (
-    is_p_number, is_pi_number, is_prime_power, p_part, pi_part, prime_divisors
+    is_p_number, is_pi_number, is_prime, is_prime_power, p_part, pi_part, prime_divisors
 )
 from baerlab.perm import Permutation, identity, parse_cycles
 from baerlab.structure import (
@@ -57,6 +57,7 @@ from baerlab.structure import (
     sylow_conjugates,
     upper_p_series,
 )
+from pins import lattice_digest
 
 
 def sym3_x_d10():
@@ -1343,19 +1344,21 @@ def test_enumerate_subgroups_counts():
     assert len(enumerate_subgroups(cyclic(1))) == 1
     assert len(enumerate_subgroups(symmetric(3))) == 6
     assert len(enumerate_subgroups(dihedral(10))) == 8
-    # Subgroups and their conjugacy classes: OEIS A005432 and A000638.
-    for G, count, classes in (
-        (symmetric(4), 30, 11),
-        (symmetric(5), 156, 19),
-        (symmetric(6), 1455, 56),
+    # Subgroups and their conjugacy classes: OEIS A005432 and A000638.  The
+    # digest pins the list itself, order and carried generating ids included.
+    for G, count, classes, digest in (
+        (symmetric(4), 30, 11, "efb5026c7b38d471"),
+        (symmetric(5), 156, 19, "bafb3a0948497a8c"),
+        (symmetric(6), 1455, 56, "c067369857f315ab"),
         # Not symmetric: the class walk of Group.conjugates on semilinear(2,4).
-        (semilinear(2, 4), 990, 44),
+        (semilinear(2, 4), 990, 44, "300ad4b46afe6714"),
         # Orders 576, 1,296 and 480, inside the default order gate.
-        (direct_product([symmetric(4), symmetric(4)]), 2976, 274),
-        (wreath(symmetric(3), symmetric(3), "natural"), 4164, 176),
-        (direct_product([symmetric(4), frobenius(5, 4)]), 912, 112),
+        (direct_product([symmetric(4), symmetric(4)]), 2976, 274, "4f911eb12ce5ad1f"),
+        (wreath(symmetric(3), symmetric(3), "natural"), 4164, 176, "347f586f695fb176"),
+        (direct_product([symmetric(4), frobenius(5, 4)]), 912, 112, "72316bb58d33084b"),
     ):
         subs = enumerate_subgroups(G)
+        assert lattice_digest(subs) == digest
         assert (len(subs), conjugacy_class_count(G, subs)) == (count, classes)
 
 
@@ -1393,6 +1396,19 @@ SWEEP_SPECS = (
     "product(symmetric(3),cyclic(2))", "product(symmetric(4),cyclic(3))",
     "semilinear(2,3)", "symmetric(5)",
 )
+# lattice_digest of each one's enumerate_subgroups on a fresh group.
+SWEEP_LATTICE_DIGESTS = {
+    "cyclic(6)": "b0a231ff24f7409f", "cyclic(12)": "742b88a699133b79",
+    "dihedral(8)": "01946c78bd38dff0", "dihedral(10)": "03b53ca22cf16704",
+    "dihedral(12)": "47f7e2379a1668f7", "dihedral(18)": "9d144e7972eff7cb",
+    "symmetric(3)": "362beba1f23d1964", "symmetric(4)": "efb5026c7b38d471",
+    "frobenius(5,4)": "be1fd6bf6261f87a", "frobenius(7,3)": "023e4e84842fd124",
+    "frobenius(13,3)": "afca1c467b72e21f", "frobenius(11,10)": "ab29a954be89b31e",
+    "elemabelian(2,3)": "e10139b17c78a405",
+    "product(symmetric(3),cyclic(2))": "d378a353de4397a2",
+    "product(symmetric(4),cyclic(3))": "a25d6f5306467d06",
+    "semilinear(2,3)": "8cdcdf9ed920626b", "symmetric(5)": "bafb3a0948497a8c",
+}
 
 
 @pytest.mark.parametrize("spec", SWEEP_SPECS)
@@ -1526,6 +1542,7 @@ def test_a_normal_hall_subgroup_of_two_primes_is_their_core(spec):
 def test_enumerate_subgroups_matches_layered_closure(spec):
     G = parse_group_spec(spec)
     subs = enumerate_subgroups(G)
+    assert lattice_digest(subs) == SWEEP_LATTICE_DIGESTS[spec]
     assert [S.ids for S in subs] == layered_closure_ids(G)
     found = {S.ids for S in subs}
     for S in subs:
@@ -1567,7 +1584,8 @@ def test_enumerate_subgroups_carries_generators_and_searches_none(monkeypatch):
     # Work-count guard: every enumerated subgroup keeps the generators the
     # walk built it from, so on the 16 groups of the benchmark's sweep no
     # greedy generating-set search runs (one per subgroup would be 380) and
-    # the only closures are the walk's own (with the searches, 1,310).
+    # the only closures are the walk's own, one per extension its markings
+    # leave (test_enumerate_subgroups_explores_one_subgroup_per_class).
     calls = Counter()
     close, search = Group.closure_from_gen_ids, group_module._small_generating_ids
 
@@ -1585,36 +1603,55 @@ def test_enumerate_subgroups_carries_generators_and_searches_none(monkeypatch):
     assert len(specs) == 16
     subs = [S for spec in specs for S in enumerate_subgroups(parse_group_spec(spec))]
     assert len(subs) == 380
-    assert calls == {"closure_from_gen_ids": 762}
+    assert calls == {"closure_from_gen_ids": 380}
 
 
 @pytest.mark.parametrize("spec", SWEEP_SPECS)
 def test_enumerate_subgroups_explores_one_subgroup_per_class(spec):
-    # Exploring K costs one closure per K-conjugacy class of cyclic subgroups
-    # of prime-power order outside K.  With one explored subgroup per
-    # conjugacy class of G that sums to the budget below, and every closure
-    # counts: exploring a second member of some class, or closing a second
-    # member of some K-class, exceeds it.
+    # The walk explores the first member found of each conjugacy class of
+    # subgroups, and exploring H costs one closure <H, x> per cyclic
+    # subgroup <x> of prime-power order outside H, in order of its least
+    # generator, unless an earlier closure marked it: by the orbit of an
+    # earlier x under N, which is G for a normal H and else <H, n> for the
+    # least n in N_G(H) outside H, or by lying in an earlier <H, x> of prime
+    # index over H.  Recounted here by brute-force conjugation over a plain
+    # layering, that sums to the budget below, and every closure counts.
     G = parse_group_spec(spec)
     ids = layered_closure_ids(G)
     els = G.elements
     conj = [[G.element_id(x.conjugate(g)) for x in els] for g in els]
     orders = G.element_orders()
-    cyclic_pp = [
-        K for K in ids
-        if len(prime_divisors(len(K))) == 1 and any(orders[i] == len(K) for i in K)
-    ]
+    least = {}  # cyclic subgroup -> its least generator
+    for x, o in enumerate(orders):
+        if o > 1 and is_prime_power(o):
+            least.setdefault(G.closure_from_gen_ids([x]), x)
+    rep = {x: least[C] for C in least for x in C if orders[x] == len(C)}
     budget = 0
-    seen = set()
-    for K in ids:
-        if K in seen:
-            continue
-        outside = {C for C in cyclic_pp if not C <= K}
-        while outside:
-            C = outside.pop()
-            outside -= {frozenset(conj[k][i] for i in C) for k in K}
-            budget += 1
-        seen.update(frozenset(map(c.__getitem__, K)) for c in conj)
+    trivial = G.closure_from_gen_ids([])
+    found, frontier = {trivial}, [trivial]
+    while frontier:
+        new = []
+        for H in frontier:
+            normaliser = {g for g, c in enumerate(conj) if {c[h] for h in H} == H}
+            if len(normaliser) == len(els):
+                acting = normaliser
+            else:
+                acting = G.closure_from_gen_ids(sorted(H) + sorted(normaliser - H)[:1])
+            tried = set()
+            for x in sorted(least.values()):
+                if x in H:
+                    continue
+                K = G.closure_from_gen_ids(sorted(H) + [x])
+                if x not in tried:
+                    budget += 1
+                    tried.update(rep[conj[g][x]] for g in acting)
+                    if is_prime(len(K) // len(H)):
+                        tried.update(K)
+                if K not in found:
+                    found.update(frozenset(c[k] for k in K) for c in conj)
+                    new.append(K)
+        frontier = new
+    assert sorted(found, key=lambda K: (len(K), sorted(K))) == ids
     assert [S.ids for S in enumerate_subgroups(G, budget=budget)] == ids
     with pytest.raises(CapExceeded):
         enumerate_subgroups(parse_group_spec(spec), budget=budget - 1)
@@ -1631,6 +1668,7 @@ def test_stored_subgroup_order_counts_members():
     for factors in itertools.product(*blocks):
         S = Subgroup.from_factors(G, factors)
         assert S.order == len(S.members())
+        assert S.ids is None  # a product-form subgroup holds no store ids
     assert not G.is_materialized
 
 
